@@ -2,7 +2,7 @@
 
 Subcommands: normalize, equal, haar, fuse, fusion-table, verify, predicates.
 Exit codes: 0 success (and all checks passed for verify), 1 verification
-failure, 2 usage or parse errors.
+failure, 2 usage or parse errors and inputs beyond a resource cap.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import fusion as fus
 from .crossed import CrossedElement, embed_pi, format_crossed_element
-from .errors import ParseError
+from .errors import ClosureSizeError, DegreeCapError, ParseError
 from .expressions import CrossedContext, parse_context, parse_expression
 from .groups import PREDICATES, parse_model, predicate
 from .haar import PMAX_DEFAULT, haar_state, mc_integral, norm_squared
@@ -350,9 +350,7 @@ def build_parser():
     p.set_defaults(func=cmd_equal)
 
     p = sub.add_parser("haar", parents=[common], help="Haar integral of a crossed expression")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exact Weingarten integration (default)")
-    mode.add_argument("--mc", action="store_true", help="Monte Carlo estimation")
+    p.add_argument("--mc", action="store_true", help="Monte Carlo estimation (default: exact Weingarten)")
     p.add_argument("--group", required=True, help="group model, e.g. un:2")
     p.add_argument("expr")
     p.set_defaults(func=cmd_haar)
@@ -398,6 +396,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (DegreeCapError, ClosureSizeError) as exc:
+        print(f"error: resource cap: {exc} (the exact degree cap is set by --degree-cap)", file=sys.stderr)
         return EXIT_USAGE
 
 

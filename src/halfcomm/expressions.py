@@ -177,6 +177,8 @@ class _Parser:
         if kind == "number":
             if "/" in text:
                 num, den = text.split("/")
+                if int(den) == 0:
+                    raise ParseError(f"zero denominator in {text!r}", position=pos)
                 return self.scalar(Fraction(int(num), int(den)))
             return self.scalar(int(text))
         if kind == "name":

@@ -2,11 +2,13 @@
 
 The integral of a balanced monomial in matrix entries over U(n) is a sum of
 Weingarten values indexed by pairs of permutations matching up the plain and
-conjugate factors.  The Weingarten function is obtained by exactly inverting
-the Gram matrix G[s, t] = n^(number of cycles of s t^-1) over the symmetric
-group.  For n >= p the Gram matrix is invertible; below that it is singular
-and the Moore-Penrose pseudo-inverse (still a rational matrix, computed
-exactly) gives the correct integrals.
+conjugate factors.  The Weingarten function is a class function on the
+symmetric group, computed exactly from the characters of S_p by the
+Collins-Sniady formula (Collins, IMRN 2003; Collins & Sniady, CMP 264, 2006):
+a sum over the partitions of p with at most n rows.  It is the inverse of the
+Gram matrix G[s, t] = n^(number of cycles of s t^-1) when n >= p; below that
+G is singular, the row bound drops the vanishing terms, and the same sum is
+the Moore-Penrose pseudo-inverse, which gives the correct integrals.
 
 The induced state on the crossed product integrates the even component; the
 odd component has weight zero.  Since the state is faithful on polynomial
@@ -15,6 +17,7 @@ functions, a vanishing norm decides equality exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,95 +45,79 @@ def _inverse(s):
     return tuple(out)
 
 
-def _cycle_count(s):
+@functools.cache
+def _cycle_type(s):
+    """Cycle lengths of the permutation s, non-increasing; memoised, so that a
+    warm ``WeingartenTable.wg`` costs two hash lookups."""
     seen = [False] * len(s)
-    cycles = 0
+    lengths = []
     for a in range(len(s)):
-        if seen[a]:
-            continue
-        cycles += 1
-        b = a
+        length, b = 0, a
         while not seen[b]:
             seen[b] = True
             b = s[b]
-    return cycles
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
 
 
-def _identity(p):
-    return tuple(range(p))
+def _cycle_count(s):
+    return len(_cycle_type(s))
 
 
-# -- exact linear algebra over Fraction ------------------------------------
+@functools.cache
+def _permutations(p):
+    """All of S_p as tuples, in lexicographic order."""
+    return tuple(itertools.permutations(range(p)))
 
 
-def _rat_invert(mat):
-    size = len(mat)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(size)] for i, row in enumerate(mat)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col]), None)
-        if pivot is None:
-            raise ArithmeticError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
+def _partitions(p, largest=None):
+    """Partitions of p as non-increasing tuples."""
+    if p == 0:
+        yield ()
+        return
+    for first in range(min(p, largest or p), 0, -1):
+        for rest in _partitions(p - first, first):
+            yield (first,) + rest
 
 
-def _pivot_columns(mat):
-    rows = [list(r) for r in mat]
-    nrows, ncols = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+def _character(beta, mu):
+    """chi^lam at cycle type mu by Murnaghan-Nakayama, for lam given by its
+    beta-set {lam_i + len(lam) - 1 - i}: removing a rim hook of length k moves
+    a bead from b to a free b - k, with sign (-1)^(beads strictly between)."""
+    if not mu:
+        return 1
+    k = mu[0]
+    return sum(
+        (-1) ** sum(b - k < c < b for c in beta) * _character(beta - {b} | {b - k}, mu[1:])
+        for b in beta
+        if b >= k and b - k not in beta
+    )
 
 
-def _rat_matmul(a, b):
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
-def _rat_pseudo_invert(mat):
-    """Moore-Penrose inverse of a symmetric rational matrix, exactly.
-
-    With B a column-space basis (pivot columns of the matrix itself), the
-    pseudo-inverse is B (B^T M B)^-1 B^T.
-    """
-    pivots = _pivot_columns(mat)
-    b = [[row[c] for c in pivots] for row in mat]
-    bt = [list(col) for col in zip(*b)]
-    core = _rat_invert(_rat_matmul(bt, _rat_matmul(mat, b)))
-    return _rat_matmul(b, _rat_matmul(core, bt))
+def _hook_content_product(lam, n):
+    """Product over the boxes of lam of hook length times (n + content)."""
+    cols = [sum(1 for row in lam if row > j) for j in range(lam[0])]
+    out = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            out *= (row - j + cols[j] - i - 1) * (n + j - i)
+    return out
 
 
 @dataclass
 class WeingartenTable:
+    """Wg(sigma) for degree p over U(n), keyed by the cycle type of sigma;
+    ``pseudo`` marks n < p, where the Gram matrix is singular."""
+
     p: int
     n: int
     values: dict
     pseudo: bool
-    perms: tuple
 
     def wg(self, perm) -> Fraction:
-        return self.values[perm]
+        return self.values[_cycle_type(perm)]
 
 
 _TABLE_CACHE: dict = {}  # idempotent fills; a torn value is impossible in CPython
@@ -139,8 +126,14 @@ _TABLE_CACHE: dict = {}  # idempotent fills; a torn value is impossible in CPyth
 def weingarten_table(p: int, n: int, p_max: int = PMAX_DEFAULT) -> WeingartenTable:
     """Weingarten values for degree p over U(n), all exact rationals.
 
-    For n < p the Gram matrix is singular and the exact pseudo-inverse is used;
-    the integration formula is unchanged and the table is flagged ``pseudo``.
+    Collins-Sniady: Wg(sigma) = (1/p!^2) sum over lam |- p with len(lam) <= n
+    of dim(lam)^2 chi^lam(sigma) / s_lam(1^n).  By the hook formula
+    dim(lam) = p! / prod(hooks) and the hook-content formula
+    s_lam(1^n) = prod(n + content) / prod(hooks), each term is
+    chi^lam(sigma) / (prod(hooks) prod(n + content)).  For n < p the length
+    bound drops the partitions whose content product vanishes, and the values
+    are the pseudo-inverse of the singular Gram matrix; the integration
+    formula is unchanged.
     """
     if p < 1:
         raise ValueError("degree must be >= 1")
@@ -153,20 +146,14 @@ def weingarten_table(p: int, n: int, p_max: int = PMAX_DEFAULT) -> WeingartenTab
     if cached is not None:
         return cached
 
-    perms = tuple(itertools.permutations(range(p)))
-    index = {s: a for a, s in enumerate(perms)}
-    gram = [
-        [Fraction(n ** _cycle_count(_compose(s, _inverse(t)))) for t in perms] for s in perms
+    types = list(_partitions(p))
+    terms = [
+        (frozenset(part + len(lam) - 1 - i for i, part in enumerate(lam)), _hook_content_product(lam, n))
+        for lam in types
+        if len(lam) <= n
     ]
-    if n >= p:
-        ginv = _rat_invert(gram)
-        pseudo = False
-    else:
-        ginv = _rat_pseudo_invert(gram)
-        pseudo = True
-    col = index[_identity(p)]
-    values = {s: ginv[index[s]][col] for s in perms}
-    table = WeingartenTable(p, n, values, pseudo, perms)
+    values = {mu: sum(Fraction(_character(beta, mu), weight) for beta, weight in terms) for mu in types}
+    table = WeingartenTable(p, n, values, n < p)
     _TABLE_CACHE[key] = table
     return table
 
@@ -179,16 +166,15 @@ def _monomial_integral(mono, n, p_max) -> Fraction:
     p = len(us)
     if p == 0:
         return Fraction(1)
-    if p > p_max:
-        raise DegreeCapError(f"monomial of degree {mono.degree} exceeds p_max={p_max}")
     table = weingarten_table(p, n, p_max)
+    perms = _permutations(p)
     sigmas = [
-        s for s in table.perms if all(us[a][0] == ubars[s[a]][0] for a in range(p))
+        s for s in perms if all(us[a][0] == ubars[s[a]][0] for a in range(p))
     ]
     if not sigmas:
         return Fraction(0)
     taus = [
-        t for t in table.perms if all(us[a][1] == ubars[t[a]][1] for a in range(p))
+        t for t in perms if all(us[a][1] == ubars[t[a]][1] for a in range(p))
     ]
     if not taus:
         return Fraction(0)

@@ -49,7 +49,9 @@ from .haar import (
     weingarten_table,
     _compose,
     _cycle_count,
+    _cycle_type,
     _inverse,
+    _permutations,
 )
 from .scalars import GaussianRational
 from .words import (
@@ -729,23 +731,36 @@ def _balanced_monomials(rng, n, count):
     return out
 
 
+def class_convolution(f, h, p):
+    """(f*h)(s) = sum_t f(s t^-1) h(t) over S_p, for class functions f and h.
+
+    f*h is again a class function, so it is returned as a dict from cycle type
+    to value, evaluated at one representative of each type.
+    """
+    perms = _permutations(p)
+    reps = {}
+    for s in perms:
+        reps.setdefault(_cycle_type(s), s)
+    return {ct: sum(f(_compose(s, _inverse(t))) * h(t) for t in perms) for ct, s in reps.items()}
+
+
 def suite_weingarten(mc_samples=100000, seed=DEFAULT_SEED, p_max=PMAX_DEFAULT):
     report = VerifyReport("weingarten", {"mc_samples": mc_samples, "seed": seed})
 
+    # G[s, t] = g(s t^-1) with g(s) = n^cycles(s), and W[t, r] = wg(t r^-1),
+    # so (G W)[s, r] = (g*w)(s r^-1) and (G W G)[s, r] = (g*w*g)(s r^-1):
+    # G W = I iff g*w = delta_e, and G W G = G iff g*w*g = g.
+
+    def gram(n):
+        return lambda s: Fraction(n ** _cycle_count(s))
+
     def check_inverse():
-        for p in (1, 2, 3):
-            for n in (3, 4):
-                table = weingarten_table(p, n, p_max)
-                for s in table.perms:
-                    for r in table.perms:
-                        total = Fraction(0)
-                        rinv = _inverse(r)
-                        for t in table.perms:
-                            gram = Fraction(n ** _cycle_count(_compose(s, _inverse(t))))
-                            total += gram * table.wg(_compose(t, rinv))
-                        if total != (1 if s == r else 0):
-                            return False, f"inverse identity fails at p={p}, n={n}"
-        return True, "p <= 3, n in {3,4}, all permutation pairs"
+        cells = ((1, 3), (1, 4), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (5, 6))
+        for p, n in cells:
+            gw = class_convolution(gram(n), weingarten_table(p, n, p_max).wg, p)
+            if any(v != (1 if len(ct) == p else 0) for ct, v in gw.items()):
+                return False, f"inverse identity fails at p={p}, n={n}"
+        return True, f"(p, n) in {cells}, every cycle type"
 
     _run(
         report,
@@ -755,28 +770,17 @@ def suite_weingarten(mc_samples=100000, seed=DEFAULT_SEED, p_max=PMAX_DEFAULT):
     )
 
     def check_pseudo():
-        for p, n in ((3, 2), (4, 2), (4, 3)):
+        cells = ((3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4))
+        for p, n in cells:
             table = weingarten_table(p, n, p_max)
             if not table.pseudo:
                 return False, f"(p={p}, n={n}) should be in the singular regime"
-            perms = table.perms
-            gram = {
-                (s, t): Fraction(n ** _cycle_count(_compose(s, _inverse(t))))
-                for s in perms
-                for t in perms
-            }
-            # G W G = G with W(s, t) = wg(s t^-1)
-            for s in perms:
-                for r in perms:
-                    total = Fraction(0)
-                    for t in perms:
-                        for u in perms:
-                            total += gram[(s, t)] * table.wg(_compose(t, _inverse(u))) * gram[(u, r)]
-                    if total != gram[(s, r)]:
-                        return False, f"G W G != G at p={p}, n={n}"
-            if p > 3:
-                break  # one full p=4 table is enough; the quadruple loop is heavy
-        return True, "singular-regime tables satisfy G W G = G"
+            g = gram(n)
+            gw = class_convolution(g, table.wg, p)
+            gwg = class_convolution(lambda s: gw[_cycle_type(s)], g, p)
+            if any(v != n ** len(ct) for ct, v in gwg.items()):
+                return False, f"G W G != G at p={p}, n={n}"
+        return True, f"singular-regime tables satisfy G W G = G at (p, n) in {cells}"
 
     _run(
         report,

@@ -158,7 +158,7 @@ def test_criterion_07_weingarten_engine():
     report = suite_weingarten(mc_samples=100000)
     elapsed = time.monotonic() - t0
     ok = report.passed and elapsed < 300
-    _report("07", "Gram inverse identity (p<=3, n=3,4) and 20-monomial MC agreement at 1e5 samples", ok, f"{elapsed:.1f}s")
+    _report("07", "Gram identities G W = I and G W G = G (p<=5) and 20-monomial MC agreement at 1e5 samples", ok, f"{elapsed:.1f}s")
     assert report.passed, _failures(report)
     assert elapsed < 300
 

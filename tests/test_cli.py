@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from halfcomm.cli import main
 
 
@@ -28,6 +30,12 @@ def test_normalize_parse_error(capsys):
     code, _, err = run_cli(capsys, "normalize", "--context", "ao-star:2", "v[1,3]")
     assert code == 2
     assert "parse error" in err
+
+
+def test_normalize_zero_denominator(capsys):
+    code, _, err = run_cli(capsys, "normalize", "--context", "ao-star:2", "v[1,1] + 3/0")
+    assert code == 2
+    assert "parse error" in err and "position 9" in err
 
 
 def test_equal_exact(capsys):
@@ -104,6 +112,22 @@ def test_haar_mc(capsys):
 def test_haar_exact_needs_unitary_group(capsys):
     code, _, err = run_cli(capsys, "haar", "--group", "kn:2", "u[1,1] u*[1,1]")
     assert code == 2 and "use --mc" in err
+
+
+def test_haar_degree_cap_exit_code(capsys):
+    text = " ".join(["u[1,2]"] * 6 + ["u*[1,2]"] * 6)
+    code, _, err = run_cli(capsys, "haar", "--group", "un:2", text)
+    assert code == 2
+    assert "--degree-cap" in err and "Traceback" not in err
+    code, out, _ = run_cli(capsys, "haar", "--group", "un:2", "--degree-cap", "6", text)
+    assert code == 0 and out.strip() == "1/7"  # E|u12|^12 = 1/C(7, 6)
+
+
+def test_haar_exact_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["haar", "--exact", "--group", "un:2", "u[1,1] u*[1,1]"])
+    assert exc.value.code == 2
+    assert "--exact" in capsys.readouterr().err
 
 
 def test_fuse(capsys):

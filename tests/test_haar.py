@@ -25,7 +25,9 @@ from halfcomm.haar import (
     weingarten_table,
     _compose,
     _cycle_count,
+    _cycle_type,
     _inverse,
+    _permutations,
 )
 from halfcomm.scalars import GaussianRational
 from halfcomm.words import WordElement, ao_star, hc_normal_form, letter
@@ -55,7 +57,7 @@ def mono(n, us, ubars):
 def test_table_p1():
     for n in (1, 2, 5):
         t = weingarten_table(1, n)
-        assert t.values[(0,)] == Fraction(1, n)
+        assert t.wg((0,)) == Fraction(1, n)
         assert not t.pseudo
 
 
@@ -72,7 +74,7 @@ def test_table_row_sums():
     # meaningful in the invertible regime (below it G G+ is a projection)
     for p, n in ((2, 2), (3, 3), (2, 4)):
         t = weingarten_table(p, n)
-        total = sum(t.wg(s) * Fraction(n ** _cycle_count(s)) for s in t.perms)
+        total = sum(t.wg(s) * Fraction(n ** _cycle_count(s)) for s in _permutations(p))
         assert total == 1
 
 
@@ -80,11 +82,11 @@ def test_table_class_function_and_inversion_symmetry():
     for p, n in ((3, 3), (3, 2), (4, 3)):
         t = weingarten_table(p, n)
         by_type = {}
-        for s in t.perms:
+        for s in _permutations(p):
             key = tuple(sorted(_cycle_lengths(s)))
             by_type.setdefault(key, set()).add(t.wg(s))
         assert all(len(vals) == 1 for vals in by_type.values())
-        for s in t.perms:
+        for s in _permutations(p):
             assert t.wg(s) == t.wg(_inverse(s))
 
 
@@ -108,13 +110,29 @@ def test_table_inverse_identity():
     for p in (1, 2, 3):
         for n in (3, 4):
             t = weingarten_table(p, n)
-            for s in t.perms:
-                for r in t.perms:
+            for s in _permutations(p):
+                for r in _permutations(p):
                     total = sum(
                         Fraction(n ** _cycle_count(_compose(s, _inverse(tt)))) * t.wg(_compose(tt, _inverse(r)))
-                        for tt in t.perms
+                        for tt in _permutations(p)
                     )
                     assert total == (1 if s == r else 0)
+
+
+def test_table_gram_identities_convolution_form():
+    # G W = I (n >= p) and G W G = G (n < p) as class-function convolutions,
+    # g*w = delta_e and g*w*g = g with g(s) = n^cycles(s); see suite_weingarten
+    from halfcomm.verify import class_convolution
+
+    for p, n in ((5, 2), (5, 3), (5, 5), (6, 3), (6, 6)):
+        t = weingarten_table(p, n, p_max=6)
+        assert t.pseudo == (n < p)
+        g = lambda s: Fraction(n ** _cycle_count(s))
+        gw = class_convolution(g, t.wg, p)
+        if not t.pseudo:
+            assert gw == {ct: int(len(ct) == p) for ct in gw}, (p, n)
+        gwg = class_convolution(lambda s: gw[_cycle_type(s)], g, p)
+        assert gwg == {ct: n ** len(ct) for ct in gwg}, (p, n)
 
 
 def test_table_pseudo_regime_flag():
