@@ -314,8 +314,8 @@ def cmd_verify(args):
 
 
 def _suite_params(args):
-    params = {}
-    for key in ("n", "maxlen", "k", "samples", "trials", "seed", "points"):
+    params = {"p_max": args.degree_cap}
+    for key in ("n", "maxlen", "samples", "trials", "seed", "points"):
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
@@ -377,7 +377,6 @@ def build_parser():
     p.add_argument("--suite", required=True, help="suite name or 'all'")
     p.add_argument("--n", type=int)
     p.add_argument("--maxlen", type=int)
-    p.add_argument("--k", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("--points", type=int)
     p.set_defaults(func=cmd_verify)

@@ -19,13 +19,7 @@ import itertools
 
 from .errors import DegreeCapError, DimensionMismatchError, IndexRangeError
 from .scalars import ZERO, GaussianRational, I
-from .words import (
-    AU_STAR_STAR,
-    DEFAULT_DEGREE_CAP,
-    WordElement,
-    ao_star,
-    letter,
-)
+from .words import AU_STAR_STAR, DEFAULT_DEGREE_CAP, WordElement
 
 # A symbol is (row, col, bar); bar=True marks the conjugate coordinate.
 
@@ -391,42 +385,33 @@ def pun_generator(n: int, i: int, j: int, k: int, l: int) -> FunElement:
     return FunElement.coordinate(n, i, k) * FunElement.coordinate(n, j, l, bar=True)
 
 
-def _au_to_ao(x: WordElement) -> WordElement:
-    """Rewrite a unitary-presentation element over the doubled orthogonal one.
-
-    u_ij expands to x_ij + i*x_(n+i)j and its star to x_ij - i*x_(n+i)j, with
-    x ranging over the 2n-dimensional self-adjoint generators.
-    """
-    n = x.presentation.n
-    target = ao_star(2 * n)
-    out = WordElement.zero(target)
-    for word, coeff in x.terms.items():
-        elem = coeff * WordElement.one(target)
-        for l in word:
-            real = WordElement.from_word(target, (letter(target, l.row, l.col),))
-            imag = WordElement.from_word(target, (letter(target, l.row + n, l.col),))
-            phase = -I if l.starred else I
-            elem = elem * (real + phase * imag)
-        out = out + elem
-    return out
-
-
 def embed_pi(x: WordElement) -> CrossedElement:
     """The *-homomorphism sending the generator v_ij to u_ij * s.
 
-    Unitary-presentation elements are first rewritten over the doubled
-    orthogonal presentation, so their image lives over dimension 2n.
+    Since s f = bar(f) s, a word v_a1 v_a2 ... v_ak goes to the single
+    monomial u_a1 ubar_a2 u_a3 ... s^k: letters at odd positions stay plain,
+    letters at even positions are conjugated, and the term is odd iff k is.
+    A unitary-presentation letter expands in place over dimension 2n: u_ij
+    to x_ij + i*x_(n+i)j and its star to x_ij - i*x_(n+i)j.
     """
-    if x.presentation.kind == AU_STAR_STAR:
-        x = _au_to_ao(x)
     n = x.presentation.n
-    out = CrossedElement.zero(n)
+    shifts = (0, n) if x.presentation.kind == AU_STAR_STAR else (0,)
+    parts = ({}, {})
     for word, coeff in x.terms.items():
-        elem = CrossedElement.one(n)
-        for l in word:
-            elem = crossed_mul(elem, CrossedElement.generator(n, l.row, l.col))
-        out = out + coeff * elem
-    return out
+        part = parts[len(word) % 2]
+        for picks in itertools.product(shifts, repeat=len(word)):
+            c = coeff
+            exps = {}
+            for pos, (l, shift) in enumerate(zip(word, picks)):
+                if shift:
+                    c = c * (-I if l.starred else I)
+                sym = (l.row + shift, l.col, pos % 2 == 1)
+                exps[sym] = exps.get(sym, 0) + 1
+            mono = FunMonomial(exps)
+            prev = part.get(mono)
+            part[mono] = c if prev is None else prev + c
+    dim = n * len(shifts)
+    return CrossedElement(FunElement(dim, parts[0]), FunElement(dim, parts[1]))
 
 
 def format_fun_element(f: FunElement) -> str:

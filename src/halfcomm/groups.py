@@ -232,16 +232,7 @@ def evaluate_fun(f: FunElement, g: np.ndarray) -> complex:
     g = np.asarray(g, dtype=complex)
     if g.shape != (f.n, f.n):
         raise DimensionMismatchError(f"matrix {g.shape} does not match symbols over n={f.n}")
-    total = 0j
-    for mono, coeff in f.terms.items():
-        val = coeff.to_complex()
-        for (i, j, bar), e in mono.exps:
-            entry = g[i - 1, j - 1]
-            if bar:
-                entry = entry.conjugate()
-            val *= entry**e
-        total += val
-    return total
+    return complex(evaluate_fun_batch(f, g[None])[0])
 
 
 def evaluate_fun_batch(f: FunElement, gs: np.ndarray) -> np.ndarray:
@@ -270,11 +261,6 @@ def matrix_model_eval(x: CrossedElement, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=complex)
     if g.shape != (x.n, x.n):
         raise DimensionMismatchError(f"matrix {g.shape} does not match element over n={x.n}")
-    gc = g.conj()
-    return np.array(
-        [
-            [evaluate_fun(x.f0, g), evaluate_fun(x.f1, g)],
-            [evaluate_fun(x.f1, gc), evaluate_fun(x.f0, gc)],
-        ],
-        dtype=complex,
-    )
+    pair = np.stack([g, g.conj()])
+    even, odd = (evaluate_fun_batch(f, pair) for f in (x.f0, x.f1))
+    return np.array([[even[0], odd[0]], [odd[1], even[1]]], dtype=complex)

@@ -26,7 +26,6 @@ from typing import NamedTuple
 from .errors import (
     ClosureSizeError,
     DegreeCapError,
-    DimensionMismatchError,
     IndexRangeError,
     PresentationError,
 )
@@ -76,7 +75,6 @@ class Letter(NamedTuple):
     row: int
     col: int
     starred: bool
-    n: int
 
     def key(self):
         return (self.row, self.col, self.starred)
@@ -88,7 +86,7 @@ def letter(presentation: Presentation, row: int, col: int, starred: bool = False
         raise IndexRangeError(f"index ({row},{col}) outside 1..{n}")
     if starred and presentation.orthogonal:
         raise PresentationError("orthogonal generators are self-adjoint; no starred letters")
-    return Letter(row, col, starred, n)
+    return Letter(row, col, starred)
 
 
 # A Word is a tuple of Letters; the empty tuple is the unit.
@@ -176,6 +174,7 @@ class WordElement:
 
     def __init__(self, presentation: Presentation, terms=None):
         self.presentation = presentation
+        n = presentation.n
         merged = {}
         for word, coeff in (terms or {}).items():
             c = GaussianRational.coerce(coeff)
@@ -183,10 +182,8 @@ class WordElement:
                 continue
             word = tuple(word)
             for l in word:
-                if l.n != presentation.n:
-                    raise DimensionMismatchError(
-                        f"letter over n={l.n} in an element over n={presentation.n}"
-                    )
+                if not (1 <= l.row <= n and 1 <= l.col <= n):
+                    raise IndexRangeError(f"letter index ({l.row},{l.col}) outside 1..{n}")
             if _dead_word(word, presentation):
                 continue
             nf = hc_normal_form(word)
@@ -290,7 +287,7 @@ def star_element(x: WordElement) -> WordElement:
 
 def _antipode_letter(l: Letter, presentation: Presentation) -> Letter:
     starred = l.starred if presentation.orthogonal else not l.starred
-    return Letter(l.col, l.row, starred, l.n)
+    return Letter(l.col, l.row, starred)
 
 
 def antipode_element(x: WordElement) -> WordElement:
@@ -332,8 +329,8 @@ def coproduct_element(x: WordElement, degree_cap: int = DEFAULT_DEGREE_CAP):
                 f"coproduct of a length-{len(word)} word exceeds degree cap {degree_cap}"
             )
         for ks in itertools.product(range(1, n + 1), repeat=len(word)):
-            left = tuple(Letter(l.row, k, l.starred, l.n) for l, k in zip(word, ks))
-            right = tuple(Letter(k, l.col, l.starred, l.n) for l, k in zip(word, ks))
+            left = tuple(Letter(l.row, k, l.starred) for l, k in zip(word, ks))
+            right = tuple(Letter(k, l.col, l.starred) for l, k in zip(word, ks))
             nl = _leg(left, x.presentation)
             if nl is None:
                 continue

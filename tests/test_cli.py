@@ -239,3 +239,19 @@ def test_verify_moments(capsys):
     assert code == 0
     lines = [json.loads(l) for l in out.strip().splitlines()]
     assert {l["check"] for l in lines} == {"moment-n2-k1", "moment-n2-k2", "moment-n3-k1"}
+
+
+def test_verify_honours_degree_cap(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "moments", "--degree-cap", "1")
+    assert code == 1
+    lines = {l["check"]: l for l in map(json.loads, out.strip().splitlines())}
+    assert lines["moment-n2-k1"]["status"] == "pass"
+    assert lines["moment-n2-k2"]["status"] == "fail"
+    assert lines["moment-n2-k2"]["detail"].startswith("resource cap")
+
+
+def test_verify_k_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "moments", "--k", "2"])
+    assert exc.value.code == 2
+    assert "--k" in capsys.readouterr().err

@@ -19,7 +19,7 @@ from halfcomm.crossed import (
 )
 from halfcomm.errors import DegreeCapError, DimensionMismatchError, IndexRangeError
 from halfcomm.scalars import GaussianRational, I
-from halfcomm.words import WordElement, ao_star, au_star_star, letter
+from halfcomm.words import WordElement, ah_star, ao_star, au_star_star, letter
 
 
 def u(n, i, j):
@@ -242,6 +242,64 @@ def test_embed_unitary_presentation():
     x = WordElement.generator(au2, 1, 2)
     y = WordElement.generator(au2, 2, 1)
     assert embed_pi(x * y) == crossed_mul(embed_pi(x), embed_pi(y))
+
+
+def embed_by_products(x):
+    """Reference image: the iterated crossed product of the generator images.
+
+    Unitary letters map to x_ij s +- i x_(n+i)j s over dimension 2n.
+    """
+    n = x.presentation.n
+    unitary = not x.presentation.orthogonal
+    dim = 2 * n if unitary else n
+    out = CrossedElement.zero(dim)
+    for word, coeff in x.terms.items():
+        elem = CrossedElement.one(dim)
+        for l in word:
+            image = g(dim, l.row, l.col)
+            if unitary:
+                image = image + (-I if l.starred else I) * g(dim, l.row + n, l.col)
+            elem = crossed_mul(elem, image)
+        out = out + coeff * elem
+    return out
+
+
+# (presentation, longest word) pairs compared exhaustively
+EMBED_CASES = [
+    (ao_star(2), 5),
+    (ah_star(2), 5),
+    (au_star_star(1), 5),
+    (au_star_star(2), 3),
+    (ao_star(3), 3),
+]
+
+
+def all_letters(pres):
+    stars = (False,) if pres.orthogonal else (False, True)
+    idx = range(1, pres.n + 1)
+    return [letter(pres, r, c, st) for r in idx for c in idx for st in stars]
+
+
+@pytest.mark.parametrize("pres, max_len", EMBED_CASES, ids=str)
+def test_embed_matches_generator_products_on_every_word(pres, max_len):
+    letters = all_letters(pres)
+    for length in range(max_len + 1):
+        for word in itertools.product(letters, repeat=length):
+            x = WordElement.from_word(pres, word)
+            assert embed_pi(x) == embed_by_products(x), word
+
+
+def test_embed_matches_generator_products_on_random_elements():
+    rng = random.Random(17)
+    for _ in range(300):
+        pres, max_len = rng.choice(EMBED_CASES)
+        letters = all_letters(pres)
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(0, max_len)))
+            terms[word] = GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) / rng.randint(1, 4)
+        x = WordElement(pres, terms)
+        assert embed_pi(x) == embed_by_products(x)
 
 
 # -- coinvariants and the even part ---------------------------------------------------

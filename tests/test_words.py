@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from halfcomm.errors import ClosureSizeError, PresentationError
+from halfcomm.errors import ClosureSizeError, IndexRangeError, PresentationError
 from halfcomm.scalars import GaussianRational, I
 from halfcomm.words import (
+    Letter,
     WordElement,
     ah_star,
     ah_zero_test,
@@ -137,6 +138,13 @@ def test_normalize_examples():
     assert normalize_element(x) == x
     y = WordElement(AH2, {w(AH2, (1, 1), (1, 2)): 1, w(AH2, (2, 2)): 1})
     assert y == WordElement(AH2, {w(AH2, (2, 2)): 1})
+
+
+def test_element_rejects_letter_outside_range():
+    with pytest.raises(IndexRangeError):
+        WordElement(AO2, {(letter(ao_star(3), 3, 1),): 1})
+    with pytest.raises(IndexRangeError):
+        WordElement(AO2, {(letter(AO2, 1, 1), Letter(1, 0, False)): 1})
 
 
 def test_multiplication_concatenates():
