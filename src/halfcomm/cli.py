@@ -45,7 +45,7 @@ def cmd_normalize(args):
     return EXIT_OK
 
 
-def _crossed_image(value, context):
+def _crossed_image(value):
     if isinstance(value, CrossedElement):
         return value
     return embed_pi(value)
@@ -71,14 +71,14 @@ def cmd_equal(args):
                 file=sys.stderr,
             )
             return EXIT_USAGE
-        nrm = norm_squared(_crossed_image(x, context) - _crossed_image(y, context), p_max=args.degree_cap)
+        nrm = norm_squared(_crossed_image(x) - _crossed_image(y), p_max=args.degree_cap)
         result = {"equal": nrm == 0, "method": "exact", "exact": True, "norm_squared": str(nrm)}
     else:  # mc
         if args.group is None:
             print("error: --method mc needs --group", file=sys.stderr)
             return EXIT_USAGE
         model = parse_model(args.group)
-        d = _crossed_image(x, context) - _crossed_image(y, context)
+        d = _crossed_image(x) - _crossed_image(y)
         sq = d.star() * d
         est = mc_integral(sq, model, args.samples or 10000, args.seed)
         threshold = max(1e-6, 5 * est.stderr)
@@ -242,7 +242,7 @@ def _weights_within(n, cap):
                 rec(acc + [v])
 
     rec([])
-    return [w for w in out if sum(abs(x) for x in w) <= cap]
+    return out
 
 
 def _torus_within(n, cap):

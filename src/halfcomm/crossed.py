@@ -18,8 +18,8 @@ from __future__ import annotations
 import itertools
 
 from .errors import DegreeCapError, DimensionMismatchError, IndexRangeError
-from .scalars import ZERO, GaussianRational, I
-from .words import AU_STAR_STAR, DEFAULT_DEGREE_CAP, WordElement
+from .scalars import ZERO, GaussianRational, I, SparseSum, reduce_terms
+from .words import AU_STAR_STAR, DEFAULT_DEGREE_CAP, WordElement, _term_strings
 
 # A symbol is (row, col, bar); bar=True marks the conjugate coordinate.
 
@@ -94,28 +94,24 @@ def format_monomial(mono: FunMonomial) -> str:
     return " ".join(parts)
 
 
-class FunElement:
+class FunElement(SparseSum):
     """Polynomial in the coordinate symbols over dimension n; always reduced."""
 
     __slots__ = ("n", "terms")
+    SPACE = "n"
+    MISMATCH = (DimensionMismatchError, "dimensions {} and {} differ")
+    key_mul = staticmethod(FunMonomial.mul)
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        acc = {}
-        for mono, coeff in (terms or {}).items():
-            c = GaussianRational.coerce(coeff)
-            if not c:
-                continue
-            for (i, j, _b), _e in mono.exps:
-                if not (1 <= i <= n and 1 <= j <= n):
-                    raise IndexRangeError(f"symbol index ({i},{j}) outside 1..{n}")
-            prev = acc.get(mono)
-            acc[mono] = c if prev is None else prev + c
-        self.terms = {m: c for m, c in acc.items() if c}
+        self.terms = self._reduce(terms)
 
-    @classmethod
-    def zero(cls, n):
-        return cls(n, {})
+    def _normal_key(self, mono):
+        n = self.n
+        for (i, j, _b), _e in mono.exps:
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise IndexRangeError(f"symbol index ({i},{j}) outside 1..{n}")
+        return mono
 
     @classmethod
     def one(cls, n):
@@ -126,58 +122,6 @@ class FunElement:
         if not (1 <= i <= n and 1 <= j <= n):
             raise IndexRangeError(f"coordinate index ({i},{j}) outside 1..{n}")
         return cls(n, {FunMonomial({(i, j, bar): 1}): 1})
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise DimensionMismatchError(f"dimensions {self.n} and {other.n} differ")
-
-    def __add__(self, other):
-        if not isinstance(other, FunElement):
-            return NotImplemented
-        self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, ZERO) + c
-        return FunElement(self.n, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return FunElement(self.n, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, FunElement):
-            self._check(other)
-            terms = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    key = m1.mul(m2)
-                    prod = c1 * c2
-                    prev = terms.get(key)
-                    terms[key] = prod if prev is None else prev + prod
-            return FunElement(self.n, terms)
-        try:
-            c = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return FunElement(self.n, {m: c0 * c for m, c0 in self.terms.items()})
-
-    def __rmul__(self, other):
-        try:
-            c = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self * c
-
-    def __eq__(self, other):
-        if not isinstance(other, FunElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
 
     def bar(self) -> "FunElement":
         return FunElement(self.n, {m.bar(): c for m, c in self.terms.items()})
@@ -331,18 +275,18 @@ def crossed_coproduct(x: CrossedElement, degree_cap: int = DEFAULT_DEGREE_CAP):
     Both tensor legs inherit the parity of the term they came from.  The
     expansion has n^degree terms per monomial, hence the loud cap.
     """
-    out = {}
-    for parity, f in ((0, x.f0), (1, x.f1)):
-        for mono, coeff in f.terms.items():
-            if mono.degree > degree_cap:
-                raise DegreeCapError(
-                    f"coproduct of a degree-{mono.degree} monomial exceeds cap {degree_cap}"
-                )
-            for lm, rm in _monomial_coproduct(mono, x.n):
-                key = ((lm, parity), (rm, parity))
-                prev = out.get(key)
-                out[key] = coeff if prev is None else prev + coeff
-    return {k: c for k, c in out.items() if c}
+
+    def pairs():
+        for parity, f in ((0, x.f0), (1, x.f1)):
+            for mono, coeff in f.terms.items():
+                if mono.degree > degree_cap:
+                    raise DegreeCapError(
+                        f"coproduct of a degree-{mono.degree} monomial exceeds cap {degree_cap}"
+                    )
+                for lm, rm in _monomial_coproduct(mono, x.n):
+                    yield ((lm, parity), (rm, parity)), coeff
+
+    return reduce_terms(pairs())
 
 
 def coinvariant_test(x: CrossedElement, degree_cap: int = DEFAULT_DEGREE_CAP) -> bool:
@@ -396,7 +340,7 @@ def embed_pi(x: WordElement) -> CrossedElement:
     """
     n = x.presentation.n
     shifts = (0, n) if x.presentation.kind == AU_STAR_STAR else (0,)
-    parts = ({}, {})
+    parts = ([], [])
     for word, coeff in x.terms.items():
         part = parts[len(word) % 2]
         for picks in itertools.product(shifts, repeat=len(word)):
@@ -407,31 +351,25 @@ def embed_pi(x: WordElement) -> CrossedElement:
                     c = c * (-I if l.starred else I)
                 sym = (l.row + shift, l.col, pos % 2 == 1)
                 exps[sym] = exps.get(sym, 0) + 1
-            mono = FunMonomial(exps)
-            prev = part.get(mono)
-            part[mono] = c if prev is None else prev + c
+            part.append((FunMonomial(exps), c))
     dim = n * len(shifts)
     return CrossedElement(FunElement(dim, parts[0]), FunElement(dim, parts[1]))
 
 
-def format_fun_element(f: FunElement) -> str:
-    from .words import _term_strings
-
+def _display_items(f: FunElement, flip=False):
+    """(coefficient, body) pairs of f in display order; ``flip`` appends s."""
     items = []
     for mono in sorted(f.terms, key=lambda m: (m.degree, m.exps)):
         body = format_monomial(mono) if mono.exps else None
+        if flip:
+            body = f"{body} s" if body else "s"
         items.append((f.terms[mono], body))
-    return _term_strings(items)
+    return items
+
+
+def format_fun_element(f: FunElement) -> str:
+    return _term_strings(_display_items(f))
 
 
 def format_crossed_element(x: CrossedElement) -> str:
-    from .words import _term_strings
-
-    items = []
-    for mono in sorted(x.f0.terms, key=lambda m: (m.degree, m.exps)):
-        body = format_monomial(mono) if mono.exps else None
-        items.append((x.f0.terms[mono], body))
-    for mono in sorted(x.f1.terms, key=lambda m: (m.degree, m.exps)):
-        body = format_monomial(mono) if mono.exps else "1"
-        items.append((x.f1.terms[mono], f"{body} s" if body != "1" else "s"))
-    return _term_strings(items)
+    return _term_strings(_display_items(x.f0) + _display_items(x.f1, flip=True))

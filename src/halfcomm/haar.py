@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -158,6 +159,18 @@ def weingarten_table(p: int, n: int, p_max: int = PMAX_DEFAULT) -> WeingartenTab
     return table
 
 
+def _matchings(a, b):
+    """All permutations s with b[s[k]] == a[k] for every k, extended one
+    position at a time, so only the matching ones are ever built."""
+    where = {}
+    for m, v in enumerate(b):
+        where.setdefault(v, []).append(m)
+    out = [()]
+    for v in a:
+        out = [s + (m,) for s in out for m in where.get(v, ()) if m not in s]
+    return out
+
+
 def _monomial_integral(mono, n, p_max) -> Fraction:
     us = mono.u_pairs()
     ubars = mono.ubar_pairs()
@@ -167,23 +180,13 @@ def _monomial_integral(mono, n, p_max) -> Fraction:
     if p == 0:
         return Fraction(1)
     table = weingarten_table(p, n, p_max)
-    perms = _permutations(p)
-    sigmas = [
-        s for s in perms if all(us[a][0] == ubars[s[a]][0] for a in range(p))
-    ]
+    sigmas = _matchings([i for i, _ in us], [i for i, _ in ubars])
     if not sigmas:
         return Fraction(0)
-    taus = [
-        t for t in perms if all(us[a][1] == ubars[t[a]][1] for a in range(p))
-    ]
-    if not taus:
-        return Fraction(0)
-    total = Fraction(0)
-    for s in sigmas:
-        sinv = _inverse(s)
-        for t in taus:
-            total += table.wg(_compose(t, sinv))
-    return total
+    taus = _matchings([j for _, j in us], [j for _, j in ubars])
+    # Wg is a class function: tally the pairs by the cycle type of t s^-1
+    counts = Counter(_cycle_type(_compose(t, s_inv)) for s_inv in map(_inverse, sigmas) for t in taus)
+    return sum((count * table.values[mu] for mu, count in counts.items()), Fraction(0))
 
 
 def haar_integral(f: FunElement, n: int | None = None, p_max: int = PMAX_DEFAULT) -> GaussianRational:

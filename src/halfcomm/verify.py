@@ -53,7 +53,7 @@ from .haar import (
     _inverse,
     _permutations,
 )
-from .scalars import GaussianRational
+from .scalars import GaussianRational, reduce_terms
 from .words import (
     WordElement,
     ah_star,
@@ -196,18 +196,15 @@ def suite_ah_zero(n=2, maxlen=5, max_size=20000):
 # -- crossed product ---------------------------------------------------------
 
 
-def _pi_generator(n, i, j):
-    return CrossedElement.generator(n, i, j)
-
-
 def suite_half_comm(n=2):
     report = VerifyReport("half-comm", {"n": n})
     pairs = _index_pairs(n)
 
     def check_triples():
+        gens = {e: CrossedElement.generator(n, *e) for e in pairs}
         for a, b, c in itertools.product(pairs, repeat=3):
-            x = crossed_mul(crossed_mul(_pi_generator(n, *a), _pi_generator(n, *b)), _pi_generator(n, *c))
-            y = crossed_mul(crossed_mul(_pi_generator(n, *c), _pi_generator(n, *b)), _pi_generator(n, *a))
+            x = crossed_mul(crossed_mul(gens[a], gens[b]), gens[c])
+            y = crossed_mul(crossed_mul(gens[c], gens[b]), gens[a])
             if x != y:
                 return False, f"abc != cba at {a},{b},{c}"
         return True, f"{len(pairs) ** 3} triples exact"
@@ -221,7 +218,7 @@ def suite_half_comm(n=2):
 
     def check_star():
         for i, j in pairs:
-            g = _pi_generator(n, i, j)
+            g = CrossedElement.generator(n, i, j)
             if crossed_star(g) != g:
                 return False, f"generator ({i},{j}) not self-adjoint"
         return True, f"{len(pairs)} generators self-adjoint"
@@ -255,7 +252,7 @@ def suite_faithfulness(n=2, maxlen=3, p_max=PMAX_DEFAULT, seed=DEFAULT_SEED):
     for length in range(1, maxlen + 1):
         for w in _all_words(pres, length):
             forms.add(hc_normal_form(tuple(w)))
-    forms = sorted(forms, key=lambda w: (len(w), [l.key() for l in w]))
+    forms = sorted(forms, key=lambda w: (len(w), w))
 
     def check_pairs():
         # the exact norm decides *function* equality; the independent oracle is
@@ -322,18 +319,16 @@ def _basis_elem(n, mono, parity):
 
 
 def _tensor_mul(n, t1, t2):
-    out = {}
-    for (l1, r1), c1 in t1.items():
-        for (l2, r2), c2 in t2.items():
-            left = crossed_mul(_basis_elem(n, *l1), _basis_elem(n, *l2))
-            right = crossed_mul(_basis_elem(n, *r1), _basis_elem(n, *r2))
-            for kl, cl in _tensor_components(left):
-                for kr, cr in _tensor_components(right):
-                    key = (kl, kr)
-                    prev = out.get(key)
-                    val = c1 * c2 * cl * cr
-                    out[key] = val if prev is None else prev + val
-    return {k: c for k, c in out.items() if c}
+    def pairs():
+        for (l1, r1), c1 in t1.items():
+            for (l2, r2), c2 in t2.items():
+                left = crossed_mul(_basis_elem(n, *l1), _basis_elem(n, *l2))
+                right = crossed_mul(_basis_elem(n, *r1), _basis_elem(n, *r2))
+                for kl, cl in _tensor_components(left):
+                    for kr, cr in _tensor_components(right):
+                        yield (kl, kr), c1 * c2 * cl * cr
+
+    return reduce_terms(pairs())
 
 
 def _random_fun(rng, n, max_degree=2, terms=2):
@@ -363,16 +358,16 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, trials=25, p_max=PMAX_DEFAULT):
         for i, j in pairs:
             g = WordElement.generator(pres, i, j)
             delta = coproduct_element(g)
-            left, right = {}, {}
-            for (w1, w2), c in delta.items():
-                for (a, b), c2 in coproduct_element(WordElement.from_word(pres, w1)).items():
-                    key = (a, b, w2)
-                    left[key] = left.get(key, GaussianRational(0)) + c * c2
-                for (b, c3), c2 in coproduct_element(WordElement.from_word(pres, w2)).items():
-                    key = (w1, b, c3)
-                    right[key] = right.get(key, GaussianRational(0)) + c * c2
-            left = {k: v for k, v in left.items() if v}
-            right = {k: v for k, v in right.items() if v}
+            left = reduce_terms(
+                ((a, b, w2), c * c2)
+                for (w1, w2), c in delta.items()
+                for (a, b), c2 in coproduct_element(WordElement.from_word(pres, w1)).items()
+            )
+            right = reduce_terms(
+                ((w1, b, c3), c * c2)
+                for (w1, w2), c in delta.items()
+                for (b, c3), c2 in coproduct_element(WordElement.from_word(pres, w2)).items()
+            )
             if left != right:
                 return False, f"coassociativity fails on generator ({i},{j})"
         return True, f"{len(pairs)} generators"
@@ -398,8 +393,8 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, trials=25, p_max=PMAX_DEFAULT):
     def check_coproduct_multiplicative():
         for i, j in pairs:
             for k, l in pairs:
-                x = _pi_generator(n, i, j)
-                y = _pi_generator(n, k, l)
+                x = CrossedElement.generator(n, i, j)
+                y = CrossedElement.generator(n, k, l)
                 direct = crossed_coproduct(crossed_mul(x, y))
                 composed = _tensor_mul(n, crossed_coproduct(x), crossed_coproduct(y))
                 if direct != composed:
@@ -409,7 +404,7 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, trials=25, p_max=PMAX_DEFAULT):
     _run(report, "coproduct-multiplicative", "Delta(xy) = Delta(x) Delta(y) on the generator span", check_coproduct_multiplicative)
 
     def check_counit_crossed():
-        samples = [_pi_generator(n, i, j) for i, j in pairs]
+        samples = [CrossedElement.generator(n, i, j) for i, j in pairs]
         samples.append(crossed_mul(samples[0], samples[-1]))
         for x in samples:
             left = CrossedElement.zero(n)
@@ -429,7 +424,7 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, trials=25, p_max=PMAX_DEFAULT):
             expect = unit if i == j else CrossedElement.zero(n)
             conv_left = CrossedElement.zero(n)
             conv_right = CrossedElement.zero(n)
-            g = _pi_generator(n, i, j)
+            g = CrossedElement.generator(n, i, j)
             for ((lm, lp), (rm, rp)), c in crossed_coproduct(g).items():
                 conv_left = conv_left + c * crossed_mul(crossed_antipode(_basis_elem(n, lm, lp)), _basis_elem(n, rm, rp))
                 conv_right = conv_right + c * crossed_mul(_basis_elem(n, lm, lp), crossed_antipode(_basis_elem(n, rm, rp)))
@@ -844,7 +839,7 @@ def suite_sequence(n=2, seed=DEFAULT_SEED, trials=20):
 
     def check_quotient_map():
         for i, j in _index_pairs(n):
-            g = _pi_generator(n, i, j)
+            g = CrossedElement.generator(n, i, j)
             image = (g.f0.counit(), g.f1.counit())
             expect = (GaussianRational(0), GaussianRational(1 if i == j else 0))
             if image != expect:

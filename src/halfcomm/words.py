@@ -20,6 +20,7 @@ Haar state (see ``crossed`` and ``haar``).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,7 +30,7 @@ from .errors import (
     IndexRangeError,
     PresentationError,
 )
-from .scalars import ZERO, GaussianRational
+from .scalars import ZERO, GaussianRational, SparseSum, reduce_terms
 
 AO_STAR = "ao-star"
 AH_STAR = "ah-star"
@@ -96,17 +97,11 @@ def hc_normal_form(word):
     """Canonical representative of the half-commutation class of ``word``.
 
     Sorts the odd-position and even-position letters separately and
-    interleaves. Words shorter than three letters admit no rewrite and are
-    returned unchanged (sorting a one-element class is a no-op anyway).
+    interleaves them; a ``Letter`` orders like its ``key()``.
     """
-    if len(word) < 3:
-        return tuple(word)
-    odd = sorted(word[0::2], key=Letter.key)
-    even = sorted(word[1::2], key=Letter.key)
-    out = []
-    for pos in range(len(word)):
-        half = odd if pos % 2 == 0 else even
-        out.append(half[pos // 2])
+    out = list(word)
+    out[0::2] = sorted(word[0::2])
+    out[1::2] = sorted(word[1::2])
     return tuple(out)
 
 
@@ -162,7 +157,7 @@ def _dead_word(word, presentation: Presentation) -> bool:
     return presentation.kind == AH_STAR and ah_zero_test(word, presentation)
 
 
-class WordElement:
+class WordElement(SparseSum):
     """Linear combination of words with Gaussian-rational coefficients.
 
     Instances are always normalized: every word is in canonical form, words
@@ -171,29 +166,23 @@ class WordElement:
     """
 
     __slots__ = ("presentation", "terms")
+    SPACE = "presentation"
+    MISMATCH = (PresentationError, "mixed presentations {} and {}")
+    key_mul = staticmethod(operator.add)
 
     def __init__(self, presentation: Presentation, terms=None):
         self.presentation = presentation
-        n = presentation.n
-        merged = {}
-        for word, coeff in (terms or {}).items():
-            c = GaussianRational.coerce(coeff)
-            if not c:
-                continue
-            word = tuple(word)
-            for l in word:
-                if not (1 <= l.row <= n and 1 <= l.col <= n):
-                    raise IndexRangeError(f"letter index ({l.row},{l.col}) outside 1..{n}")
-            if _dead_word(word, presentation):
-                continue
-            nf = hc_normal_form(word)
-            acc = merged.get(nf)
-            merged[nf] = c if acc is None else acc + c
-        self.terms = {w: c for w, c in merged.items() if c}
+        self.terms = self._reduce(terms)
 
-    @classmethod
-    def zero(cls, presentation):
-        return cls(presentation, {})
+    def _normal_key(self, word):
+        word = tuple(word)
+        n = self.presentation.n
+        for l in word:
+            if not (1 <= l.row <= n and 1 <= l.col <= n):
+                raise IndexRangeError(f"letter index ({l.row},{l.col}) outside 1..{n}")
+        if _dead_word(word, self.presentation):
+            return None
+        return hc_normal_form(word)
 
     @classmethod
     def one(cls, presentation):
@@ -206,60 +195,6 @@ class WordElement:
     @classmethod
     def generator(cls, presentation, row, col, starred=False):
         return cls.from_word(presentation, (letter(presentation, row, col, starred),))
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def _check_compatible(self, other):
-        if self.presentation != other.presentation:
-            raise PresentationError(
-                f"mixed presentations {self.presentation} and {other.presentation}"
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, WordElement):
-            return NotImplemented
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, ZERO) + c
-        return WordElement(self.presentation, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return WordElement(self.presentation, {w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, WordElement):
-            self._check_compatible(other)
-            terms = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    key = w1 + w2
-                    prod = c1 * c2
-                    acc = terms.get(key)
-                    terms[key] = prod if acc is None else acc + prod
-            return WordElement(self.presentation, terms)
-        try:
-            c = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return WordElement(self.presentation, {w: c0 * c for w, c0 in self.terms.items()})
-
-    def __rmul__(self, other):
-        try:
-            c = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self * c
-
-    def __eq__(self, other):
-        if not isinstance(other, WordElement):
-            return NotImplemented
-        return self.presentation == other.presentation and self.terms == other.terms
 
     def __repr__(self):
         return f"<{self.presentation}| {format_word_element(self)}>"
@@ -322,25 +257,24 @@ def coproduct_element(x: WordElement, degree_cap: int = DEFAULT_DEGREE_CAP):
     legs are normalized; terms whose legs die in the quotient are dropped.
     """
     n = x.presentation.n
-    out = {}
-    for word, coeff in x.terms.items():
-        if len(word) > degree_cap:
-            raise DegreeCapError(
-                f"coproduct of a length-{len(word)} word exceeds degree cap {degree_cap}"
-            )
-        for ks in itertools.product(range(1, n + 1), repeat=len(word)):
-            left = tuple(Letter(l.row, k, l.starred) for l, k in zip(word, ks))
-            right = tuple(Letter(k, l.col, l.starred) for l, k in zip(word, ks))
-            nl = _leg(left, x.presentation)
-            if nl is None:
-                continue
-            nr = _leg(right, x.presentation)
-            if nr is None:
-                continue
-            key = (nl, nr)
-            acc = out.get(key)
-            out[key] = coeff if acc is None else acc + coeff
-    return {k: c for k, c in out.items() if c}
+
+    def pairs():
+        for word, coeff in x.terms.items():
+            if len(word) > degree_cap:
+                raise DegreeCapError(
+                    f"coproduct of a length-{len(word)} word exceeds degree cap {degree_cap}"
+                )
+            for ks in itertools.product(range(1, n + 1), repeat=len(word)):
+                left = tuple(Letter(l.row, k, l.starred) for l, k in zip(word, ks))
+                right = tuple(Letter(k, l.col, l.starred) for l, k in zip(word, ks))
+                nl = _leg(left, x.presentation)
+                if nl is None:
+                    continue
+                nr = _leg(right, x.presentation)
+                if nr is not None:
+                    yield (nl, nr), coeff
+
+    return reduce_terms(pairs())
 
 
 def format_word(word, symbol: str = "v") -> str:
@@ -382,7 +316,7 @@ def _term_strings(items):
 def format_word_element(x: WordElement) -> str:
     symbol = "v" if x.presentation.orthogonal else "u"
     items = []
-    for word in sorted(x.terms, key=lambda w: (len(w), [l.key() for l in w])):
+    for word in sorted(x.terms, key=lambda w: (len(w), w)):
         body = format_word(word, symbol) if word else None
         items.append((x.terms[word], body))
     return _term_strings(items)

@@ -27,6 +27,7 @@ from halfcomm.haar import (
     _cycle_count,
     _cycle_type,
     _inverse,
+    _monomial_integral,
     _permutations,
 )
 from halfcomm.scalars import GaussianRational
@@ -190,6 +191,44 @@ def test_full_entry_product_moment():
         exps[(i, j, True)] = 1
     f = FunElement(2, {FunMonomial(exps): 1})
     assert haar_integral(f) == GaussianRational(Fraction(1, 30))
+
+
+def _filtered_monomial_integral(mono, n):
+    """The integral as a sum over matching (sigma, tau) pairs filtered from all
+    of S_p, one Weingarten lookup per pair; the reference for the matching
+    enumeration."""
+    us, ubars = mono.u_pairs(), mono.ubar_pairs()
+    if len(us) != len(ubars):
+        return Fraction(0)
+    p = len(us)
+    if p == 0:
+        return Fraction(1)
+    table = weingarten_table(p, n)
+    perms = _permutations(p)
+    sigmas = [s for s in perms if all(us[a][0] == ubars[s[a]][0] for a in range(p))]
+    taus = [t for t in perms if all(us[a][1] == ubars[t[a]][1] for a in range(p))]
+    return sum((table.wg(_compose(t, _inverse(s))) for s in sigmas for t in taus), Fraction(0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_monomial_integral_matches_filtered_permutations(n):
+    # p <= 5 on both sides of n = p; the conjugate factors mostly permute the
+    # plain ones, so that most integrals are nonzero
+    rng = random.Random(700 + n)
+    nonzero = 0
+    for p in range(1, 6):
+        for _ in range(12):
+            us = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(p)]
+            ubars = rng.sample(us, p) if rng.random() < 0.7 else [(rng.randint(1, n), rng.randint(1, n)) for _ in range(p)]
+            f = mono(n, us, ubars)
+            (m,) = f.terms
+            got = _monomial_integral(m, n, 5)
+            assert got == _filtered_monomial_integral(m, n), (n, us, ubars)
+            nonzero += got != 0
+    assert nonzero >= 30
+    if n == 2:
+        (m,) = mono(2, [(1, 1)] * 5, [(1, 1)] * 5).terms
+        assert _monomial_integral(m, 2, 5) == _filtered_monomial_integral(m, 2) == Fraction(1, 6)
 
 
 def test_unbalanced_monomials_vanish():
