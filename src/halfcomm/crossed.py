@@ -343,15 +343,20 @@ def embed_pi(x: WordElement) -> CrossedElement:
     parts = ([], [])
     for word, coeff in x.terms.items():
         part = parts[len(word) % 2]
-        for picks in itertools.product(shifts, repeat=len(word)):
-            c = coeff
+        # the term picks up i per shifted plain letter and -i per shifted
+        # starred one: coeff * i^k
+        phases = (coeff, coeff * I, -coeff, -coeff * I)
+        choices = [
+            [((l.row + shift, l.col, pos % 2 == 1), (-1 if l.starred else 1) if shift else 0) for shift in shifts]
+            for pos, l in enumerate(word)
+        ]
+        for picks in itertools.product(*choices):
             exps = {}
-            for pos, (l, shift) in enumerate(zip(word, picks)):
-                if shift:
-                    c = c * (-I if l.starred else I)
-                sym = (l.row + shift, l.col, pos % 2 == 1)
+            k = 0
+            for sym, step in picks:
                 exps[sym] = exps.get(sym, 0) + 1
-            part.append((FunMonomial(exps), c))
+                k += step
+            part.append((FunMonomial(exps), phases[k % 4]))
     dim = n * len(shifts)
     return CrossedElement(FunElement(dim, parts[0]), FunElement(dim, parts[1]))
 

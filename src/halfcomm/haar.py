@@ -1,18 +1,27 @@
 """Exact Haar integration over the unitary group, and Monte Carlo backup.
 
 The integral of a balanced monomial in matrix entries over U(n) is a sum of
-Weingarten values indexed by pairs of permutations matching up the plain and
-conjugate factors.  The Weingarten function is a class function on the
-symmetric group, computed exactly from the characters of S_p by the
-Collins-Sniady formula (Collins, IMRN 2003; Collins & Sniady, CMP 264, 2006):
-a sum over the partitions of p with at most n rows.  It is the inverse of the
-Gram matrix G[s, t] = n^(number of cycles of s t^-1) when n >= p; below that
-G is singular, the row bound drops the vanishing terms, and the same sum is
-the Moore-Penrose pseudo-inverse, which gives the correct integrals.
+Weingarten values Wg(tau sigma^-1) over the pairs of permutations matching
+the rows and the columns of the plain factors to those of the conjugate
+ones.  The products tau sigma^-1 fill one double coset of two Young
+subgroups, evenly, so the sum is taken over that double coset, counted by
+cycle type with a walk over the classes of equal conjugate factors.  The
+Weingarten function is a class function on the symmetric group, computed
+exactly from the characters of S_p by the Collins-Sniady formula (Collins,
+IMRN 2003; Collins & Sniady, CMP 264, 2006): a sum over the partitions of p
+with at most n rows.  It is the inverse of the Gram matrix
+G[s, t] = n^(number of cycles of s t^-1) when n >= p; below that G is
+singular, the row bound drops the vanishing terms, and the same sum is the
+Moore-Penrose pseudo-inverse, which gives the correct integrals.
 
 The induced state on the crossed product integrates the even component; the
-odd component has weight zero.  Since the state is faithful on polynomial
-functions, a vanishing norm decides equality exactly.
+odd component has weight zero.  So for x = f0 + f1 s the cross terms of x* x
+drop out and h(x* x) = h(f0* f0) + h(f1* f1), the latter because s g s =
+bar(g) and Haar measure is invariant under complex conjugation.  Products of
+monomials of different torus weights integrate to zero too, so the norm is
+summed over weight blocks, forming only the products inside each block.
+Since the state is faithful on polynomial functions, a vanishing norm
+decides equality exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -159,34 +168,91 @@ def weingarten_table(p: int, n: int, p_max: int = PMAX_DEFAULT) -> WeingartenTab
     return table
 
 
-def _matchings(a, b):
-    """All permutations s with b[s[k]] == a[k] for every k, extended one
-    position at a time, so only the matching ones are ever built."""
-    where = {}
-    for m, v in enumerate(b):
-        where.setdefault(v, []).append(m)
-    out = [()]
-    for v in a:
-        out = [s + (m,) for s in out for m in where.get(v, ()) if m not in s]
-    return out
+def _margins(counts):
+    """Row and column sums of a table {(row, col): count}."""
+    rows, cols = Counter(), Counter()
+    for (i, j), c in counts.items():
+        rows[i] += c
+        cols[j] += c
+    return rows, cols
+
+
+def _coset_cycle_types(classes, table) -> Counter:
+    """Cycle-type counts over the permutations d of the conjugate positions
+    with #{m : row(m) = x, col(d(m)) = y} = table[x, y].
+
+    ``classes`` maps each conjugate symbol (row, col) to its multiplicity.
+    Positions of one class are interchangeable, so the walk follows each
+    cycle from class to class instead of from position to position: a cycle
+    starts in the first class with positions left, a step into a class may
+    land on any of its remaining positions (the step's multiplicity), and a
+    step from class a to class b uses up one table[row(a), col(b)].  The memo
+    lives as long as this call.
+    """
+    labels = list(classes)
+    slots = {key: k for k, key in enumerate(table)}
+    step = [[slots.get((a[0], b[1])) for b in labels] for a in labels]
+
+    def less(counts, k):
+        return counts[:k] + (counts[k] - 1,) + counts[k + 1 :]
+
+    @functools.cache
+    def cycles(left, rest):
+        if not any(left):
+            return {(): 1}
+        first = next(a for a, c in enumerate(left) if c)
+        return follow(less(left, first), rest, first, first, 1)
+
+    @functools.cache
+    def follow(left, rest, first, at, length):
+        out = Counter()
+        k = step[at][first]
+        if k is not None and rest[k]:
+            for ct, w in cycles(left, less(rest, k)).items():
+                out[tuple(sorted(ct + (length,), reverse=True))] += w
+        for b, c in enumerate(left):
+            k = step[at][b]
+            if c and k is not None and rest[k]:
+                for ct, w in follow(less(left, b), less(rest, k), first, b, length + 1).items():
+                    out[ct] += c * w
+        return out
+
+    try:
+        return cycles(tuple(classes.values()), tuple(table.values()))
+    finally:
+        # the two memoised closures refer to each other; empty them now
+        # rather than when the cycle collector finds them
+        cycles.cache_clear()
+        follow.cache_clear()
 
 
 def _monomial_integral(mono, n, p_max) -> Fraction:
-    us = mono.u_pairs()
-    ubars = mono.ubar_pairs()
-    if len(us) != len(ubars):
+    """Sum of Wg(tau sigma^-1) over the pairs (sigma, tau) matching the rows
+    and the columns of the plain factors to those of the conjugate ones.
+
+    The matching sigma form a coset of the Young subgroup H_r fixing the
+    conjugate row labels, the matching tau one of H_c, so tau sigma^-1 runs
+    over the double coset D = H_c pi0 H_r, hitting each element
+    |H_r| |H_c| / |D| times; D is the set of permutations sharing pi0's
+    table of (row, col) label pairs, which is the exponent table of the plain
+    factors.  Wg is a class function, so D is counted by cycle type.
+    """
+    plain, conj = Counter(), Counter()
+    for (i, j, b), e in mono.exps:
+        (conj if b else plain)[i, j] = e
+    p = sum(plain.values())
+    if p != sum(conj.values()):
         return Fraction(0)
-    p = len(us)
     if p == 0:
         return Fraction(1)
     table = weingarten_table(p, n, p_max)
-    sigmas = _matchings([i for i, _ in us], [i for i, _ in ubars])
-    if not sigmas:
+    rows, cols = _margins(conj)
+    if _margins(plain) != (rows, cols):
         return Fraction(0)
-    taus = _matchings([j for _, j in us], [j for _, j in ubars])
-    # Wg is a class function: tally the pairs by the cycle type of t s^-1
-    counts = Counter(_cycle_type(_compose(t, s_inv)) for s_inv in map(_inverse, sigmas) for t in taus)
-    return sum((count * table.values[mu] for mu, count in counts.items()), Fraction(0))
+    types = _coset_cycle_types(conj, plain)
+    stabilisers = math.prod(math.factorial(c) for c in (*rows.values(), *cols.values()))
+    total = sum((count * table.values[mu] for mu, count in types.items()), Fraction(0))
+    return total * stabilisers / sum(types.values())
 
 
 def haar_integral(f: FunElement, n: int | None = None, p_max: int = PMAX_DEFAULT) -> GaussianRational:
@@ -212,9 +278,44 @@ def haar_state(x: CrossedElement, p_max: int = PMAX_DEFAULT) -> GaussianRational
     return haar_integral(x.f0, p_max=p_max)
 
 
+def _torus_weight(mono, n):
+    """Row and column weights of a monomial: per index, the number of plain
+    factors minus the number of conjugate ones."""
+    rows, cols = [0] * (n + 1), [0] * (n + 1)
+    for (i, j, b), e in mono.exps:
+        if b:
+            e = -e
+        rows[i] += e
+        cols[j] += e
+    return tuple(rows), tuple(cols)
+
+
+def _orthogonal_pieces(x: CrossedElement):
+    """x as a sum of pieces pairwise orthogonal for the Haar state: its even
+    and its odd part, each split by torus weight.
+
+    An odd product integrates to zero, and Haar measure is invariant under
+    the diagonal torus acting on either side, so bar(m) m' integrates to zero
+    unless the monomials m and m' have equal torus weights.
+    """
+    for part, wrap in ((x.f0, CrossedElement.even), (x.f1, CrossedElement.odd)):
+        blocks = defaultdict(dict)
+        for mono, coeff in part.terms.items():
+            blocks[_torus_weight(mono, x.n)][mono] = coeff
+        for terms in blocks.values():
+            yield wrap(FunElement(x.n, terms))
+
+
 def norm_squared(x: CrossedElement, p_max: int = PMAX_DEFAULT) -> Fraction:
-    """h(x* x), a nonnegative rational; zero exactly when x vanishes on U(n)."""
-    val = haar_state(crossed_mul(crossed_star(x), x), p_max=p_max)
+    """h(x* x), a nonnegative rational; zero exactly when x vanishes on U(n).
+
+    The sum of h(b* b) over the orthogonal pieces b of x, so that only the
+    products of monomials inside one piece are formed; equal products of
+    different pieces are merged before they are integrated.
+    """
+    squares = (crossed_mul(crossed_star(piece), piece).f0 for piece in _orthogonal_pieces(x))
+    even = FunElement(x.n, itertools.chain.from_iterable(f.terms.items() for f in squares))
+    val = haar_integral(even, p_max=p_max)
     if val.im != 0 or val.re < 0:
         raise ArithmeticError(f"norm came out as {val}; this is a bug")
     return val.re

@@ -8,6 +8,7 @@ suite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -227,6 +228,15 @@ def suite_half_comm(n=2):
     return report
 
 
+@functools.lru_cache(maxsize=8)
+def _haar_points(n, samples, seed):
+    """The seeded batch of Haar unitaries over U(n) that ``pointwise_equal``
+    evaluates at: drawn once per (n, samples, seed) and shared read-only."""
+    gs = sample_batch(parse_model(f"un:{n}"), np.random.default_rng(seed), samples)
+    gs.flags.writeable = False
+    return gs
+
+
 def pointwise_equal(x, y, samples=48, seed=DEFAULT_SEED, tol=1e-9):
     """Function equality of crossed elements, decided at Haar sample points.
 
@@ -235,8 +245,7 @@ def pointwise_equal(x, y, samples=48, seed=DEFAULT_SEED, tol=1e-9):
     probability of landing in the zero set).
     """
     d = x - y
-    rng = np.random.default_rng(seed)
-    gs = sample_batch(parse_model(f"un:{d.n}"), rng, samples)
+    gs = _haar_points(d.n, samples, seed)
     worst = 0.0
     for f in (d.f0, d.f1):
         if not f.is_zero:

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from halfcomm.crossed import (
@@ -15,7 +16,7 @@ from halfcomm.crossed import (
     embed_pi,
 )
 from halfcomm.errors import DegreeCapError, DimensionMismatchError
-from halfcomm.groups import parse_model
+from halfcomm.groups import parse_model, sample_batch
 from halfcomm.haar import (
     haar_integral,
     haar_state,
@@ -31,7 +32,7 @@ from halfcomm.haar import (
     _permutations,
 )
 from halfcomm.scalars import GaussianRational
-from halfcomm.words import WordElement, ao_star, hc_normal_form, letter
+from halfcomm.words import WordElement, ao_star, au_star_star, hc_normal_form, letter
 from tests_helpers import random_crossed
 
 
@@ -172,13 +173,14 @@ def test_integral_degree_two_frozen():
 
 
 def test_entry_moments_closed_form():
-    # E|u11|^(2k) = 1/C(n-1+k, k); k=3 at n=2 and k=4 at n in {2,3} exercise
-    # the singular-regime pseudo-inverse
+    # E|u11|^(2k) = k! (n-1)! / (k+n-1)! = 1/C(n-1+k, k); k >= n exercises
+    # the singular-regime pseudo-inverse, and k up to 10 a double coset of
+    # all of S_k
     for n in (2, 3):
-        for k in (1, 2, 3, 4):
+        for k in range(1, 11):
             f = mono(n, [(1, 1)] * k, [(1, 1)] * k)
             expect = Fraction(1, math.comb(n - 1 + k, k))
-            assert haar_integral(f) == GaussianRational(expect), (n, k)
+            assert haar_integral(f, p_max=k) == GaussianRational(expect), (n, k)
 
 
 def test_full_entry_product_moment():
@@ -195,8 +197,8 @@ def test_full_entry_product_moment():
 
 def _filtered_monomial_integral(mono, n):
     """The integral as a sum over matching (sigma, tau) pairs filtered from all
-    of S_p, one Weingarten lookup per pair; the reference for the matching
-    enumeration."""
+    of S_p, one Weingarten lookup per pair; the reference for the
+    double-coset sum."""
     us, ubars = mono.u_pairs(), mono.ubar_pairs()
     if len(us) != len(ubars):
         return Fraction(0)
@@ -229,6 +231,15 @@ def test_monomial_integral_matches_filtered_permutations(n):
     if n == 2:
         (m,) = mono(2, [(1, 1)] * 5, [(1, 1)] * 5).terms
         assert _monomial_integral(m, 2, 5) == _filtered_monomial_integral(m, 2) == Fraction(1, 6)
+
+
+def test_degree_cap_precedes_label_mismatch():
+    # rows and columns of the plain and conjugate factors differ, so the
+    # integral is 0 below the cap; above it the cap is raised all the same
+    (m,) = mono(2, [(1, 1)] * 6, [(2, 2)] * 6).terms
+    assert _monomial_integral(m, 2, 6) == 0
+    with pytest.raises(DegreeCapError):
+        _monomial_integral(m, 2, 5)
 
 
 def test_unbalanced_monomials_vanish():
@@ -282,6 +293,47 @@ def test_norm_equal_examples():
     assert norm_equal(total, CrossedElement.zero(2))
 
 
+def _norm_by_expansion(x, p_max=5):
+    val = haar_state(crossed_mul(crossed_star(x), x), p_max=p_max)
+    assert val.im == 0
+    return val.re
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_norm_squared_matches_full_expansion_on_random_elements(n):
+    rng = random.Random(610 + n)
+    for _ in range(100):
+        x = random_crossed(rng, n, max_degree=4)
+        assert norm_squared(x) == _norm_by_expansion(x)
+
+
+@pytest.mark.parametrize("pres", [ao_star(2), au_star_star(1)], ids=str)
+def test_norm_squared_matches_full_expansion_on_embedded_words(pres):
+    letters = [letter(pres, r, c, starred) for r in range(1, pres.n + 1) for c in range(1, pres.n + 1)
+               for starred in ((False,) if pres.orthogonal else (False, True))]
+    for length in range(1, 5):
+        for word in itertools.product(letters, repeat=length):
+            x = embed_pi(WordElement(pres, {word: GaussianRational(1, length)}))
+            assert norm_squared(x) == _norm_by_expansion(x), word
+
+
+def test_norm_squared_matches_full_expansion_on_word_sums():
+    # many terms of equal torus weight: (v11 + v12 + v21 + v22)^3 minus
+    # (v11 + v12 + v21 + v22)^2 v11 over ao-star:2
+    pres = ao_star(2)
+    total = WordElement(pres, {(letter(pres, r, c),): 1 for r in (1, 2) for c in (1, 2)})
+    square = total * total
+    x = embed_pi(square * total - square * WordElement(pres, {(letter(pres, 1, 1),): 1}))
+    assert norm_squared(x) == _norm_by_expansion(x) > 0
+
+
+def test_norm_squared_degree_cap():
+    x = CrossedElement.odd(u(2, 1, 1) * u(2, 1, 2) * ub(2, 2, 1) * u(2, 2, 2) * u(2, 1, 1) * ub(2, 1, 1))
+    assert norm_squared(x, p_max=6) == _norm_by_expansion(x, p_max=6)
+    with pytest.raises(DegreeCapError):
+        norm_squared(x)
+
+
 def test_faithfulness_small_battery():
     # the exact norm decides function equality on the group.  Distinct normal
     # forms can coincide as functions: 2x2 unitarity forces |u11| = |u22| and
@@ -313,6 +365,16 @@ def test_faithfulness_small_battery():
         (w((1, 1), (1, 1)), w((2, 2), (2, 2))),
         (w((1, 2), (1, 2)), w((2, 1), (2, 1))),
     ]
+
+
+def test_pointwise_points_drawn_once_and_read_only():
+    from halfcomm.verify import _haar_points
+
+    gs = _haar_points(2, 48, 1234)
+    assert _haar_points(2, 48, 1234) is gs
+    assert not gs.flags.writeable
+    fresh = sample_batch(parse_model("un:2"), np.random.default_rng(1234), 48)
+    assert np.array_equal(gs, fresh)
 
 
 def test_bi_invariance_through_norm():
