@@ -28,7 +28,6 @@ from .words import (
     coproduct_element,
     counit_element,
     hc_normal_form,
-    normalize_element,
     rewrite_closure_oracle,
     star_element,
 )

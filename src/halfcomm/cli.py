@@ -8,7 +8,6 @@ failure, 2 usage or parse errors and inputs beyond a resource cap.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from fractions import Fraction
@@ -19,7 +18,7 @@ from .errors import ClosureSizeError, DegreeCapError, ParseError
 from .expressions import CrossedContext, parse_context, parse_expression
 from .groups import PREDICATES, parse_model, predicate
 from .haar import PMAX_DEFAULT, haar_state, mc_integral, norm_squared
-from .verify import DEFAULT_SEED, SUITES
+from .verify import DEFAULT_SEED, SUITES, run_verify
 from .words import AO_STAR, Presentation, format_word_element
 
 EXIT_OK = 0
@@ -195,7 +194,8 @@ def cmd_fuse(args):
 
 def _fusion_table(data, grade_cap: int):
     if isinstance(data, fus.UnFusion):
-        weights = _weights_within(data.n, grade_cap)
+        # dominant weights: the weakly decreasing torus weights
+        weights = [w for w in _torus_within(data.n, grade_cap) if list(w) == sorted(w, reverse=True)]
     elif isinstance(data, fus.TorusFusion):
         weights = _torus_within(data.n, grade_cap)
     else:
@@ -227,22 +227,6 @@ def _fusion_table(data, grade_cap: int):
                 }
             )
     return table
-
-
-def _weights_within(n, cap):
-    out = []
-
-    def rec(acc):
-        if len(acc) == n:
-            out.append(tuple(acc))
-            return
-        hi = acc[-1] if acc else cap
-        for v in range(hi, -cap - 1, -1):
-            if sum(abs(x) for x in acc) + abs(v) <= cap:
-                rec(acc + [v])
-
-    rec([])
-    return out
 
 
 def _torus_within(n, cap):
@@ -296,30 +280,19 @@ def cmd_predicates(args):
 
 def cmd_verify(args):
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    params = _suite_params(args)
+    params = {"p_max": args.degree_cap}
+    for key in ("n", "maxlen", "samples", "trials", "seed", "points"):
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
     ok = True
     for name in names:
-        fn = SUITES.get(name)
-        if fn is None:
-            print(f"error: unknown suite {name!r}; available: {', '.join(sorted(SUITES))}", file=sys.stderr)
-            return EXIT_USAGE
-        accepted = set(inspect.signature(fn).parameters)
-        report = fn(**{k: v for k, v in params.items() if k in accepted})
+        report = run_verify(name, **params)
         for line in report.json_lines():
             print(line)
         ok = ok and report.passed
         summary = "PASS" if report.passed else "FAIL"
         print(f"# suite {name}: {summary} ({len(report.checks)} checks)", file=sys.stderr)
     return EXIT_OK if ok else EXIT_FAIL
-
-
-def _suite_params(args):
-    params = {"p_max": args.degree_cap}
-    for key in ("n", "maxlen", "samples", "trials", "seed", "points"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    return params
 
 
 def build_parser():

@@ -343,39 +343,48 @@ class MCEstimate:
     seed: int
 
 
-def mc_integral(
-    x,
-    model: GroupModel,
-    samples: int,
-    seed: int,
-    chunk_size: int = 4096,
-) -> MCEstimate:
-    """Monte Carlo estimate of the Haar integral over any shipped model.
+MC_CHUNK = 4096  # matrices drawn and evaluated at a time
 
-    For a crossed element only the even component contributes (matching
-    ``haar_state``).  Deterministic given the seed and chunk size; chunk sums
-    are accumulated separately from the running total so the reduction order
-    is fixed.
+
+def mc_integrals(xs, model: GroupModel, samples: int, seed: int) -> list[MCEstimate]:
+    """Monte Carlo estimates of the Haar integrals of several elements over
+    any shipped model, one per element, from one seeded draw.
+
+    Each chunk of samples is drawn once and every element is evaluated on it,
+    so the estimates are correlated with each other, and each one equals the
+    estimate of its element alone.  For a crossed element only the even
+    component contributes (matching ``haar_state``).  Deterministic given the
+    seed; chunk sums are accumulated separately from the running totals so
+    the reduction order is fixed.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    f = x.f0 if isinstance(x, CrossedElement) else x
-    if f.n != model.ambient_dim:
-        raise DimensionMismatchError(
-            f"element over n={f.n} cannot be integrated over {model} (ambient {model.ambient_dim})"
-        )
+    fs = [x.f0 if isinstance(x, CrossedElement) else x for x in xs]
+    for f in fs:
+        if f.n != model.ambient_dim:
+            raise DimensionMismatchError(
+                f"element over n={f.n} cannot be integrated over {model} (ambient {model.ambient_dim})"
+            )
     rng = np.random.default_rng(seed)
-    total = 0j
-    total_sq = 0.0
+    totals = [0j] * len(fs)
+    totals_sq = [0.0] * len(fs)
     done = 0
     while done < samples:
-        count = min(chunk_size, samples - done)
+        count = min(MC_CHUNK, samples - done)
         gs = sample_batch(model, rng, count)
-        vals = evaluate_fun_batch(f, gs)
-        total += complex(vals.sum())
-        total_sq += float(np.sum(np.abs(vals) ** 2))
+        for k, f in enumerate(fs):
+            vals = evaluate_fun_batch(f, gs)
+            totals[k] += complex(vals.sum())
+            totals_sq[k] += float(np.sum(np.abs(vals) ** 2))
         done += count
-    mean = total / samples
-    var = max(0.0, (total_sq - abs(total) ** 2 / samples) / (samples - 1))
-    stderr = math.sqrt(var / samples)
-    return MCEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
+    out = []
+    for total, total_sq in zip(totals, totals_sq):
+        var = max(0.0, (total_sq - abs(total) ** 2 / samples) / (samples - 1))
+        out.append(MCEstimate(mean=total / samples, stderr=math.sqrt(var / samples), samples=samples, seed=seed))
+    return out
+
+
+def mc_integral(x, model: GroupModel, samples: int, seed: int) -> MCEstimate:
+    """Monte Carlo estimate of the Haar integral of one element; see
+    ``mc_integrals``."""
+    return mc_integrals([x], model, samples, seed)[0]

@@ -1,17 +1,20 @@
 """Named verification suites behind the CLI ``verify`` subcommand.
 
-Each suite runs a battery of exact or sampling-based checks and returns a
-machine-readable report; the acceptance tests drive the same functions.  A
-resource-cap overflow inside one check fails that check without aborting the
-suite.
+Each suite is a generator of ``(check_id, rule, check)`` triples, registered
+with ``@_suite(name)``; one runner executes the checks in order, times them,
+and returns a machine-readable report.  The acceptance tests drive the same
+functions.  A resource-cap overflow inside one check fails that check without
+aborting the suite.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import json
 import random
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -44,7 +47,7 @@ from .haar import (
     PMAX_DEFAULT,
     fun_norm_squared,
     haar_integral,
-    mc_integral,
+    mc_integrals,
     norm_equal,
     norm_squared,
     weingarten_table,
@@ -52,6 +55,7 @@ from .haar import (
     _cycle_count,
     _cycle_type,
     _inverse,
+    _partitions,
     _permutations,
 )
 from .scalars import GaussianRational, reduce_terms
@@ -66,7 +70,6 @@ from .words import (
     counit_element,
     hc_normal_form,
     letter,
-    normalize_element,
     rewrite_closure_oracle,
     star_element,
     word_has_forbidden_pair,
@@ -81,6 +84,7 @@ class Check:
     rule: str
     passed: bool
     detail: str = ""
+    elapsed_s: float = 0.0
 
     @property
     def status(self):
@@ -90,7 +94,6 @@ class Check:
 @dataclass
 class VerifyReport:
     suite: str
-    params: dict
     checks: list = field(default_factory=list)
 
     @property
@@ -108,6 +111,7 @@ class VerifyReport:
                         "rule": c.rule,
                         "status": c.status,
                         "detail": c.detail,
+                        "elapsed_s": round(c.elapsed_s, 6),
                     },
                     sort_keys=True,
                 )
@@ -115,13 +119,40 @@ class VerifyReport:
         return lines
 
 
-def _run(report, check_id, rule, fn):
-    """Run one check; resource caps fail the check, not the suite."""
-    try:
-        passed, detail = fn()
-    except (DegreeCapError, ClosureSizeError) as exc:
-        passed, detail = False, f"resource cap: {exc}"
-    report.checks.append(Check(check_id, rule, passed, detail))
+SUITES = {}
+
+
+def _suite(name):
+    """Register a generator of ``(check_id, rule, check)`` triples as the
+    suite ``name``; ``check()`` returns ``(passed, detail)``.
+
+    The registered function keeps the generator's name and signature and
+    returns a ``VerifyReport``.  Each check runs as soon as it is yielded,
+    before the generator resumes, so a check may read the loop variables of
+    the generator.  A check's ``elapsed_s`` runs from the end of the previous
+    check, so it includes the set-up code the generator ran for it, and the
+    timings of a suite add up to its run time.
+    """
+
+    def register(gen):
+        @functools.wraps(gen)
+        def run(*args, **kwargs):
+            report = VerifyReport(name)
+            start = time.perf_counter()
+            for check_id, rule, check in gen(*args, **kwargs):
+                try:
+                    passed, detail = check()
+                except (DegreeCapError, ClosureSizeError) as exc:
+                    passed, detail = False, f"resource cap: {exc}"
+                end = time.perf_counter()
+                report.checks.append(Check(check_id, rule, passed, detail, end - start))
+                start = end
+            return report
+
+        SUITES[name] = run
+        return run
+
+    return register
 
 
 def _all_letters(pres):
@@ -139,12 +170,12 @@ def _index_pairs(n):
 # -- rewriting ---------------------------------------------------------------
 
 
+@_suite("rewrite-oracle")
 def suite_rewrite_oracle(n=2, maxlen=5, max_size=20000):
-    report = VerifyReport("rewrite-oracle", {"n": n, "maxlen": maxlen})
     pres = ao_star(n)
     for length in range(1, maxlen + 1):
 
-        def check(length=length):
+        def check():
             by_nf = {}
             words = [tuple(w) for w in _all_words(pres, length)]
             for w in words:
@@ -155,21 +186,15 @@ def suite_rewrite_oracle(n=2, maxlen=5, max_size=20000):
                     return False, f"closure mismatch at {w}"
             return True, f"{len(words)} words, {len(by_nf)} classes"
 
-        _run(
-            report,
-            f"closure-len-{length}",
-            "closure reachability coincides with equality of canonical forms",
-            check,
-        )
-    return report
+        yield f"closure-len-{length}", "closure reachability coincides with equality of canonical forms", check
 
 
+@_suite("ah-zero")
 def suite_ah_zero(n=2, maxlen=5, max_size=20000):
-    report = VerifyReport("ah-zero", {"n": n, "maxlen": maxlen})
     pres = ah_star(n)
     for length in range(1, maxlen + 1):
 
-        def check(length=length):
+        def check():
             count = 0
             zeros = 0
             for w in _all_words(pres, length):
@@ -185,20 +210,14 @@ def suite_ah_zero(n=2, maxlen=5, max_size=20000):
                 zeros += fast
             return True, f"{count} words, {zeros} vanish"
 
-        _run(
-            report,
-            f"zero-rule-len-{length}",
-            "parity-class adjacency rule agrees with closure adjacency search",
-            check,
-        )
-    return report
+        yield f"zero-rule-len-{length}", "parity-class adjacency rule agrees with closure adjacency search", check
 
 
 # -- crossed product ---------------------------------------------------------
 
 
+@_suite("half-comm")
 def suite_half_comm(n=2):
-    report = VerifyReport("half-comm", {"n": n})
     pairs = _index_pairs(n)
 
     def check_triples():
@@ -210,12 +229,7 @@ def suite_half_comm(n=2):
                 return False, f"abc != cba at {a},{b},{c}"
         return True, f"{len(pairs) ** 3} triples exact"
 
-    _run(
-        report,
-        f"abc-cba-n{n}",
-        "images of generator triples satisfy abc = cba as exact polynomial identities",
-        check_triples,
-    )
+    yield f"abc-cba-n{n}", "images of generator triples satisfy abc = cba as exact polynomial identities", check_triples
 
     def check_star():
         for i, j in pairs:
@@ -224,8 +238,7 @@ def suite_half_comm(n=2):
                 return False, f"generator ({i},{j}) not self-adjoint"
         return True, f"{len(pairs)} generators self-adjoint"
 
-    _run(report, f"self-adjoint-n{n}", "generator images are self-adjoint", check_star)
-    return report
+    yield f"self-adjoint-n{n}", "generator images are self-adjoint", check_star
 
 
 @functools.lru_cache(maxsize=8)
@@ -253,8 +266,8 @@ def pointwise_equal(x, y, samples=48, seed=DEFAULT_SEED, tol=1e-9):
     return worst < tol
 
 
+@_suite("faithfulness")
 def suite_faithfulness(n=2, maxlen=3, p_max=PMAX_DEFAULT, seed=DEFAULT_SEED):
-    report = VerifyReport("faithfulness", {"n": n, "maxlen": maxlen})
     pres = ao_star(n)
 
     forms = {()}
@@ -285,8 +298,7 @@ def suite_faithfulness(n=2, maxlen=3, p_max=PMAX_DEFAULT, seed=DEFAULT_SEED):
             f"pairs; {coincidences} distinct-form pairs coincide as functions"
         )
 
-    _run(
-        report,
+    yield (
         "norm-decides-function-equality",
         "vanishing Haar norm of a difference of embedded words iff pointwise equality on the group",
         check_pairs,
@@ -306,13 +318,7 @@ def suite_faithfulness(n=2, maxlen=3, p_max=PMAX_DEFAULT, seed=DEFAULT_SEED):
                 return False, f"{direction} orthogonality sum has norm {nrm}"
         return True, "row and column orthogonality sums vanish exactly"
 
-    _run(
-        report,
-        "orthogonality-in-image",
-        "sum over k of pi(v[1,k] v[2,k]) has exact Haar norm zero",
-        check_orthogonality,
-    )
-    return report
+    yield "orthogonality-in-image", "sum over k of pi(v[1,k] v[2,k]) has exact Haar norm zero", check_orthogonality
 
 
 def _tensor_components(x):
@@ -357,8 +363,8 @@ def _random_crossed(rng, n, max_degree=2):
     return CrossedElement(_random_fun(rng, n, max_degree), _random_fun(rng, n, max_degree))
 
 
+@_suite("hopf")
 def suite_hopf(n=2, seed=DEFAULT_SEED, trials=25, p_max=PMAX_DEFAULT):
-    report = VerifyReport("hopf", {"n": n, "seed": seed})
     pres = ao_star(n)
     rng = random.Random(seed)
     pairs = _index_pairs(n)
@@ -381,7 +387,7 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, trials=25, p_max=PMAX_DEFAULT):
                 return False, f"coassociativity fails on generator ({i},{j})"
         return True, f"{len(pairs)} generators"
 
-    _run(report, "coassociativity-words", "both iterated coproducts of a generator agree", check_coassoc_words)
+    yield "coassociativity-words", "both iterated coproducts of a generator agree", check_coassoc_words
 
     def check_counit_words():
         for length in range(0, 3):
@@ -397,7 +403,7 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, trials=25, p_max=PMAX_DEFAULT):
                     return False, f"counit axiom fails on {w}"
         return True, "all words of length <= 2"
 
-    _run(report, "counit-words", "(eps (x) id) Delta = id = (id (x) eps) Delta on short words", check_counit_words)
+    yield "counit-words", "(eps (x) id) Delta = id = (id (x) eps) Delta on short words", check_counit_words
 
     def check_coproduct_multiplicative():
         for i, j in pairs:
@@ -410,7 +416,11 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, trials=25, p_max=PMAX_DEFAULT):
                     return False, f"Delta not multiplicative at ({i},{j}),({k},{l})"
         return True, f"{len(pairs) ** 2} generator pairs"
 
-    _run(report, "coproduct-multiplicative", "Delta(xy) = Delta(x) Delta(y) on the generator span", check_coproduct_multiplicative)
+    yield (
+        "coproduct-multiplicative",
+        "Delta(xy) = Delta(x) Delta(y) on the generator span",
+        check_coproduct_multiplicative,
+    )
 
     def check_counit_crossed():
         samples = [CrossedElement.generator(n, i, j) for i, j in pairs]
@@ -425,7 +435,7 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, trials=25, p_max=PMAX_DEFAULT):
                 return False, "counit axiom fails in the crossed product"
         return True, f"{len(samples)} elements"
 
-    _run(report, "counit-crossed", "counit axiom in the crossed product", check_counit_crossed)
+    yield "counit-crossed", "counit axiom in the crossed product", check_counit_crossed
 
     def check_antipode_convolution():
         unit = CrossedElement.one(n)
@@ -443,8 +453,7 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, trials=25, p_max=PMAX_DEFAULT):
                 return False, f"m(id (x) S) Delta fails at ({i},{j})"
         return True, f"{len(pairs)} generators, both convolution orders"
 
-    _run(
-        report,
+    yield (
         "antipode-convolution",
         "m(S (x) id) Delta = eps 1 = m(id (x) S) Delta modulo the unitarity ideal",
         check_antipode_convolution,
@@ -457,11 +466,11 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, trials=25, p_max=PMAX_DEFAULT):
                 return False, "S^2 != id"
         for i, j in pairs:
             w = WordElement.generator(pres, i, j)
-            if antipode_element(antipode_element(w)) != normalize_element(w):
+            if antipode_element(antipode_element(w)) != w:
                 return False, "S^2 != id on words"
         return True, f"{trials} random elements of degree <= 2"
 
-    _run(report, "antipode-squared", "the antipode is an involution", check_antipode_squared)
+    yield "antipode-squared", "the antipode is an involution", check_antipode_squared
 
     def check_star():
         for _ in range(trials):
@@ -478,8 +487,7 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, trials=25, p_max=PMAX_DEFAULT):
                 return False, "counit does not intertwine star and conjugation"
         return True, f"{trials} random pairs"
 
-    _run(report, "star-structure", "star is an involutive anti-homomorphism compatible with the counit", check_star)
-    return report
+    yield "star-structure", "star is an involutive anti-homomorphism compatible with the counit", check_star
 
 
 def _random_word_element(rng, pres, max_len=3, terms=2):
@@ -494,8 +502,8 @@ def _random_word_element(rng, pres, max_len=3, terms=2):
     return out
 
 
+@_suite("pun")
 def suite_pun(n=2, p_max=PMAX_DEFAULT):
-    report = VerifyReport("pun", {"n": n})
     rng_indices = range(1, n + 1)
 
     def check_row_sums():
@@ -512,8 +520,7 @@ def suite_pun(n=2, p_max=PMAX_DEFAULT):
                 return False, f"sum_j w[jj,{i}{k}] != delta"
         return True, f"{n * n} index pairs, both sum families"
 
-    _run(
-        report,
+    yield (
         "partial-isometry-sums",
         "sum_j w[ik,jj] = delta(i,k) = sum_j w[jj,ik] with exact Haar norm zero",
         check_row_sums,
@@ -525,7 +532,7 @@ def suite_pun(n=2, p_max=PMAX_DEFAULT):
                 return False, f"w*[{i}{j},{k}{l}] mismatch"
         return True, f"{n ** 4} generators, exact symbol identity"
 
-    _run(report, "star-exchange", "w[ij,kl]* = w[ji,lk] as exact polynomials", check_star_symbol)
+    yield "star-exchange", "w[ij,kl]* = w[ji,lk] as exact polynomials", check_star_symbol
 
     def check_biunitarity():
         for i, j, p, q in itertools.product(rng_indices, repeat=4):
@@ -537,13 +544,11 @@ def suite_pun(n=2, p_max=PMAX_DEFAULT):
                 return False, f"biunitarity fails at ({i},{j},{p},{q})"
         return True, f"{n ** 4} index tuples"
 
-    _run(
-        report,
+    yield (
         "biunitarity",
         "sum_kl w[ij,kl] w[pq,kl]* = delta(i,p) delta(j,q) with exact Haar norm zero",
         check_biunitarity,
     )
-    return report
 
 
 # -- group models ------------------------------------------------------------
@@ -567,20 +572,19 @@ def shipped_models(tol=1e-8):
     return [parse_model(t, tol) for t in names]
 
 
+@_suite("predicates")
 def suite_predicates(trials=1000, seed=DEFAULT_SEED):
-    report = VerifyReport("predicates", {"trials": trials, "seed": seed})
-
     def check_on_real():
         res = predicate(parse_model("on:3"), "non_real", trials=10, rng_seed=seed)
         return (not res.value and res.witness is None), "structurally real"
 
-    _run(report, "on-non-real", "the orthogonal group has no non-real witness", check_on_real)
+    yield "on-non-real", "the orthogonal group has no non-real witness", check_on_real
 
     # u2n:2 is the smallest doubly-non-real member of its family: at n=1 the
     # block unitarity forces every entry-pair product to be real
     for name in ("un:2", "kn:2", "u2n:2"):
 
-        def check_doubly(name=name):
+        def check_doubly():
             model = parse_model(name)
             res = predicate(model, "doubly_non_real", trials=trials, rng_seed=seed)
             if not res.value or res.witness is None:
@@ -592,8 +596,7 @@ def suite_predicates(trials=1000, seed=DEFAULT_SEED):
                 return False, "witness does not certify"
             return True, f"witness indices {res.witness['indices']}"
 
-        _run(
-            report,
+        yield (
             f"doubly-non-real-{name.replace(':', '')}",
             "a sampled element with a non-real entry product certifies the predicate",
             check_doubly,
@@ -608,12 +611,11 @@ def suite_predicates(trials=1000, seed=DEFAULT_SEED):
                     return False, f"transpose escapes {model}"
         return True, f"{trials} samples per model, {len(shipped_models())} models"
 
-    _run(report, "transpose-closure", "the transpose of every sample stays in its model", check_transpose)
-    return report
+    yield "transpose-closure", "the transpose of every sample stays in its model", check_transpose
 
 
+@_suite("kn")
 def suite_kn(n=3, samples=1000, seed=DEFAULT_SEED, tol=1e-12):
-    report = VerifyReport("kn", {"n": n, "samples": samples, "seed": seed})
     model = parse_model(f"kn:{n}")
 
     def check_vanishing():
@@ -635,17 +637,15 @@ def suite_kn(n=3, samples=1000, seed=DEFAULT_SEED, tol=1e-12):
                             count += 1
         return worst < tol, f"{count} monomial families, max |value| = {worst:.2e}"
 
-    _run(
-        report,
+    yield (
         "monomial-vanishing",
         "same-row and same-column entry products vanish identically on monomial matrices",
         check_vanishing,
     )
-    return report
 
 
+@_suite("u2n")
 def suite_u2n(n=1, samples=1000, points=100, seed=DEFAULT_SEED, tol=1e-8, point_tol=1e-9):
-    report = VerifyReport("u2n", {"n": n, "samples": samples, "points": points, "seed": seed})
     model = parse_model(f"u2n:{n}")
 
     def check_sampler():
@@ -656,7 +656,7 @@ def suite_u2n(n=1, samples=1000, points=100, seed=DEFAULT_SEED, tol=1e-8, point_
                 return False, "sample escapes the block pattern"
         return True, f"{samples} samples, block pattern and unitarity within {tol}"
 
-    _run(report, "sampler-pattern", "samples are unitary with the [[A,B],[-B,A]] block pattern", check_sampler)
+    yield "sampler-pattern", "samples are unitary with the [[A,B],[-B,A]] block pattern", check_sampler
 
     pres = au_star_star(n)
     gens = {}
@@ -685,8 +685,7 @@ def suite_u2n(n=1, samples=1000, points=100, seed=DEFAULT_SEED, tol=1e-8, point_
                 )
         return worst < point_tol, f"max unitarity defect {worst:.2e} at {points} points"
 
-    _run(
-        report,
+    yield (
         "unitary-generators",
         "the evaluated generator matrix and its conjugate are unitary at sampled points",
         check_unitarity,
@@ -707,13 +706,11 @@ def suite_u2n(n=1, samples=1000, points=100, seed=DEFAULT_SEED, tol=1e-8, point_
                 worst = max(worst, float(np.max(np.abs(matrix_model_eval(diff, g)))))
         return worst < point_tol, f"{len(keys) ** 3} triples, max |abc - cba| = {worst:.2e}"
 
-    _run(
-        report,
+    yield (
         "half-commutation-at-points",
         "abc = cba for generators and their stars, evaluated through the matrix model",
         check_half_commutation,
     )
-    return report
 
 
 # -- exact integration -------------------------------------------------------
@@ -748,9 +745,8 @@ def class_convolution(f, h, p):
     return {ct: sum(f(_compose(s, _inverse(t))) * h(t) for t in perms) for ct, s in reps.items()}
 
 
-def suite_weingarten(mc_samples=100000, seed=DEFAULT_SEED, p_max=PMAX_DEFAULT):
-    report = VerifyReport("weingarten", {"mc_samples": mc_samples, "seed": seed})
-
+@_suite("weingarten")
+def suite_weingarten(samples=100000, seed=DEFAULT_SEED, p_max=PMAX_DEFAULT):
     # G[s, t] = g(s t^-1) with g(s) = n^cycles(s), and W[t, r] = wg(t r^-1),
     # so (G W)[s, r] = (g*w)(s r^-1) and (G W G)[s, r] = (g*w*g)(s r^-1):
     # G W = I iff g*w = delta_e, and G W G = G iff g*w*g = g.
@@ -766,12 +762,7 @@ def suite_weingarten(mc_samples=100000, seed=DEFAULT_SEED, p_max=PMAX_DEFAULT):
                 return False, f"inverse identity fails at p={p}, n={n}"
         return True, f"(p, n) in {cells}, every cycle type"
 
-    _run(
-        report,
-        "gram-inverse-identity",
-        "sum_t n^cycles(s t^-1) Wg(t r^-1) = delta(s,r)",
-        check_inverse,
-    )
+    yield "gram-inverse-identity", "sum_t n^cycles(s t^-1) Wg(t r^-1) = delta(s,r)", check_inverse
 
     def check_pseudo():
         cells = ((3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4))
@@ -786,8 +777,7 @@ def suite_weingarten(mc_samples=100000, seed=DEFAULT_SEED, p_max=PMAX_DEFAULT):
                 return False, f"G W G != G at p={p}, n={n}"
         return True, f"singular-regime tables satisfy G W G = G at (p, n) in {cells}"
 
-    _run(
-        report,
+    yield (
         "pseudo-inverse-consistency",
         "below-dimension tables are exact generalized inverses of the Gram matrix",
         check_pseudo,
@@ -806,43 +796,33 @@ def suite_weingarten(mc_samples=100000, seed=DEFAULT_SEED, p_max=PMAX_DEFAULT):
                     return False, f"|u11|^{2 * k} over n={n}: {val} != {expect}"
         return True, "entry moments match the Beta-moment closed form"
 
-    _run(
-        report,
-        "entry-moments",
-        "E|u11|^(2k) = 1/C(n-1+k, k) for k <= 4, n in {2,3}",
-        check_moments,
-    )
+    yield "entry-moments", "E|u11|^(2k) = 1/C(n-1+k, k) for k <= 4, n in {2,3}", check_moments
 
     def check_mc():
+        # one seeded draw per n serves all ten monomials, so the estimates are
+        # correlated; each comparison is still a 5-stderr test of its own
         rng = random.Random(seed)
         worst = 0.0
         for n in (2, 3):
             monos = _balanced_monomials(rng, n, 10)
-            for t, f in enumerate(monos):
+            estimates = mc_integrals(monos, parse_model(f"un:{n}"), samples, seed)
+            for t, (f, est) in enumerate(zip(monos, estimates)):
                 exact = haar_integral(f, p_max=p_max).to_complex()
-                est = mc_integral(f, parse_model(f"un:{n}"), mc_samples, seed + t)
                 err = abs(est.mean - exact)
-                bound = 5 * est.stderr
                 if est.stderr == 0:
                     if err > 1e-12:
                         return False, f"zero-variance mismatch on {f}"
                     continue
                 worst = max(worst, err / est.stderr)
-                if err >= bound:
+                if err >= 5 * est.stderr:
                     return False, f"|exact - mc| = {err:.3e} >= 5 stderr on n={n} monomial {t}"
-        return True, f"20 balanced monomials, worst deviation {worst:.2f} stderr"
+        return True, f"20 balanced monomials at {samples} samples, worst deviation {worst:.2f} stderr"
 
-    _run(
-        report,
-        "mc-agreement",
-        "Monte Carlo estimates match exact integrals within five standard errors",
-        check_mc,
-    )
-    return report
+    yield "mc-agreement", "Monte Carlo estimates match exact integrals within five standard errors", check_mc
 
 
+@_suite("sequence")
 def suite_sequence(n=2, seed=DEFAULT_SEED, trials=20):
-    report = VerifyReport("sequence", {"n": n, "seed": seed})
     rng = random.Random(seed)
     pres = ao_star(n)
 
@@ -855,7 +835,7 @@ def suite_sequence(n=2, seed=DEFAULT_SEED, trials=20):
                 return False, f"q(g_{i}{j}) wrong"
         return True, "q sends the generator (i,j) to delta(i,j) s"
 
-    _run(report, "quotient-on-generators", "the grading quotient kills polynomial content", check_quotient_map)
+    yield "quotient-on-generators", "the grading quotient kills polynomial content", check_quotient_map
 
     def check_coinvariants():
         for _ in range(trials):
@@ -868,8 +848,7 @@ def suite_sequence(n=2, seed=DEFAULT_SEED, trials=20):
         coinvariant_test(mixed)  # raises if the two routes disagree
         return True, f"{trials} embedded words plus a random mixed element"
 
-    _run(
-        report,
+    yield (
         "coinvariants-are-even",
         "embedded words are coinvariant exactly when their length is even",
         check_coinvariants,
@@ -883,13 +862,11 @@ def suite_sequence(n=2, seed=DEFAULT_SEED, trials=20):
                 return False, f"pair image mismatch at ({i},{j},{k},{l})"
         return True, f"{n ** 4} pair products match the even-part generators"
 
-    _run(
-        report,
+    yield (
         "even-part-generators",
         "images of length-two words are exactly the even-part generators",
         check_even_generators,
     )
-    return report
 
 
 # -- fusion ------------------------------------------------------------------
@@ -963,17 +940,13 @@ def schur_tensor_oracle(lam, mu, n):
 def _partitions_upto(total, max_rows):
     """All partitions of every size up to ``total`` with at most ``max_rows``
     rows, padded to weight tuples of length max_rows."""
-    out = []
-
-    def rec(remaining, prev, acc):
-        out.append(tuple(acc + [0] * (max_rows - len(acc))))
-        if len(acc) == max_rows:
-            return
-        for v in range(min(prev, remaining), 0, -1):
-            rec(remaining - v, v, acc + [v])
-
-    rec(total, total, [])
-    return sorted(set(out), reverse=True)
+    padded = (
+        lam + (0,) * (max_rows - len(lam))
+        for p in range(total + 1)
+        for lam in _partitions(p)
+        if len(lam) <= max_rows
+    )
+    return sorted(padded, reverse=True)
 
 
 def _random_un_weight(rng, n, bound=2):
@@ -997,12 +970,11 @@ def _random_label(rng, name, data):
     return tuple(rng.randint(-3, 3) for _ in range(data.n))
 
 
+@_suite("fusion")
 def suite_fusion(seed=DEFAULT_SEED, triples=50, size_cap=4):
-    report = VerifyReport("fusion", {"seed": seed, "triples": triples, "size_cap": size_cap})
-
     for n in (2, 3):
 
-        def check_lr(n=n):
+        def check_lr():
             parts = _partitions_upto(size_cap, n)
             count = 0
             for lam in parts:
@@ -1012,17 +984,12 @@ def suite_fusion(seed=DEFAULT_SEED, triples=50, size_cap=4):
                     count += 1
             return True, f"{count} pairs with |lam|,|mu| <= {size_cap}"
 
-        _run(
-            report,
-            f"lr-vs-schur-n{n}",
-            "tableau counting agrees with the Schur polynomial product oracle",
-            check_lr,
-        )
+        yield f"lr-vs-schur-n{n}", "tableau counting agrees with the Schur polynomial product oracle", check_lr
 
     rng = random.Random(seed)
     for name, data in _fusion_instances().items():
 
-        def check_assoc(name=name, data=data):
+        def check_assoc():
             for _ in range(triples):
                 a, b, c = (_random_label(rng, name, data) for _ in range(3))
                 left = {}
@@ -1037,9 +1004,9 @@ def suite_fusion(seed=DEFAULT_SEED, triples=50, size_cap=4):
                     return False, f"associativity fails at {a},{b},{c}"
             return True, f"{triples} random triples"
 
-        _run(report, f"associativity-{name}", "tensor decompositions associate", check_assoc)
+        yield f"associativity-{name}", "tensor decompositions associate", check_assoc
 
-        def check_dim(name=name, data=data):
+        def check_dim():
             for _ in range(triples):
                 a, b = (_random_label(rng, name, data) for _ in range(2))
                 dec = data.tensor(a, b)
@@ -1047,9 +1014,9 @@ def suite_fusion(seed=DEFAULT_SEED, triples=50, size_cap=4):
                     return False, f"dimension count fails at {a},{b}"
             return True, f"{triples} random pairs"
 
-        _run(report, f"dimension-hom-{name}", "dimensions are multiplicative through decompositions", check_dim)
+        yield f"dimension-hom-{name}", "dimensions are multiplicative through decompositions", check_dim
 
-        def check_frobenius(name=name, data=data):
+        def check_frobenius():
             for _ in range(triples):
                 a, b = (_random_label(rng, name, data) for _ in range(2))
                 dec = data.tensor(a, b)
@@ -1063,9 +1030,9 @@ def suite_fusion(seed=DEFAULT_SEED, triples=50, size_cap=4):
                         return False, f"Frobenius fails at {a},{b},{c}"
             return True, f"{triples} random pairs"
 
-        _run(report, f"frobenius-{name}", "constituent multiplicity equals unit multiplicity against the dual", check_frobenius)
+        yield f"frobenius-{name}", "constituent multiplicity equals unit multiplicity against the dual", check_frobenius
 
-        def check_duality(name=name, data=data):
+        def check_duality():
             for _ in range(triples):
                 a = _random_label(rng, name, data)
                 if data.tensor(a, data.dual(a)).get(data.unit, 0) != 1:
@@ -1076,7 +1043,7 @@ def suite_fusion(seed=DEFAULT_SEED, triples=50, size_cap=4):
                     return False, f"sigma differs from dual at {a}"
             return True, f"{triples} random labels; sigma = dual on this instance"
 
-        _run(report, f"duality-{name}", "the unit appears once against the dual; dual and sigma are involutive", check_duality)
+        yield f"duality-{name}", "the unit appears once against the dual; dual and sigma are involutive", check_duality
 
     def check_graded():
         for name, data in _fusion_instances().items():
@@ -1109,7 +1076,7 @@ def suite_fusion(seed=DEFAULT_SEED, triples=50, size_cap=4):
                     return False, "unit multiplicity != 1 against the graded dual"
         return True, "parities, integer grades, graded duals"
 
-    _run(report, "graded-structure", "graded products respect parity and integer grades; graded duality holds", check_graded)
+    yield "graded-structure", "graded products respect parity and integer grades; graded duality holds", check_graded
 
     def check_witness():
         data = fus.UnFusion(3)
@@ -1119,17 +1086,16 @@ def suite_fusion(seed=DEFAULT_SEED, triples=50, size_cap=4):
         yx = fus.astar_tensor(data, y, x)
         return xy != yx, f"x(x)y = {sorted(xy)} vs y(x)x = {sorted(yx)}"
 
-    _run(report, "noncommutative-witness", "the graded fusion ring is noncommutative for n = 3", check_witness)
-    return report
+    yield "noncommutative-witness", "the graded fusion ring is noncommutative for n = 3", check_witness
 
 
+@_suite("moments")
 def suite_moments(cases=((2, 1), (2, 2), (3, 1)), p_max=PMAX_DEFAULT):
-    report = VerifyReport("moments", {"cases": list(cases)})
     expected = {1: 1, 2: 2}
 
     for n, k in cases:
 
-        def check(n=n, k=k):
+        def check():
             count, value = fus.moment_crosscheck(n, k, p_max=p_max)
             if value != GaussianRational(count):
                 return False, f"fusion count {count} != Haar value {value}"
@@ -1137,35 +1103,15 @@ def suite_moments(cases=((2, 1), (2, 2), (3, 1)), p_max=PMAX_DEFAULT):
                 return False, f"count {count} != expected {expected[k]}"
             return True, f"both engines give {count}"
 
-        _run(
-            report,
-            f"moment-n{n}-k{k}",
-            "trivial multiplicity from fusion equals the exact character moment",
-            check,
-        )
-    return report
-
-
-SUITES = {
-    "rewrite-oracle": suite_rewrite_oracle,
-    "ah-zero": suite_ah_zero,
-    "half-comm": suite_half_comm,
-    "faithfulness": suite_faithfulness,
-    "hopf": suite_hopf,
-    "pun": suite_pun,
-    "kn": suite_kn,
-    "u2n": suite_u2n,
-    "weingarten": suite_weingarten,
-    "predicates": suite_predicates,
-    "sequence": suite_sequence,
-    "fusion": suite_fusion,
-    "moments": suite_moments,
-}
+        yield f"moment-n{n}-k{k}", "trivial multiplicity from fusion equals the exact character moment", check
 
 
 def run_verify(suite: str, **params) -> VerifyReport:
-    """Run a named suite; unknown parameter names raise, unknown suites raise."""
+    """Run a named suite with those of ``params`` that it accepts; the rest
+    are ignored, so one set of CLI flags serves every suite.  An unknown
+    suite raises ``ValueError``."""
     fn = SUITES.get(suite)
     if fn is None:
         raise ValueError(f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}")
-    return fn(**params)
+    accepted = inspect.signature(fn).parameters
+    return fn(**{k: v for k, v in params.items() if k in accepted})

@@ -200,11 +200,6 @@ class WordElement(SparseSum):
         return f"<{self.presentation}| {format_word_element(self)}>"
 
 
-def normalize_element(x: WordElement) -> WordElement:
-    """Rebuild ``x`` in canonical form (a fixed point of itself)."""
-    return WordElement(x.presentation, dict(x.terms))
-
-
 def _star_letter(l: Letter, presentation: Presentation) -> Letter:
     if presentation.orthogonal:
         return l

@@ -155,7 +155,7 @@ def test_criterion_06_projective_relations():
 
 def test_criterion_07_weingarten_engine():
     t0 = time.monotonic()
-    report = suite_weingarten(mc_samples=100000)
+    report = suite_weingarten(samples=100000)
     elapsed = time.monotonic() - t0
     ok = report.passed and elapsed < 300
     _report("07", "Gram identities G W = I and G W G = G (p<=5) and 20-monomial MC agreement at 1e5 samples", ok, f"{elapsed:.1f}s")

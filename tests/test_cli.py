@@ -213,6 +213,48 @@ def test_verify_suite(capsys):
     assert "PASS" in err
 
 
+FUSION_NAMES = ("su2", "torus:2", "un:2", "un:3")
+VERIFY_ALL_IDS = {
+    "ah-zero": [f"zero-rule-len-{k}" for k in range(1, 6)],
+    "faithfulness": ["norm-decides-function-equality", "orthogonality-in-image"],
+    "fusion": [
+        *(f"{kind}-{name}" for kind in ("associativity", "dimension-hom", "duality", "frobenius") for name in FUSION_NAMES),
+        "graded-structure", "lr-vs-schur-n2", "lr-vs-schur-n3", "noncommutative-witness",
+    ],
+    "half-comm": ["abc-cba-n2", "self-adjoint-n2"],
+    "hopf": ["antipode-convolution", "antipode-squared", "coassociativity-words", "coproduct-multiplicative",
+             "counit-crossed", "counit-words", "star-structure"],
+    "kn": ["monomial-vanishing"],
+    "moments": ["moment-n2-k1", "moment-n2-k2", "moment-n3-k1"],
+    "predicates": ["doubly-non-real-kn2", "doubly-non-real-u2n2", "doubly-non-real-un2", "on-non-real",
+                   "transpose-closure"],
+    "pun": ["biunitarity", "partial-isometry-sums", "star-exchange"],
+    "rewrite-oracle": [f"closure-len-{k}" for k in range(1, 6)],
+    "sequence": ["coinvariants-are-even", "even-part-generators", "quotient-on-generators"],
+    "u2n": ["half-commutation-at-points", "sampler-pattern", "unitary-generators"],
+    "weingarten": ["entry-moments", "gram-inverse-identity", "mc-agreement", "pseudo-inverse-consistency"],
+}
+
+
+def test_verify_all_checks_pass_with_timings(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 0
+    lines = [json.loads(l) for l in out.strip().splitlines()]
+    expect = {(suite, check) for suite, checks in VERIFY_ALL_IDS.items() for check in checks}
+    assert len(expect) == 63
+    assert sorted((l["suite"], l["check"]) for l in lines) == sorted(expect)
+    assert all(l["status"] == "pass" for l in lines)
+    assert all(isinstance(l["elapsed_s"], float) and l["elapsed_s"] >= 0 for l in lines)
+    assert err.count(": PASS (") == len(VERIFY_ALL_IDS)
+
+
+def test_verify_samples_reach_mc_agreement(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "weingarten", "--samples", "2000")
+    assert code == 0
+    lines = {l["check"]: l for l in map(json.loads, out.strip().splitlines())}
+    assert "at 2000 samples" in lines["mc-agreement"]["detail"]
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "nope")
     assert code == 2 and "unknown suite" in err
@@ -223,7 +265,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     from halfcomm.verify import Check, VerifyReport
 
     def failing_suite():
-        report = VerifyReport("stub", {})
+        report = VerifyReport("stub")
         report.checks.append(Check("always-fails", "stub rule", False, "by construction"))
         return report
 

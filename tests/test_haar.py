@@ -16,11 +16,13 @@ from halfcomm.crossed import (
     embed_pi,
 )
 from halfcomm.errors import DegreeCapError, DimensionMismatchError
-from halfcomm.groups import parse_model, sample_batch
+from halfcomm.groups import evaluate_fun_batch, parse_model, sample_batch
 from halfcomm.haar import (
+    MC_CHUNK,
     haar_integral,
     haar_state,
     mc_integral,
+    mc_integrals,
     norm_equal,
     norm_squared,
     weingarten_table,
@@ -432,6 +434,36 @@ def test_mc_crossed_even_component():
     x = CrossedElement(u(2, 1, 1) * ub(2, 1, 1), u(2, 1, 2))
     est = mc_integral(x, parse_model("un:2"), 20000, seed=9)
     assert abs(est.mean - 0.5) < 5 * est.stderr
+
+
+def _single_mc(f, model, samples, seed):
+    # the estimator of one element by itself: draw a chunk, evaluate, sum
+    rng = np.random.default_rng(seed)
+    total, total_sq, done = 0j, 0.0, 0
+    while done < samples:
+        count = min(MC_CHUNK, samples - done)
+        vals = evaluate_fun_batch(f, sample_batch(model, rng, count))
+        total += complex(vals.sum())
+        total_sq += float(np.sum(np.abs(vals) ** 2))
+        done += count
+    var = max(0.0, (total_sq - abs(total) ** 2 / samples) / (samples - 1))
+    return total / samples, math.sqrt(var / samples)
+
+
+@pytest.mark.parametrize("name", ["un:2", "un:3", "kn:2"])
+def test_mc_integrals_share_draws_bit_for_bit(name):
+    # 4,097 samples cross a chunk boundary (MC_CHUNK = 4,096); each
+    # shared-draw estimate equals the estimate of its element alone, exactly
+    model = parse_model(name)
+    n = model.ambient_dim
+    fs = [u(n, 1, 1) * ub(n, 1, 1), u(n, 1, 2) * ub(n, 2, 1) + u(n, 2, 2), random_crossed(random.Random(n), n)]
+    ests = mc_integrals(fs, model, 4097, seed=11)
+    for f, est in zip(fs, ests):
+        assert est == mc_integral(f, model, 4097, seed=11)
+        even = f.f0 if isinstance(f, CrossedElement) else f
+        assert (est.mean, est.stderr) == _single_mc(even, model, 4097, 11)
+        assert est.samples == 4097 and est.seed == 11
+    assert len({e.mean for e in ests}) == len(fs)
 
 
 def test_mc_validation():

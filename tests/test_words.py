@@ -17,7 +17,6 @@ from halfcomm.words import (
     counit_element,
     hc_normal_form,
     letter,
-    normalize_element,
     rewrite_closure_oracle,
     star_element,
     word_has_forbidden_pair,
@@ -134,8 +133,6 @@ def test_normalize_cancels_equivalent_words():
 
 
 def test_normalize_examples():
-    x = WordElement(AO2, {w(AO2, (1, 1)): GaussianRational(2) / 3})
-    assert normalize_element(x) == x
     y = WordElement(AH2, {w(AH2, (1, 1), (1, 2)): 1, w(AH2, (2, 2)): 1})
     assert y == WordElement(AH2, {w(AH2, (2, 2)): 1})
 
@@ -208,7 +205,7 @@ def test_antipode_examples():
     x = elem(AO2, (1, 2), (2, 1))
     assert antipode_element(x) == x  # S(v12 v21) = S(v21) S(v12) = v12 v21
     y = elem(AO2, (1, 2), (1, 1))
-    assert antipode_element(antipode_element(y)) == normalize_element(y)
+    assert antipode_element(antipode_element(y)) == y
     au2 = au_star_star(2)
     u = WordElement.generator(au2, 1, 2)
     assert antipode_element(u) == WordElement.from_word(
