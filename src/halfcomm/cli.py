@@ -295,6 +295,19 @@ def cmd_verify(args):
     return EXIT_OK if ok else EXIT_FAIL
 
 
+def _count_at_least(low):
+    """An argparse type for an integer count of at least ``low``, so that a
+    smaller count ends in a usage error (exit 2) before any work starts."""
+
+    def count(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="halfcomm",
@@ -304,7 +317,7 @@ def build_parser():
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed for randomized checks")
-    common.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
+    common.add_argument("--samples", type=_count_at_least(2), default=None, help="Monte Carlo sample count")
     common.add_argument("--degree-cap", type=int, default=PMAX_DEFAULT, dest="degree_cap",
                         help="cap on the exact-integration degree")
     common.add_argument("--json", action="store_true", help="machine-readable output")
@@ -336,21 +349,21 @@ def build_parser():
 
     p = sub.add_parser("fusion-table", parents=[common], help="export a graded fusion table as JSON")
     p.add_argument("--group", required=True)
-    p.add_argument("--grade-cap", type=int, default=2, dest="grade_cap")
+    p.add_argument("--grade-cap", type=_count_at_least(0), default=2, dest="grade_cap")
     p.add_argument("--out", help="output path (stdout if omitted)")
     p.set_defaults(func=cmd_fusion_table)
 
     p = sub.add_parser("predicates", parents=[common], help="transpose/reality predicates of a group model")
     p.add_argument("--model", required=True)
     p.add_argument("--which", default="all", choices=("all",) + PREDICATES)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_count_at_least(1), default=200)
     p.set_defaults(func=cmd_predicates)
 
     p = sub.add_parser("verify", parents=[common], help="run a named verification suite")
     p.add_argument("--suite", required=True, help="suite name or 'all'")
     p.add_argument("--n", type=int)
     p.add_argument("--maxlen", type=int)
-    p.add_argument("--trials", type=int)
+    p.add_argument("--trials", type=_count_at_least(1))
     p.add_argument("--points", type=int)
     p.set_defaults(func=cmd_verify)
 

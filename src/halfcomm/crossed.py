@@ -233,9 +233,16 @@ class CrossedElement:
 def crossed_mul(x: CrossedElement, y: CrossedElement) -> CrossedElement:
     if x.n != y.n:
         raise DimensionMismatchError(f"dimensions {x.n} and {y.n} differ")
+
+    def times(f, g, twist):
+        # an empty factor makes the product zero without touching the other
+        if f.is_zero or g.is_zero:
+            return FunElement.zero(x.n)
+        return f * (g.bar() if twist else g)
+
     return CrossedElement(
-        x.f0 * y.f0 + x.f1 * y.f1.bar(),
-        x.f0 * y.f1 + x.f1 * y.f0.bar(),
+        times(x.f0, y.f0, False) + times(x.f1, y.f1, True),
+        times(x.f0, y.f1, False) + times(x.f1, y.f0, True),
     )
 
 

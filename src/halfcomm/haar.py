@@ -30,7 +30,7 @@ import functools
 import itertools
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -119,12 +119,20 @@ def _hook_content_product(lam, n):
 @dataclass
 class WeingartenTable:
     """Wg(sigma) for degree p over U(n), keyed by the cycle type of sigma;
-    ``pseudo`` marks n < p, where the Gram matrix is singular."""
+    ``pseudo`` marks n < p, where the Gram matrix is singular.  The same
+    values as integer ``numerators`` over one common ``denominator`` let an
+    integral sum them as ints."""
 
     p: int
     n: int
     values: dict
     pseudo: bool
+    denominator: int = field(init=False)
+    numerators: dict = field(init=False)
+
+    def __post_init__(self):
+        self.denominator = math.lcm(*(v.denominator for v in self.values.values()))
+        self.numerators = {mu: v.numerator * (self.denominator // v.denominator) for mu, v in self.values.items()}
 
     def wg(self, perm) -> Fraction:
         return self.values[_cycle_type(perm)]
@@ -251,8 +259,8 @@ def _monomial_integral(mono, n, p_max) -> Fraction:
         return Fraction(0)
     types = _coset_cycle_types(conj, plain)
     stabilisers = math.prod(math.factorial(c) for c in (*rows.values(), *cols.values()))
-    total = sum((count * table.values[mu] for mu, count in types.items()), Fraction(0))
-    return total * stabilisers / sum(types.values())
+    total = sum(count * table.numerators[mu] for mu, count in types.items())
+    return Fraction(total * stabilisers, table.denominator * sum(types.values()))
 
 
 def haar_integral(f: FunElement, n: int | None = None, p_max: int = PMAX_DEFAULT) -> GaussianRational:
@@ -316,7 +324,7 @@ def norm_squared(x: CrossedElement, p_max: int = PMAX_DEFAULT) -> Fraction:
     squares = (crossed_mul(crossed_star(piece), piece).f0 for piece in _orthogonal_pieces(x))
     even = FunElement(x.n, itertools.chain.from_iterable(f.terms.items() for f in squares))
     val = haar_integral(even, p_max=p_max)
-    if val.im != 0 or val.re < 0:
+    if val.b or val.a < 0:
         raise ArithmeticError(f"norm came out as {val}; this is a bug")
     return val.re
 

@@ -6,16 +6,29 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 
 
 class GaussianRational:
-    """An element of Q(i).  Immutable by convention; all arithmetic is exact."""
+    """An element of Q(i), held as (a + b*i) / d over Python ints in lowest
+    terms: d > 0 and gcd(a, b, d) = 1.  Each number has one such triple, so
+    equality and hashing compare fields, and products and sums are integer
+    arithmetic with one gcd.  ``re`` and ``im`` give the parts as Fractions.
+    Immutable by convention; all arithmetic is exact."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        # already in lowest terms: a prime dividing d divides one of the two
+        # denominators as often as it divides d, so not that numerator
+        d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
 
     @classmethod
     def coerce(cls, value) -> "GaussianRational":
@@ -25,18 +38,31 @@ class GaussianRational:
             return cls(value)
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _reduced(self.a, -self.b, self.d)
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int / int rounds correctly, so this equals the parts' float values
+        return complex(self.a / self.d, self.b / self.d)
 
     def __add__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            try:
+                other = GaussianRational.coerce(other)
+            except TypeError:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
@@ -45,59 +71,79 @@ class GaussianRational:
             other = GaussianRational.coerce(other)
         except TypeError:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + (-other)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
 
     def __mul__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            try:
+                other = GaussianRational.coerce(other)
+            except TypeError:
+                return NotImplemented
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = GaussianRational.coerce(other)
-        nrm = other.re * other.re + other.im * other.im
+        a, b, c, e = self.a, self.b, other.a, other.b
+        nrm = c * c + e * e
         if nrm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return self * GaussianRational(other.re / nrm, -other.im / nrm)
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        f = other.d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self.d * nrm)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _reduced(-self.a, -self.b, self.d)
 
     def __eq__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussianRational:
+            try:
+                other = GaussianRational.coerce(other)
+            except TypeError:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a) or bool(self.b)
 
     def __str__(self):
         if not self:
             return "0"
-        if not self.im:
-            return str(self.re)
-        imag = "i" if abs(self.im) == 1 else f"{abs(self.im)} i"
-        if not self.re:
-            return imag if self.im > 0 else f"-{imag}"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re} {sign} {imag}"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        imag = "i" if abs(im) == 1 else f"{abs(im)} i"
+        if not re:
+            return imag if im > 0 else f"-{imag}"
+        sign = "+" if im > 0 else "-"
+        return f"{re} {sign} {imag}"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+
+
+def _reduced(a, b, d):
+    """The Gaussian rational (a + b*i) / d, for ints with d > 0, in lowest terms."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    out = _new(GaussianRational)
+    out.a = a
+    out.b = b
+    out.d = d
+    return out
 
 
 ZERO = GaussianRational(0)

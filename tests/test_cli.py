@@ -297,3 +297,33 @@ def test_verify_k_flag_rejected(capsys):
         main(["verify", "--suite", "moments", "--k", "2"])
     assert exc.value.code == 2
     assert "--k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["haar", "--mc", "--group", "kn:2", "--samples", "0", "u[1,1]"], "--samples"),
+        (["equal", "--context", "ao-star:2", "--method", "mc", "--group", "kn:2", "--samples", "0", "v[1,1]", "0"], "--samples"),
+        (["verify", "--suite", "all", "--samples", "1"], "--samples"),
+        (["fusion-table", "--group", "un:2", "--grade-cap", "-1"], "--grade-cap"),
+        (["predicates", "--model", "on:3", "--trials", "0"], "--trials"),
+        (["verify", "--suite", "kn", "--trials", "0"], "--trials"),
+    ],
+)
+def test_counts_below_their_minimum_are_usage_errors(capsys, argv, flag):
+    # rejected by the parser, before any sampling, table or check runs
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}: must be at least" in err
+
+
+def test_counts_at_their_minimum_run(capsys):
+    code, out, _ = run_cli(capsys, "haar", "--mc", "--group", "kn:2", "--samples", "2", "u[1,1] u[1,2]")
+    assert code == 0 and json.loads(out)["samples"] == 2
+    code, out, _ = run_cli(capsys, "fusion-table", "--group", "torus:1", "--grade-cap", "0")
+    assert code == 0 and [l["label"] for l in json.loads(out)["labels"]] == ["(t[0],e)"]
+    code, out, _ = run_cli(capsys, "predicates", "--model", "on:3", "--which", "non_real", "--trials", "1")
+    assert code == 0 and json.loads(out)["value"] is False

@@ -197,6 +197,15 @@ def test_full_entry_product_moment():
     assert haar_integral(f) == GaussianRational(Fraction(1, 30))
 
 
+@pytest.mark.parametrize("p, n", [(p, n) for p in range(1, 6) for n in range(1, 6)])
+def test_table_numerators_over_common_denominator(p, n):
+    table = weingarten_table(p, n)
+    assert table.numerators.keys() == table.values.keys()
+    assert all(Fraction(num, table.denominator) == table.values[mu] for mu, num in table.numerators.items())
+    # the denominator is the least common one
+    assert math.gcd(table.denominator, *table.numerators.values()) == 1
+
+
 def _filtered_monomial_integral(mono, n):
     """The integral as a sum over matching (sigma, tau) pairs filtered from all
     of S_p, one Weingarten lookup per pair; the reference for the
@@ -227,6 +236,8 @@ def test_monomial_integral_matches_filtered_permutations(n):
             f = mono(n, us, ubars)
             (m,) = f.terms
             got = _monomial_integral(m, n, 5)
+            # the integer sum over the table's common denominator, one Fraction
+            assert type(got) is Fraction
             assert got == _filtered_monomial_integral(m, n), (n, us, ubars)
             nonzero += got != 0
     assert nonzero >= 30

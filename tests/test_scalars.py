@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halfcomm.crossed import FunElement, FunMonomial
 from halfcomm.scalars import GaussianRational, I, ONE, ZERO, reduce_terms
@@ -43,6 +45,111 @@ def test_str_forms():
     assert str(GaussianRational(0, Fraction(3, 2))) == "3/2 i"
     assert str(GaussianRational(Fraction(3, 2), Fraction(1, 2))) == "3/2 + 1/2 i"
     assert str(GaussianRational(1, -1)) == "1 - i"
+
+
+def test_repr_forms():
+    assert repr(ZERO) == "GaussianRational(Fraction(0, 1), Fraction(0, 1))"
+    assert repr(GaussianRational(Fraction(3, 2), Fraction(1, 2))) == "GaussianRational(Fraction(3, 2), Fraction(1, 2))"
+    assert repr(GaussianRational(1, -1)) == "GaussianRational(Fraction(1, 1), Fraction(-1, 1))"
+
+
+def test_equal_values_share_fields_and_hash():
+    x, y = GaussianRational(Fraction(2, 4)), GaussianRational(1) / 2
+    assert (x.a, x.b, x.d) == (y.a, y.b, y.d) == (1, 0, 2)
+    assert x == y and hash(x) == hash(y)
+    z = GaussianRational(Fraction(1, 6), Fraction(1, 4))
+    assert (z.a, z.b, z.d) == (2, 3, 12)
+    assert GaussianRational(1.5) == GaussianRational(Fraction(3, 2))
+
+
+# -- properties, against (re, im) pairs of Fractions ---------------------------
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+parts = st.one_of(st.integers(-30, 30), st.fractions(min_value=-8, max_value=8, max_denominator=24))
+pairs = st.tuples(parts, parts).map(lambda p: (Fraction(p[0]), Fraction(p[1])))
+
+
+def ref_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def ref_sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def ref_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def ref_div(x, y):
+    nrm = y[0] * y[0] + y[1] * y[1]
+    return ref_mul(x, (y[0] / nrm, -y[1] / nrm))
+
+
+def ref_str(re, im):
+    """The string form of re + im*i as the Fraction-pair class wrote it."""
+    if not re and not im:
+        return "0"
+    if not im:
+        return str(re)
+    imag = "i" if abs(im) == 1 else f"{abs(im)} i"
+    if not re:
+        return imag if im > 0 else f"-{imag}"
+    return f"{re} {'+' if im > 0 else '-'} {imag}"
+
+
+def assert_is(z, pair):
+    """z is the number of ``pair``, in canonical form."""
+    assert (z.re, z.im) == pair
+    assert z.d > 0 and math.gcd(z.a, z.b, z.d) == 1
+    assert str(z) == ref_str(*pair)
+    assert repr(z) == f"GaussianRational({pair[0]!r}, {pair[1]!r})"
+    assert z.to_complex() == complex(float(pair[0]), float(pair[1]))
+
+
+@PROPERTY
+@given(pairs, pairs)
+def test_arithmetic_matches_fraction_pairs(x, y):
+    gx, gy = GaussianRational(*x), GaussianRational(*y)
+    assert_is(gx, x)
+    assert_is(gx + gy, ref_add(x, y))
+    assert_is(gx - gy, ref_sub(x, y))
+    assert_is(gx * gy, ref_mul(x, y))
+    assert_is(gx.conjugate(), (x[0], -x[1]))
+    assert_is(-gx, (-x[0], -x[1]))
+    assert bool(gx) == any(x)
+    assert (gx == gy) == (x == y)
+    if any(y):
+        assert_is(gx / gy, ref_div(x, y))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            gx / gy
+
+
+@PROPERTY
+@given(pairs, parts)
+def test_mixed_arithmetic_with_plain_numbers(x, c):
+    gx, rc = GaussianRational(*x), (Fraction(c), Fraction(0))
+    assert_is(gx + c, ref_add(x, rc))
+    assert_is(c + gx, ref_add(x, rc))
+    assert_is(gx - c, ref_sub(x, rc))
+    assert_is(c - gx, ref_sub(rc, x))
+    assert_is(gx * c, ref_mul(x, rc))
+    assert_is(c * gx, ref_mul(x, rc))
+    assert (gx == c) == (x == rc)
+    if c:
+        assert_is(gx / c, ref_div(x, rc))
+
+
+@PROPERTY
+@given(pairs, st.integers(-40, 40).filter(bool), pairs)
+def test_equal_values_hash_equal(x, k, y):
+    # the same number reached by different routes
+    gx = GaussianRational(*x)
+    scaled = GaussianRational(x[0] * k, x[1] * k) / k
+    assert scaled == gx and hash(scaled) == hash(gx)
+    gy = GaussianRational(*y)
+    assert (gx + gy) - gy == gx and hash((gx + gy) - gy) == hash(gx)
 
 
 def test_reduce_terms_merges_and_drops_zero_sums():
