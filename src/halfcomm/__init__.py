@@ -35,7 +35,6 @@ from .crossed import (
     CrossedElement,
     FunElement,
     FunMonomial,
-    bar_automorphism,
     coinvariant_test,
     crossed_antipode,
     crossed_coproduct,
@@ -65,7 +64,6 @@ from .fusion import (
     crossed_tensor,
     lr_tensor,
     moment_crosscheck,
-    structure_maps,
     un_dim,
 )
 from .expressions import parse_context, parse_expression

@@ -144,7 +144,10 @@ def parse_label(text: str, data):
     if isinstance(data, fus.SU2Fusion):
         if not text.startswith("j="):
             raise ParseError(f"spin labels look like j=3/2, got {text!r}")
-        return Fraction(text[2:])
+        try:
+            return Fraction(text[2:])
+        except ZeroDivisionError as exc:
+            raise ParseError(f"spin label {text!r} divides by zero") from exc
     if isinstance(data, fus.TorusFusion):
         if not (text.startswith("t[") and text.endswith("]")):
             raise ParseError(f"torus labels look like t[1,-1], got {text!r}")
@@ -315,19 +318,23 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed for randomized checks")
-    common.add_argument("--samples", type=_count_at_least(2), default=None, help="Monte Carlo sample count")
-    common.add_argument("--degree-cap", type=int, default=PMAX_DEFAULT, dest="degree_cap",
-                        help="cap on the exact-integration degree")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
+    # the shared flags, one parent parser each: a subcommand takes those it reads
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=_count_at_least(0), default=DEFAULT_SEED, help="RNG seed for randomized checks")
+    samples = argparse.ArgumentParser(add_help=False)
+    samples.add_argument("--samples", type=_count_at_least(2), default=None, help="Monte Carlo sample count")
+    degree_cap = argparse.ArgumentParser(add_help=False)
+    degree_cap.add_argument("--degree-cap", type=int, default=PMAX_DEFAULT, dest="degree_cap",
+                            help="cap on the exact-integration degree")
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true", help="machine-readable output")
 
-    p = sub.add_parser("normalize", parents=[common], help="canonical form of an expression")
+    p = sub.add_parser("normalize", help="canonical form of an expression")
     p.add_argument("--context", required=True, help="ao-star:N | ah-star:N | au-star-star:N | crossed:N")
     p.add_argument("expr")
     p.set_defaults(func=cmd_normalize)
 
-    p = sub.add_parser("equal", parents=[common], help="equality of two expressions")
+    p = sub.add_parser("equal", parents=[seed, samples, degree_cap, as_json], help="equality of two expressions")
     p.add_argument("--context", required=True)
     p.add_argument("--method", choices=("nf", "exact", "mc"), default="exact")
     p.add_argument("--group", help="group model for --method mc, e.g. kn:2")
@@ -335,36 +342,36 @@ def build_parser():
     p.add_argument("expr2")
     p.set_defaults(func=cmd_equal)
 
-    p = sub.add_parser("haar", parents=[common], help="Haar integral of a crossed expression")
+    p = sub.add_parser("haar", parents=[seed, samples, degree_cap], help="Haar integral of a crossed expression")
     p.add_argument("--mc", action="store_true", help="Monte Carlo estimation (default: exact Weingarten)")
     p.add_argument("--group", required=True, help="group model, e.g. un:2")
     p.add_argument("expr")
     p.set_defaults(func=cmd_haar)
 
-    p = sub.add_parser("fuse", parents=[common], help="tensor product of two (flagged) labels")
+    p = sub.add_parser("fuse", parents=[as_json], help="tensor product of two (flagged) labels")
     p.add_argument("--group", required=True, help="un:N | su2 | torus:N")
     p.add_argument("x")
     p.add_argument("y")
     p.set_defaults(func=cmd_fuse)
 
-    p = sub.add_parser("fusion-table", parents=[common], help="export a graded fusion table as JSON")
+    p = sub.add_parser("fusion-table", help="export a graded fusion table as JSON")
     p.add_argument("--group", required=True)
     p.add_argument("--grade-cap", type=_count_at_least(0), default=2, dest="grade_cap")
     p.add_argument("--out", help="output path (stdout if omitted)")
     p.set_defaults(func=cmd_fusion_table)
 
-    p = sub.add_parser("predicates", parents=[common], help="transpose/reality predicates of a group model")
+    p = sub.add_parser("predicates", parents=[seed], help="transpose/reality predicates of a group model")
     p.add_argument("--model", required=True)
     p.add_argument("--which", default="all", choices=("all",) + PREDICATES)
     p.add_argument("--trials", type=_count_at_least(1), default=200)
     p.set_defaults(func=cmd_predicates)
 
-    p = sub.add_parser("verify", parents=[common], help="run a named verification suite")
+    p = sub.add_parser("verify", parents=[seed, samples, degree_cap], help="run a named verification suite")
     p.add_argument("--suite", required=True, help="suite name or 'all'")
-    p.add_argument("--n", type=int)
-    p.add_argument("--maxlen", type=int)
+    p.add_argument("--n", type=_count_at_least(1))
+    p.add_argument("--maxlen", type=_count_at_least(1))
     p.add_argument("--trials", type=_count_at_least(1))
-    p.add_argument("--points", type=int)
+    p.add_argument("--points", type=_count_at_least(1))
     p.set_defaults(func=cmd_verify)
 
     return parser

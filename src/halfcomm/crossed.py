@@ -62,12 +62,6 @@ class FunMonomial:
     def transpose(self) -> "FunMonomial":
         return FunMonomial({(j, i, b): e for (i, j, b), e in self.exps})
 
-    def u_pairs(self):
-        return [(i, j) for (i, j, b) in self.symbols() if not b]
-
-    def ubar_pairs(self):
-        return [(i, j) for (i, j, b) in self.symbols() if b]
-
     def is_diagonal(self) -> bool:
         return all(i == j for (i, j, _b), _e in self.exps)
 
@@ -124,6 +118,7 @@ class FunElement(SparseSum):
         return cls(n, {FunMonomial({(i, j, bar): 1}): 1})
 
     def bar(self) -> "FunElement":
+        """The flip s: exchange u and ubar symbols, coefficients untouched."""
         return FunElement(self.n, {m.bar(): c for m, c in self.terms.items()})
 
     def star(self) -> "FunElement":
@@ -138,11 +133,6 @@ class FunElement(SparseSum):
 
     def __repr__(self):
         return f"<fun n={self.n}| {format_fun_element(self)}>"
-
-
-def bar_automorphism(f: FunElement) -> FunElement:
-    """The flip s: exchange u and ubar symbols, coefficients untouched."""
-    return f.bar()
 
 
 class CrossedElement:
@@ -186,10 +176,6 @@ class CrossedElement:
     @property
     def is_zero(self):
         return self.f0.is_zero and self.f1.is_zero
-
-    @property
-    def is_even(self):
-        return self.f1.is_zero
 
     def __add__(self, other):
         if not isinstance(other, CrossedElement):
@@ -276,7 +262,7 @@ def _monomial_coproduct(mono: FunMonomial, n: int):
         yield FunMonomial(left), FunMonomial(right)
 
 
-def crossed_coproduct(x: CrossedElement, degree_cap: int = DEFAULT_DEGREE_CAP):
+def crossed_coproduct(x: CrossedElement):
     """Coproduct as a dict {((mono, parity), (mono, parity)): coefficient}.
 
     Both tensor legs inherit the parity of the term they came from.  The
@@ -286,9 +272,9 @@ def crossed_coproduct(x: CrossedElement, degree_cap: int = DEFAULT_DEGREE_CAP):
     def pairs():
         for parity, f in ((0, x.f0), (1, x.f1)):
             for mono, coeff in f.terms.items():
-                if mono.degree > degree_cap:
+                if mono.degree > DEFAULT_DEGREE_CAP:
                     raise DegreeCapError(
-                        f"coproduct of a degree-{mono.degree} monomial exceeds cap {degree_cap}"
+                        f"coproduct of a degree-{mono.degree} monomial exceeds cap {DEFAULT_DEGREE_CAP}"
                     )
                 for lm, rm in _monomial_coproduct(mono, x.n):
                     yield ((lm, parity), (rm, parity)), coeff
@@ -296,7 +282,7 @@ def crossed_coproduct(x: CrossedElement, degree_cap: int = DEFAULT_DEGREE_CAP):
     return reduce_terms(pairs())
 
 
-def coinvariant_test(x: CrossedElement, degree_cap: int = DEFAULT_DEGREE_CAP) -> bool:
+def coinvariant_test(x: CrossedElement) -> bool:
     """True iff x lies in the even part.
 
     Computed twice: structurally (f1 = 0) and by pushing the coproduct through
@@ -310,7 +296,7 @@ def coinvariant_test(x: CrossedElement, degree_cap: int = DEFAULT_DEGREE_CAP) ->
     # elements indexed by the group coordinate (1, s).
     at_unit = CrossedElement.zero(x.n)
     at_flip = CrossedElement.zero(x.n)
-    for ((lm, lp), (rm, rp)), coeff in crossed_coproduct(x, degree_cap).items():
+    for ((lm, lp), (rm, rp)), coeff in crossed_coproduct(x).items():
         if not rm.is_diagonal():
             continue
         piece = FunElement(x.n, {lm: coeff})

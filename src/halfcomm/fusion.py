@@ -272,12 +272,6 @@ class TorusFusion(FusionData):
         return f"torus:{self.n}"
 
 
-def structure_maps(a, data: FusionData):
-    """(dual, sigma, grade) of a label."""
-    data.validate_label(a)
-    return (data.dual(a), data.sigma(a), data.grade(a))
-
-
 def crossed_tensor(data: FusionData, x, y) -> dict:
     """Tensor product of flagged labels in the full crossed product.
 

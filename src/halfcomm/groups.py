@@ -27,7 +27,8 @@ KIND_U2N = "u2n"
 
 ALL_KINDS = (KIND_UN, KIND_ON, KIND_SUN, KIND_TORUS, KIND_KN, KIND_U2N)
 
-DEFAULT_TOL = 1e-8
+DEFAULT_TOL = 1e-8  # membership: unitarity and shape pattern
+WITNESS_TOL = 1e-6  # smallest imaginary part a non-reality witness shows
 
 PREDICATES = ("self_transpose", "non_real", "doubly_non_real")
 
@@ -36,7 +37,6 @@ PREDICATES = ("self_transpose", "non_real", "doubly_non_real")
 class GroupModel:
     kind: str
     n: int
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
@@ -52,10 +52,10 @@ class GroupModel:
         return f"{self.kind}:{self.n}"
 
 
-def parse_model(text: str, tol: float = DEFAULT_TOL) -> GroupModel:
+def parse_model(text: str) -> GroupModel:
     try:
         kind, n = text.split(":")
-        return GroupModel(kind, int(n), tol)
+        return GroupModel(kind, int(n))
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad group model {text!r}; expected e.g. un:2, kn:3") from exc
 
@@ -114,43 +114,37 @@ def sample_haar(model: GroupModel, rng_seed: int) -> np.ndarray:
     return sample_batch(model, np.random.default_rng(rng_seed), 1)[0]
 
 
-def _is_unitary(g, tol):
-    d = g.shape[0]
-    return float(np.max(np.abs(g @ g.conj().T - np.eye(d)))) < tol
-
-
 def contains(model: GroupModel, g: np.ndarray) -> bool:
-    """Membership within the model tolerance: unitarity plus the shape pattern."""
+    """Membership within ``DEFAULT_TOL``: unitarity plus the shape pattern."""
     d = model.ambient_dim
     g = np.asarray(g, dtype=complex)
     if g.shape != (d, d):
         raise DimensionMismatchError(f"expected a {d}x{d} matrix, got {g.shape}")
-    tol = model.tol
-    if not _is_unitary(g, tol):
+    if not float(np.max(np.abs(g @ g.conj().T - np.eye(d)))) < DEFAULT_TOL:
         return False
     if model.kind == KIND_UN:
         return True
     if model.kind == KIND_ON:
-        return float(np.max(np.abs(g.imag))) < tol
+        return float(np.max(np.abs(g.imag))) < DEFAULT_TOL
     if model.kind == KIND_SUN:
-        return abs(np.linalg.det(g) - 1.0) < tol
+        return abs(np.linalg.det(g) - 1.0) < DEFAULT_TOL
     if model.kind == KIND_TORUS:
         off = g - np.diag(np.diagonal(g))
-        return float(np.max(np.abs(off))) < tol
+        return float(np.max(np.abs(off))) < DEFAULT_TOL
     if model.kind == KIND_KN:
         mask = np.abs(g) > 0.5
         if not (np.all(mask.sum(axis=0) == 1) and np.all(mask.sum(axis=1) == 1)):
             return False
-        if float(np.max(np.abs(np.abs(g[mask]) - 1.0))) >= tol:
+        if float(np.max(np.abs(np.abs(g[mask]) - 1.0))) >= DEFAULT_TOL:
             return False
-        return float(np.max(np.abs(g[~mask]), initial=0.0)) < tol
+        return float(np.max(np.abs(g[~mask]), initial=0.0)) < DEFAULT_TOL
     if model.kind == KIND_U2N:
         n = model.n
         a, b = g[:n, :n], g[:n, n:]
         c, dd = g[n:, :n], g[n:, n:]
         return (
-            float(np.max(np.abs(a - dd))) < tol
-            and float(np.max(np.abs(b + c))) < tol
+            float(np.max(np.abs(a - dd))) < DEFAULT_TOL
+            and float(np.max(np.abs(b + c))) < DEFAULT_TOL
         )
     raise AssertionError(model.kind)
 
@@ -169,7 +163,6 @@ def predicate(
     which: str,
     trials: int = 100,
     rng_seed: int = 0,
-    witness_tol: float = 1e-6,
 ) -> PredicateResult:
     """Sampling-based tests of the transpose/reality structure of the model.
 
@@ -196,7 +189,7 @@ def predicate(
                 return PredicateResult(False, {"sample_index": t, "matrix": g})
         elif which == "non_real":
             im = np.abs(g.imag)
-            if im.max() > witness_tol:
+            if im.max() > WITNESS_TOL:
                 i, j = np.unravel_index(int(np.argmax(im)), im.shape)
                 return PredicateResult(
                     True,
@@ -211,7 +204,7 @@ def predicate(
             flat = g.reshape(d * d)
             prods = flat[:, None] * flat.conj()[None, :]
             im = np.abs(prods.imag)
-            if im.max() > witness_tol:
+            if im.max() > WITNESS_TOL:
                 a, b = np.unravel_index(int(np.argmax(im)), im.shape)
                 i, j = divmod(int(a), d)
                 k, l = divmod(int(b), d)
@@ -225,14 +218,6 @@ def predicate(
                     },
                 )
     return PredicateResult(which == "self_transpose", None)
-
-
-def evaluate_fun(f: FunElement, g: np.ndarray) -> complex:
-    """Value of the polynomial at the matrix point g."""
-    g = np.asarray(g, dtype=complex)
-    if g.shape != (f.n, f.n):
-        raise DimensionMismatchError(f"matrix {g.shape} does not match symbols over n={f.n}")
-    return complex(evaluate_fun_batch(f, g[None])[0])
 
 
 def evaluate_fun_batch(f: FunElement, gs: np.ndarray) -> np.ndarray:

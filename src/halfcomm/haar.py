@@ -263,15 +263,11 @@ def _monomial_integral(mono, n, p_max) -> Fraction:
     return Fraction(total * stabilisers, table.denominator * sum(types.values()))
 
 
-def haar_integral(f: FunElement, n: int | None = None, p_max: int = PMAX_DEFAULT) -> GaussianRational:
-    """Exact Haar integral of a coordinate polynomial over U(n)."""
-    if n is None:
-        n = f.n
-    elif n != f.n:
-        raise DimensionMismatchError(f"element over n={f.n}, integral requested over n={n}")
+def haar_integral(f: FunElement, p_max: int = PMAX_DEFAULT) -> GaussianRational:
+    """Exact Haar integral of a coordinate polynomial over U(n), n = f.n."""
     total = ZERO
     for mono, coeff in f.terms.items():
-        val = _monomial_integral(mono, n, p_max)
+        val = _monomial_integral(mono, f.n, p_max)
         if val:
             total = total + coeff * val
     return total
@@ -327,11 +323,6 @@ def norm_squared(x: CrossedElement, p_max: int = PMAX_DEFAULT) -> Fraction:
     if val.b or val.a < 0:
         raise ArithmeticError(f"norm came out as {val}; this is a bug")
     return val.re
-
-
-def fun_norm_squared(f: FunElement, p_max: int = PMAX_DEFAULT) -> Fraction:
-    """Integral of |f|^2 over U(n), exact."""
-    return norm_squared(CrossedElement.even(f), p_max=p_max)
 
 
 def norm_equal(x: CrossedElement, y: CrossedElement, p_max: int = PMAX_DEFAULT) -> bool:

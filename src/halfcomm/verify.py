@@ -45,7 +45,6 @@ from .groups import (
 )
 from .haar import (
     PMAX_DEFAULT,
-    fun_norm_squared,
     haar_integral,
     mc_integrals,
     norm_equal,
@@ -76,6 +75,9 @@ from .words import (
 )
 
 DEFAULT_SEED = 1234
+CLOSURE_MAX_SIZE = 20000  # words one rewrite closure may reach
+POINTWISE_SAMPLES = 48  # Haar unitaries pointwise_equal evaluates at
+POINTWISE_TOL = 1e-9
 
 
 @dataclass
@@ -171,7 +173,7 @@ def _index_pairs(n):
 
 
 @_suite("rewrite-oracle")
-def suite_rewrite_oracle(n=2, maxlen=5, max_size=20000):
+def suite_rewrite_oracle(n=2, maxlen=5):
     pres = ao_star(n)
     for length in range(1, maxlen + 1):
 
@@ -181,7 +183,7 @@ def suite_rewrite_oracle(n=2, maxlen=5, max_size=20000):
             for w in words:
                 by_nf.setdefault(hc_normal_form(w), set()).add(w)
             for w in words:
-                cls = rewrite_closure_oracle(w, pres, max_size)
+                cls = rewrite_closure_oracle(w, pres, CLOSURE_MAX_SIZE)
                 if cls != by_nf[hc_normal_form(w)]:
                     return False, f"closure mismatch at {w}"
             return True, f"{len(words)} words, {len(by_nf)} classes"
@@ -190,7 +192,7 @@ def suite_rewrite_oracle(n=2, maxlen=5, max_size=20000):
 
 
 @_suite("ah-zero")
-def suite_ah_zero(n=2, maxlen=5, max_size=20000):
+def suite_ah_zero(n=2, maxlen=5):
     pres = ah_star(n)
     for length in range(1, maxlen + 1):
 
@@ -202,7 +204,7 @@ def suite_ah_zero(n=2, maxlen=5, max_size=20000):
                 fast = ah_zero_test(w, pres)
                 brute = any(
                     word_has_forbidden_pair(u)
-                    for u in rewrite_closure_oracle(w, pres, max_size)
+                    for u in rewrite_closure_oracle(w, pres, CLOSURE_MAX_SIZE)
                 )
                 if fast != brute:
                     return False, f"disagreement at {w}: rule={fast} closure={brute}"
@@ -242,15 +244,15 @@ def suite_half_comm(n=2):
 
 
 @functools.lru_cache(maxsize=8)
-def _haar_points(n, samples, seed):
+def _haar_points(n, seed):
     """The seeded batch of Haar unitaries over U(n) that ``pointwise_equal``
-    evaluates at: drawn once per (n, samples, seed) and shared read-only."""
-    gs = sample_batch(parse_model(f"un:{n}"), np.random.default_rng(seed), samples)
+    evaluates at: drawn once per (n, seed) and shared read-only."""
+    gs = sample_batch(parse_model(f"un:{n}"), np.random.default_rng(seed), POINTWISE_SAMPLES)
     gs.flags.writeable = False
     return gs
 
 
-def pointwise_equal(x, y, samples=48, seed=DEFAULT_SEED, tol=1e-9):
+def pointwise_equal(x, y, seed=DEFAULT_SEED):
     """Function equality of crossed elements, decided at Haar sample points.
 
     Independent of the Weingarten machinery: two polynomial functions agreeing
@@ -258,12 +260,12 @@ def pointwise_equal(x, y, samples=48, seed=DEFAULT_SEED, tol=1e-9):
     probability of landing in the zero set).
     """
     d = x - y
-    gs = _haar_points(d.n, samples, seed)
+    gs = _haar_points(d.n, seed)
     worst = 0.0
     for f in (d.f0, d.f1):
         if not f.is_zero:
             worst = max(worst, float(np.max(np.abs(evaluate_fun_batch(f, gs)))))
-    return worst < tol
+    return worst < POINTWISE_TOL
 
 
 @_suite("faithfulness")
@@ -305,17 +307,21 @@ def suite_faithfulness(n=2, maxlen=3, p_max=PMAX_DEFAULT, seed=DEFAULT_SEED):
     )
 
     def check_orthogonality():
-        for direction in ("row", "col"):
-            total = CrossedElement.zero(n)
-            for k in range(1, n + 1):
-                if direction == "row":
-                    w = (letter(pres, 1, k), letter(pres, 2, k))
-                else:
-                    w = (letter(pres, k, 1), letter(pres, k, 2))
-                total = total + embed_pi(WordElement.from_word(pres, w))
-            nrm = norm_squared(total, p_max=p_max)
-            if nrm != 0:
-                return False, f"{direction} orthogonality sum has norm {nrm}"
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        if not pairs:
+            return True, f"no pairs of distinct rows or columns at n={n}"
+        for a, b in pairs:
+            for direction in ("row", "col"):
+                total = CrossedElement.zero(n)
+                for k in range(1, n + 1):
+                    if direction == "row":
+                        w = (letter(pres, a, k), letter(pres, b, k))
+                    else:
+                        w = (letter(pres, k, a), letter(pres, k, b))
+                    total = total + embed_pi(WordElement.from_word(pres, w))
+                nrm = norm_squared(total, p_max=p_max)
+                if nrm != 0:
+                    return False, f"{direction} orthogonality sum over ({a},{b}) has norm {nrm}"
         return True, "row and column orthogonality sums vanish exactly"
 
     yield "orthogonality-in-image", "sum over k of pi(v[1,k] v[2,k]) has exact Haar norm zero", check_orthogonality
@@ -514,9 +520,9 @@ def suite_pun(n=2, p_max=PMAX_DEFAULT):
             for j in rng_indices:
                 left = left + pun_generator(n, i, k, j, j)
                 right = right + pun_generator(n, j, j, i, k)
-            if fun_norm_squared(left - target, p_max=p_max) != 0:
+            if norm_squared(CrossedElement.even(left - target), p_max=p_max) != 0:
                 return False, f"sum_j w[{i}{k},jj] != delta"
-            if fun_norm_squared(right - target, p_max=p_max) != 0:
+            if norm_squared(CrossedElement.even(right - target), p_max=p_max) != 0:
                 return False, f"sum_j w[jj,{i}{k}] != delta"
         return True, f"{n * n} index pairs, both sum families"
 
@@ -540,7 +546,7 @@ def suite_pun(n=2, p_max=PMAX_DEFAULT):
             for k, l in itertools.product(rng_indices, repeat=2):
                 total = total + pun_generator(n, i, j, k, l) * pun_generator(n, p, q, k, l).star()
             target = FunElement.one(n) if (i == p and j == q) else FunElement.zero(n)
-            if fun_norm_squared(total - target, p_max=p_max) != 0:
+            if norm_squared(CrossedElement.even(total - target), p_max=p_max) != 0:
                 return False, f"biunitarity fails at ({i},{j},{p},{q})"
         return True, f"{n ** 4} index tuples"
 
@@ -554,7 +560,7 @@ def suite_pun(n=2, p_max=PMAX_DEFAULT):
 # -- group models ------------------------------------------------------------
 
 
-def shipped_models(tol=1e-8):
+def shipped_models():
     names = [
         "un:2",
         "un:3",
@@ -569,7 +575,7 @@ def shipped_models(tol=1e-8):
         "u2n:1",
         "u2n:2",
     ]
-    return [parse_model(t, tol) for t in names]
+    return [parse_model(t) for t in names]
 
 
 @_suite("predicates")
@@ -615,12 +621,12 @@ def suite_predicates(trials=1000, seed=DEFAULT_SEED):
 
 
 @_suite("kn")
-def suite_kn(n=3, samples=1000, seed=DEFAULT_SEED, tol=1e-12):
+def suite_kn(n=3, draws=1000, seed=DEFAULT_SEED, tol=1e-12):
     model = parse_model(f"kn:{n}")
 
     def check_vanishing():
         rng = np.random.default_rng(seed)
-        gs = sample_batch(model, rng, samples)
+        gs = sample_batch(model, rng, draws)
         worst = 0.0
         count = 0
         for i in range(1, n + 1):
@@ -645,16 +651,16 @@ def suite_kn(n=3, samples=1000, seed=DEFAULT_SEED, tol=1e-12):
 
 
 @_suite("u2n")
-def suite_u2n(n=1, samples=1000, points=100, seed=DEFAULT_SEED, tol=1e-8, point_tol=1e-9):
+def suite_u2n(n=1, draws=1000, points=100, seed=DEFAULT_SEED, tol=1e-8, point_tol=1e-9):
     model = parse_model(f"u2n:{n}")
 
     def check_sampler():
         rng = np.random.default_rng(seed)
-        gs = sample_batch(model, rng, samples)
+        gs = sample_batch(model, rng, draws)
         for g in gs:
             if not contains(model, g):
                 return False, "sample escapes the block pattern"
-        return True, f"{samples} samples, block pattern and unitarity within {tol}"
+        return True, f"{draws} samples, block pattern and unitarity within {tol}"
 
     yield "sampler-pattern", "samples are unitary with the [[A,B],[-B,A]] block pattern", check_sampler
 

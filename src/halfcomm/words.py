@@ -244,7 +244,7 @@ def _leg(word, presentation):
     return hc_normal_form(word)
 
 
-def coproduct_element(x: WordElement, degree_cap: int = DEFAULT_DEGREE_CAP):
+def coproduct_element(x: WordElement):
     """Coproduct as a dict {(left word, right word): coefficient}.
 
     Generator rule: the letter with indices (i, j) goes to the sum over k of
@@ -255,9 +255,9 @@ def coproduct_element(x: WordElement, degree_cap: int = DEFAULT_DEGREE_CAP):
 
     def pairs():
         for word, coeff in x.terms.items():
-            if len(word) > degree_cap:
+            if len(word) > DEFAULT_DEGREE_CAP:
                 raise DegreeCapError(
-                    f"coproduct of a length-{len(word)} word exceeds degree cap {degree_cap}"
+                    f"coproduct of a length-{len(word)} word exceeds degree cap {DEFAULT_DEGREE_CAP}"
                 )
             for ks in itertools.product(range(1, n + 1), repeat=len(word)):
                 left = tuple(Letter(l.row, k, l.starred) for l, k in zip(word, ks))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from halfcomm.cli import main
+from halfcomm.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +143,12 @@ def test_fuse_su2(capsys):
     assert sorted(out.strip().splitlines()) == ["(j=0,e) 1", "(j=1,e) 1"]
 
 
+def test_fuse_zero_denominator_label(capsys):
+    code, out, err = run_cli(capsys, "fuse", "--group", "su2", "j=1/0", "j=0")
+    assert code == 2 and out == ""
+    assert "parse error" in err and "Traceback" not in err
+
+
 def test_fusion_table_deterministic(tmp_path, capsys):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
@@ -204,9 +210,7 @@ def test_predicates(capsys):
 
 
 def test_verify_suite(capsys):
-    code, out, err = run_cli(
-        capsys, "verify", "--suite", "half-comm", "--n", "2", "--json"
-    )
+    code, out, err = run_cli(capsys, "verify", "--suite", "half-comm", "--n", "2")
     assert code == 0
     lines = [json.loads(l) for l in out.strip().splitlines()]
     assert all(l["status"] == "pass" for l in lines)
@@ -253,6 +257,22 @@ def test_verify_samples_reach_mc_agreement(capsys):
     assert code == 0
     lines = {l["check"]: l for l in map(json.loads, out.strip().splitlines())}
     assert "at 2000 samples" in lines["mc-agreement"]["detail"]
+
+
+def test_verify_samples_leave_structural_draws_alone(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "u2n", "--samples", "5000")
+    assert code == 0
+    lines = {l["check"]: l for l in map(json.loads, out.strip().splitlines())}
+    assert lines["sampler-pattern"]["detail"].startswith("1000 samples,")
+
+
+def test_verify_all_at_dimension_one(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--n", "1")
+    assert code == 0
+    lines = [json.loads(l) for l in out.strip().splitlines()]
+    assert len(lines) == 63 and all(l["status"] == "pass" for l in lines)
+    (orth,) = (l for l in lines if l["check"] == "orthogonality-in-image")
+    assert "no pairs" in orth["detail"]
 
 
 def test_verify_unknown_suite(capsys):
@@ -308,6 +328,10 @@ def test_verify_k_flag_rejected(capsys):
         (["fusion-table", "--group", "un:2", "--grade-cap", "-1"], "--grade-cap"),
         (["predicates", "--model", "on:3", "--trials", "0"], "--trials"),
         (["verify", "--suite", "kn", "--trials", "0"], "--trials"),
+        (["verify", "--suite", "all", "--seed", "-1"], "--seed"),
+        (["verify", "--suite", "all", "--n", "0"], "--n"),
+        (["verify", "--suite", "all", "--maxlen", "0"], "--maxlen"),
+        (["verify", "--suite", "all", "--points", "0"], "--points"),
     ],
 )
 def test_counts_below_their_minimum_are_usage_errors(capsys, argv, flag):
@@ -318,6 +342,42 @@ def test_counts_below_their_minimum_are_usage_errors(capsys, argv, flag):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"argument {flag}: must be at least" in err
+
+
+# each subcommand with its required arguments, and the shared flags it reads
+MINIMAL_ARGV = {
+    "normalize": ["normalize", "--context", "ao-star:2", "v[1,1]"],
+    "equal": ["equal", "--context", "ao-star:2", "v[1,1]", "v[1,1]"],
+    "haar": ["haar", "--group", "un:2", "u[1,1]"],
+    "fuse": ["fuse", "--group", "un:2", "[1,0]", "[1,0]"],
+    "fusion-table": ["fusion-table", "--group", "torus:1"],
+    "predicates": ["predicates", "--model", "on:3"],
+    "verify": ["verify", "--suite", "moments"],
+}
+SHARED_FLAGS = {"--seed": ["7"], "--samples": ["40"], "--degree-cap": ["3"], "--json": []}
+READS = {
+    "normalize": set(),
+    "equal": {"--seed", "--samples", "--degree-cap", "--json"},
+    "haar": {"--seed", "--samples", "--degree-cap"},
+    "fuse": {"--json"},
+    "fusion-table": set(),
+    "predicates": {"--seed"},
+    "verify": {"--seed", "--samples", "--degree-cap"},
+}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c in MINIMAL_ARGV for f in SHARED_FLAGS])
+def test_subcommands_take_only_the_shared_flags_they_read(capsys, command, flag):
+    argv = MINIMAL_ARGV[command] + [flag] + SHARED_FLAGS[flag]
+    if flag in READS[command]:
+        build_parser().parse_args(argv)
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments" in err and flag in err
 
 
 def test_counts_at_their_minimum_run(capsys):

@@ -2,9 +2,11 @@
 
 Every call must end in exit 0 or 2 (usage, parse or resource-cap error),
 never in an exception and never in exit 1, which means "verification failed".
-The inputs are token soups over the expression grammar, with contexts,
-groups and flags that are sometimes invalid, so that some calls parse and
-reach the algebra and the integrators.
+The inputs are token soups over the expression grammar, fusion labels and
+group models, with contexts, groups and flags that are sometimes invalid, so
+that some calls parse and reach the algebra, the integrators, the fusion
+rules and the predicates.  Each command draws its shared flags from those it
+reads; now and then a call adds one it does not read, and must exit 2.
 """
 
 import random
@@ -20,6 +22,28 @@ BAD_CONTEXTS = ("ao-star:0", "crossed:-1", "xx:2", "ao-star:", "ao-star:two", ""
 GROUPS = ("un:2", "un:3", "kn:2", "torus:2", "u2n:1", "sun:2", "on:2")
 BAD_GROUPS = ("un:0", "un:-1", "xx:2", "un")
 TOKENS = ("+", "-", "*", "(", ")", "s", "i", "0", "3", "1/2", "2/0", "^", "[", "]", ",", "v", "u", " ", "?")
+
+# fusion groups with well-formed labels, and malformed groups and labels
+FUSION_LABELS = {"un:2": ("[1,0]", "[0,-1]", "[2,1]"), "un:3": ("[1,0,0]", "[1,1,0]", "[0,0,-1]"),
+                 "su2": ("j=0", "j=1/2", "j=3/2"), "torus:2": ("t[1,-1]", "t[0,2]", "t[-1,0]")}
+BAD_FUSION_GROUPS = ("un:0", "su3", "torus:x", "un", ":")
+BAD_LABELS = ("[1,", "[a,b]", "[0,1]", "[1,0,0,0]", "t[]", "j=", "j=-1/2", "j=1/0", "(j=1/2,s", "([1,0],q)", "")
+
+# the shared flags each command reads, and their good and bad values
+READS = {
+    "normalize": (),
+    "equal": ("--degree-cap", "--samples", "--seed", "--json"),
+    "haar": ("--degree-cap", "--samples", "--seed"),
+    "fuse": ("--json",),
+    "fusion-table": (),
+    "predicates": ("--seed",),
+}
+SHARED = {
+    "--degree-cap": (0.3, ("-1", "0", "1", "2", "5"), ()),
+    "--samples": (0.3, ("2", "40", "100"), ("-3", "0", "1", "x")),
+    "--seed": (0.2, ("0", "7"), ("-1", "y")),
+    "--json": (0.1, (), ()),
+}
 
 
 def _letter(rng, heads, hi):
@@ -48,47 +72,67 @@ def _expr(rng, heads):
 
 
 def _pick(rng, good, bad):
-    return rng.choice(bad) if rng.random() < 0.15 else rng.choice(good)
+    return rng.choice(bad) if bad and rng.random() < 0.15 else rng.choice(good)
 
 
-def _flags(rng):
-    out = []
-    if rng.random() < 0.3:
-        out += ["--degree-cap", str(rng.choice((-1, 0, 1, 2, 5)))]
-    if rng.random() < 0.3:
-        out += ["--samples", _pick(rng, ("2", "40", "100"), ("-3", "0", "1", "x"))]
-    if rng.random() < 0.2:
-        out += ["--seed", _pick(rng, ("7", "-1"), ("y",))]
-    if rng.random() < 0.1:
-        out += ["--json"]
-    return out
+def _flag(rng, flag):
+    _, good, bad = SHARED[flag]
+    return [flag, _pick(rng, good, bad)] if good else [flag]
 
 
-def _argv(rng):
-    command = rng.choice(("normalize", "equal", "haar"))
+def _label(rng, group):
+    if rng.random() < 0.15 or group not in FUSION_LABELS:
+        return rng.choice(BAD_LABELS)
+    label = rng.choice(FUSION_LABELS[group])
+    return f"({label},{rng.choice('se')})" if rng.random() < 0.5 else label
+
+
+def _command_argv(rng, command):
     context, heads = rng.choice(WORD_CONTEXTS)
     context = _pick(rng, (context,), BAD_CONTEXTS)
     if rng.random() < 0.15:
         heads = ("v", "u", "u*", "v*", "s")
     if command == "normalize":
-        argv = ["normalize", "--context", context, _expr(rng, heads)]
-    elif command == "equal":
+        return ["normalize", "--context", context, _expr(rng, heads)]
+    if command == "equal":
         argv = ["equal", "--context", context, _expr(rng, heads), _expr(rng, heads)]
         if rng.random() < 0.7:
             argv += ["--method", _pick(rng, ("nf", "exact", "mc"), ("bogus",))]
         if rng.random() < 0.5:
             argv += ["--group", _pick(rng, GROUPS, BAD_GROUPS)]
-    else:
+        return argv
+    if command == "haar":
         heads = ("u", "u*") if rng.random() < 0.85 else heads
         argv = ["haar", "--group", _pick(rng, GROUPS, BAD_GROUPS), _expr(rng, heads)]
-        if rng.random() < 0.5:
-            argv.append("--mc")
-    argv += _flags(rng)
+        return argv + ["--mc"] if rng.random() < 0.5 else argv
+    if command in ("fuse", "fusion-table"):
+        group = _pick(rng, tuple(FUSION_LABELS), BAD_FUSION_GROUPS)
+        if command == "fuse":
+            return ["fuse", "--group", group, _label(rng, group), _label(rng, group)]
+        argv = ["fusion-table", "--group", group]
+        return argv + ["--grade-cap", _pick(rng, ("0", "1", "2"), ("-1", "x"))] if rng.random() < 0.5 else argv
+    argv = ["predicates", "--model", _pick(rng, GROUPS, BAD_GROUPS), "--trials", _pick(rng, ("1", "5", "20"), ("0", "x"))]
+    if rng.random() < 0.5:
+        argv += ["--which", _pick(rng, ("all", "self_transpose", "non_real", "doubly_non_real"), ("bogus",))]
+    return argv
+
+
+def _argv(rng):
+    """An argument list, and whether it carries a shared flag its command
+    does not read (which must end in exit 2)."""
+    command = rng.choice(("normalize", "equal", "haar") * 2 + ("fuse", "fusion-table", "predicates"))
+    argv = _command_argv(rng, command)
+    for flag in READS[command]:
+        if rng.random() < SHARED[flag][0]:
+            argv += _flag(rng, flag)
     if rng.random() < 0.05:
         argv.insert(rng.randint(0, len(argv)), rng.choice(("--bogus", "-k", "--context")))
     if rng.random() < 0.05:
         del argv[rng.randrange(len(argv))]
-    return argv
+    unread = [flag for flag in SHARED if flag not in READS[command]]
+    if unread and rng.random() < 0.1:
+        return argv + _flag(rng, rng.choice(unread)), True
+    return argv, False
 
 
 def _exit_code(argv):
@@ -102,10 +146,10 @@ def test_cli_fuzz_exits_0_or_2(capsys):
     rng = random.Random(20120101)
     codes = {}
     for _ in range(CALLS):
-        argv = _argv(rng)
+        argv, unread = _argv(rng)
         code = _exit_code(argv)
         capsys.readouterr()
-        assert code in (0, 2), argv
+        assert code in ((2,) if unread else (0, 2)), argv
         codes[code] = codes.get(code, 0) + 1
     # the fuzz must reach past the parser, not only into error paths
     assert codes.get(0, 0) >= CALLS // 10, codes

@@ -13,7 +13,6 @@ from halfcomm.fusion import (
     crossed_tensor,
     lr_tensor,
     moment_crosscheck,
-    structure_maps,
     un_dim,
 )
 from halfcomm.scalars import GaussianRational
@@ -86,7 +85,7 @@ def test_un_dim():
 
 def test_structure_maps_un():
     data = UnFusion(2)
-    dual, sigma, grade = structure_maps((1, 0), data)
+    dual, sigma, grade = data.dual((1, 0)), data.sigma((1, 0)), data.grade((1, 0))
     assert dual == (0, -1) and sigma == (0, -1) and grade == 1
     assert data.grade((1, 1)) == 2
     assert data.dual((2, -1)) == (1, -2)
@@ -109,10 +108,10 @@ def test_sigma_negates_integer_grade():
 
 def test_structure_maps_torus_su2():
     t = TorusFusion(1)
-    assert structure_maps((3,), t) == ((-3,), (-3,), 3)
+    assert (t.dual((3,)), t.sigma((3,)), t.grade((3,))) == ((-3,), (-3,), 3)
     s = SU2Fusion()
     j = Fraction(3, 2)
-    assert structure_maps(j, s) == (j, j, 1)
+    assert (s.dual(j), s.sigma(j), s.grade(j)) == (j, j, 1)
     assert s.dim(j) == 4
     assert s.tensor(Fraction(1, 2), Fraction(1, 2)) == {Fraction(0): 1, Fraction(1): 1}
 

@@ -5,7 +5,6 @@ from halfcomm.crossed import CrossedElement, FunElement, crossed_mul, crossed_st
 from halfcomm.errors import DimensionMismatchError
 from halfcomm.groups import (
     contains,
-    evaluate_fun,
     evaluate_fun_batch,
     matrix_model_eval,
     parse_model,
@@ -158,9 +157,9 @@ def test_predicate_validation():
 def test_evaluate_fun():
     g = np.array([[0, 1j], [1, 0]], dtype=complex)
     f = FunElement.coordinate(2, 1, 2) * FunElement.coordinate(2, 1, 2, bar=True)
-    assert abs(evaluate_fun(f, g) - 1.0) < 1e-12
+    assert abs(evaluate_fun_batch(f, g[None])[0] - 1.0) < 1e-12
     fb = FunElement.coordinate(2, 1, 2, bar=True)
-    assert abs(evaluate_fun(fb, g) - (-1j)) < 1e-12
+    assert abs(evaluate_fun_batch(fb, g[None])[0] - (-1j)) < 1e-12
     batch = np.stack([g, np.eye(2, dtype=complex)])
     vals = evaluate_fun_batch(fb, batch)
     assert np.allclose(vals, [-1j, 0.0])
