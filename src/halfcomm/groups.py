@@ -114,39 +114,41 @@ def sample_haar(model: GroupModel, rng_seed: int) -> np.ndarray:
     return sample_batch(model, np.random.default_rng(rng_seed), 1)[0]
 
 
-def contains(model: GroupModel, g: np.ndarray) -> bool:
-    """Membership within ``DEFAULT_TOL``: unitarity plus the shape pattern."""
+def contains(model: GroupModel, g: np.ndarray) -> bool | np.ndarray:
+    """Membership within ``DEFAULT_TOL``: unitarity plus the shape pattern.
+
+    ``g`` is one d x d matrix, answered by one bool, or a stack of shape
+    (..., d, d), answered by a bool array of the stack's leading shape.
+    """
     d = model.ambient_dim
     g = np.asarray(g, dtype=complex)
-    if g.shape != (d, d):
-        raise DimensionMismatchError(f"expected a {d}x{d} matrix, got {g.shape}")
-    if not float(np.max(np.abs(g @ g.conj().T - np.eye(d)))) < DEFAULT_TOL:
-        return False
-    if model.kind == KIND_UN:
-        return True
+    if g.shape[-2:] != (d, d):
+        raise DimensionMismatchError(f"expected a {d}x{d} matrix or a stack of them, got {g.shape}")
+
+    def small(a):
+        return np.max(np.abs(a), axis=(-2, -1), initial=0.0) < DEFAULT_TOL
+
+    eye = np.eye(d)
+    ok = small(g @ np.swapaxes(g.conj(), -2, -1) - eye)
     if model.kind == KIND_ON:
-        return float(np.max(np.abs(g.imag))) < DEFAULT_TOL
-    if model.kind == KIND_SUN:
-        return abs(np.linalg.det(g) - 1.0) < DEFAULT_TOL
-    if model.kind == KIND_TORUS:
-        off = g - np.diag(np.diagonal(g))
-        return float(np.max(np.abs(off))) < DEFAULT_TOL
-    if model.kind == KIND_KN:
+        ok &= small(g.imag)
+    elif model.kind == KIND_SUN:
+        with np.errstate(invalid="ignore"):  # a non-finite matrix just fails
+            ok &= np.abs(np.linalg.det(g) - 1.0) < DEFAULT_TOL
+    elif model.kind == KIND_TORUS:
+        ok &= small(np.where(eye == 1, 0, g))
+    elif model.kind == KIND_KN:
         mask = np.abs(g) > 0.5
-        if not (np.all(mask.sum(axis=0) == 1) and np.all(mask.sum(axis=1) == 1)):
-            return False
-        if float(np.max(np.abs(np.abs(g[mask]) - 1.0))) >= DEFAULT_TOL:
-            return False
-        return float(np.max(np.abs(g[~mask]), initial=0.0)) < DEFAULT_TOL
-    if model.kind == KIND_U2N:
+        ok &= np.all(mask.sum(axis=-2) == 1, axis=-1) & np.all(mask.sum(axis=-1) == 1, axis=-1)
+        ok &= small(np.where(mask, np.abs(g) - 1.0, 0)) & small(np.where(mask, 0, g))
+    elif model.kind == KIND_U2N:
         n = model.n
-        a, b = g[:n, :n], g[:n, n:]
-        c, dd = g[n:, :n], g[n:, n:]
-        return (
-            float(np.max(np.abs(a - dd))) < DEFAULT_TOL
-            and float(np.max(np.abs(b + c))) < DEFAULT_TOL
-        )
-    raise AssertionError(model.kind)
+        a, b = g[..., :n, :n], g[..., :n, n:]
+        c, dd = g[..., n:, :n], g[..., n:, n:]
+        ok &= small(a - dd) & small(b + c)
+    elif model.kind != KIND_UN:
+        raise AssertionError(model.kind)
+    return bool(ok) if g.ndim == 2 else ok
 
 
 @dataclass

@@ -36,6 +36,7 @@ from .crossed import (
 )
 from .errors import ClosureSizeError, DegreeCapError
 from .groups import (
+    DEFAULT_TOL,
     contains,
     evaluate_fun_batch,
     matrix_model_eval,
@@ -612,9 +613,8 @@ def suite_predicates(trials=1000, seed=DEFAULT_SEED):
         rng = np.random.default_rng(seed)
         for model in shipped_models():
             gs = sample_batch(model, rng, trials)
-            for g in gs:
-                if not contains(model, g.T):
-                    return False, f"transpose escapes {model}"
+            if not contains(model, np.swapaxes(gs, -2, -1)).all():
+                return False, f"transpose escapes {model}"
         return True, f"{trials} samples per model, {len(shipped_models())} models"
 
     yield "transpose-closure", "the transpose of every sample stays in its model", check_transpose
@@ -651,16 +651,14 @@ def suite_kn(n=3, draws=1000, seed=DEFAULT_SEED, tol=1e-12):
 
 
 @_suite("u2n")
-def suite_u2n(n=1, draws=1000, points=100, seed=DEFAULT_SEED, tol=1e-8, point_tol=1e-9):
+def suite_u2n(n=1, draws=1000, points=100, seed=DEFAULT_SEED, point_tol=1e-9):
     model = parse_model(f"u2n:{n}")
 
     def check_sampler():
         rng = np.random.default_rng(seed)
-        gs = sample_batch(model, rng, draws)
-        for g in gs:
-            if not contains(model, g):
-                return False, "sample escapes the block pattern"
-        return True, f"{draws} samples, block pattern and unitarity within {tol}"
+        if not contains(model, sample_batch(model, rng, draws)).all():
+            return False, "sample escapes the block pattern"
+        return True, f"{draws} samples, block pattern and unitarity within {DEFAULT_TOL}"
 
     yield "sampler-pattern", "samples are unitary with the [[A,B],[-B,A]] block pattern", check_sampler
 
@@ -827,6 +825,22 @@ def suite_weingarten(samples=100000, seed=DEFAULT_SEED, p_max=PMAX_DEFAULT):
     yield "mc-agreement", "Monte Carlo estimates match exact integrals within five standard errors", check_mc
 
 
+def coinvariant_by_coproduct(x):
+    """Whether (id (x) q) Delta(x) = x (x) 1: the coalgebraic oracle for
+    ``crossed.coinvariant_test``, which reads the grading instead.
+
+    q kills polynomial content by the counit and keeps the s-grading, so
+    (id (x) q) Delta(x) is a pair of crossed elements indexed by the group
+    coordinates 1 and s; equality with x (x) 1 means the unit coordinate
+    reproduces x and the flip coordinate vanishes.
+    """
+    at = [CrossedElement.zero(x.n), CrossedElement.zero(x.n)]
+    for ((lm, lp), (rm, rp)), coeff in crossed_coproduct(x).items():
+        if rm.is_diagonal():
+            at[rp] = at[rp] + _basis_elem(x.n, lm, lp) * coeff
+    return at[0] == x and at[1].is_zero
+
+
 @_suite("sequence")
 def suite_sequence(n=2, seed=DEFAULT_SEED, trials=20):
     rng = random.Random(seed)
@@ -848,10 +862,12 @@ def suite_sequence(n=2, seed=DEFAULT_SEED, trials=20):
             length = rng.randint(0, 4)
             w = tuple(letter(pres, rng.randint(1, n), rng.randint(1, n)) for _ in range(length))
             x = embed_pi(WordElement.from_word(pres, w))
-            if coinvariant_test(x) != (length % 2 == 0):
+            even = length % 2 == 0
+            if coinvariant_test(x) != even or coinvariant_by_coproduct(x) != even:
                 return False, f"coinvariance wrong for length {length}"
         mixed = _random_crossed(rng, n)
-        coinvariant_test(mixed)  # raises if the two routes disagree
+        if coinvariant_test(mixed) != coinvariant_by_coproduct(mixed):
+            return False, "the grading and the coproduct disagree on a random mixed element"
         return True, f"{trials} embedded words plus a random mixed element"
 
     yield (

@@ -38,7 +38,8 @@ AU_STAR_STAR = "au-star-star"
 
 _KINDS = (AO_STAR, AH_STAR, AU_STAR_STAR)
 
-DEFAULT_DEGREE_CAP = 8
+# largest n**degree expansion a coproduct may make: 4**8, degree 8 over n <= 4
+COPRODUCT_MAX_TERMS = 65_536
 
 
 @dataclass(frozen=True)
@@ -237,6 +238,28 @@ def counit_element(x: WordElement) -> GaussianRational:
     return total
 
 
+def coproduct_legs(symbols, n):
+    """The generator rule Delta(v_ij) = sum_k v_ik (x) v_kj, expanded.
+
+    ``symbols`` is a sequence of ``(row, col, flag)`` triples: a word's
+    letters or a monomial's ``symbols()``.  Returns an iterator over the
+    ``n ** len(symbols)`` ``(left, right)`` pairs, one per choice of the
+    summation indices; each leg is a tuple of ``Letter``s in the order of
+    ``symbols``, and the flag rides along.  Raises ``DegreeCapError`` before
+    expanding anything when that term count exceeds ``COPRODUCT_MAX_TERMS``.
+    """
+    terms = n ** len(symbols)
+    if terms > COPRODUCT_MAX_TERMS:
+        raise DegreeCapError(
+            f"coproduct of a degree-{len(symbols)} term over n={n} expands to {terms} terms, "
+            f"above the cap of {COPRODUCT_MAX_TERMS}"
+        )
+    choices = [[(Letter(r, k, f), Letter(k, c, f)) for k in range(1, n + 1)] for r, c, f in symbols]
+    # zip(*picks) transposes the picked pairs into the two legs; it is empty
+    # only for the empty word, whose one term is the unit on both sides
+    return (tuple(zip(*picks)) or ((), ()) for picks in itertools.product(*choices))
+
+
 def _leg(word, presentation):
     # normal form of a coproduct leg, or None if it dies in the quotient
     if _dead_word(word, presentation):
@@ -247,21 +270,13 @@ def _leg(word, presentation):
 def coproduct_element(x: WordElement):
     """Coproduct as a dict {(left word, right word): coefficient}.
 
-    Generator rule: the letter with indices (i, j) goes to the sum over k of
-    (i, k) tensor (k, j), stars preserved; extended multiplicatively.  Both
-    legs are normalized; terms whose legs die in the quotient are dropped.
+    The generator rule of ``coproduct_legs``, stars preserved; both legs are
+    normalized, and terms whose legs die in the quotient are dropped.
     """
-    n = x.presentation.n
 
     def pairs():
         for word, coeff in x.terms.items():
-            if len(word) > DEFAULT_DEGREE_CAP:
-                raise DegreeCapError(
-                    f"coproduct of a length-{len(word)} word exceeds degree cap {DEFAULT_DEGREE_CAP}"
-                )
-            for ks in itertools.product(range(1, n + 1), repeat=len(word)):
-                left = tuple(Letter(l.row, k, l.starred) for l, k in zip(word, ks))
-                right = tuple(Letter(k, l.col, l.starred) for l, k in zip(word, ks))
+            for left, right in coproduct_legs(word, x.presentation.n):
                 nl = _leg(left, x.presentation)
                 if nl is None:
                     continue

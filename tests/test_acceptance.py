@@ -221,7 +221,7 @@ def test_criterion_09_monomial_group_relations():
 def test_criterion_10_block_group_model():
     ok = True
     for n in (1, 2):
-        report = suite_u2n(n=n, draws=1000, points=100, tol=1e-8, point_tol=1e-9)
+        report = suite_u2n(n=n, draws=1000, points=100, point_tol=1e-9)
         ok = ok and report.passed
         assert report.passed, _failures(report)
     _report("10", "block sampler pattern; unitary generator matrices; abc=cba at sampled points (n=1,2)", ok)

@@ -18,6 +18,7 @@ from halfcomm.crossed import (
 )
 from halfcomm.errors import DegreeCapError, DimensionMismatchError, IndexRangeError
 from halfcomm.scalars import GaussianRational, I
+from halfcomm.verify import coinvariant_by_coproduct
 from halfcomm.words import WordElement, ah_star, ao_star, au_star_star, letter
 
 
@@ -172,11 +173,52 @@ def test_crossed_coproduct_coassociative():
 
 
 def test_crossed_coproduct_degree_cap():
-    f = u(2, 1, 1)
-    for _ in range(9):
-        f = f * u(2, 1, 1)
-    with pytest.raises(DegreeCapError):
+    # the cap bounds the n**degree terms: 4**9 = 262,144 is above 4**8
+    f = FunElement(4, {FunMonomial({(1, 2, False): 5, (3, 4, True): 4}): 1})
+    with pytest.raises(DegreeCapError, match="262144 terms"):
         crossed_coproduct(CrossedElement.even(f))
+
+
+def _counit_sides(x, delta):
+    """(eps (x) id) Delta and (id (x) eps) Delta, as crossed elements."""
+    left = CrossedElement.zero(x.n)
+    right = CrossedElement.zero(x.n)
+    for ((lm, lp), (rm, rp)), c in delta.items():
+        left = left + crossed_counit(basis(x.n, lm, lp)) * c * basis(x.n, rm, rp)
+        right = right + crossed_counit(basis(x.n, rm, rp)) * c * basis(x.n, lm, lp)
+    return left, right
+
+
+def test_crossed_coproduct_expands_below_the_term_cap():
+    # u11^10 over n = 2 (1,024 terms) and an odd degree-11 monomial (2,048)
+    # were refused by the former degree-8 cap
+    f = FunElement(2, {FunMonomial({(1, 1, False): 10}): 1})
+    for x in (CrossedElement.even(f), CrossedElement.odd(f * ub(2, 2, 1))):
+        assert _counit_sides(x, crossed_coproduct(x)) == (x, x)
+
+
+def _brute_crossed_coproduct(x):
+    """Reference: every choice of the n**degree summation indices, each leg
+    counted into a monomial symbol by symbol."""
+    out = {}
+    for parity, f in ((0, x.f0), (1, x.f1)):
+        for mono, coeff in f.terms.items():
+            occ = mono.symbols()
+            for ks in itertools.product(range(1, x.n + 1), repeat=len(occ)):
+                left, right = {}, {}
+                for (i, j, b), k in zip(occ, ks):
+                    left[(i, k, b)] = left.get((i, k, b), 0) + 1
+                    right[(k, j, b)] = right.get((k, j, b), 0) + 1
+                key = ((FunMonomial(left), parity), (FunMonomial(right), parity))
+                out[key] = out.get(key, GaussianRational(0)) + coeff
+    return {k: v for k, v in out.items() if v}
+
+
+def test_crossed_coproduct_matches_brute_force_expansion():
+    rng = random.Random(29)
+    for _ in range(200):
+        x = random_crossed(rng, rng.randint(1, 3))
+        assert crossed_coproduct(x) == _brute_crossed_coproduct(x)
 
 
 def test_crossed_counit():
@@ -314,7 +356,9 @@ def test_coinvariant_examples():
 def test_coinvariant_routes_on_random_elements():
     rng = random.Random(13)
     for _ in range(20):
-        coinvariant_test(random_crossed(rng, 2, max_degree=2))  # raises on route mismatch
+        x = random_crossed(rng, 2, max_degree=2)
+        for y in (x, CrossedElement.even(x.f0), CrossedElement.odd(x.f1)):
+            assert coinvariant_test(y) == coinvariant_by_coproduct(y)
 
 
 def test_pun_generator():

@@ -75,8 +75,37 @@ def test_membership_patterns():
     assert not contains(parse_model("torus:2"), np.array([[0, 1], [1, 0]], dtype=complex))
     assert contains(parse_model("kn:2"), np.array([[0, 1j], [1, 0]], dtype=complex))
     assert not contains(parse_model("un:2"), 2 * np.eye(2))
+    assert contains(parse_model("u2n:1"), np.array([[0, 1], [-1, 0]], dtype=complex))
+    assert not contains(parse_model("u2n:1"), np.array([[0, 1], [1, 0]], dtype=complex))  # B != -C
+    c, s = np.cos(np.pi / 3), np.sin(np.pi / 3)
+    assert not contains(parse_model("kn:2"), np.array([[c, -s], [s, c]], dtype=complex))
     with pytest.raises(DimensionMismatchError):
         contains(parse_model("un:2"), np.eye(3))
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_membership_of_a_stack_is_per_matrix(name):
+    model = parse_model(name)
+    rng = np.random.default_rng(8)
+    gs = sample_batch(model, rng, 60)
+    # members, and non-members of several kinds: a column shift, the real
+    # part, a perturbation of 1e-6, a scaling, a non-finite entry
+    gs[10:20] = np.roll(gs[10:20], 1, axis=-1)
+    gs[20:30] = gs[20:30].real
+    gs[30:40] += 1e-6 * rng.standard_normal(gs[30:40].shape)
+    gs[40:50] *= 1j
+    gs[50, 0, 0] = np.nan
+    got = contains(model, gs)
+    assert got.shape == (60,) and got.dtype == bool
+    assert got.tolist() == [contains(model, g) for g in gs]
+    assert 0 < got.sum() < 60
+    assert contains(model, gs.reshape(3, 20, *gs.shape[1:])).ravel().tolist() == got.tolist()
+    assert contains(model, gs[0]) is True
+    d = model.ambient_dim
+    with pytest.raises(DimensionMismatchError):
+        contains(model, np.zeros((4, d + 1, d + 1)))
+    with pytest.raises(DimensionMismatchError):
+        contains(model, np.zeros(d))
 
 
 def test_kn_sample_is_monomial():

@@ -1,0 +1,120 @@
+"""Property tests: seeded Hypothesis runs over small words, polynomials and
+permutations."""
+
+from hypothesis import given, settings, strategies as st
+
+from halfcomm.crossed import (
+    CrossedElement,
+    FunElement,
+    FunMonomial,
+    crossed_antipode,
+    crossed_mul,
+    crossed_star,
+    format_crossed_element,
+)
+from halfcomm.expressions import CrossedContext, parse_expression
+from halfcomm.haar import _compose, _inverse, weingarten_table
+from halfcomm.scalars import GaussianRational
+from halfcomm.words import (
+    WordElement,
+    ah_star,
+    antipode_element,
+    ao_star,
+    au_star_star,
+    format_word_element,
+    hc_normal_form,
+    letter,
+    rewrite_closure_oracle,
+    star_element,
+)
+
+SEEDED = settings(max_examples=40, derandomize=True, deadline=None)
+
+PRESENTATIONS = (ao_star(2), ah_star(2), au_star_star(2), ao_star(3))
+
+coefficients = st.builds(
+    lambda a, b, d: GaussianRational(a, b) / d, st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4)
+)
+
+
+def words_over(pres, max_len):
+    letters = st.builds(
+        lambda r, c, starred: letter(pres, r, c, starred and not pres.orthogonal),
+        st.integers(1, pres.n),
+        st.integers(1, pres.n),
+        st.booleans(),
+    )
+    return st.lists(letters, max_size=max_len).map(tuple)
+
+
+def word_elements(pres, max_len=4):
+    return st.dictionaries(words_over(pres, max_len), coefficients, max_size=4).map(
+        lambda terms: WordElement(pres, terms)
+    )
+
+
+def crossed_elements(n):
+    symbols = st.tuples(st.integers(1, n), st.integers(1, n), st.booleans())
+    monomials = st.dictionaries(symbols, st.integers(1, 2), max_size=3).map(FunMonomial)
+    funs = st.dictionaries(monomials, coefficients, max_size=3).map(lambda terms: FunElement(n, terms))
+    return st.builds(CrossedElement, funs, funs)
+
+
+presentations = st.sampled_from(PRESENTATIONS)
+word_pairs = presentations.flatmap(lambda pres: st.tuples(word_elements(pres), word_elements(pres)))
+crossed_pairs = st.integers(1, 3).flatmap(lambda n: st.tuples(crossed_elements(n), crossed_elements(n)))
+
+
+@SEEDED
+@given(presentations.flatmap(word_elements))
+def test_word_format_parse_round_trip(x):
+    assert parse_expression(format_word_element(x), x.presentation) == x
+
+
+@SEEDED
+@given(st.integers(1, 3).flatmap(crossed_elements))
+def test_crossed_format_parse_round_trip(x):
+    assert parse_expression(format_crossed_element(x), CrossedContext(x.n)) == x
+
+
+@SEEDED
+@given(presentations.flatmap(lambda pres: st.tuples(st.just(pres), words_over(pres, 6))))
+def test_normal_form_is_idempotent_and_names_the_rewrite_class(case):
+    pres, word = case
+    nf = hc_normal_form(word)
+    assert hc_normal_form(nf) == nf
+    closure = rewrite_closure_oracle(word, pres)
+    assert nf in closure
+    assert {hc_normal_form(w) for w in closure} == {nf}
+
+
+@SEEDED
+@given(word_pairs)
+def test_word_star_is_anti_multiplicative(pair):
+    x, y = pair
+    assert star_element(x * y) == star_element(y) * star_element(x)
+
+
+@SEEDED
+@given(crossed_pairs)
+def test_crossed_star_is_anti_multiplicative(pair):
+    x, y = pair
+    assert crossed_star(crossed_mul(x, y)) == crossed_mul(crossed_star(y), crossed_star(x))
+
+
+@SEEDED
+@given(presentations.flatmap(word_elements), st.integers(1, 3).flatmap(crossed_elements))
+def test_antipode_squares_to_the_identity(x, y):
+    assert antipode_element(antipode_element(x)) == x
+    assert crossed_antipode(crossed_antipode(y)) == y
+
+
+@SEEDED
+@given(
+    st.integers(1, 5).flatmap(lambda p: st.tuples(st.permutations(range(p)), st.permutations(range(p)))),
+    st.integers(1, 4),
+)
+def test_weingarten_is_a_class_function(perms, n):
+    sigma, pi = (tuple(s) for s in perms)
+    table = weingarten_table(len(sigma), n)
+    assert table.wg(sigma) == table.wg(_compose(_compose(pi, sigma), _inverse(pi)))

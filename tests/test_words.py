@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from halfcomm.errors import ClosureSizeError, IndexRangeError, PresentationError
+from halfcomm.errors import ClosureSizeError, DegreeCapError, IndexRangeError, PresentationError
 from halfcomm.scalars import GaussianRational, I
 from halfcomm.words import (
+    COPRODUCT_MAX_TERMS,
     Letter,
     WordElement,
     ah_star,
@@ -14,6 +15,7 @@ from halfcomm.words import (
     ao_star,
     au_star_star,
     coproduct_element,
+    coproduct_legs,
     counit_element,
     hc_normal_form,
     letter,
@@ -266,22 +268,75 @@ def test_coassociativity_on_generators():
 
 
 def test_coproduct_degree_cap():
-    from halfcomm.errors import DegreeCapError
-
-    word = tuple(letter(AO2, 1, 1) for _ in range(9))
-    with pytest.raises(DegreeCapError):
+    # the cap bounds the n**L terms: 2**17 = 131,072 is above 4**8
+    word = tuple(letter(AO2, 1, 1) for _ in range(17))
+    with pytest.raises(DegreeCapError, match="131072 terms"):
         coproduct_element(WordElement.from_word(AO2, word))
+
+
+def test_coproduct_cap_fires_before_expanding():
+    # 4**40 terms could never be enumerated: the call itself raises
+    word = tuple(letter(ao_star(4), 1, 2) for _ in range(40))
+    with pytest.raises(DegreeCapError):
+        coproduct_legs(word, 4)
+    with pytest.raises(DegreeCapError):
+        coproduct_element(WordElement.from_word(ao_star(4), word))
+
+
+def _counit_sides(pres, delta):
+    """(eps (x) id) Delta and (id (x) eps) Delta, as word elements."""
+    left = WordElement.zero(pres)
+    right = WordElement.zero(pres)
+    for (w1, w2), c in delta.items():
+        left = left + counit_element(WordElement.from_word(pres, w1)) * c * WordElement.from_word(pres, w2)
+        right = right + counit_element(WordElement.from_word(pres, w2)) * c * WordElement.from_word(pres, w1)
+    return left, right
+
+
+def test_coproduct_expands_up_to_the_term_cap():
+    # degree 9 over n = 2 (512 terms) was refused by the former degree-8 cap
+    for word in (
+        w(AO2, *[(1, 1)] * 9),
+        w(AO2, (1, 2), (2, 1), (1, 1), (2, 2), (2, 1), (1, 2), (2, 2), (1, 1), (1, 2)),
+    ):
+        x = WordElement.from_word(AO2, word)
+        assert _counit_sides(AO2, coproduct_element(x)) == (x, x)
+    # degree 8 over n = 4 sits exactly at the cap
+    word = w(ao_star(4), (1, 2), (3, 4), (2, 2), (4, 1), (1, 3), (2, 4), (3, 3), (4, 2))
+    assert sum(1 for _ in coproduct_legs(word, 4)) == COPRODUCT_MAX_TERMS
+
+
+def _brute_coproduct(x):
+    """Reference: every choice of the n**L summation indices, each leg
+    normalized by building it as a word element."""
+    pres = x.presentation
+    out = {}
+    for word, coeff in x.terms.items():
+        for ks in itertools.product(range(1, pres.n + 1), repeat=len(word)):
+            left = WordElement.from_word(pres, [Letter(l.row, k, l.starred) for l, k in zip(word, ks)])
+            right = WordElement.from_word(pres, [Letter(k, l.col, l.starred) for l, k in zip(word, ks)])
+            for a in left.terms:
+                for b in right.terms:
+                    out[(a, b)] = out.get((a, b), GaussianRational(0)) + coeff
+    return {k: v for k, v in out.items() if v}
+
+
+def test_coproduct_matches_brute_force_expansion():
+    for pres in (AO2, AH2, au_star_star(1)):
+        letters = [
+            letter(pres, r, c, starred)
+            for r in range(1, pres.n + 1)
+            for c in range(1, pres.n + 1)
+            for starred in ((False,) if pres.orthogonal else (False, True))
+        ]
+        for length in range(6):
+            for word in itertools.product(letters, repeat=length):
+                x = WordElement.from_word(pres, word)
+                assert coproduct_element(x) == _brute_coproduct(x), (pres, word)
 
 
 def test_counit_axiom_short_words():
     for length in (0, 1, 2):
         for word in all_words(AO2, length):
             x = WordElement.from_word(AO2, word)
-            delta = coproduct_element(x)
-            left = WordElement.zero(AO2)
-            right = WordElement.zero(AO2)
-            for (w1, w2), c in delta.items():
-                left = left + counit_element(WordElement.from_word(AO2, w1)) * c * WordElement.from_word(AO2, w2)
-                right = right + counit_element(WordElement.from_word(AO2, w2)) * c * WordElement.from_word(AO2, w1)
-            assert left == x
-            assert right == x
+            assert _counit_sides(AO2, coproduct_element(x)) == (x, x)
