@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import fusion as fus
 from .crossed import CrossedElement, embed_pi, format_crossed_element
@@ -18,12 +17,46 @@ from .errors import ClosureSizeError, DegreeCapError, ParseError
 from .expressions import CrossedContext, parse_context, parse_expression
 from .groups import PREDICATES, parse_model, predicate
 from .haar import PMAX_DEFAULT, haar_state, mc_integral, norm_squared
-from .verify import DEFAULT_SEED, SUITES, run_verify
+from .verify import DEFAULT_SEED, SUITES, run_verify, suite_params
 from .words import AO_STAR, Presentation, format_word_element
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# the optional flags (argparse dests) that each method of equal and haar reads
+METHOD_READS = {
+    "equal": {"nf": (), "exact": ("degree_cap",), "mc": ("group", "samples", "seed")},
+    "haar": {"exact": ("degree_cap",), "mc": ("samples", "seed")},
+}
+# the flags of verify, by the suite parameter each one sets
+SUITE_PARAMS = {"degree_cap": "p_max", "maxlen": "maxlen", "n": "n", "points": "points",
+                "samples": "samples", "seed": "seed", "trials": "trials"}
+# filled in once the flags given are known to be read, so the config echo shows them
+DEFAULTS = {"degree_cap": PMAX_DEFAULT, "seed": DEFAULT_SEED}
+
+
+def _settle_flags(args):
+    """Raise ``ValueError`` naming a flag given that the selected method or
+    suite does not read, then fill in ``DEFAULTS``; this runs before any
+    input is parsed or any check runs."""
+    if args.command == "verify":
+        path, optional = f"--suite {args.suite}", SUITE_PARAMS
+        params = {p for name in (SUITES if args.suite == "all" else [args.suite]) for p in suite_params(name)}
+        reads = {flag for flag, param in SUITE_PARAMS.items() if param in params}
+    elif args.command in METHOD_READS:
+        methods = METHOD_READS[args.command]
+        method = args.method if args.command == "equal" else "mc" if args.mc else "exact"
+        path = f"--method {method}" if args.command == "equal" else "--mc" if args.mc else "without --mc"
+        optional, reads = {flag for flags in methods.values() for flag in flags}, methods[method]
+    else:
+        optional = ()
+    for flag in sorted(optional):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise ValueError(f"{args.command} {path} does not read --{flag.replace('_', '-')}")
+    for flag, default in DEFAULTS.items():
+        if getattr(args, flag, default) is None:
+            setattr(args, flag, default)
 
 
 def _echo_config(args):
@@ -58,24 +91,19 @@ def cmd_equal(args):
 
     if method == "nf":
         if isinstance(context, CrossedContext):
-            print("error: --method nf applies to word contexts", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--method nf applies to word contexts")
         result = {"equal": x == y, "method": "nf", "exact": True}
     elif method == "exact":
-        word_context = isinstance(context, Presentation)
-        if word_context and context.kind != AO_STAR:
-            print(
-                f"error: --method exact decides equality for the full unitary group; "
-                f"use --method mc with a matching --group for {context}",
-                file=sys.stderr,
+        if isinstance(context, Presentation) and context.kind != AO_STAR:
+            raise ValueError(
+                f"--method exact decides equality for the full unitary group; "
+                f"use --method mc with a matching --group for {context}"
             )
-            return EXIT_USAGE
         nrm = norm_squared(_crossed_image(x) - _crossed_image(y), p_max=args.degree_cap)
         result = {"equal": nrm == 0, "method": "exact", "exact": True, "norm_squared": str(nrm)}
     else:  # mc
         if args.group is None:
-            print("error: --method mc needs --group", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--method mc needs --group")
         model = parse_model(args.group)
         d = _crossed_image(x) - _crossed_image(y)
         sq = d.star() * d
@@ -119,74 +147,17 @@ def cmd_haar(args):
         )
         return EXIT_OK
     if model.kind != "un":
-        print("error: exact integration covers the full unitary group; use --mc", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("exact integration covers the full unitary group; use --mc")
     print(str(haar_state(value, p_max=args.degree_cap)))
     return EXIT_OK
 
 
-# -- fusion labels -----------------------------------------------------------
-
-
-def fusion_instance(name: str):
-    if name == "su2":
-        return fus.SU2Fusion()
-    kind, _, raw_n = name.partition(":")
-    if kind == "un" and raw_n:
-        return fus.UnFusion(int(raw_n))
-    if kind == "torus" and raw_n:
-        return fus.TorusFusion(int(raw_n))
-    raise ValueError(f"no fusion data for {name!r} (available: un:N, su2, torus:N)")
-
-
-def parse_label(text: str, data):
-    text = text.strip()
-    if isinstance(data, fus.SU2Fusion):
-        if not text.startswith("j="):
-            raise ParseError(f"spin labels look like j=3/2, got {text!r}")
-        try:
-            return Fraction(text[2:])
-        except ZeroDivisionError as exc:
-            raise ParseError(f"spin label {text!r} divides by zero") from exc
-    if isinstance(data, fus.TorusFusion):
-        if not (text.startswith("t[") and text.endswith("]")):
-            raise ParseError(f"torus labels look like t[1,-1], got {text!r}")
-        return tuple(int(p) for p in text[2:-1].split(","))
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError(f"weight labels look like [2,0,-1], got {text!r}")
-    return tuple(int(p) for p in text[1:-1].split(","))
-
-
-def format_label(label, data):
-    if isinstance(data, fus.SU2Fusion):
-        return f"j={label}"
-    if isinstance(data, fus.TorusFusion):
-        return "t[" + ",".join(str(x) for x in label) + "]"
-    return "[" + ",".join(str(x) for x in label) + "]"
-
-
-def parse_flagged_label(text: str, data):
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        body, _, flag = text[1:-1].rpartition(",")
-        flag = flag.strip()
-        if flag not in ("s", "e"):
-            raise ParseError(f"flag must be s or e, got {flag!r}")
-        return (parse_label(body, data), 1 if flag == "s" else 0)
-    return (parse_label(text, data), 0)
-
-
-def format_flagged_label(flagged, data):
-    label, flag = flagged
-    return f"({format_label(label, data)},{'s' if flag else 'e'})"
-
-
 def cmd_fuse(args):
-    data = fusion_instance(args.group)
-    x = parse_flagged_label(args.x, data)
-    y = parse_flagged_label(args.y, data)
+    data = fus.fusion_instance(args.group)
+    x = data.parse_flagged_label(args.x)
+    y = data.parse_flagged_label(args.y)
     dec = fus.crossed_tensor(data, x, y)
-    rows = sorted((format_flagged_label(lbl, data), mult) for lbl, mult in dec.items())
+    rows = sorted((data.format_flagged_label(lbl), mult) for lbl, mult in dec.items())
     if args.json:
         print(json.dumps([{"label": l, "mult": m} for l, m in rows]))
     else:
@@ -196,19 +167,12 @@ def cmd_fuse(args):
 
 
 def _fusion_table(data, grade_cap: int):
-    if isinstance(data, fus.UnFusion):
-        # dominant weights: the weakly decreasing torus weights
-        weights = [w for w in _torus_within(data.n, grade_cap) if list(w) == sorted(w, reverse=True)]
-    elif isinstance(data, fus.TorusFusion):
-        weights = _torus_within(data.n, grade_cap)
-    else:
-        weights = [Fraction(k, 2) for k in range(0, 2 * grade_cap + 1)]
-    labels = sorted(((w, data.grade(w) % 2) for w in weights), key=lambda x: (str(x[0]), x[1]))
+    labels = sorted(((w, data.grade(w) % 2) for w in data.labels(grade_cap)), key=lambda x: (str(x[0]), x[1]))
     table = {
         "group": str(data),
         "labels": [
             {
-                "label": format_flagged_label(lbl, data),
+                "label": data.format_flagged_label(lbl),
                 "dim": data.dim(lbl[0]),
                 "grade": data.grade(lbl[0]),
             }
@@ -221,10 +185,10 @@ def _fusion_table(data, grade_cap: int):
             dec = fus.astar_tensor(data, x, y)
             table["products"].append(
                 {
-                    "x": format_flagged_label(x, data),
-                    "y": format_flagged_label(y, data),
+                    "x": data.format_flagged_label(x),
+                    "y": data.format_flagged_label(y),
                     "result": [
-                        {"label": format_flagged_label(lbl, data), "mult": mult}
+                        {"label": data.format_flagged_label(lbl), "mult": mult}
                         for lbl, mult in sorted(dec.items(), key=lambda kv: str(kv[0]))
                     ],
                 }
@@ -232,23 +196,8 @@ def _fusion_table(data, grade_cap: int):
     return table
 
 
-def _torus_within(n, cap):
-    out = []
-
-    def rec(acc):
-        if len(acc) == n:
-            out.append(tuple(acc))
-            return
-        for v in range(-cap, cap + 1):
-            if sum(abs(x) for x in acc) + abs(v) <= cap:
-                rec(acc + [v])
-
-    rec([])
-    return out
-
-
 def cmd_fusion_table(args):
-    data = fusion_instance(args.group)
+    data = fus.fusion_instance(args.group)
     table = _fusion_table(data, args.grade_cap)
     text = json.dumps(table, indent=None, separators=(",", ":")) + "\n"
     if args.out:
@@ -283,10 +232,7 @@ def cmd_predicates(args):
 
 def cmd_verify(args):
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    params = {"p_max": args.degree_cap}
-    for key in ("n", "maxlen", "samples", "trials", "seed", "points"):
-        if getattr(args, key) is not None:
-            params[key] = getattr(args, key)
+    params = {param: getattr(args, flag) for flag, param in SUITE_PARAMS.items() if getattr(args, flag) is not None}
     ok = True
     for name in names:
         report = run_verify(name, **params)
@@ -320,12 +266,11 @@ def build_parser():
 
     # the shared flags, one parent parser each: a subcommand takes those it reads
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=_count_at_least(0), default=DEFAULT_SEED, help="RNG seed for randomized checks")
+    seed.add_argument("--seed", type=_count_at_least(0), help="RNG seed for randomized checks")
     samples = argparse.ArgumentParser(add_help=False)
     samples.add_argument("--samples", type=_count_at_least(2), default=None, help="Monte Carlo sample count")
     degree_cap = argparse.ArgumentParser(add_help=False)
-    degree_cap.add_argument("--degree-cap", type=int, default=PMAX_DEFAULT, dest="degree_cap",
-                            help="cap on the exact-integration degree")
+    degree_cap.add_argument("--degree-cap", type=int, dest="degree_cap", help="cap on the exact-integration degree")
     as_json = argparse.ArgumentParser(add_help=False)
     as_json.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -378,10 +323,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _echo_config(args)
+    args = build_parser().parse_args(argv)
     try:
+        _settle_flags(args)
+        _echo_config(args)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

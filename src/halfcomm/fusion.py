@@ -22,16 +22,54 @@ import abc
 from fractions import Fraction
 
 from .crossed import CrossedElement
-from .errors import DegreeCapError
+from .errors import DegreeCapError, ParseError
 from .haar import PMAX_DEFAULT, haar_state
 from .scalars import GaussianRational
 
 
 class FusionData(abc.ABC):
-    """Fusion datum: labels, dimensions, tensor oracle, dual, sigma, grading."""
+    """Fusion datum: labels, unit and fundamental, dimensions, tensor oracle,
+    dual, sigma, grading.  Labels are integer vectors of length n, written
+    ``[2,0,-1]`` and graded by their sum, unless a subclass says otherwise."""
 
-    unit = None
-    fundamental = None
+    prefix = "["
+    label_hint = "weight labels look like [2,0,-1]"
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValueError("dimension must be >= 1")
+        self.n = n
+        self.unit = (0,) * n
+        self.fundamental = (1,) + (0,) * (n - 1)
+
+    def parse_label(self, text: str):
+        text = text.strip()
+        if not (text.startswith(self.prefix) and text.endswith("]")):
+            raise ParseError(f"{self.label_hint}, got {text!r}")
+        return tuple(int(p) for p in text[len(self.prefix):-1].split(","))
+
+    def format_label(self, label) -> str:
+        return self.prefix + ",".join(str(x) for x in label) + "]"
+
+    def parse_flagged_label(self, text: str):
+        """A label with its flag, written ``(label,s)`` or ``(label,e)``; a
+        bare label has flag e (0)."""
+        text = text.strip()
+        if text.startswith("(") and text.endswith(")"):
+            body, _, flag = text[1:-1].rpartition(",")
+            flag = flag.strip()
+            if flag not in ("s", "e"):
+                raise ParseError(f"flag must be s or e, got {flag!r}")
+            return (self.parse_label(body), 1 if flag == "s" else 0)
+        return (self.parse_label(text), 0)
+
+    def format_flagged_label(self, flagged) -> str:
+        label, flag = flagged
+        return f"({self.format_label(label)},{'s' if flag else 'e'})"
+
+    def labels(self, grade_cap: int) -> list:
+        """The labels whose entries have absolute sum at most ``grade_cap``."""
+        return _l1_ball(self.n, grade_cap)
 
     @abc.abstractmethod
     def validate_label(self, a):
@@ -53,9 +91,15 @@ class FusionData(abc.ABC):
     def sigma(self, a):
         ...
 
-    @abc.abstractmethod
     def grade(self, a) -> int:
-        ...
+        return sum(a)
+
+
+def _l1_ball(n, cap):
+    """Integer vectors of length n whose entries have absolute sum <= cap."""
+    if n == 0:
+        return [()]
+    return [(v,) + rest for v in range(-cap, cap + 1) for rest in _l1_ball(n - 1, cap - abs(v))]
 
 
 def _validate_weight(lam, n):
@@ -166,15 +210,15 @@ class UnFusion(FusionData):
     integer weights of length n."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
-        self.n = n
-        self.unit = (0,) * n
-        self.fundamental = (1,) + (0,) * (n - 1)
+        super().__init__(n)
         self._memo = {}
 
     def validate_label(self, a):
         _validate_weight(a, self.n)
+
+    def labels(self, grade_cap):
+        # dominant weights: the weakly decreasing torus weights
+        return [w for w in super().labels(grade_cap) if all(a >= b for a, b in zip(w, w[1:]))]
 
     def dim(self, a):
         return un_dim(a, self.n)
@@ -194,9 +238,6 @@ class UnFusion(FusionData):
         # entrywise conjugation induces the dual for the unitary group
         return self.dual(a)
 
-    def grade(self, a):
-        return sum(a)
-
     def __str__(self):
         return f"un:{self.n}"
 
@@ -212,6 +253,21 @@ class SU2Fusion(FusionData):
         j = Fraction(a)
         if j < 0 or (2 * j).denominator != 1:
             raise ValueError(f"spin {a} is not a nonnegative half-integer")
+
+    def parse_label(self, text):
+        text = text.strip()
+        if not text.startswith("j="):
+            raise ParseError(f"spin labels look like j=3/2, got {text!r}")
+        try:
+            return Fraction(text[2:])
+        except ZeroDivisionError as exc:
+            raise ParseError(f"spin label {text!r} divides by zero") from exc
+
+    def format_label(self, label):
+        return f"j={label}"
+
+    def labels(self, grade_cap):
+        return [Fraction(k, 2) for k in range(2 * grade_cap + 1)]
 
     def dim(self, a):
         return int(2 * Fraction(a)) + 1
@@ -242,12 +298,8 @@ class SU2Fusion(FusionData):
 class TorusFusion(FusionData):
     """Characters of the n-torus: integer vectors under addition."""
 
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
-        self.n = n
-        self.unit = (0,) * n
-        self.fundamental = (1,) + (0,) * (n - 1)
+    prefix = "t["
+    label_hint = "torus labels look like t[1,-1]"
 
     def validate_label(self, a):
         if len(tuple(a)) != self.n:
@@ -265,11 +317,20 @@ class TorusFusion(FusionData):
     def sigma(self, a):
         return self.dual(a)
 
-    def grade(self, a):
-        return sum(a)
-
     def __str__(self):
         return f"torus:{self.n}"
+
+
+def fusion_instance(name: str) -> FusionData:
+    """The fusion datum named ``un:N``, ``torus:N`` or ``su2``."""
+    if name == "su2":
+        return SU2Fusion()
+    kind, _, raw_n = name.partition(":")
+    if kind == "un" and raw_n:
+        return UnFusion(int(raw_n))
+    if kind == "torus" and raw_n:
+        return TorusFusion(int(raw_n))
+    raise ValueError(f"no fusion data for {name!r} (available: un:N, su2, torus:N)")
 
 
 def crossed_tensor(data: FusionData, x, y) -> dict:

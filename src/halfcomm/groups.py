@@ -243,11 +243,13 @@ def matrix_model_eval(x: CrossedElement, g: np.ndarray) -> np.ndarray:
     """Evaluate through the faithful two-dimensional matrix model.
 
     The even part goes to diag(f(g), f(conj g)) and the odd part to the
-    off-diagonal pair, making the map a pointwise *-homomorphism.
+    off-diagonal pair, making the map a pointwise *-homomorphism.  ``g`` is
+    one n x n matrix, giving one 2 x 2 matrix, or a stack of shape
+    (..., n, n), giving a stack of shape (..., 2, 2).
     """
     g = np.asarray(g, dtype=complex)
-    if g.shape != (x.n, x.n):
+    if g.shape[-2:] != (x.n, x.n):
         raise DimensionMismatchError(f"matrix {g.shape} does not match element over n={x.n}")
-    pair = np.stack([g, g.conj()])
-    even, odd = (evaluate_fun_batch(f, pair) for f in (x.f0, x.f1))
-    return np.array([[even[0], odd[0]], [odd[1], even[1]]], dtype=complex)
+    pair = np.stack([g, g.conj()]).reshape(-1, x.n, x.n)
+    even, odd = (evaluate_fun_batch(f, pair).reshape(2, *g.shape[:-2]) for f in (x.f0, x.f1))
+    return np.stack([np.stack([even[0], odd[0]], -1), np.stack([odd[1], even[1]], -1)], -2)

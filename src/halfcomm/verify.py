@@ -79,6 +79,9 @@ DEFAULT_SEED = 1234
 CLOSURE_MAX_SIZE = 20000  # words one rewrite closure may reach
 POINTWISE_SAMPLES = 48  # Haar unitaries pointwise_equal evaluates at
 POINTWISE_TOL = 1e-9
+FAITHFULNESS_MAXLEN = 3  # word length up to which faithfulness compares normal forms
+HOPF_ELEMENTS = 25  # random elements per hopf involution check
+SEQUENCE_WORDS = 20  # random embedded words the coinvariance check tests
 
 
 @dataclass
@@ -270,11 +273,11 @@ def pointwise_equal(x, y, seed=DEFAULT_SEED):
 
 
 @_suite("faithfulness")
-def suite_faithfulness(n=2, maxlen=3, p_max=PMAX_DEFAULT, seed=DEFAULT_SEED):
+def suite_faithfulness(n=2, p_max=PMAX_DEFAULT, seed=DEFAULT_SEED):
     pres = ao_star(n)
 
     forms = {()}
-    for length in range(1, maxlen + 1):
+    for length in range(1, FAITHFULNESS_MAXLEN + 1):
         for w in _all_words(pres, length):
             forms.add(hc_normal_form(tuple(w)))
     forms = sorted(forms, key=lambda w: (len(w), w))
@@ -371,7 +374,7 @@ def _random_crossed(rng, n, max_degree=2):
 
 
 @_suite("hopf")
-def suite_hopf(n=2, seed=DEFAULT_SEED, trials=25, p_max=PMAX_DEFAULT):
+def suite_hopf(n=2, seed=DEFAULT_SEED, p_max=PMAX_DEFAULT):
     pres = ao_star(n)
     rng = random.Random(seed)
     pairs = _index_pairs(n)
@@ -467,7 +470,7 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, trials=25, p_max=PMAX_DEFAULT):
     )
 
     def check_antipode_squared():
-        for _ in range(trials):
+        for _ in range(HOPF_ELEMENTS):
             x = _random_crossed(rng, n)
             if crossed_antipode(crossed_antipode(x)) != x:
                 return False, "S^2 != id"
@@ -475,12 +478,12 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, trials=25, p_max=PMAX_DEFAULT):
             w = WordElement.generator(pres, i, j)
             if antipode_element(antipode_element(w)) != w:
                 return False, "S^2 != id on words"
-        return True, f"{trials} random elements of degree <= 2"
+        return True, f"{HOPF_ELEMENTS} random elements of degree <= 2"
 
     yield "antipode-squared", "the antipode is an involution", check_antipode_squared
 
     def check_star():
-        for _ in range(trials):
+        for _ in range(HOPF_ELEMENTS):
             x = _random_crossed(rng, n)
             y = _random_crossed(rng, n)
             if crossed_star(crossed_star(x)) != x:
@@ -492,7 +495,7 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, trials=25, p_max=PMAX_DEFAULT):
                 return False, "word star not involutive"
             if counit_element(star_element(w)) != counit_element(w).conjugate():
                 return False, "counit does not intertwine star and conjugation"
-        return True, f"{trials} random pairs"
+        return True, f"{HOPF_ELEMENTS} random pairs"
 
     yield "star-structure", "star is an involutive anti-homomorphism compatible with the counit", check_star
 
@@ -674,19 +677,13 @@ def suite_u2n(n=1, draws=1000, points=100, seed=DEFAULT_SEED, point_tol=1e-9):
         rng = np.random.default_rng(seed + 1)
         gs = sample_batch(model, rng, points)
         worst = 0.0
-        for g in gs:
-            for starred in (False, True):
-                blocks = [
-                    [matrix_model_eval(gens[(i, j, starred)], g) for j in range(1, n + 1)]
-                    for i in range(1, n + 1)
-                ]
-                m = np.block(blocks)
-                d = m.shape[0]
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(m @ m.conj().T - np.eye(d)))),
-                    float(np.max(np.abs(m.conj().T @ m - np.eye(d)))),
-                )
+        for starred in (False, True):
+            m = np.block(
+                [[matrix_model_eval(gens[(i, j, starred)], gs) for j in range(1, n + 1)] for i in range(1, n + 1)]
+            )
+            mh = np.swapaxes(m.conj(), -2, -1)
+            eye = np.eye(2 * n)
+            worst = max(worst, float(np.max(np.abs(m @ mh - eye))), float(np.max(np.abs(mh @ m - eye))))
         return worst < point_tol, f"max unitarity defect {worst:.2e} at {points} points"
 
     yield (
@@ -704,10 +701,8 @@ def suite_u2n(n=1, draws=1000, points=100, seed=DEFAULT_SEED, point_tol=1e-9):
             diff = crossed_mul(crossed_mul(gens[a], gens[b]), gens[c]) - crossed_mul(
                 crossed_mul(gens[c], gens[b]), gens[a]
             )
-            if diff.is_zero:
-                continue
-            for g in gs:
-                worst = max(worst, float(np.max(np.abs(matrix_model_eval(diff, g)))))
+            if not diff.is_zero:
+                worst = max(worst, float(np.max(np.abs(matrix_model_eval(diff, gs)))))
         return worst < point_tol, f"{len(keys) ** 3} triples, max |abc - cba| = {worst:.2e}"
 
     yield (
@@ -842,7 +837,7 @@ def coinvariant_by_coproduct(x):
 
 
 @_suite("sequence")
-def suite_sequence(n=2, seed=DEFAULT_SEED, trials=20):
+def suite_sequence(n=2, seed=DEFAULT_SEED):
     rng = random.Random(seed)
     pres = ao_star(n)
 
@@ -858,7 +853,7 @@ def suite_sequence(n=2, seed=DEFAULT_SEED, trials=20):
     yield "quotient-on-generators", "the grading quotient kills polynomial content", check_quotient_map
 
     def check_coinvariants():
-        for _ in range(trials):
+        for _ in range(SEQUENCE_WORDS):
             length = rng.randint(0, 4)
             w = tuple(letter(pres, rng.randint(1, n), rng.randint(1, n)) for _ in range(length))
             x = embed_pi(WordElement.from_word(pres, w))
@@ -868,7 +863,7 @@ def suite_sequence(n=2, seed=DEFAULT_SEED, trials=20):
         mixed = _random_crossed(rng, n)
         if coinvariant_test(mixed) != coinvariant_by_coproduct(mixed):
             return False, "the grading and the coproduct disagree on a random mixed element"
-        return True, f"{trials} embedded words plus a random mixed element"
+        return True, f"{SEQUENCE_WORDS} embedded words plus a random mixed element"
 
     yield (
         "coinvariants-are-even",
@@ -971,22 +966,12 @@ def _partitions_upto(total, max_rows):
     return sorted(padded, reverse=True)
 
 
-def _random_un_weight(rng, n, bound=2):
-    return tuple(sorted((rng.randint(-bound, bound) for _ in range(n)), reverse=True))
-
-
-def _fusion_instances():
-    return {
-        "un:2": fus.UnFusion(2),
-        "un:3": fus.UnFusion(3),
-        "su2": fus.SU2Fusion(),
-        "torus:2": fus.TorusFusion(2),
-    }
+FUSION_NAMES = ("un:2", "un:3", "su2", "torus:2")  # the fusion data the fusion suite checks
 
 
 def _random_label(rng, name, data):
-    if name.startswith("un"):
-        return _random_un_weight(rng, data.n)
+    if name.startswith("un"):  # entries in [-2, 2], weakly decreasing
+        return tuple(sorted((rng.randint(-2, 2) for _ in range(data.n)), reverse=True))
     if name == "su2":
         return Fraction(rng.randint(0, 6), 2)
     return tuple(rng.randint(-3, 3) for _ in range(data.n))
@@ -1009,7 +994,8 @@ def suite_fusion(seed=DEFAULT_SEED, triples=50, size_cap=4):
         yield f"lr-vs-schur-n{n}", "tableau counting agrees with the Schur polynomial product oracle", check_lr
 
     rng = random.Random(seed)
-    for name, data in _fusion_instances().items():
+    for name in FUSION_NAMES:
+        data = fus.fusion_instance(name)
 
         def check_assoc():
             for _ in range(triples):
@@ -1068,7 +1054,8 @@ def suite_fusion(seed=DEFAULT_SEED, triples=50, size_cap=4):
         yield f"duality-{name}", "the unit appears once against the dual; dual and sigma are involutive", check_duality
 
     def check_graded():
-        for name, data in _fusion_instances().items():
+        for name in FUSION_NAMES:
+            data = fus.fusion_instance(name)
             integer_graded = not name.startswith("su2")
             for _ in range(triples):
                 a = _random_label(rng, name, data)
@@ -1128,12 +1115,17 @@ def suite_moments(cases=((2, 1), (2, 2), (3, 1)), p_max=PMAX_DEFAULT):
         yield f"moment-n{n}-k{k}", "trivial multiplicity from fusion equals the exact character moment", check
 
 
+def suite_params(suite: str):
+    """The parameter names of a named suite; an unknown suite raises
+    ``ValueError``."""
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}")
+    return inspect.signature(SUITES[suite]).parameters
+
+
 def run_verify(suite: str, **params) -> VerifyReport:
     """Run a named suite with those of ``params`` that it accepts; the rest
-    are ignored, so one set of CLI flags serves every suite.  An unknown
-    suite raises ``ValueError``."""
-    fn = SUITES.get(suite)
-    if fn is None:
-        raise ValueError(f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}")
-    accepted = inspect.signature(fn).parameters
-    return fn(**{k: v for k, v in params.items() if k in accepted})
+    are ignored, so one set of parameters serves every suite of ``verify
+    --suite all``.  An unknown suite raises ``ValueError``."""
+    accepted = suite_params(suite)
+    return SUITES[suite](**{k: v for k, v in params.items() if k in accepted})

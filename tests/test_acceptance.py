@@ -122,7 +122,7 @@ def test_criterion_04_function_equality_and_orthogonality():
     scale: the exact Weingarten norm decides function equality (cross-checked
     pointwise on all pairs), and the orthogonality sums vanish exactly."""
     t0 = time.monotonic()
-    report = suite_faithfulness(n=2, maxlen=3)
+    report = suite_faithfulness(n=2)
     elapsed = time.monotonic() - t0
     ok = report.passed and elapsed < 120
     _report(

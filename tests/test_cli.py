@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from halfcomm.cli import build_parser, main
+from halfcomm.cli import _settle_flags, build_parser, main
+from halfcomm.verify import SUITES, run_verify, suite_params
 
 
 def run_cli(capsys, *argv):
@@ -259,11 +260,38 @@ def test_verify_samples_reach_mc_agreement(capsys):
     assert "at 2000 samples" in lines["mc-agreement"]["detail"]
 
 
-def test_verify_samples_leave_structural_draws_alone(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "u2n", "--samples", "5000")
+def test_verify_samples_leave_structural_draws_alone():
+    # as under --suite all, which hands every suite the same parameters
+    report = run_verify("u2n", samples=5000)
+    assert report.passed
+    details = {c.check_id: c.detail for c in report.checks}
+    assert details["sampler-pattern"].startswith("1000 samples,")
+
+
+def test_each_verify_parameter_has_one_meaning():
+    takers = {p: sorted(s for s in SUITES if p in suite_params(s)) for p in ("maxlen", "trials", "points", "samples")}
+    assert takers == {
+        "maxlen": ["ah-zero", "rewrite-oracle"],
+        "trials": ["predicates"],
+        "points": ["u2n"],
+        "samples": ["weingarten"],
+    }
+
+
+def test_verify_all_flags_reach_only_their_suites(capsys):
+    # --maxlen sets only the word lengths of rewrite-oracle and ah-zero, and
+    # --trials only the samples of predicates; faithfulness, hopf and sequence
+    # keep their fixed sizes
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--maxlen", "6", "--trials", "3")
     assert code == 0
-    lines = {l["check"]: l for l in map(json.loads, out.strip().splitlines())}
-    assert lines["sampler-pattern"]["detail"].startswith("1000 samples,")
+    lines = {(l["suite"], l["check"]): l for l in map(json.loads, out.strip().splitlines())}
+    assert len(lines) == 65 and all(l["status"] == "pass" for l in lines.values())
+    assert ("rewrite-oracle", "closure-len-6") in lines and ("ah-zero", "zero-rule-len-6") in lines
+    assert lines[("faithfulness", "norm-decides-function-equality")]["detail"].startswith("61 normal forms;")
+    assert lines[("hopf", "antipode-squared")]["detail"].startswith("25 random elements")
+    assert lines[("hopf", "star-structure")]["detail"] == "25 random pairs"
+    assert lines[("sequence", "coinvariants-are-even")]["detail"].startswith("20 embedded words")
+    assert lines[("predicates", "transpose-closure")]["detail"].startswith("3 samples per model")
 
 
 def test_verify_all_at_dimension_one(capsys):
@@ -273,6 +301,25 @@ def test_verify_all_at_dimension_one(capsys):
     assert len(lines) == 63 and all(l["status"] == "pass" for l in lines)
     (orth,) = (l for l in lines if l["check"] == "orthogonality-in-image")
     assert "no pairs" in orth["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["equal", "--context", "crossed:2", "--method", "nf", "u[1,1]", "u[1,1]"],
+         "--method nf applies to word contexts"),
+        (["equal", "--context", "ah-star:2", "v[1,1]", "v[1,1]"],
+         "--method exact decides equality for the full unitary group; "
+         "use --method mc with a matching --group for ah-star:2"),
+        (["equal", "--context", "ao-star:2", "--method", "mc", "v[1,1]", "0"], "--method mc needs --group"),
+        (["haar", "--group", "kn:2", "u[1,1]"], "exact integration covers the full unitary group; use --mc"),
+    ],
+)
+def test_handler_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[0].startswith("# config ")
+    assert err.splitlines()[1:] == [f"error: {message}"]
 
 
 def test_verify_unknown_suite(capsys):
@@ -344,40 +391,70 @@ def test_counts_below_their_minimum_are_usage_errors(capsys, argv, flag):
     assert f"argument {flag}: must be at least" in err
 
 
-# each subcommand with its required arguments, and the shared flags it reads
-MINIMAL_ARGV = {
-    "normalize": ["normalize", "--context", "ao-star:2", "v[1,1]"],
-    "equal": ["equal", "--context", "ao-star:2", "v[1,1]", "v[1,1]"],
-    "haar": ["haar", "--group", "un:2", "u[1,1]"],
-    "fuse": ["fuse", "--group", "un:2", "[1,0]", "[1,0]"],
-    "fusion-table": ["fusion-table", "--group", "torus:1"],
-    "predicates": ["predicates", "--model", "on:3"],
-    "verify": ["verify", "--suite", "moments"],
+# each selection (a subcommand, and for equal, haar and verify the method or
+# suite) with its required arguments and the optional flags it reads; the
+# expressions are malformed, so a refusal that came after parsing would show
+SELECTIONS = {
+    "normalize": (["normalize", "--context", "ao-star:2", "v[1,1"], set()),
+    "equal": (["equal", "--context", "ao-star:2", "v[1,1", "0"], {"--degree-cap", "--json"}),
+    "equal --method nf": (["equal", "--context", "ao-star:2", "--method", "nf", "v[1,1", "0"], {"--json"}),
+    "equal --method mc": (
+        ["equal", "--context", "ao-star:2", "--method", "mc", "v[1,1", "0"],
+        {"--group", "--samples", "--seed", "--json"},
+    ),
+    "haar": (["haar", "--group", "un:2", "u[1,1"], {"--degree-cap", "--group"}),
+    "haar --mc": (["haar", "--mc", "--group", "un:2", "u[1,1"], {"--group", "--samples", "--seed"}),
+    "fuse": (["fuse", "--group", "un:2", "[1,0]", "[1,0]"], {"--group", "--json"}),
+    "fusion-table": (["fusion-table", "--group", "torus:1"], {"--group"}),
+    "predicates": (["predicates", "--model", "on:3"], {"--seed", "--trials"}),
+    "verify": (["verify", "--suite", "moments"], {"--degree-cap"}),
+    **{
+        f"verify --suite {suite}": (["verify", "--suite", suite], set(reads.split()))
+        for suite, reads in {
+            "all": "--degree-cap --maxlen --n --points --samples --seed --trials",
+            "ah-zero": "--maxlen --n",
+            "faithfulness": "--degree-cap --n --seed",
+            "fusion": "--seed",
+            "half-comm": "--n",
+            "hopf": "--degree-cap --n --seed",
+            "kn": "--n --seed",
+            "moments": "--degree-cap",
+            "predicates": "--seed --trials",
+            "pun": "--degree-cap --n",
+            "rewrite-oracle": "--maxlen --n",
+            "sequence": "--n --seed",
+            "u2n": "--n --points --seed",
+            "weingarten": "--degree-cap --samples --seed",
+        }.items()
+    },
 }
-SHARED_FLAGS = {"--seed": ["7"], "--samples": ["40"], "--degree-cap": ["3"], "--json": []}
-READS = {
-    "normalize": set(),
-    "equal": {"--seed", "--samples", "--degree-cap", "--json"},
-    "haar": {"--seed", "--samples", "--degree-cap"},
-    "fuse": {"--json"},
-    "fusion-table": set(),
-    "predicates": {"--seed"},
-    "verify": {"--seed", "--samples", "--degree-cap"},
+FLAGS = {
+    "--seed": ["7"], "--samples": ["40"], "--degree-cap": ["3"], "--json": [],
+    "--group": ["kn:2"], "--n": ["2"], "--maxlen": ["2"], "--trials": ["3"], "--points": ["5"],
 }
 
 
-@pytest.mark.parametrize("command, flag", [(c, f) for c in MINIMAL_ARGV for f in SHARED_FLAGS])
-def test_subcommands_take_only_the_shared_flags_they_read(capsys, command, flag):
-    argv = MINIMAL_ARGV[command] + [flag] + SHARED_FLAGS[flag]
-    if flag in READS[command]:
-        build_parser().parse_args(argv)
+# the selections above that name no method or suite, as the refusals name them
+DEFAULT_PATHS = {"equal": "equal --method exact", "haar": "haar without --mc", "verify": "verify --suite moments"}
+
+
+@pytest.mark.parametrize("selection, flag", [(s, f) for s in SELECTIONS for f in FLAGS])
+def test_subcommands_take_only_the_shared_flags_they_read(capsys, selection, flag):
+    argv, reads = SELECTIONS[selection]
+    argv = argv + [flag] + FLAGS[flag]
+    if flag in reads:
+        _settle_flags(build_parser().parse_args(argv))
         return
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    try:
+        code, by_parser = main(argv), False
+    except SystemExit as exc:
+        code, by_parser = exc.code, True
     out, err = capsys.readouterr()
-    assert out == ""
-    assert "unrecognized arguments" in err and flag in err
+    assert code == 2 and out == ""
+    if by_parser:  # a flag the subcommand does not take at all
+        assert f"unrecognized arguments: {flag}" in err
+    else:  # one the subcommand takes but the selected method or suite does not read
+        assert err == f"error: {DEFAULT_PATHS.get(selection, selection)} does not read {flag}\n"
 
 
 def test_counts_at_their_minimum_run(capsys):

@@ -5,8 +5,9 @@ never in an exception and never in exit 1, which means "verification failed".
 The inputs are token soups over the expression grammar, fusion labels and
 group models, with contexts, groups and flags that are sometimes invalid, so
 that some calls parse and reach the algebra, the integrators, the fusion
-rules and the predicates.  Each command draws its shared flags from those it
-reads; now and then a call adds one it does not read, and must exit 2.
+rules and the predicates.  Each call draws its optional flags from those that
+its selection (the subcommand, and for equal and haar the method) reads; now
+and then a call adds one it does not read, and must exit 2.
 """
 
 import random
@@ -29,17 +30,21 @@ FUSION_LABELS = {"un:2": ("[1,0]", "[0,-1]", "[2,1]"), "un:3": ("[1,0,0]", "[1,1
 BAD_FUSION_GROUPS = ("un:0", "su3", "torus:x", "un", ":")
 BAD_LABELS = ("[1,", "[a,b]", "[0,1]", "[1,0,0,0]", "t[]", "j=", "j=-1/2", "j=1/0", "(j=1/2,s", "([1,0],q)", "")
 
-# the shared flags each command reads, and their good and bad values
+# the optional flags each selection reads, and their odds, good and bad values
 READS = {
     "normalize": (),
-    "equal": ("--degree-cap", "--samples", "--seed", "--json"),
-    "haar": ("--degree-cap", "--samples", "--seed"),
+    "equal nf": ("--json",),
+    "equal exact": ("--degree-cap", "--json"),
+    "equal mc": ("--group", "--samples", "--seed", "--json"),
+    "haar": ("--degree-cap",),
+    "haar --mc": ("--samples", "--seed"),
     "fuse": ("--json",),
     "fusion-table": (),
     "predicates": ("--seed",),
 }
 SHARED = {
     "--degree-cap": (0.3, ("-1", "0", "1", "2", "5"), ()),
+    "--group": (0.8, GROUPS, BAD_GROUPS),
     "--samples": (0.3, ("2", "40", "100"), ("-3", "0", "1", "x")),
     "--seed": (0.2, ("0", "7"), ("-1", "y")),
     "--json": (0.1, (), ()),
@@ -98,8 +103,6 @@ def _command_argv(rng, command):
         argv = ["equal", "--context", context, _expr(rng, heads), _expr(rng, heads)]
         if rng.random() < 0.7:
             argv += ["--method", _pick(rng, ("nf", "exact", "mc"), ("bogus",))]
-        if rng.random() < 0.5:
-            argv += ["--group", _pick(rng, GROUPS, BAD_GROUPS)]
         return argv
     if command == "haar":
         heads = ("u", "u*") if rng.random() < 0.85 else heads
@@ -117,29 +120,42 @@ def _command_argv(rng, command):
     return argv
 
 
+def _selection(argv):
+    """The key of READS that an argument list selects (unknown keys read
+    nothing: their calls fail in the parser)."""
+    if argv[:1] == ["equal"]:
+        at = argv.index("--method") + 1 if "--method" in argv else 0
+        return "equal " + (argv[at] if 0 < at < len(argv) else "exact")
+    if argv[:1] == ["haar"]:
+        return "haar --mc" if "--mc" in argv else "haar"
+    return argv[0] if argv else ""
+
+
 def _argv(rng):
-    """An argument list, and whether it carries a shared flag its command
-    does not read (which must end in exit 2)."""
+    """An argument list, and whether it carries an optional flag its
+    selection does not read (which must end in exit 2)."""
     command = rng.choice(("normalize", "equal", "haar") * 2 + ("fuse", "fusion-table", "predicates"))
     argv = _command_argv(rng, command)
-    for flag in READS[command]:
+    for flag in READS.get(_selection(argv), ()):
         if rng.random() < SHARED[flag][0]:
             argv += _flag(rng, flag)
     if rng.random() < 0.05:
         argv.insert(rng.randint(0, len(argv)), rng.choice(("--bogus", "-k", "--context")))
     if rng.random() < 0.05:
         del argv[rng.randrange(len(argv))]
-    unread = [flag for flag in SHARED if flag not in READS[command]]
+    # a required --group (haar, fuse, fusion-table) is read, and never added twice
+    unread = [flag for flag in SHARED if flag not in READS.get(_selection(argv), ()) and flag not in argv]
     if unread and rng.random() < 0.1:
         return argv + _flag(rng, rng.choice(unread)), True
     return argv, False
 
 
 def _exit_code(argv):
+    """The exit code, and whether argparse rejected the argument list."""
     try:
-        return main(argv)
-    except SystemExit as exc:  # argparse rejects the argument list
-        return exc.code
+        return main(argv), False
+    except SystemExit as exc:
+        return exc.code, True
 
 
 def test_cli_fuzz_exits_0_or_2(capsys):
@@ -147,9 +163,12 @@ def test_cli_fuzz_exits_0_or_2(capsys):
     codes = {}
     for _ in range(CALLS):
         argv, unread = _argv(rng)
-        code = _exit_code(argv)
-        capsys.readouterr()
+        code, by_parser = _exit_code(argv)
+        err = capsys.readouterr().err
         assert code in ((2,) if unread else (0, 2)), argv
+        if unread and not by_parser:
+            # past the parser, the refusal comes before any input is parsed
+            assert len(err.splitlines()) == 1 and " does not read --" in err, (argv, err)
         codes[code] = codes.get(code, 0) + 1
     # the fuzz must reach past the parser, not only into error paths
     assert codes.get(0, 0) >= CALLS // 10, codes

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from halfcomm.errors import DegreeCapError
+from halfcomm.errors import DegreeCapError, ParseError
 from halfcomm.fusion import (
     SU2Fusion,
     TorusFusion,
@@ -11,6 +11,7 @@ from halfcomm.fusion import (
     astar_dual,
     astar_tensor,
     crossed_tensor,
+    fusion_instance,
     lr_tensor,
     moment_crosscheck,
     un_dim,
@@ -202,3 +203,68 @@ def test_moment_crosscheck_more():
 def test_moment_crosscheck_cap():
     with pytest.raises(DegreeCapError):
         moment_crosscheck(2, 6)
+
+
+# -- labels -------------------------------------------------------------------
+
+LABEL_GROUPS = ("un:1", "un:2", "un:3", "un:4", "torus:1", "torus:2", "torus:3", "su2")
+
+
+def test_labels_within_a_grade_cap():
+    assert fusion_instance("un:2").labels(1) == [(0, -1), (0, 0), (1, 0)]
+    assert fusion_instance("torus:1").labels(2) == [(-2,), (-1,), (0,), (1,), (2,)]
+    assert len(fusion_instance("torus:2").labels(2)) == 13
+    assert fusion_instance("su2").labels(1) == [Fraction(0), Fraction(1, 2), Fraction(1)]
+
+
+@pytest.mark.parametrize("name", LABEL_GROUPS)
+def test_labels_survive_format_then_parse(name):
+    data = fusion_instance(name)
+    for cap in range(5):
+        for label in data.labels(cap):
+            data.validate_label(label)
+            assert data.parse_label(data.format_label(label)) == label
+            for flag in (0, 1):
+                assert data.parse_flagged_label(data.format_flagged_label((label, flag))) == (label, flag)
+
+
+# the parse errors of malformed labels, by the fusion data that reads them;
+# None marks a label that parses (its length or sign is checked later)
+WEIGHT = "weight labels look like [2,0,-1], got {!r}"
+TORUS = "torus labels look like t[1,-1], got {!r}"
+SPIN = "spin labels look like j=3/2, got {!r}"
+BAD_LABEL_ERRORS = {
+    "[1,": (WEIGHT, TORUS, SPIN),
+    "[a,b]": (ValueError, TORUS, SPIN),
+    "[0,1]": (None, TORUS, SPIN),
+    "[1,0,0,0]": (None, TORUS, SPIN),
+    "t[]": (WEIGHT, ValueError, SPIN),
+    "j=": (WEIGHT, TORUS, ValueError),
+    "j=-1/2": (WEIGHT, TORUS, None),
+    "j=1/0": (WEIGHT, TORUS, "spin label 'j=1/0' divides by zero"),
+    "(j=1/2,s": (WEIGHT, TORUS, SPIN),
+    "([1,0],q)": ("flag must be s or e, got 'q'",) * 3,
+    "": (WEIGHT, TORUS, SPIN),
+}
+
+
+@pytest.mark.parametrize("text", BAD_LABEL_ERRORS)
+def test_malformed_labels_name_the_label_syntax(text):
+    for name, expect in zip(("un:2", "torus:2", "su2"), BAD_LABEL_ERRORS[text]):
+        data = fusion_instance(name)
+        if expect is None:
+            data.parse_flagged_label(text)
+        elif expect is ValueError:  # an int() or Fraction() error, not a ParseError
+            with pytest.raises(ValueError) as exc:
+                data.parse_flagged_label(text)
+            assert not isinstance(exc.value, ParseError)
+        else:
+            with pytest.raises(ParseError) as exc:
+                data.parse_flagged_label(text)
+            assert str(exc.value) == expect.format(text)
+
+
+@pytest.mark.parametrize("name", ("un:0", "su3", "torus:x", "un", ":", "un:"))
+def test_fusion_instance_rejects_unknown_names(name):
+    with pytest.raises(ValueError):
+        fusion_instance(name)

@@ -221,6 +221,28 @@ def test_matrix_model_multiplicative_star():
         assert np.max(np.abs(star - matrix_model_eval(x, g).conj().T)) < 1e-9
 
 
+def test_matrix_model_of_a_stack_is_per_matrix():
+    import random
+
+    from tests_helpers import random_crossed  # local helper module
+
+    prng = random.Random(6)
+    for name in ("un:2", "u2n:1", "kn:3"):
+        model = parse_model(name)
+        d = model.ambient_dim
+        gs = sample_batch(model, np.random.default_rng(5), 12).reshape(3, 4, d, d)
+        x = random_crossed(prng, d, max_degree=3)
+        got = matrix_model_eval(x, gs)
+        assert got.shape == (3, 4, 2, 2)
+        for a in range(3):
+            for b in range(4):
+                assert np.array_equal(got[a, b], matrix_model_eval(x, gs[a, b]))
+    with pytest.raises(DimensionMismatchError):
+        matrix_model_eval(CrossedElement.one(2), np.zeros((5, 3, 3)))
+    with pytest.raises(DimensionMismatchError):
+        matrix_model_eval(CrossedElement.one(2), np.zeros(2))
+
+
 def test_matrix_model_orthogonal_point_is_symmetric():
     pres = ao_star(3)
     g = sample_haar(parse_model("on:3"), 11)
