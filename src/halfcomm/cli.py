@@ -32,31 +32,44 @@ METHOD_READS = {
 # the flags of verify, by the suite parameter each one sets
 SUITE_PARAMS = {"degree_cap": "p_max", "maxlen": "maxlen", "n": "n", "points": "points",
                 "samples": "samples", "seed": "seed", "trials": "trials"}
-# filled in once the flags given are known to be read, so the config echo shows them
-DEFAULTS = {"degree_cap": PMAX_DEFAULT, "seed": DEFAULT_SEED}
+MC_SAMPLES = 10000  # Monte Carlo samples of equal --method mc and haar --mc
+# the effective values of the shared flags where a call reads them unset
+DEFAULTS = {"degree_cap": PMAX_DEFAULT, "samples": MC_SAMPLES, "seed": DEFAULT_SEED}
 
 
 def _settle_flags(args):
     """Raise ``ValueError`` naming a flag given that the selected method or
-    suite does not read, then fill in ``DEFAULTS``; this runs before any
-    input is parsed or any check runs."""
+    suite does not read, then fill in the effective value of each unset flag
+    it reads, so that the config echo lists exactly those; this runs before
+    any input is parsed or any check runs.
+
+    Under verify a flag's effective value is its suite parameter's default,
+    when every selected suite that takes the parameter has the same one;
+    otherwise the flag stays unset and each suite keeps its own default.
+    """
     if args.command == "verify":
         path, optional = f"--suite {args.suite}", SUITE_PARAMS
-        params = {p for name in (SUITES if args.suite == "all" else [args.suite]) for p in suite_params(name)}
-        reads = {flag for flag, param in SUITE_PARAMS.items() if param in params}
+        params = [suite_params(name) for name in (SUITES if args.suite == "all" else [args.suite])]
+        reads = {flag for flag, param in SUITE_PARAMS.items() if any(param in taken for taken in params)}
+        defaults = {}
+        for flag in reads:
+            values = {taken[SUITE_PARAMS[flag]].default for taken in params if SUITE_PARAMS[flag] in taken}
+            if len(values) == 1:
+                defaults[flag] = values.pop()
     elif args.command in METHOD_READS:
         methods = METHOD_READS[args.command]
         method = args.method if args.command == "equal" else "mc" if args.mc else "exact"
         path = f"--method {method}" if args.command == "equal" else "--mc" if args.mc else "without --mc"
         optional, reads = {flag for flags in methods.values() for flag in flags}, methods[method]
+        defaults = DEFAULTS
     else:
-        optional = ()
+        optional, reads, defaults = (), set(vars(args)), DEFAULTS
     for flag in sorted(optional):
         if flag not in reads and getattr(args, flag) is not None:
             raise ValueError(f"{args.command} {path} does not read --{flag.replace('_', '-')}")
-    for flag, default in DEFAULTS.items():
-        if getattr(args, flag, default) is None:
-            setattr(args, flag, default)
+    for flag in reads:
+        if flag in defaults and getattr(args, flag) is None:
+            setattr(args, flag, defaults[flag])
 
 
 def _echo_config(args):
@@ -107,7 +120,7 @@ def cmd_equal(args):
         model = parse_model(args.group)
         d = _crossed_image(x) - _crossed_image(y)
         sq = d.star() * d
-        est = mc_integral(sq, model, args.samples or 10000, args.seed)
+        est = mc_integral(sq, model, args.samples, args.seed)
         threshold = max(1e-6, 5 * est.stderr)
         result = {
             "equal": abs(est.mean) < threshold,
@@ -132,7 +145,7 @@ def cmd_haar(args):
     context = CrossedContext(model.ambient_dim)
     value = parse_expression(args.expr, context)
     if args.mc:
-        est = mc_integral(value, model, args.samples or 10000, args.seed)
+        est = mc_integral(value, model, args.samples, args.seed)
         print(
             json.dumps(
                 {

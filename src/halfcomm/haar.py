@@ -21,7 +21,11 @@ bar(g) and Haar measure is invariant under complex conjugation.  Products of
 monomials of different torus weights integrate to zero too, so the norm is
 summed over weight blocks, forming only the products inside each block.
 Since the state is faithful on polynomial functions, a vanishing norm
-decides equality exactly.
+decides equality exactly.  ``norm_equal`` first evaluates the difference,
+exactly, at one fixed unitary matrix with Gaussian-rational entries: a
+function that vanishes on U(n) vanishes there, so a non-zero value proves
+inequality with no integration, and only the pairs it cannot refute are
+integrated.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 from .crossed import CrossedElement, FunElement, crossed_mul, crossed_star
 from .errors import DegreeCapError, DimensionMismatchError
 from .groups import GroupModel, evaluate_fun_batch, sample_batch
-from .scalars import ZERO, GaussianRational
+from .scalars import ONE, ZERO, GaussianRational
 
 PMAX_DEFAULT = 5
 
@@ -74,6 +78,13 @@ def _cycle_type(s):
 
 def _cycle_count(s):
     return len(_cycle_type(s))
+
+
+def _type_code(lengths, p):
+    """A cycle type of S_p as one int, sum of (p + 1)^length over its cycles:
+    the base-(p + 1) digit at position k counts the cycles of length k, and
+    no count reaches p + 1, so distinct types get distinct codes."""
+    return sum((p + 1) ** length for length in lengths)
 
 
 @functools.cache
@@ -121,7 +132,8 @@ class WeingartenTable:
     """Wg(sigma) for degree p over U(n), keyed by the cycle type of sigma;
     ``pseudo`` marks n < p, where the Gram matrix is singular.  The same
     values as integer ``numerators`` over one common ``denominator`` let an
-    integral sum them as ints."""
+    integral sum them as ints; they are keyed by ``_type_code``, as the
+    coset walk counts cycle types."""
 
     p: int
     n: int
@@ -132,7 +144,9 @@ class WeingartenTable:
 
     def __post_init__(self):
         self.denominator = math.lcm(*(v.denominator for v in self.values.values()))
-        self.numerators = {mu: v.numerator * (self.denominator // v.denominator) for mu, v in self.values.items()}
+        self.numerators = {
+            _type_code(mu, self.p): v.numerator * (self.denominator // v.denominator) for mu, v in self.values.items()
+        }
 
     def wg(self, perm) -> Fraction:
         return self.values[_cycle_type(perm)]
@@ -185,53 +199,81 @@ def _margins(counts):
     return rows, cols
 
 
-def _coset_cycle_types(classes, table) -> Counter:
-    """Cycle-type counts over the permutations d of the conjugate positions
-    with #{m : row(m) = x, col(d(m)) = y} = table[x, y].
+def _coset_cycle_types(classes, table, p) -> dict:
+    """Cycle-type counts over the permutations d of the p conjugate positions
+    with #{m : row(m) = x, col(d(m)) = y} = table[x, y], keyed by
+    ``_type_code``.
 
     ``classes`` maps each conjugate symbol (row, col) to its multiplicity.
     Positions of one class are interchangeable, so the walk follows each
     cycle from class to class instead of from position to position: a cycle
     starts in the first class with positions left, a step into a class may
     land on any of its remaining positions (the step's multiplicity), and a
-    step from class a to class b uses up one table[row(a), col(b)].  The memo
-    lives as long as this call.
+    step from class a to class b uses up one table[row(a), col(b)].  The
+    counts left, per class and per table entry, are the bit fields of one int
+    ``state``.  An open cycle's states do not depend on how long it already
+    is: ``follow`` keys its completions by the steps still to take (``tail``,
+    above ``big``) and the code of the cycles after it, and ``cycles`` adds
+    the closed cycle's length.  The memos live as long as this call.
     """
     labels = list(classes)
-    slots = {key: k for k, key in enumerate(table)}
-    step = [[slots.get((a[0], b[1])) for b in labels] for a in labels]
+    counts = [*classes.values(), *table.values()]
+    fields, shift = [], 0
+    for c in counts:
+        fields.append((shift, (1 << c.bit_length()) - 1))
+        shift += c.bit_length()
+    slot = {key: len(labels) + k for k, key in enumerate(table)}
+    steps = [[slot.get((a[0], b[1])) for b in labels] for a in labels]
+    # per class: the steps into each class (that class's field, the field of
+    # the table entry the step uses, the sum of their units, the class), and
+    # the table field that a step back to the cycle's first class uses
+    moves = [[(fields[b], fields[k], (1 << fields[b][0]) + (1 << fields[k][0]), b)
+              for b, k in enumerate(row) if k is not None] for row in steps]
+    closes = [[None if k is None else fields[k] for k in row] for row in steps]
+    big = (p + 1) ** (p + 1)
+    powers = [(p + 1) ** length for length in range(p + 1)]
+    owner = [a for a, c in enumerate(classes.values()) for _ in range(c.bit_length())]
+    cycles_memo, follow_memo = {}, {}
 
-    def less(counts, k):
-        return counts[:k] + (counts[k] - 1,) + counts[k + 1 :]
+    def cycles(state):
+        if not state:
+            return {0: 1}
+        out = cycles_memo.get(state)
+        if out is None:
+            # the class fields are the lowest, so the lowest set bit is in the first class left
+            first = owner[(state & -state).bit_length() - 1]
+            out = {}
+            for key, w in follow(state - (1 << fields[first][0]), first, first).items():
+                tail, code = divmod(key, big)
+                code += powers[tail + 1]
+                out[code] = out.get(code, 0) + w
+            cycles_memo[state] = out
+        return out
 
-    @functools.cache
-    def cycles(left, rest):
-        if not any(left):
-            return {(): 1}
-        first = next(a for a, c in enumerate(left) if c)
-        return follow(less(left, first), rest, first, first, 1)
-
-    @functools.cache
-    def follow(left, rest, first, at, length):
-        out = Counter()
-        k = step[at][first]
-        if k is not None and rest[k]:
-            for ct, w in cycles(left, less(rest, k)).items():
-                out[tuple(sorted(ct + (length,), reverse=True))] += w
-        for b, c in enumerate(left):
-            k = step[at][b]
-            if c and k is not None and rest[k]:
-                for ct, w in follow(less(left, b), less(rest, k), first, b, length + 1).items():
-                    out[ct] += c * w
+    def follow(state, first, at):
+        memo_key = (state, first, at)
+        out = follow_memo.get(memo_key)
+        if out is None:
+            out = {}
+            close = closes[at][first]
+            if close is not None and (state >> close[0]) & close[1]:
+                out.update(cycles(state - (1 << close[0])))
+            for (sb, mb), (sk, mk), dec, b in moves[at]:
+                c = (state >> sb) & mb
+                if c and (state >> sk) & mk:
+                    for key, w in follow(state - dec, first, b).items():
+                        key += big
+                        out[key] = out.get(key, 0) + c * w
+            follow_memo[memo_key] = out
         return out
 
     try:
-        return cycles(tuple(classes.values()), tuple(table.values()))
+        return cycles(sum(c << s for c, (s, _m) in zip(counts, fields)))
     finally:
-        # the two memoised closures refer to each other; empty them now
-        # rather than when the cycle collector finds them
-        cycles.cache_clear()
-        follow.cache_clear()
+        # cycles and follow refer to each other; empty their memos now rather
+        # than when the cycle collector finds them
+        cycles_memo.clear()
+        follow_memo.clear()
 
 
 def _monomial_integral(mono, n, p_max) -> Fraction:
@@ -257,9 +299,9 @@ def _monomial_integral(mono, n, p_max) -> Fraction:
     rows, cols = _margins(conj)
     if _margins(plain) != (rows, cols):
         return Fraction(0)
-    types = _coset_cycle_types(conj, plain)
+    types = _coset_cycle_types(conj, plain, p)
     stabilisers = math.prod(math.factorial(c) for c in (*rows.values(), *cols.values()))
-    total = sum(count * table.numerators[mu] for mu, count in types.items())
+    total = sum(count * table.numerators[code] for code, count in types.items())
     return Fraction(total * stabilisers, table.denominator * sum(types.values()))
 
 
@@ -325,13 +367,98 @@ def norm_squared(x: CrossedElement, p_max: int = PMAX_DEFAULT) -> Fraction:
     return val.re
 
 
+_POINTS: dict = {}  # idempotent fills, like _TABLE_CACHE
+
+
+def _skew_hermitian(n):
+    """A fixed n x n skew-Hermitian matrix of Gaussian integers.  Any one
+    gives a unitary witness point; this one makes a point that is not
+    symmetric and whose entries g11 and g12 differ in modulus, and at n = 2 it
+    refutes every unequal pair of the faithfulness suite."""
+    out = [[ZERO] * n for _ in range(n)]
+    for j in range(n):
+        out[j][j] = GaussianRational(0, 2 * j + 1)
+        for k in range(j + 1, n):
+            z = GaussianRational(2 * j + k + 1, j + 3 * k + 2)
+            out[j][k], out[k][j] = z, -z.conjugate()
+    return out
+
+
+def witness_point(n: int) -> dict:
+    """A unitary n x n matrix g with Gaussian-rational entries, as the map
+    from each coordinate symbol (i, j, bar) to g_ij or its conjugate.
+
+    g is the Cayley transform (I - A)(I + A)^-1 of ``_skew_hermitian(n)``:
+    unitary because A is skew-Hermitian, and rational because I + A is
+    inverted by Gauss-Jordan elimination over Q(i).  Every leading principal
+    submatrix of I + A is again I plus a skew-Hermitian matrix, so it is
+    invertible and no pivot is zero.  Built once per n, and checked to be
+    exactly unitary when built.
+    """
+    point = _POINTS.get(n)
+    if point is not None:
+        return point
+    a = _skew_hermitian(n)
+    eye = [[ONE if j == k else ZERO for k in range(n)] for j in range(n)]
+    # solve (I + A) g = I - A; the two factors commute
+    rows = [[e + v for e, v in zip(eye[j], a[j])] + [e - v for e, v in zip(eye[j], a[j])] for j in range(n)]
+    for col in range(n):
+        pivot = rows[col][col]
+        rows[col] = [v / pivot for v in rows[col]]
+        for r in range(n):
+            factor = rows[r][col]
+            if r != col and factor:
+                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
+    g = [row[n:] for row in rows]
+    for j in range(n):
+        for k in range(n):
+            if sum((g[j][m] * g[k][m].conjugate() for m in range(n)), ZERO) != eye[j][k]:
+                raise ArithmeticError(f"witness point over n={n} is not unitary; this is a bug")
+    point = {}
+    for i in range(n):
+        for j in range(n):
+            point[i + 1, j + 1, False] = g[i][j]
+            point[i + 1, j + 1, True] = g[i][j].conjugate()
+    _POINTS[n] = point
+    return point
+
+
+def _value_at(f: FunElement, point: dict) -> GaussianRational:
+    """f evaluated at a matrix given as ``witness_point`` gives it."""
+    total = ZERO
+    for mono, coeff in f.terms.items():
+        for sym, e in mono.exps:
+            value = point[sym]
+            for _ in range(e):
+                coeff = coeff * value
+        total = total + coeff
+    return total
+
+
+def witness_refutes(x: CrossedElement) -> bool:
+    """True when a component of x is non-zero at ``witness_point(x.n)``.
+
+    That value is exact, and g is a point of U(n), so a non-zero value proves
+    that x does not vanish on U(n); False proves nothing.
+    """
+    point = witness_point(x.n)
+    return any(_value_at(f, point) for f in (x.f0, x.f1))
+
+
 def norm_equal(x: CrossedElement, y: CrossedElement, p_max: int = PMAX_DEFAULT) -> bool:
     """Exact equality of crossed elements as functions on the unitary group.
 
-    Decides equality in the half-commutative algebra attached to U(n), since
-    the Haar state is faithful on polynomial functions.
+    Decides equality in the half-commutative algebra attached to U(n), in two
+    exact stages.  A difference that is non-zero at the unitary witness point
+    is unequal, with no integration (``witness_refutes``).  Otherwise the
+    answer is a vanishing Haar norm (``norm_squared``), which decides
+    equality since the Haar state is faithful on polynomial functions.  So a
+    pair beyond ``p_max`` answers False when the witness refutes it, since
+    the cap bounds the integration it skips, and raises ``DegreeCapError``
+    otherwise.
     """
-    return norm_squared(x - y, p_max=p_max) == 0
+    d = x - y
+    return not witness_refutes(d) and norm_squared(d, p_max=p_max) == 0
 
 
 @dataclass

@@ -51,6 +51,7 @@ from .haar import (
     norm_equal,
     norm_squared,
     weingarten_table,
+    witness_refutes,
     _compose,
     _cycle_count,
     _cycle_type,
@@ -287,21 +288,26 @@ def suite_faithfulness(n=2, p_max=PMAX_DEFAULT, seed=DEFAULT_SEED):
         # pointwise evaluation at sampled unitaries.  Distinct normal forms may
         # coincide as functions (for n=2 unitarity forces |u11| = |u22| and
         # |u12| = |u21|, so e.g. v11 v11 and v22 v22 have equal images).
+        # norm_equal must agree too, refuting most pairs at its witness point.
         images = [embed_pi(WordElement.from_word(pres, w)) for w in forms]
-        coincidences = 0
+        coincidences = refuted = 0
         for a in range(len(forms)):
             for b in range(a, len(forms)):
-                got = norm_equal(images[a], images[b], p_max=p_max)
-                oracle = pointwise_equal(images[a], images[b], seed=seed)
-                if got != oracle:
+                d = images[a] - images[b]
+                got = norm_squared(d, p_max=p_max) == 0
+                if got != pointwise_equal(images[a], images[b], seed=seed):
                     return False, f"norm vs pointwise disagree for {forms[a]} vs {forms[b]}"
+                if got != norm_equal(images[a], images[b], p_max=p_max):
+                    return False, f"norm vs norm_equal disagree for {forms[a]} vs {forms[b]}"
                 if a == b and not got:
                     return False, f"norm not reflexive at {forms[a]}"
                 if a != b and got:
                     coincidences += 1
+                refuted += witness_refutes(d)
         return True, (
-            f"{len(forms)} normal forms; norm agrees with pointwise sampling on all "
-            f"pairs; {coincidences} distinct-form pairs coincide as functions"
+            f"{len(forms)} normal forms; norm agrees with pointwise sampling and norm_equal on all "
+            f"pairs; {coincidences} distinct-form pairs coincide as functions; the witness point "
+            f"refutes {refuted} pairs"
         )
 
     yield (

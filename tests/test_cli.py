@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from halfcomm.cli import _settle_flags, build_parser, main
+from halfcomm.cli import MC_SAMPLES, _echo_config, _settle_flags, build_parser, main
 from halfcomm.verify import SUITES, run_verify, suite_params
 
 
@@ -455,6 +455,32 @@ def test_subcommands_take_only_the_shared_flags_they_read(capsys, selection, fla
         assert f"unrecognized arguments: {flag}" in err
     else:  # one the subcommand takes but the selected method or suite does not read
         assert err == f"error: {DEFAULT_PATHS.get(selection, selection)} does not read {flag}\n"
+
+
+@pytest.mark.parametrize("selection", SELECTIONS)
+def test_config_echo_lists_only_the_flags_read(capsys, selection):
+    argv, reads = SELECTIONS[selection]
+    args = build_parser().parse_args(argv)
+    _settle_flags(args)
+    _echo_config(args)
+    config = json.loads(capsys.readouterr().err.removeprefix("# config "))
+    echoed = {flag for flag in FLAGS if flag.removeprefix("--").replace("-", "_") in config}
+    assert echoed <= reads
+    # an unset count or seed that the call reads is echoed with the value it uses
+    assert {"--samples", "--seed", "--degree-cap"} & reads <= echoed
+    if "--samples" in reads:
+        verify = selection.startswith("verify")
+        assert config["samples"] == (suite_params("weingarten")["samples"].default if verify else MC_SAMPLES)
+
+
+def test_config_echo_gives_the_samples_used(capsys):
+    code, out, err = run_cli(capsys, "haar", "--mc", "--group", "kn:2", "--seed", "3", "u[1,1] u*[1,1]")
+    config = json.loads(err.splitlines()[0].removeprefix("# config "))
+    assert code == 0 and config["samples"] == json.loads(out)["samples"] == MC_SAMPLES
+    assert "degree_cap" not in config
+    code, out, err = run_cli(capsys, "verify", "--suite", "half-comm")
+    config = json.loads(err.splitlines()[0].removeprefix("# config "))
+    assert code == 0 and config == {"command": "verify", "n": 2, "suite": "half-comm"}
 
 
 def test_counts_at_their_minimum_run(capsys):

@@ -26,12 +26,16 @@ from halfcomm.haar import (
     norm_equal,
     norm_squared,
     weingarten_table,
+    witness_point,
+    witness_refutes,
     _compose,
     _cycle_count,
     _cycle_type,
     _inverse,
     _monomial_integral,
+    _partitions,
     _permutations,
+    _type_code,
 )
 from halfcomm.scalars import GaussianRational
 from halfcomm.words import WordElement, ao_star, au_star_star, hc_normal_form, letter
@@ -200,8 +204,10 @@ def test_full_entry_product_moment():
 @pytest.mark.parametrize("p, n", [(p, n) for p in range(1, 6) for n in range(1, 6)])
 def test_table_numerators_over_common_denominator(p, n):
     table = weingarten_table(p, n)
-    assert table.numerators.keys() == table.values.keys()
-    assert all(Fraction(num, table.denominator) == table.values[mu] for mu, num in table.numerators.items())
+    # one code per cycle type, so the walk's counts find their numerators
+    assert table.numerators.keys() == {_type_code(mu, p) for mu in table.values}
+    assert len(table.numerators) == len(table.values) == len(list(_partitions(p)))
+    assert all(Fraction(table.numerators[_type_code(mu, p)], table.denominator) == v for mu, v in table.values.items())
     # the denominator is the least common one
     assert math.gcd(table.denominator, *table.numerators.values()) == 1
 
@@ -217,14 +223,14 @@ def _filtered_monomial_integral(mono, n):
     p = len(us)
     if p == 0:
         return Fraction(1)
-    table = weingarten_table(p, n)
+    table = weingarten_table(p, n, p_max=p)
     perms = _permutations(p)
     sigmas = [s for s in perms if all(us[a][0] == ubars[s[a]][0] for a in range(p))]
     taus = [t for t in perms if all(us[a][1] == ubars[t[a]][1] for a in range(p))]
     return sum((table.wg(_compose(t, _inverse(s))) for s in sigmas for t in taus), Fraction(0))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_monomial_integral_matches_filtered_permutations(n):
     # p <= 5 on both sides of n = p; the conjugate factors mostly permute the
     # plain ones, so that most integrals are nonzero
@@ -245,6 +251,18 @@ def test_monomial_integral_matches_filtered_permutations(n):
     if n == 2:
         (m,) = mono(2, [(1, 1)] * 5, [(1, 1)] * 5).terms
         assert _monomial_integral(m, 2, 5) == _filtered_monomial_integral(m, 2) == Fraction(1, 6)
+    # few classes of many equal factors, and degree 6 over n > 1, where the
+    # pairs to filter stay few
+    for p in range(2, 6):
+        for _ in range(6):
+            pool = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(2)]
+            us = [rng.choice(pool) for _ in range(p)]
+            (m,) = mono(n, us, rng.sample(us, p)).terms
+            assert _monomial_integral(m, n, 5) == _filtered_monomial_integral(m, n), (n, us)
+    for _ in range(4 if n > 1 else 0):
+        us = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(6)]
+        (m,) = mono(n, us, rng.sample(us, 6)).terms
+        assert _monomial_integral(m, n, 6) == _filtered_monomial_integral(m, n), (n, us)
 
 
 def test_degree_cap_precedes_label_mismatch():
@@ -341,6 +359,103 @@ def test_norm_squared_degree_cap():
     assert norm_squared(x, p_max=6) == _norm_by_expansion(x, p_max=6)
     with pytest.raises(DegreeCapError):
         norm_squared(x)
+    # beyond the cap, norm_equal answers a pair the witness point refutes and
+    # raises for one it cannot: y equals x on U(2), the first row being a unit
+    zero = CrossedElement.zero(2)
+    assert witness_refutes(x) and not norm_equal(x, zero)
+    y = x * CrossedElement.even(u(2, 1, 1) * ub(2, 1, 1) + u(2, 1, 2) * ub(2, 1, 2))
+    assert not witness_refutes(x - y)
+    with pytest.raises(DegreeCapError):
+        norm_equal(x, y)
+
+
+# -- the witness point -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_witness_point_is_exactly_unitary(n):
+    g = witness_point(n)
+    assert witness_point(n) is g
+    one = GaussianRational(1)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            assert g[i, j, True] == g[i, j, False].conjugate()
+            rows = sum((g[i, k, False] * g[j, k, True] for k in range(1, n + 1)), GaussianRational(0))
+            cols = sum((g[k, i, True] * g[k, j, False] for k in range(1, n + 1)), GaussianRational(0))
+            assert rows == cols == one * (i == j), (i, j)
+
+
+def _unitarity_relations(n):
+    """The entries of u u* - 1 and u* u - 1, which vanish on U(n)."""
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            rows = sum((u(n, a, k) * ub(n, b, k) for k in range(1, n + 1)), FunElement.zero(n))
+            cols = sum((ub(n, k, a) * u(n, k, b) for k in range(1, n + 1)), FunElement.zero(n))
+            unit = FunElement.one(n) * (a == b)
+            yield rows - unit
+            yield cols - unit
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_witness_never_refutes_unitarity_relations(n):
+    for f in _unitarity_relations(n):
+        for x in (CrossedElement.even(f), CrossedElement.odd(f)):
+            assert norm_squared(x) == 0
+            assert not witness_refutes(x)
+
+
+def _word_relations(pres):
+    """Word elements whose images vanish on the group: the entries of v v* - 1
+    over ao-star, and the column norms (v v* + v* v)/2 - 1 over au-star-star,
+    the unitary presentation embedded over the doubled dimension."""
+    n = pres.n
+    for a in range(1, n + 1):
+        if pres.orthogonal:
+            for b in range(1, n + 1):
+                terms = {(letter(pres, a, k), letter(pres, b, k)): 1 for k in range(1, n + 1)}
+                yield WordElement(pres, {**terms, (): -int(a == b)})
+        else:
+            terms = {(): -1}
+            for i in range(1, n + 1):
+                v, vs = letter(pres, i, a), letter(pres, i, a, True)
+                terms[v, vs] = terms[vs, v] = Fraction(1, 2)
+            yield WordElement(pres, terms)
+
+
+def _random_word(rng, pres, length):
+    n = pres.n
+    return tuple(letter(pres, rng.randint(1, n), rng.randint(1, n), not pres.orthogonal and rng.random() < 0.5)
+                 for _ in range(length))
+
+
+@pytest.mark.parametrize("pres", [ao_star(2), ao_star(3), ao_star(4), au_star_star(1), au_star_star(2)], ids=str)
+def test_norm_equal_matches_the_norm_on_seeded_pairs(pres):
+    # y is x plus a relation sandwiched between random words (equal on the
+    # group, so the witness point must not refute it) or x plus a random word
+    # (unequal); norm_equal agrees with the vanishing of the norm either way
+    rng = random.Random(f"seeded pairs {pres}")
+    relations = list(_word_relations(pres))
+    coeffs = (1, -1, 2, Fraction(1, 2), GaussianRational(1, -1))
+    refuted = 0
+    for k in range(16):
+        equal = k % 2 == 0
+        x = WordElement(pres, {_random_word(rng, pres, length): rng.choice(coeffs) for length in (3, 2)})
+        if equal:
+            room = rng.randint(0, 2)
+            left = rng.randint(0, room)
+            a, b = _random_word(rng, pres, left), _random_word(rng, pres, room - left)
+            c = rng.choice(coeffs)
+            extra = WordElement(pres, {a + w + b: c * t for w, t in rng.choice(relations).terms.items()})
+        else:
+            extra = WordElement(pres, {_random_word(rng, pres, 4): rng.choice(coeffs)})
+        d = embed_pi(extra)
+        assert (norm_squared(d) == 0) == equal
+        if witness_refutes(d):
+            assert not equal
+            refuted += 1
+        xs, ys = embed_pi(x), embed_pi(x + extra)
+        assert norm_equal(xs, ys) == (norm_squared(xs - ys) == 0) == equal
+    assert refuted == 8
 
 
 def test_faithfulness_small_battery():
