@@ -20,7 +20,7 @@ from collections import Counter
 
 from .errors import DimensionMismatchError, IndexRangeError
 from .scalars import ZERO, GaussianRational, I, SparseSum, reduce_terms
-from .words import AU_STAR_STAR, WordElement, _term_strings, coproduct_legs
+from .words import AU_STAR_STAR, WordElement, _term_strings, coproduct_splits
 
 # A symbol is (row, col, bar); bar=True marks the conjugate coordinate.
 
@@ -253,17 +253,32 @@ def crossed_counit(x: CrossedElement) -> GaussianRational:
 def crossed_coproduct(x: CrossedElement):
     """Coproduct as a dict {((mono, parity), (mono, parity)): coefficient}.
 
-    The generator rule of ``words.coproduct_legs``, each leg counted into a
-    monomial whose symbols are ``Letter``s, equal and hash-equal to the plain
-    (row, col, bar) triples; both tensor legs inherit the parity of the term
-    they came from.
+    The generator rule, expanded by ``words.coproduct_splits`` over the
+    exponents of each monomial, all of whose symbols commute: a symbol of
+    exponent e splits by the compositions of e with multinomial weights.  The
+    legs are monomials whose symbols are ``Letter``s, equal and hash-equal to
+    the plain (row, col, bar) triples; both tensor legs inherit the parity of
+    the term they came from.
     """
+
+    monos = {}  # leg -> its monomial; legs recur across the terms
+
+    def mono_of(leg):
+        m = monos.get(leg)
+        if m is None:
+            m = monos[leg] = FunMonomial(Counter(leg))
+        return m
 
     def pairs():
         for parity, f in ((0, x.f0), (1, x.f1)):
             for mono, coeff in f.terms.items():
-                for left, right in coproduct_legs(mono.symbols(), x.n):
-                    yield ((FunMonomial(Counter(left)), parity), (FunMonomial(Counter(right)), parity)), coeff
+                (splits,) = coproduct_splits((mono.exps,), x.n)
+                scaled = {}  # coeff times each weight, computed once
+                for (left, right), weight in splits.items():
+                    c = scaled.get(weight)
+                    if c is None:
+                        c = scaled[weight] = coeff * weight
+                    yield ((mono_of(left), parity), (mono_of(right), parity)), c
 
     return reduce_terms(pairs())
 
@@ -293,12 +308,21 @@ def embed_pi(x: WordElement) -> CrossedElement:
     Since s f = bar(f) s, a word v_a1 v_a2 ... v_ak goes to the single
     monomial u_a1 ubar_a2 u_a3 ... s^k: letters at odd positions stay plain,
     letters at even positions are conjugated, and the term is odd iff k is.
-    A unitary-presentation letter expands in place over dimension 2n: u_ij
-    to x_ij + i*x_(n+i)j and its star to x_ij - i*x_(n+i)j.
+    An orthogonal word is that one monomial, counted straight from its
+    letters.  A unitary-presentation letter expands in place over dimension
+    2n: u_ij to x_ij + i*x_(n+i)j and its star to x_ij - i*x_(n+i)j.
     """
     n = x.presentation.n
-    shifts = (0, n) if x.presentation.kind == AU_STAR_STAR else (0,)
     parts = ([], [])
+    if x.presentation.kind != AU_STAR_STAR:
+        for word, coeff in x.terms.items():
+            exps = {}
+            for pos, l in enumerate(word):
+                sym = (l.row, l.col, pos % 2 == 1)
+                exps[sym] = exps.get(sym, 0) + 1
+            parts[len(word) % 2].append((FunMonomial(exps), coeff))
+        return CrossedElement(FunElement(n, parts[0]), FunElement(n, parts[1]))
+    shifts = (0, n)
     for word, coeff in x.terms.items():
         part = parts[len(word) % 2]
         # the term picks up i per shifted plain letter and -i per shifted

@@ -123,72 +123,44 @@ def un_dim(lam, n: int) -> int:
     return int(out)
 
 
-def _supersets(lam, add, max_rows):
-    """Partitions nu containing lam with |nu| = |lam| + add and at most
-    max_rows rows, as length-max_rows tuples."""
+def _lattice_strips(shape, size, prev):
+    """Horizontal strips of ``size`` cells on the partition ``shape``, as
+    per-row cell counts, under the lattice bound set by ``prev``.
 
-    def rec(i, prev, remaining, acc):
-        if i == max_rows:
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        lo = lam[i]
-        hi = min(prev, lam[i] + remaining)
-        for v in range(hi, lo - 1, -1):
-            acc.append(v)
-            yield from rec(i + 1, v, remaining - (v - lo), acc)
-            acc.pop()
-
-    yield from rec(0, lam[0] + add, add, [])
-
-
-def _lr_count(nu, lam, mu):
-    """Number of column-strict lattice fillings of nu/lam with content mu.
-
-    Cells are visited in reading-word order (rows top to bottom, right to left
-    within each row) so the lattice prefix condition prunes immediately.
+    A strip adds at most ``shape[r-1] - shape[r]`` cells to row r (row 0 is
+    unbounded), so no two of its cells share a column.  When ``prev`` counts
+    the cells of the previous layer per row, the cells in rows <= r may not
+    outnumber its cells in rows < r; ``prev`` None puts no bound.
     """
-    rows = len(nu)
-    cells = []
-    for r in range(rows):
-        for c in range(nu[r] - 1, lam[r] - 1, -1):
-            cells.append((r, c))
-    m = len(mu)
-    counts = [0] * m
-    filling = {}
-
-    def rec(idx):
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        total = 0
-        for v in range(m):
-            if counts[v] >= mu[v]:
-                continue
-            if v > 0 and counts[v] + 1 > counts[v - 1]:
-                continue
-            right = filling.get((r, c + 1))
-            if right is not None and v + 1 > right:
-                continue
-            if r > 0 and c >= lam[r - 1]:
-                if filling[(r - 1, c)] >= v + 1:
-                    continue
-            counts[v] += 1
-            filling[(r, c)] = v + 1
-            total += rec(idx + 1)
-            counts[v] -= 1
-            del filling[(r, c)]
-        return total
-
-    return rec(0)
+    last = len(shape) - 1
+    partial = [((), size, 0)]  # (counts so far, cells left, lattice slack)
+    for r, row in enumerate(shape):
+        # rows below r take at most shape[r] - shape[last] cells between them
+        floor = row - shape[last] if r < last else 0
+        grown = []
+        for counts, left, slack in partial:
+            hi = left if r == 0 else min(left, shape[r - 1] - row)
+            if prev is not None:
+                hi = min(hi, slack)
+                slack += prev[r]
+            for a in range(max(0, left - floor), hi + 1):
+                grown.append((counts + (a,), left - a, slack - a))
+        partial = grown
+    return [counts for counts, _left, _slack in partial]
 
 
 def lr_tensor(lam, mu, n: int) -> dict:
     """Decomposition of the tensor product of two highest weights over U(n).
 
     Weights may have negative entries; both are shifted by multiples of
-    (1,...,1) into partitions, the Littlewood-Richardson multiplicities are
-    enumerated, and the total shift is subtracted again.
+    (1,...,1) into partitions and the total shift is subtracted again.  The
+    Littlewood-Richardson tableaux are grown layer by layer: on lam, mu_1
+    ones, then mu_2 twos, and so on, each layer a horizontal strip under the
+    lattice bound (``_lattice_strips``); since the multiplicities are
+    symmetric in lam and mu, the partition with fewer cells plays mu.
+    Tableaux that agree on their shape and on the rows of their last layer
+    have the same futures, so they are counted together; each nu comes out
+    once, with its multiplicity, in decreasing order.
     """
     lam = _validate_weight(lam, n)
     mu = _validate_weight(mu, n)
@@ -196,13 +168,23 @@ def lr_tensor(lam, mu, n: int) -> dict:
     sm = max(0, -mu[-1])
     lp = tuple(x + sl for x in lam)
     mp = tuple(x + sm for x in mu)
-    add = sum(mp)
+    if sum(mp) > sum(lp):
+        lp, mp = mp, lp
+    states = {(lp, None): 1}  # (shape, last layer's rows) -> tableaux
+    for size in mp:
+        if size == 0:
+            break
+        grown = {}
+        for (shape, prev), mult in states.items():
+            for strip in _lattice_strips(shape, size, prev):
+                key = (tuple(s + a for s, a in zip(shape, strip)), strip)
+                grown[key] = grown.get(key, 0) + mult
+        states = grown
     out = {}
-    for nu in _supersets(lp, add, n):
-        mult = _lr_count(nu, lp, mp)
-        if mult:
-            out[tuple(x - sl - sm for x in nu)] = mult
-    return out
+    for (shape, _strip), mult in states.items():
+        nu = tuple(x - sl - sm for x in shape)
+        out[nu] = out.get(nu, 0) + mult
+    return dict(sorted(out.items(), reverse=True))
 
 
 class UnFusion(FusionData):

@@ -19,8 +19,11 @@ Haar state (see ``crossed`` and ``haar``).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -238,9 +241,19 @@ def counit_element(x: WordElement) -> GaussianRational:
     return total
 
 
-def coproduct_legs(symbols, n):
-    """The generator rule Delta(v_ij) = sum_k v_ik (x) v_kj, expanded.
+def _check_coproduct_cap(degree, n):
+    terms = n ** degree
+    if terms > COPRODUCT_MAX_TERMS:
+        raise DegreeCapError(
+            f"coproduct of a degree-{degree} term over n={n} expands to {terms} terms, "
+            f"above the cap of {COPRODUCT_MAX_TERMS}"
+        )
 
+
+def coproduct_legs(symbols, n):
+    """The generator rule Delta(v_ij) = sum_k v_ik (x) v_kj, expanded term by term.
+
+    The brute-force reference for ``coproduct_splits``, kept for tests.
     ``symbols`` is a sequence of ``(row, col, flag)`` triples: a word's
     letters or a monomial's ``symbols()``.  Returns an iterator over the
     ``n ** len(symbols)`` ``(left, right)`` pairs, one per choice of the
@@ -248,41 +261,104 @@ def coproduct_legs(symbols, n):
     ``symbols``, and the flag rides along.  Raises ``DegreeCapError`` before
     expanding anything when that term count exceeds ``COPRODUCT_MAX_TERMS``.
     """
-    terms = n ** len(symbols)
-    if terms > COPRODUCT_MAX_TERMS:
-        raise DegreeCapError(
-            f"coproduct of a degree-{len(symbols)} term over n={n} expands to {terms} terms, "
-            f"above the cap of {COPRODUCT_MAX_TERMS}"
-        )
+    _check_coproduct_cap(len(symbols), n)
     choices = [[(Letter(r, k, f), Letter(k, c, f)) for k in range(1, n + 1)] for r, c, f in symbols]
     # zip(*picks) transposes the picked pairs into the two legs; it is empty
     # only for the empty word, whose one term is the unit on both sides
     return (tuple(zip(*picks)) or ((), ()) for picks in itertools.product(*choices))
 
 
-def _leg(word, presentation):
-    # normal form of a coproduct leg, or None if it dies in the quotient
-    if _dead_word(word, presentation):
-        return None
-    return hc_normal_form(word)
+@functools.lru_cache(maxsize=4096)
+def _symbol_splits(r, c, f, e, n):
+    """The (left, right, weight) splits of the symbol (r, c, f) to the power e.
+
+    A composition (e_1..e_n) of e, drawn as the sorted multiset of summation
+    indices, gives (r, k, f)**e_k on the left and (k, c, f)**e_k on the
+    right, both sorted, with weight multinomial(e; e_1..e_n).
+    """
+    out = []
+    for ks in itertools.combinations_with_replacement(range(1, n + 1), e):
+        weight = math.factorial(e)
+        for ek in Counter(ks).values():
+            weight //= math.factorial(ek)
+        out.append((tuple(Letter(r, k, f) for k in ks), tuple(Letter(k, c, f) for k in ks), weight))
+    return tuple(out)
+
+
+def _class_splits(counts, n):
+    """The generator rule on one class of commuting symbols, by multiplicity.
+
+    ``counts`` holds ``((row, col, flag), e)`` pairs, each expanded by
+    ``_symbol_splits``.  Returns ``{(left, right): weight}`` with each leg a
+    sorted tuple of ``Letter``s; distinct splits of several symbols can meet
+    on one pair (u11 u12 u21 u22 over n = 2 does), so their weights add.
+    """
+    options = {((), ()): 1}
+    for (r, c, f), e in counts:
+        splits = _symbol_splits(r, c, f, e, n)
+        grown = {}
+        for (left, right), w in options.items():
+            for sl, sr, sw in splits:
+                key = (left + sl, right + sr)
+                grown[key] = grown.get(key, 0) + w * sw
+        options = grown
+    out = {}
+    for (left, right), w in options.items():
+        key = (tuple(sorted(left)), tuple(sorted(right)))
+        out[key] = out.get(key, 0) + w
+    return out
+
+
+def coproduct_splits(classes, n):
+    """The generator rule Delta(v_ij) = sum_k v_ik (x) v_kj on a term whose
+    symbols commute within each of ``classes``, expanded by multiplicities.
+
+    Each class is a sequence of ``((row, col, flag), multiplicity)`` pairs: a
+    word has two, its odd and its even positions (``hc_normal_form``), a
+    crossed monomial one.  Returns one ``{(left, right): weight}`` dict per
+    class (see ``_class_splits``); a term of the coproduct picks one entry
+    from each, and over all picks the weights add up to the ``n ** degree``
+    terms of ``coproduct_legs``.  Raises ``DegreeCapError`` before expanding
+    anything when that count exceeds ``COPRODUCT_MAX_TERMS``.
+    """
+    _check_coproduct_cap(sum(e for cls in classes for _sym, e in cls), n)
+    return [_class_splits(cls, n) for cls in classes]
+
+
+def _interleave(odd, even):
+    # the word with ``odd`` at its odd positions and ``even`` at its even ones,
+    # as hc_normal_form builds it from the two sorted classes
+    out = [None] * (len(odd) + len(even))
+    out[0::2] = odd
+    out[1::2] = even
+    return tuple(out)
 
 
 def coproduct_element(x: WordElement):
     """Coproduct as a dict {(left word, right word): coefficient}.
 
-    The generator rule of ``coproduct_legs``, stars preserved; both legs are
-    normalized, and terms whose legs die in the quotient are dropped.
+    The generator rule, stars preserved, expanded by ``coproduct_splits`` over
+    the odd- and even-position letters of each word; both legs come out in
+    normal form, and terms whose legs die in the quotient are dropped.
     """
+    pres = x.presentation
+    ah = pres.kind == AH_STAR
 
     def pairs():
         for word, coeff in x.terms.items():
-            for left, right in coproduct_legs(word, x.presentation.n):
-                nl = _leg(left, x.presentation)
-                if nl is None:
-                    continue
-                nr = _leg(right, x.presentation)
-                if nr is not None:
-                    yield (nl, nr), coeff
+            odd, even = coproduct_splits((Counter(word[0::2]).items(), Counter(word[1::2]).items()), pres.n)
+            scaled = {}  # coeff times each weight, computed once
+            for (lo, ro), wo in odd.items():
+                for (le, re), we in even.items():
+                    left = _interleave(lo, le)
+                    right = _interleave(ro, re)
+                    if ah and (_dead_word(left, pres) or _dead_word(right, pres)):
+                        continue
+                    weight = wo * we
+                    c = scaled.get(weight)
+                    if c is None:
+                        c = scaled[weight] = coeff * weight
+                    yield (left, right), c
 
     return reduce_terms(pairs())
 

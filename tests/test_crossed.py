@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -170,6 +171,21 @@ def test_crossed_coproduct_coassociative():
             key = ((lm, lp), k1, k2)
             right[key] = right.get(key, GaussianRational(0)) + c * c2
     assert {k: v for k, v in left.items() if v} == {k: v for k, v in right.items() if v}
+
+
+def test_crossed_coproduct_of_a_power_is_binomial():
+    # Delta(u11) = u11 (x) u11 + u12 (x) u21 over n = 2, so Delta(u11^e) is
+    # sum_k C(e, k) u11^(e-k) u12^k (x) u11^(e-k) u21^k; e = 16 sits at the cap
+    for e in range(1, 17):
+        delta = crossed_coproduct(basis(2, FunMonomial({(1, 1, False): e}), 0))
+        expected = {
+            (
+                (FunMonomial({(1, 1, False): e - k, (1, 2, False): k}), 0),
+                (FunMonomial({(1, 1, False): e - k, (2, 1, False): k}), 0),
+            ): GaussianRational(math.comb(e, k))
+            for k in range(e + 1)
+        }
+        assert delta == expected, e
 
 
 def test_crossed_coproduct_degree_cap():

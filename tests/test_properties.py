@@ -1,6 +1,8 @@
 """Property tests: seeded Hypothesis runs over small words, polynomials and
 permutations."""
 
+from collections import Counter
+
 from hypothesis import given, settings, strategies as st
 
 from halfcomm.crossed import (
@@ -8,19 +10,24 @@ from halfcomm.crossed import (
     FunElement,
     FunMonomial,
     crossed_antipode,
+    crossed_coproduct,
     crossed_mul,
     crossed_star,
     format_crossed_element,
 )
 from halfcomm.expressions import CrossedContext, parse_expression
+from halfcomm.fusion import lr_tensor
 from halfcomm.haar import _compose, _inverse, weingarten_table
-from halfcomm.scalars import GaussianRational
+from halfcomm.scalars import GaussianRational, reduce_terms
+from halfcomm.verify import schur_tensor_oracle
 from halfcomm.words import (
     WordElement,
     ah_star,
     antipode_element,
     ao_star,
     au_star_star,
+    coproduct_element,
+    coproduct_legs,
     format_word_element,
     hc_normal_form,
     letter,
@@ -37,14 +44,23 @@ coefficients = st.builds(
 )
 
 
-def words_over(pres, max_len):
-    letters = st.builds(
+def letters_over(pres):
+    return st.builds(
         lambda r, c, starred: letter(pres, r, c, starred and not pres.orthogonal),
         st.integers(1, pres.n),
         st.integers(1, pres.n),
         st.booleans(),
     )
-    return st.lists(letters, max_size=max_len).map(tuple)
+
+
+def words_over(pres, max_len):
+    return st.lists(letters_over(pres), max_size=max_len).map(tuple)
+
+
+def repeating_words(pres, max_len):
+    # words over a pool of at most four letters, so that letters recur
+    pools = st.lists(letters_over(pres), min_size=1, max_size=4)
+    return pools.flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=max_len).map(tuple))
 
 
 def word_elements(pres, max_len=4):
@@ -53,9 +69,9 @@ def word_elements(pres, max_len=4):
     )
 
 
-def crossed_elements(n):
+def crossed_elements(n, max_exp=2):
     symbols = st.tuples(st.integers(1, n), st.integers(1, n), st.booleans())
-    monomials = st.dictionaries(symbols, st.integers(1, 2), max_size=3).map(FunMonomial)
+    monomials = st.dictionaries(symbols, st.integers(1, max_exp), max_size=3).map(FunMonomial)
     funs = st.dictionaries(monomials, coefficients, max_size=3).map(lambda terms: FunElement(n, terms))
     return st.builds(CrossedElement, funs, funs)
 
@@ -118,3 +134,58 @@ def test_weingarten_is_a_class_function(perms, n):
     sigma, pi = (tuple(s) for s in perms)
     table = weingarten_table(len(sigma), n)
     assert table.wg(sigma) == table.wg(_compose(_compose(pi, sigma), _inverse(pi)))
+
+
+def _word_coproduct_reference(x):
+    """Every one of the n**L terms of coproduct_legs, legs normalized as words."""
+    pres = x.presentation
+
+    def pairs():
+        for word, coeff in x.terms.items():
+            for left, right in coproduct_legs(word, pres.n):
+                for a in WordElement.from_word(pres, left).terms:
+                    for b in WordElement.from_word(pres, right).terms:
+                        yield (a, b), coeff
+
+    return reduce_terms(pairs())
+
+
+def _crossed_coproduct_reference(x):
+    """Every one of the n**degree terms of coproduct_legs, legs counted into monomials."""
+
+    def pairs():
+        for parity, f in ((0, x.f0), (1, x.f1)):
+            for mono, coeff in f.terms.items():
+                for left, right in coproduct_legs(mono.symbols(), x.n):
+                    yield ((FunMonomial(Counter(left)), parity), (FunMonomial(Counter(right)), parity)), coeff
+
+    return reduce_terms(pairs())
+
+
+@SEEDED
+@given(
+    presentations.flatmap(
+        lambda pres: st.dictionaries(repeating_words(pres, 7), coefficients, min_size=1, max_size=2).map(
+            lambda terms: WordElement(pres, terms)
+        )
+    )
+)
+def test_word_coproduct_matches_the_term_by_term_expansion(x):
+    assert coproduct_element(x) == _word_coproduct_reference(x)
+
+
+@SEEDED
+@given(st.integers(1, 3).flatmap(lambda n: crossed_elements(n, max_exp=3)))
+def test_crossed_coproduct_matches_the_term_by_term_expansion(x):
+    assert crossed_coproduct(x) == _crossed_coproduct_reference(x)
+
+
+def weights(n):
+    return st.lists(st.integers(-2, 3), min_size=n, max_size=n).map(lambda w: tuple(sorted(w, reverse=True)))
+
+
+@SEEDED
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), weights(n), weights(n))))
+def test_lr_tensor_matches_the_schur_product_oracle(case):
+    n, lam, mu = case
+    assert lr_tensor(lam, mu, n) == schur_tensor_oracle(lam, mu, n)

@@ -335,6 +335,16 @@ def test_coproduct_matches_brute_force_expansion():
                 assert coproduct_element(x) == _brute_coproduct(x), (pres, word)
 
 
+def test_coproduct_adds_splits_that_meet_on_one_pair():
+    # the odd positions hold v11 v12 v21 v22, whose splits k = (1,2,2,1) and
+    # (2,1,1,2) give the same pair of legs: their weights must add
+    word = w(AO2, (1, 1), (2, 2), (1, 2), (1, 1), (2, 1), (1, 2), (2, 2))
+    x = WordElement.from_word(AO2, word)
+    delta = coproduct_element(x)
+    assert delta == _brute_coproduct(x)
+    assert max(c.re for c in delta.values()) > 1
+
+
 def test_counit_axiom_short_words():
     for length in (0, 1, 2):
         for word in all_words(AO2, length):
