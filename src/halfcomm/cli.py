@@ -8,6 +8,7 @@ failure, 2 usage or parse errors and inputs beyond a resource cap.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -179,7 +180,22 @@ def cmd_fuse(args):
     return EXIT_OK
 
 
+# label pairs in one fusion table: un:3 at --grade-cap 6 has 86 labels and
+# takes about 2 s
+_MAX_TABLE_PAIRS = 10_000
+
+
 def _fusion_table(data, grade_cap: int):
+    # count the labels before listing any; every step of the cap adds labels,
+    # so a table past the cap shows within a few steps, however large the cap
+    count = 0
+    for added in itertools.islice(data._labels_by_size(), grade_cap + 1):
+        count += added
+        if count * count > _MAX_TABLE_PAIRS:
+            raise ValueError(
+                f"fusion-table --group {data} --grade-cap {grade_cap} has at least {count} labels, "
+                f"{count * count} label pairs; the cap is {_MAX_TABLE_PAIRS} pairs"
+            )
     labels = sorted(((w, data.grade(w) % 2) for w in data.labels(grade_cap)), key=lambda x: (str(x[0]), x[1]))
     table = {
         "group": str(data),

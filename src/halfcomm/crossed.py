@@ -15,11 +15,13 @@ through ``groups`` for the other models.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
+import operator
 from collections import Counter
 
 from .errors import DimensionMismatchError, IndexRangeError
-from .scalars import ZERO, GaussianRational, I, SparseSum, reduce_terms
+from .scalars import ZERO, GaussianRational, SparseSum, reduce_terms
 from .words import AU_STAR_STAR, WordElement, _term_strings, coproduct_splits
 
 # A symbol is (row, col, bar); bar=True marks the conjugate coordinate.
@@ -302,45 +304,108 @@ def pun_generator(n: int, i: int, j: int, k: int, l: int) -> FunElement:
     return FunElement.coordinate(n, i, k) * FunElement.coordinate(n, j, l, bar=True)
 
 
+_POWERS_OF_I = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+@functools.cache
+def _class_splits(p: int, q: int) -> tuple:
+    """The nonzero weights of one letter class, as ``(k, re, im)`` triples.
+
+    A class of p plain and q starred commuting letters expands to
+    sum_k w_k x^(p+q-k) x'^k, where x' is the shifted symbol and
+    w_k = sum_(a+b=k) C(p,a) C(q,b) i^(a-b): a shifted plain letter brings i
+    and a shifted starred one -i.  w_0 = 1, and w_k = 0 is left out.
+    """
+    out = []
+    for k in range(p + q + 1):
+        re = im = 0
+        for a in range(max(0, k - q), min(p, k) + 1):
+            c = math.comb(p, a) * math.comb(q, k - a)
+            r, s = _POWERS_OF_I[(2 * a - k) % 4]
+            re += c * r
+            im += c * s
+        if re or im:
+            out.append((k, re, im))
+    return tuple(out)
+
+
 def embed_pi(x: WordElement) -> CrossedElement:
     """The *-homomorphism sending the generator v_ij to u_ij * s.
 
     Since s f = bar(f) s, a word v_a1 v_a2 ... v_ak goes to the single
     monomial u_a1 ubar_a2 u_a3 ... s^k: letters at odd positions stay plain,
     letters at even positions are conjugated, and the term is odd iff k is.
-    An orthogonal word is that one monomial, counted straight from its
-    letters.  A unitary-presentation letter expands in place over dimension
-    2n: u_ij to x_ij + i*x_(n+i)j and its star to x_ij - i*x_(n+i)j.
+    A unitary-presentation letter expands over dimension 2n: u_ij to
+    x_ij + i*x_(n+i)j and its star to x_ij - i*x_(n+i)j.  Letters of one
+    class, (row, col, position parity), commute in the image, so each class
+    splits once by its count of shifted letters (``_class_splits``) and a word
+    makes prod(e_class + 1) terms at most, not 2^k; an orthogonal class does
+    not split.  A word's terms come out in the order in which the letter-by-
+    letter expansion first meets them, so sums over them keep their order.
     """
     n = x.presentation.n
+    unitary = x.presentation.kind == AU_STAR_STAR
+    shift = n if unitary else 0
+    dim = n + shift
     parts = ([], [])
-    if x.presentation.kind != AU_STAR_STAR:
-        for word, coeff in x.terms.items():
-            exps = {}
-            for pos, l in enumerate(word):
-                sym = (l.row, l.col, pos % 2 == 1)
-                exps[sym] = exps.get(sym, 0) + 1
-            parts[len(word) % 2].append((FunMonomial(exps), coeff))
-        return CrossedElement(FunElement(n, parts[0]), FunElement(n, parts[1]))
-    shifts = (0, n)
     for word, coeff in x.terms.items():
+        classes = {}  # (row, col, odd position) -> the positions of its letters
+        for pos, (row, col, _starred) in enumerate(word):
+            sym = (row, col, pos % 2 == 1)
+            positions = classes.get(sym)
+            if positions is None:
+                classes[sym] = [pos]
+            else:
+                positions.append(pos)
+        for row, col, _odd in classes:
+            if not (1 <= row and row + shift <= dim and 1 <= col <= dim):
+                raise IndexRangeError(f"symbol index ({row},{col}) outside 1..{dim}")
         part = parts[len(word) % 2]
-        # the term picks up i per shifted plain letter and -i per shifted
-        # starred one: coeff * i^k
-        phases = (coeff, coeff * I, -coeff, -coeff * I)
-        choices = [
-            [((l.row + shift, l.col, pos % 2 == 1), (-1 if l.starred else 1) if shift else 0) for shift in shifts]
-            for pos, l in enumerate(word)
-        ]
-        for picks in itertools.product(*choices):
-            exps = {}
-            k = 0
-            for sym, step in picks:
-                exps[sym] = exps.get(sym, 0) + 1
-                k += step
-            part.append((FunMonomial(exps), phases[k % 4]))
-    dim = n * len(shifts)
-    return CrossedElement(FunElement(dim, parts[0]), FunElement(dim, parts[1]))
+        if not unitary:
+            part.append((tuple(sorted((sym, len(ps)) for sym, ps in classes.items())), coeff))
+            continue
+        # (pieces, weight re, weight im, first choice): the letter-by-letter
+        # expansion runs through the shift choices as binary numbers, the
+        # letter at position pos worth 2^(last - pos) when shifted, so a term
+        # first shows up at the least choice that makes it
+        terms = [((), 1, 0, 0)]
+        last = len(word) - 1
+        for sym, positions in classes.items():
+            row, col, odd = sym
+            e = len(positions)
+            q = 0
+            choices = [0]  # choices[k]: the least choice that shifts k letters
+            for pos in reversed(positions):
+                q += word[pos].starred
+                choices.append(choices[-1] + (1 << (last - pos)))
+            splits = []
+            for k, re, im in _class_splits(e - q, q):
+                pieces = ((sym, e - k),) if k < e else ()
+                if k:
+                    pieces += (((row + n, col, odd), k),)
+                splits.append((pieces, re, im, choices[k]))
+            terms = [
+                (pieces + more, re * r - im * s, re * s + im * r, choice + later)
+                for pieces, re, im, choice in terms
+                for more, r, s, later in splits
+            ]
+        terms.sort(key=operator.itemgetter(3))
+        scaled = {(1, 0): coeff}  # the coefficient times each weight, once
+        for pieces, re, im, _choice in terms:
+            c = scaled.get((re, im))
+            if c is None:
+                c = scaled[re, im] = coeff * GaussianRational(re, im)
+            part.append((tuple(sorted(pieces)), c))
+    zero = FunElement.zero(dim)
+    f0, f1 = (zero._like({_monomial(exps): c for exps, c in reduce_terms(part).items()}) for part in parts)
+    return CrossedElement(f0, f1)
+
+
+def _monomial(exps: tuple) -> FunMonomial:
+    """The monomial over an exponent tuple that is already sorted and positive."""
+    mono = object.__new__(FunMonomial)
+    mono.exps = exps
+    return mono
 
 
 def _display_items(f: FunElement, flip=False):

@@ -19,6 +19,8 @@ comodules of the half-commutative algebra attached to the group.
 from __future__ import annotations
 
 import abc
+import itertools
+import math
 from fractions import Fraction
 
 from .crossed import CrossedElement
@@ -71,6 +73,15 @@ class FusionData(abc.ABC):
         """The labels whose entries have absolute sum at most ``grade_cap``."""
         return _l1_ball(self.n, grade_cap)
 
+    def _labels_by_size(self):
+        """How many labels each step of the grade cap adds: the counts of the
+        labels whose entries have absolute sum g = 0, 1, 2, ..., counted,
+        not listed.  A vector of absolute sum g > 0 with k nonzero entries
+        picks their places, their signs and a composition of g into k parts."""
+        yield 1
+        for g in itertools.count(1):
+            yield sum(2**k * math.comb(self.n, k) * math.comb(g - 1, k - 1) for k in range(1, min(self.n, g) + 1))
+
     @abc.abstractmethod
     def validate_label(self, a):
         ...
@@ -79,9 +90,16 @@ class FusionData(abc.ABC):
     def dim(self, a) -> int:
         ...
 
-    @abc.abstractmethod
     def tensor(self, a, b) -> dict:
-        ...
+        """The decomposition of a (x) b, as {label: multiplicity}."""
+        self.validate_label(a)
+        self.validate_label(b)
+        return dict(self._tensor(a, b))
+
+    @abc.abstractmethod
+    def _tensor(self, a, b) -> dict:
+        """``tensor`` on labels that are already valid; callers must not
+        change the dict it returns."""
 
     @abc.abstractmethod
     def dual(self, a):
@@ -162,8 +180,11 @@ def lr_tensor(lam, mu, n: int) -> dict:
     have the same futures, so they are counted together; each nu comes out
     once, with its multiplicity, in decreasing order.
     """
-    lam = _validate_weight(lam, n)
-    mu = _validate_weight(mu, n)
+    return _lr_tensor(_validate_weight(lam, n), _validate_weight(mu, n))
+
+
+def _lr_tensor(lam, mu) -> dict:
+    """``lr_tensor`` on weights that are already valid."""
     sl = max(0, -lam[-1])
     sm = max(0, -mu[-1])
     lp = tuple(x + sl for x in lam)
@@ -202,16 +223,37 @@ class UnFusion(FusionData):
         # dominant weights: the weakly decreasing torus weights
         return [w for w in super().labels(grade_cap) if all(a >= b for a, b in zip(w, w[1:]))]
 
+    def _labels_by_size(self):
+        # A dominant weight of absolute sum g is a partition of s into its p
+        # positive entries and one of g - s into at most n - p negative ones.
+        exact = []  # exact[s][p]: partitions of s into exactly p parts
+        at_most = []  # at_most[s][r]: partitions of s into at most r parts, r <= s
+        for g in itertools.count():
+            row = [1 if g == 0 else 0]
+            for p in range(1, g + 1):
+                row.append(exact[g - 1][p - 1] + (exact[g - p][p] if 2 * p <= g else 0))
+            exact.append(row)
+            at_most.append(list(itertools.accumulate(row)))
+            yield sum(
+                exact[s][p] * at_most[g - s][min(self.n - p, g - s)]
+                for s in range(g + 1)
+                for p in range(min(self.n, s) + 1)
+            )
+
     def dim(self, a):
         return un_dim(a, self.n)
 
     def tensor(self, a, b):
+        # the labels of a memo hit were validated when it was stored
+        hit = self._memo.get((tuple(a), tuple(b)))
+        return dict(hit) if hit is not None else super().tensor(a, b)
+
+    def _tensor(self, a, b):
         key = (tuple(a), tuple(b))
         hit = self._memo.get(key)
         if hit is None:
-            hit = lr_tensor(a, b, self.n)
-            self._memo[key] = hit
-        return dict(hit)
+            hit = self._memo[key] = _lr_tensor(*key)
+        return hit
 
     def dual(self, a):
         return tuple(-x for x in reversed(a))
@@ -251,10 +293,14 @@ class SU2Fusion(FusionData):
     def labels(self, grade_cap):
         return [Fraction(k, 2) for k in range(2 * grade_cap + 1)]
 
+    def _labels_by_size(self):
+        yield 1
+        yield from itertools.repeat(2)
+
     def dim(self, a):
         return int(2 * Fraction(a)) + 1
 
-    def tensor(self, a, b):
+    def _tensor(self, a, b):
         a, b = Fraction(a), Fraction(b)
         lo, hi = abs(a - b), a + b
         out = {}
@@ -290,7 +336,7 @@ class TorusFusion(FusionData):
     def dim(self, a):
         return 1
 
-    def tensor(self, a, b):
+    def _tensor(self, a, b):
         return {tuple(x + y for x, y in zip(a, b)): 1}
 
     def dual(self, a):
@@ -326,9 +372,15 @@ def crossed_tensor(data: FusionData, x, y) -> dict:
         raise ValueError("flags must be 0 or 1")
     data.validate_label(va)
     data.validate_label(vb)
+    return _crossed_tensor(data, x, y)
+
+
+def _crossed_tensor(data: FusionData, x, y) -> dict:
+    """``crossed_tensor`` on flagged labels that are already valid."""
+    (va, fa), (vb, fb) = x, y
     right = data.sigma(vb) if fa == 1 else vb
     flag = (fa + fb) % 2
-    return {(lbl, flag): mult for lbl, mult in data.tensor(va, right).items()}
+    return {(lbl, flag): mult for lbl, mult in data._tensor(va, right).items()}
 
 
 def _check_astar_label(data: FusionData, x):
@@ -336,18 +388,25 @@ def _check_astar_label(data: FusionData, x):
     data.validate_label(label)
     if flag not in (0, 1):
         raise ValueError("parity must be 0 or 1")
+    _check_parity(data, x)
+
+
+def _check_parity(data: FusionData, x):
+    label, flag = x
     if data.grade(label) % 2 != flag:
         raise ValueError(f"label {x} violates the parity invariant grade = flag (mod 2)")
 
 
 def astar_tensor(data: FusionData, x, y) -> dict:
     """Tensor product of graded labels; inputs and outputs must satisfy
-    grade = parity (mod 2)."""
+    grade = parity (mod 2).  The inputs are validated once, here; the
+    outputs are labels of the datum's own making, so only their parity is
+    checked."""
     _check_astar_label(data, x)
     _check_astar_label(data, y)
-    out = crossed_tensor(data, x, y)
+    out = _crossed_tensor(data, x, y)
     for lbl in out:
-        _check_astar_label(data, lbl)
+        _check_parity(data, lbl)
     return out
 
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from halfcomm.cli import MC_SAMPLES, _echo_config, _settle_flags, build_parser, main
+from halfcomm import fusion as fus
+from halfcomm.cli import _MAX_TABLE_PAIRS, MC_SAMPLES, _echo_config, _settle_flags, build_parser, main
 from halfcomm.verify import SUITES, run_verify, suite_params
 
 
@@ -187,6 +188,25 @@ def test_fusion_table_torus(capsys):
     assert all(
         all(c["mult"] == 1 for c in row["result"]) for row in table["products"]
     )
+
+
+def test_fusion_table_past_the_pair_cap_lists_no_labels(capsys, monkeypatch):
+    def no_listing(*args):
+        raise AssertionError("labels listed before the cap was checked")
+
+    monkeypatch.setattr(fus, "_l1_ball", no_listing)
+    code, out, err = run_cli(capsys, "fusion-table", "--group", "un:10", "--grade-cap", "1000")
+    assert code == 2 and out == ""
+    (line,) = [l for l in err.splitlines() if not l.startswith("# config")]
+    count = int(line.split(" has at least ")[1].split()[0])
+    assert count * count > _MAX_TABLE_PAIRS and str(count * count) in line
+
+
+@pytest.mark.parametrize("group, cap", [("un:2", 2), ("un:3", 2), ("un:4", 2), ("un:3", 6), ("torus:1", 2)])
+def test_fusion_table_pair_cap_admits_the_documented_tables(group, cap):
+    # README, the benchmark's cli calls, and un:3 at cap 6 (86 labels)
+    data = fus.fusion_instance(group)
+    assert len(data.labels(cap)) ** 2 <= _MAX_TABLE_PAIRS
 
 
 def test_predicates(capsys):

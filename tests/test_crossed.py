@@ -359,6 +359,59 @@ def test_embed_matches_generator_products_on_random_elements():
         assert embed_pi(x) == embed_by_products(x)
 
 
+def embed_letter_by_letter(x):
+    """Reference image of a unitary-presentation element, term by term: each
+    letter takes its plain symbol or its shifted one (times i, or -i when
+    starred), 2^L choices per word, run through in binary order."""
+    n = x.presentation.n
+    parts = ([], [])
+    for word, coeff in x.terms.items():
+        for shifts in itertools.product((0, n), repeat=len(word)):
+            exps = {}
+            c = coeff
+            for pos, (l, shift) in enumerate(zip(word, shifts)):
+                sym = (l.row + shift, l.col, pos % 2 == 1)
+                exps[sym] = exps.get(sym, 0) + 1
+                if shift:
+                    c = c * (-I if l.starred else I)
+            parts[len(word) % 2].append((FunMonomial(exps), c))
+    return CrossedElement(FunElement(2 * n, parts[0]), FunElement(2 * n, parts[1]))
+
+
+AU1, AU2 = au_star_star(1), au_star_star(2)
+
+# letter sets whose words repeat a (row, col, position parity) class with
+# plain and starred letters mixed, and the longest word taken from each
+CLASS_CASES = [
+    (AU1, all_letters(AU1), 6),
+    (AU2, [letter(AU2, 1, 1), letter(AU2, 1, 1, starred=True), letter(AU2, 1, 2)], 5),
+]
+
+
+@pytest.mark.parametrize("pres, letters, max_len", CLASS_CASES, ids=("au1-all", "au2-v11-v11*-v12"))
+def test_embed_splits_letter_classes_like_the_letter_expansion(pres, letters, max_len):
+    for length in range(max_len + 1):
+        for word in itertools.product(letters, repeat=length):
+            x = WordElement.from_word(pres, word)
+            image = embed_pi(x)
+            assert image == embed_by_products(x), word
+            # a word's terms come out in the order the letter expansion meets them
+            reference = embed_letter_by_letter(x)
+            assert list(image.f0.terms) == list(reference.f0.terms), word
+            assert list(image.f1.terms) == list(reference.f1.terms), word
+
+
+def test_embed_leaves_out_a_class_weight_that_cancels():
+    # v11 and v11* share the class (1, 1, even position): shifting just one
+    # of them weighs i - i = 0, so no monomial holds x_11 x_31
+    word = (letter(AU2, 1, 1), letter(AU2, 1, 2), letter(AU2, 1, 1, starred=True))
+    image = embed_pi(WordElement.from_word(AU2, word))
+    squares = u(4, 1, 1) * u(4, 1, 1) + u(4, 3, 1) * u(4, 3, 1)
+    assert image == CrossedElement.odd(squares * (ub(4, 1, 2) + I * ub(4, 3, 2)))
+    for bar_sym in ((1, 2, True), (3, 2, True)):
+        assert FunMonomial({(1, 1, False): 1, (3, 1, False): 1, bar_sym: 1}) not in image.f1.terms
+
+
 # -- coinvariants and the even part ---------------------------------------------------
 
 

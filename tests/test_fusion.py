@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -147,6 +148,47 @@ def test_astar_tensor_parity_enforced():
         assert data.grade(lbl) % 2 == parity
 
 
+# U(3) weights that are not labels, each with the flag its grade asks for,
+# so that only its shape is wrong
+BAD_WEIGHTS = [((1, 0), 1), ((1, 0, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 2), 0)]
+
+
+def _entry_points(data, bad, good=((1, 0, 0), 1)):
+    weight, flag = bad
+    yield lambda: lr_tensor(weight, good[0], 3)
+    yield lambda: lr_tensor(good[0], weight, 3)
+    yield lambda: data.tensor(weight, good[0])
+    yield lambda: data.tensor(good[0], weight)
+    for x, y in ((bad, good), (good, bad)):
+        yield lambda x=x, y=y: crossed_tensor(data, x, y)
+        yield lambda x=x, y=y: astar_tensor(data, x, y)
+    yield lambda: astar_dual(data, bad)
+
+
+@pytest.mark.parametrize("bad", BAD_WEIGHTS, ids=str)
+def test_every_public_entry_point_validates_its_weights(bad):
+    cold = UnFusion(3)
+    warm = UnFusion(3)  # its memo holds every product of the labels up to grade 2
+    labels = [(w, warm.grade(w) % 2) for w in warm.labels(2)]
+    for x in labels:
+        for y in labels:
+            astar_tensor(warm, x, y)
+            warm.tensor(x[0], y[0])
+    for data in (cold, warm):
+        for call in _entry_points(data, bad):
+            with pytest.raises(ValueError, match="length|weakly decreasing"):
+                call()
+
+
+def test_every_datum_validates_its_tensor_labels():
+    with pytest.raises(ValueError):
+        TorusFusion(2).tensor((1,), (0, 0))
+    with pytest.raises(ValueError):
+        SU2Fusion().tensor(Fraction(-1, 2), Fraction(0))
+    with pytest.raises(ValueError):
+        SU2Fusion().tensor(Fraction(1, 3), Fraction(0))
+
+
 def test_astar_noncommutativity_witness():
     data = UnFusion(3)
     x = ((1, 0, 0), 1)
@@ -215,6 +257,14 @@ def test_labels_within_a_grade_cap():
     assert fusion_instance("torus:1").labels(2) == [(-2,), (-1,), (0,), (1,), (2,)]
     assert len(fusion_instance("torus:2").labels(2)) == 13
     assert fusion_instance("su2").labels(1) == [Fraction(0), Fraction(1, 2), Fraction(1)]
+
+
+@pytest.mark.parametrize("name", LABEL_GROUPS)
+def test_labels_are_counted_without_listing_them(name):
+    data = fusion_instance(name)
+    counts = list(itertools.islice(data._labels_by_size(), 8))
+    for cap in range(8):
+        assert sum(counts[: cap + 1]) == len(data.labels(cap))
 
 
 @pytest.mark.parametrize("name", LABEL_GROUPS)

@@ -13,6 +13,7 @@ from halfcomm.crossed import (
     crossed_coproduct,
     crossed_mul,
     crossed_star,
+    embed_pi,
     format_crossed_element,
 )
 from halfcomm.expressions import CrossedContext, parse_expression
@@ -34,6 +35,8 @@ from halfcomm.words import (
     rewrite_closure_oracle,
     star_element,
 )
+
+from test_crossed import embed_by_products  # the generator-product reference
 
 SEEDED = settings(max_examples=40, derandomize=True, deadline=None)
 
@@ -189,3 +192,15 @@ def weights(n):
 def test_lr_tensor_matches_the_schur_product_oracle(case):
     n, lam, mu = case
     assert lr_tensor(lam, mu, n) == schur_tensor_oracle(lam, mu, n)
+
+
+@SEEDED
+@given(
+    st.sampled_from((ao_star(2), ah_star(2), au_star_star(1), au_star_star(2))).flatmap(
+        lambda pres: st.dictionaries(repeating_words(pres, 6), coefficients, min_size=1, max_size=3).map(
+            lambda terms: WordElement(pres, terms)
+        )
+    )
+)
+def test_embedding_matches_the_generator_products(x):
+    assert embed_pi(x) == embed_by_products(x)
