@@ -41,8 +41,16 @@ class FusionData(abc.ABC):
         if n < 1:
             raise ValueError("dimension must be >= 1")
         self.n = n
-        self.unit = (0,) * n
-        self.fundamental = (1,) + (0,) * (n - 1)
+
+    # built when read, so that a datum over a large n allocates nothing of
+    # size n before its labels are checked or counted
+    @property
+    def unit(self):
+        return (0,) * self.n
+
+    @property
+    def fundamental(self):
+        return (1,) + (0,) * (self.n - 1)
 
     def parse_label(self, text: str):
         text = text.strip()
@@ -269,9 +277,12 @@ class UnFusion(FusionData):
 class SU2Fusion(FusionData):
     """Spins j in (1/2) N with the Clebsch-Gordan ladder."""
 
+    unit = Fraction(0)
+    fundamental = Fraction(1, 2)
+
     def __init__(self):
-        self.unit = Fraction(0)
-        self.fundamental = Fraction(1, 2)
+        # spins carry no dimension n
+        pass
 
     def validate_label(self, a):
         j = Fraction(a)

@@ -26,6 +26,19 @@ exactly, at one fixed unitary matrix with Gaussian-rational entries: a
 function that vanishes on U(n) vanishes there, so a non-zero value proves
 inequality with no integration, and only the pairs it cannot refute are
 integrated.
+
+A monomial's integral depends only on its shape.  Haar measure is invariant
+under U -> P U Q for permutation matrices P and Q, which relabel the rows and
+the columns of its exponent cells (i, j) -> (plain, conjugate), and the
+integral is rational, so it equals its own conjugate, which swaps plain and
+conjugate exponents.  So each Weingarten table keeps a memo of the integrals
+of degree p over U(n), keyed by the cells with rows and columns relabelled
+in a fixed order, the smaller key of the monomial and of its conjugate: a
+real relabelling, never a coarser invariant, so equal keys are equal
+integrals.  It holds at most the shapes of degree p, and lives as long as its
+table: clearing ``_TABLE_CACHE`` clears it too.  After ``halfcomm verify
+--suite all`` the memos of the 18 tables hold 52 shapes; one ``exact-warm``
+round of the benchmark (seed 1) integrates 1,623 monomials of 136 shapes.
 """
 
 from __future__ import annotations
@@ -133,7 +146,13 @@ class WeingartenTable:
     ``pseudo`` marks n < p, where the Gram matrix is singular.  The same
     values as integer ``numerators`` over one common ``denominator`` let an
     integral sum them as ints; they are keyed by ``_type_code``, as the
-    coset walk counts cycle types."""
+    coset walk counts cycle types.
+
+    ``shapes`` memoises the integrals of degree-p monomials over U(n) by
+    shape (see ``_monomial_integral``).  A shape is a table of exponent pairs
+    of total degree 2p, so the memo is bounded by their number, whatever the
+    dimension; it fills idempotently with exact values and is dropped with
+    the table."""
 
     p: int
     n: int
@@ -141,6 +160,7 @@ class WeingartenTable:
     pseudo: bool
     denominator: int = field(init=False)
     numerators: dict = field(init=False)
+    shapes: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.denominator = math.lcm(*(v.denominator for v in self.values.values()))
@@ -276,9 +296,60 @@ def _coset_cycle_types(classes, table, p) -> dict:
         follow_memo.clear()
 
 
+def _ranks(groups):
+    """Rank of each label of ``groups`` {label: codes}, ordered by its codes
+    (sorted in place), ties by label."""
+    for codes in groups.values():
+        codes.sort()
+    return {label: k for k, (_codes, label) in enumerate(sorted([(codes, label) for label, codes in groups.items()]))}
+
+
+def _shape_key(cells):
+    """The cells {(row, col): code} after relabelling their rows and their
+    columns by ``_ranks``, as a sorted tuple of (row, col, code)."""
+    rows, cols = defaultdict(list), defaultdict(list)
+    for (i, j), v in cells.items():
+        rows[i].append(v)
+        cols[j].append(v)
+    row_at, col_at = _ranks(rows), _ranks(cols)
+    return tuple(sorted([(row_at[i], col_at[j], v) for (i, j), v in cells.items()]))
+
+
 def _monomial_integral(mono, n, p_max) -> Fraction:
+    """Integral of a monomial, looked up in the ``shapes`` memo of its
+    Weingarten table, and on a miss counted by ``_coset_integral``.
+
+    A cell (i, j) with plain exponent a and conjugate exponent b has the code
+    a (p + 1) + b.  Relabelling rows and columns, and swapping plain with
+    conjugate, keep the integral, so the memo key is the smaller of the
+    ``_shape_key`` of the codes and that of the swapped codes.
+    """
+    p = sum(e for (_i, _j, b), e in mono.exps if not b)
+    base = p + 1
+    cells, q = {}, 0
+    for (i, j, b), e in mono.exps:
+        if b:
+            q += e
+        cells[i, j] = cells.get((i, j), 0) + (e if b else e * base)
+    if p != q:
+        return Fraction(0)
+    if p == 0:
+        return Fraction(1)
+    table = weingarten_table(p, n, p_max)
+    swapped = {ij: v % base * base + v // base for ij, v in cells.items()}
+    key = min(_shape_key(cells), _shape_key(swapped))
+    value = table.shapes.get(key)
+    if value is None:
+        plain = {ij: v // base for ij, v in cells.items() if v >= base}
+        conj = {ij: v % base for ij, v in cells.items() if v % base}
+        value = table.shapes[key] = _coset_integral(plain, conj, table)
+    return value
+
+
+def _coset_integral(plain, conj, table) -> Fraction:
     """Sum of Wg(tau sigma^-1) over the pairs (sigma, tau) matching the rows
-    and the columns of the plain factors to those of the conjugate ones.
+    and the columns of the plain factors to those of the conjugate ones, for
+    exponent tables {(row, col): e} of one degree p.
 
     The matching sigma form a coset of the Young subgroup H_r fixing the
     conjugate row labels, the matching tau one of H_c, so tau sigma^-1 runs
@@ -287,19 +358,10 @@ def _monomial_integral(mono, n, p_max) -> Fraction:
     table of (row, col) label pairs, which is the exponent table of the plain
     factors.  Wg is a class function, so D is counted by cycle type.
     """
-    plain, conj = Counter(), Counter()
-    for (i, j, b), e in mono.exps:
-        (conj if b else plain)[i, j] = e
-    p = sum(plain.values())
-    if p != sum(conj.values()):
-        return Fraction(0)
-    if p == 0:
-        return Fraction(1)
-    table = weingarten_table(p, n, p_max)
     rows, cols = _margins(conj)
     if _margins(plain) != (rows, cols):
         return Fraction(0)
-    types = _coset_cycle_types(conj, plain, p)
+    types = _coset_cycle_types(conj, plain, table.p)
     stabilisers = math.prod(math.factorial(c) for c in (*rows.values(), *cols.values()))
     total = sum(count * table.numerators[code] for code, count in types.items())
     return Fraction(total * stabilisers, table.denominator * sum(types.values()))

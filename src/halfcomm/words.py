@@ -41,7 +41,8 @@ AU_STAR_STAR = "au-star-star"
 
 _KINDS = (AO_STAR, AH_STAR, AU_STAR_STAR)
 
-# largest n**degree expansion a coproduct may make: 4**8, degree 8 over n <= 4
+# most terms a coproduct may make: 4**8, as many as a degree-8 word of
+# distinct letters over n = 4 makes
 COPRODUCT_MAX_TERMS = 65_536
 
 
@@ -241,8 +242,7 @@ def counit_element(x: WordElement) -> GaussianRational:
     return total
 
 
-def _check_coproduct_cap(degree, n):
-    terms = n ** degree
+def _check_coproduct_cap(degree, n, terms):
     if terms > COPRODUCT_MAX_TERMS:
         raise DegreeCapError(
             f"coproduct of a degree-{degree} term over n={n} expands to {terms} terms, "
@@ -261,7 +261,7 @@ def coproduct_legs(symbols, n):
     ``symbols``, and the flag rides along.  Raises ``DegreeCapError`` before
     expanding anything when that term count exceeds ``COPRODUCT_MAX_TERMS``.
     """
-    _check_coproduct_cap(len(symbols), n)
+    _check_coproduct_cap(len(symbols), n, n ** len(symbols))
     choices = [[(Letter(r, k, f), Letter(k, c, f)) for k in range(1, n + 1)] for r, c, f in symbols]
     # zip(*picks) transposes the picked pairs into the two legs; it is empty
     # only for the empty word, whose one term is the unit on both sides
@@ -318,10 +318,13 @@ def coproduct_splits(classes, n):
     crossed monomial one.  Returns one ``{(left, right): weight}`` dict per
     class (see ``_class_splits``); a term of the coproduct picks one entry
     from each, and over all picks the weights add up to the ``n ** degree``
-    terms of ``coproduct_legs``.  Raises ``DegreeCapError`` before expanding
-    anything when that count exceeds ``COPRODUCT_MAX_TERMS``.
+    terms of ``coproduct_legs``.  The splits made are the compositions of
+    each symbol's multiplicity e into n parts, C(e + n - 1, n - 1) of them;
+    raises ``DegreeCapError`` before expanding anything when their product
+    over all symbols exceeds ``COPRODUCT_MAX_TERMS``.
     """
-    _check_coproduct_cap(sum(e for cls in classes for _sym, e in cls), n)
+    exps = [e for cls in classes for _sym, e in cls]
+    _check_coproduct_cap(sum(exps), n, math.prod(math.comb(e + n - 1, n - 1) for e in exps))
     return [_class_splits(cls, n) for cls in classes]
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -200,6 +201,30 @@ def test_fusion_table_past_the_pair_cap_lists_no_labels(capsys, monkeypatch):
     (line,) = [l for l in err.splitlines() if not l.startswith("# config")]
     count = int(line.split(" has at least ")[1].split()[0])
     assert count * count > _MAX_TABLE_PAIRS and str(count * count) in line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fuse", "--group", "torus:1000000000", "t[1]", "t[1]"),
+        ("fuse", "--group", "un:1000000000", "[1]", "[1]"),
+        ("fusion-table", "--group", "torus:1000000000"),
+    ],
+)
+def test_fusion_over_a_huge_n_allocates_nothing_of_size_n(capsys, argv):
+    # one label of that length would take gigabytes; the datum, the label
+    # check and the pair cap stay within a few hundred kilobytes
+    tracemalloc.start()
+    try:
+        fus.fusion_instance(argv[2])
+        code, out, err = run_cli(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert code == 2 and out == ""
+    (line,) = [l for l in err.splitlines() if not l.startswith("# config")]
+    assert line.startswith("error: ") and "1000000000" in line
 
 
 @pytest.mark.parametrize("group, cap", [("un:2", 2), ("un:3", 2), ("un:4", 2), ("un:3", 6), ("torus:1", 2)])

@@ -189,10 +189,16 @@ def test_crossed_coproduct_of_a_power_is_binomial():
 
 
 def test_crossed_coproduct_degree_cap():
-    # the cap bounds the n**degree terms: 4**9 = 262,144 is above 4**8
-    f = FunElement(4, {FunMonomial({(1, 2, False): 5, (3, 4, True): 4}): 1})
-    with pytest.raises(DegreeCapError, match="262144 terms"):
+    # the cap bounds the splits made, a product of C(e + n - 1, n - 1) over
+    # the symbols: u12^5 u*34^4 u11^3 u*22^2 over n = 4 makes
+    # 56 * 35 * 20 * 10 = 392,000, above 4**8
+    f = FunElement(4, {FunMonomial({(1, 2, False): 5, (3, 4, True): 4, (1, 1, False): 3, (2, 2, True): 2}): 1})
+    with pytest.raises(DegreeCapError, match="392000 terms"):
         crossed_coproduct(CrossedElement.even(f))
+    # u12^5 u*34^4 alone makes 56 * 35 = 1,960 splits, although its 4**9
+    # index choices are above the cap
+    x = CrossedElement.even(FunElement(4, {FunMonomial({(1, 2, False): 5, (3, 4, True): 4}): 1}))
+    assert _counit_sides(x, crossed_coproduct(x)) == (x, x)
 
 
 def _counit_sides(x, delta):

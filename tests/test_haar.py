@@ -19,6 +19,7 @@ from halfcomm.errors import DegreeCapError, DimensionMismatchError
 from halfcomm.groups import evaluate_fun_batch, parse_model, sample_batch
 from halfcomm.haar import (
     MC_CHUNK,
+    _TABLE_CACHE,
     haar_integral,
     haar_state,
     mc_integral,
@@ -263,6 +264,107 @@ def test_monomial_integral_matches_filtered_permutations(n):
         us = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(6)]
         (m,) = mono(n, us, rng.sample(us, 6)).terms
         assert _monomial_integral(m, n, 6) == _filtered_monomial_integral(m, n), (n, us)
+
+
+def _relabelled(m, rows, cols):
+    """m with row i renamed rows[i - 1] and column j renamed cols[j - 1]."""
+    return FunMonomial({(rows[i - 1], cols[j - 1], b): e for (i, j, b), e in m.exps})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_shape_memo_cold_and_warm_match_filtered_permutations(n):
+    # each balanced monomial, under random row and column relabellings and
+    # under bar, integrates like the filtered reference with its table's
+    # memo emptied first and again with the memo full
+    rng = random.Random(900 + n)
+    for p in range(1, 6):
+        table = weingarten_table(p, n)
+        for _ in range(8):
+            us = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(p)]
+            ubars = rng.sample(us, p) if rng.random() < 0.7 else [(rng.randint(1, n), rng.randint(1, n)) for _ in range(p)]
+            (m,) = mono(n, us, ubars).terms
+            variants = [m, m.bar()]
+            for _ in range(3):
+                r = _relabelled(m, rng.sample(range(1, n + 1), n), rng.sample(range(1, n + 1), n))
+                variants += [r, r.bar()]
+            expected = _filtered_monomial_integral(m, n)
+            table.shapes.clear()
+            assert [_monomial_integral(v, n, 5) for v in variants] == [expected] * len(variants), (n, us, ubars)
+            assert [_monomial_integral(v, n, 5) for v in variants] == [expected] * len(variants), (n, us, ubars)
+
+
+def test_shape_memo_is_per_dimension():
+    # the same shapes over n = 1..4 in turn, each integrated after the
+    # smaller dimensions have memoised it
+    shapes = [([(1, 1)] * p, [(1, 1)] * p) for p in range(1, 6)]
+    shapes += [([(1, 1), (1, 1), (2, 2)], [(1, 2), (2, 1), (1, 1)]), ([(1, 2), (2, 1)], [(1, 1), (2, 2)])]
+    for n in (1, 2, 3, 4):
+        for us, ubars in shapes:
+            if max(max(ij) for ij in us + ubars) <= n:
+                (m,) = mono(n, us, ubars).terms
+                assert _monomial_integral(m, n, 5) == _filtered_monomial_integral(m, n), (n, us, ubars)
+
+
+def test_shape_memo_keeps_plain_and_conjugate_apart():
+    # equal totals per cell, split differently between plain and conjugate
+    # factors: |u11|^2 |u12|^2 against u11^2 ubar12^2 and u11 u12^2 ubar11^2 ubar12
+    n = 2
+    table = weingarten_table(4, n)
+    table.shapes.clear()
+    pairs = [
+        ([(1, 1), (1, 1), (1, 2), (1, 2)], [(1, 1), (1, 1), (1, 2), (1, 2)]),
+        ([(1, 1), (1, 1), (1, 1), (1, 1)], [(1, 2), (1, 2), (1, 2), (1, 2)]),
+        ([(1, 1), (1, 2), (1, 2), (2, 1)], [(1, 1), (1, 1), (1, 2), (2, 2)]),
+        ([(1, 1), (1, 1), (1, 2), (2, 2)], [(1, 1), (1, 2), (1, 2), (2, 1)]),
+    ]
+    values = []
+    for us, ubars in pairs:
+        (m,) = mono(n, us, ubars).terms
+        values.append(_monomial_integral(m, n, 5))
+        assert values[-1] == _filtered_monomial_integral(m, n), (us, ubars)
+    assert values[0] != 0 and values[1] == 0
+
+
+def test_shape_memo_one_entry_per_shape():
+    # rows and columns of distinct signatures relabel to one key: every
+    # relabelling over n = 3, and its conjugate, is one memo entry
+    n = 3
+    (m,) = mono(n, [(1, 1), (1, 1), (2, 2)], [(1, 1), (1, 2), (2, 1)]).terms
+    table = weingarten_table(3, n)
+    table.shapes.clear()
+    expected = _filtered_monomial_integral(m, n)
+    assert expected != 0
+    for rows in itertools.permutations(range(1, n + 1)):
+        for cols in itertools.permutations(range(1, n + 1)):
+            r = _relabelled(m, rows, cols)
+            assert _monomial_integral(r, n, 5) == _monomial_integral(r.bar(), n, 5) == expected
+    assert len(table.shapes) == 1
+
+
+def test_shape_memo_keeps_the_degree_cap():
+    (m,) = mono(2, [(1, 1)] * 3 + [(1, 2)] * 3, [(1, 1)] * 3 + [(1, 2)] * 3).terms
+    value = _monomial_integral(m, 2, 6)
+    assert value == _filtered_monomial_integral(m, 2)
+    assert weingarten_table(6, 2, p_max=6).shapes
+    with pytest.raises(DegreeCapError):
+        _monomial_integral(m, 2, 5)
+
+
+def test_shape_memo_lives_on_its_table():
+    (m,) = mono(2, [(1, 1), (1, 2)], [(1, 1), (1, 2)]).terms
+    _monomial_integral(m, 2, 5)
+    before = weingarten_table(2, 2)
+    assert before.shapes
+    saved = dict(_TABLE_CACHE)
+    _TABLE_CACHE.clear()
+    try:
+        after = weingarten_table(2, 2)
+        assert after is not before and after.shapes == {}
+        assert _monomial_integral(m, 2, 5) == _filtered_monomial_integral(m, 2)
+        assert len(after.shapes) == 1
+    finally:
+        _TABLE_CACHE.clear()
+        _TABLE_CACHE.update(saved)
 
 
 def test_degree_cap_precedes_label_mismatch():

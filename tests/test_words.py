@@ -268,10 +268,23 @@ def test_coassociativity_on_generators():
 
 
 def test_coproduct_degree_cap():
-    # the cap bounds the n**L terms: 2**17 = 131,072 is above 4**8
-    word = tuple(letter(AO2, 1, 1) for _ in range(17))
-    with pytest.raises(DegreeCapError, match="131072 terms"):
-        coproduct_element(WordElement.from_word(AO2, word))
+    # the cap bounds the splits made, a product of C(e + n - 1, n - 1) over
+    # the symbols of each parity class: v11^2 v12 v13 v14 at the odd
+    # positions and v21^2 v22 v23 v24 at the even ones over n = 4 make
+    # (10 * 4**3)**2 = 409,600, above 4**8 (and below the 4**10 index choices)
+    pres = ao_star(4)
+    word = tuple(letter(pres, r, c) for c in (1, 1, 2, 3, 4) for r in (1, 2))
+    with pytest.raises(DegreeCapError, match="409600 terms"):
+        coproduct_element(WordElement.from_word(pres, word))
+
+
+def test_coproduct_cap_admits_repeated_letters():
+    # v11^17 over n = 2 makes 10 * 9 splits of its two parity classes,
+    # although its 2**17 index choices are above the cap
+    x = WordElement.from_word(AO2, tuple(letter(AO2, 1, 1) for _ in range(17)))
+    delta = coproduct_element(x)
+    assert len(delta) == 90
+    assert _counit_sides(AO2, delta) == (x, x)
 
 
 def test_coproduct_cap_fires_before_expanding():
