@@ -183,18 +183,27 @@ def cmd_fuse(args):
 # label pairs in one fusion table: un:3 at --grade-cap 6 has 86 labels and
 # takes about 2 s
 _MAX_TABLE_PAIRS = 10_000
+# label entries (labels times their length n) in one fusion table: 100
+# labels of length 1,000, so a table of one label over a huge n is refused
+# before it is listed
+_MAX_TABLE_ENTRIES = 100_000
 
 
 def _fusion_table(data, grade_cap: int):
     # count the labels before listing any; every step of the cap adds labels,
-    # so a table past the cap shows within a few steps, however large the cap
-    count = 0
+    # so a table past the caps shows within a few steps, however large the cap
+    count, size = 0, data.label_size
     for added in itertools.islice(data._labels_by_size(), grade_cap + 1):
         count += added
         if count * count > _MAX_TABLE_PAIRS:
             raise ValueError(
                 f"fusion-table --group {data} --grade-cap {grade_cap} has at least {count} labels, "
                 f"{count * count} label pairs; the cap is {_MAX_TABLE_PAIRS} pairs"
+            )
+        if count * size > _MAX_TABLE_ENTRIES:
+            raise ValueError(
+                f"fusion-table --group {data} --grade-cap {grade_cap} has at least {count} labels of {size} entries, "
+                f"{count * size} label entries; the cap is {_MAX_TABLE_ENTRIES} entries"
             )
     labels = sorted(((w, data.grade(w) % 2) for w in data.labels(grade_cap)), key=lambda x: (str(x[0]), x[1]))
     table = {

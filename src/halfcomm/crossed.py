@@ -28,9 +28,21 @@ from .words import AU_STAR_STAR, WordElement, _term_strings, coproduct_splits
 
 
 class FunMonomial:
-    """Commutative monomial in coordinate symbols, as a sorted exponent vector."""
+    """Commutative monomial in coordinate symbols, as a sorted exponent vector.
 
-    __slots__ = ("exps",)
+    The exponents are positive and the symbols sorted, so equal monomials
+    have equal tuples; the hash of that tuple is computed once, when the
+    monomial is made.  ``mul``, ``bar`` and ``transpose`` merge or relabel
+    exponents that are already positive and build the result with
+    ``_monomial``, without validating again.  They keep indices in range: a
+    product has only its factors' symbols, and bar and transpose permute
+    (row, col, bar), so a monomial over dimension n stays over n.  Since Q(i)
+    has no zero divisors, the product of two terms with nonzero coefficients
+    is again a term in normal form with a nonzero coefficient (see
+    ``FunElement``).
+    """
+
+    __slots__ = ("exps", "_hash")
 
     def __init__(self, exps=()):
         items = exps.items() if isinstance(exps, dict) else exps
@@ -41,6 +53,7 @@ class FunMonomial:
             if e:
                 cleaned.append((sym, int(e)))
         self.exps = tuple(sorted(cleaned))
+        self._hash = hash(self.exps)
 
     @property
     def degree(self) -> int:
@@ -57,13 +70,13 @@ class FunMonomial:
         merged = dict(self.exps)
         for sym, e in other.exps:
             merged[sym] = merged.get(sym, 0) + e
-        return FunMonomial(merged)
+        return _monomial(tuple(sorted(merged.items())))
 
     def bar(self) -> "FunMonomial":
-        return FunMonomial({(i, j, not b): e for (i, j, b), e in self.exps})
+        return _monomial(tuple(sorted([((i, j, not b), e) for (i, j, b), e in self.exps])))
 
     def transpose(self) -> "FunMonomial":
-        return FunMonomial({(j, i, b): e for (i, j, b), e in self.exps})
+        return _monomial(tuple(sorted([((j, i, b), e) for (i, j, b), e in self.exps])))
 
     def is_diagonal(self) -> bool:
         return all(i == j for (i, j, _b), _e in self.exps)
@@ -72,10 +85,18 @@ class FunMonomial:
         return isinstance(other, FunMonomial) and self.exps == other.exps
 
     def __hash__(self):
-        return hash(self.exps)
+        return self._hash
 
     def __repr__(self):
         return f"FunMonomial({self.exps!r})"
+
+
+def _monomial(exps: tuple) -> FunMonomial:
+    """The monomial over an exponent tuple that is already sorted and positive."""
+    mono = object.__new__(FunMonomial)
+    mono.exps = exps
+    mono._hash = hash(exps)
+    return mono
 
 
 MONO_ONE = FunMonomial()
@@ -92,12 +113,22 @@ def format_monomial(mono: FunMonomial) -> str:
 
 
 class FunElement(SparseSum):
-    """Polynomial in the coordinate symbols over dimension n; always reduced."""
+    """Polynomial in the coordinate symbols over dimension n; always reduced.
+
+    Products, ``bar``, ``star`` and differences of reduced elements are built
+    with ``_like``, not the validating constructor.  That is sound for two
+    reasons.  A product of two monomials over n, and the bar of one, is a
+    monomial over n (see ``FunMonomial``), so every key stays normal and in
+    range.  And Q(i) has no zero divisors, so a product of two nonzero
+    coefficients is nonzero; only a sum of them can vanish, and
+    ``reduce_terms`` drops those.
+    """
 
     __slots__ = ("n", "terms")
     SPACE = "n"
     MISMATCH = (DimensionMismatchError, "dimensions {} and {} differ")
     key_mul = staticmethod(FunMonomial.mul)
+    _from_products = SparseSum._like
 
     def __init__(self, n: int, terms=None):
         self.n = n
@@ -122,10 +153,11 @@ class FunElement(SparseSum):
 
     def bar(self) -> "FunElement":
         """The flip s: exchange u and ubar symbols, coefficients untouched."""
-        return FunElement(self.n, {m.bar(): c for m, c in self.terms.items()})
+        # bar is a bijection on monomials, so no two terms merge
+        return self._like({m.bar(): c for m, c in self.terms.items()})
 
     def star(self) -> "FunElement":
-        return FunElement(self.n, {m.bar(): c.conjugate() for m, c in self.terms.items()})
+        return self._like({m.bar(): c.conjugate() for m, c in self.terms.items()})
 
     def counit(self) -> GaussianRational:
         total = ZERO
@@ -186,7 +218,9 @@ class CrossedElement:
         return CrossedElement(self.f0 + other.f0, self.f1 + other.f1)
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, CrossedElement):
+            return NotImplemented
+        return CrossedElement(self.f0 - other.f0, self.f1 - other.f1)
 
     def __neg__(self):
         return CrossedElement(-self.f0, -self.f1)
@@ -223,21 +257,22 @@ def crossed_mul(x: CrossedElement, y: CrossedElement) -> CrossedElement:
     if x.n != y.n:
         raise DimensionMismatchError(f"dimensions {x.n} and {y.n} differ")
 
-    def times(f, g, twist):
-        # an empty factor makes the product zero without touching the other
-        if f.is_zero or g.is_zero:
-            return FunElement.zero(x.n)
-        return f * (g.bar() if twist else g)
+    def half(f, g, f_odd, g_odd):
+        # f g + f_odd bar(g_odd); an empty product is neither formed nor added
+        out = f * g if f.terms and g.terms else None
+        if f_odd.terms and g_odd.terms:
+            twisted = f_odd * g_odd.bar()
+            out = twisted if out is None else out + twisted
+        return FunElement.zero(x.n) if out is None else out
 
-    return CrossedElement(
-        times(x.f0, y.f0, False) + times(x.f1, y.f1, True),
-        times(x.f0, y.f1, False) + times(x.f1, y.f0, True),
-    )
+    return CrossedElement(half(x.f0, y.f0, x.f1, y.f1), half(x.f0, y.f1, x.f1, y.f0))
 
 
 def crossed_star(x: CrossedElement) -> CrossedElement:
-    # (f + g s)^* = f^* + s g^* = f^* + bar(g)^* s
-    return CrossedElement(x.f0.star(), x.f1.bar().star())
+    # (f + g s)^* = f^* + s g^* = f^* + bar(g)^* s; bar(g)^* bars each
+    # monomial of g twice, so it keeps them and conjugates the coefficients
+    f1 = x.f1
+    return CrossedElement(x.f0.star(), f1._like({m: c.conjugate() for m, c in f1.terms.items()}))
 
 
 def crossed_antipode(x: CrossedElement) -> CrossedElement:
@@ -399,13 +434,6 @@ def embed_pi(x: WordElement) -> CrossedElement:
     zero = FunElement.zero(dim)
     f0, f1 = (zero._like({_monomial(exps): c for exps, c in reduce_terms(part).items()}) for part in parts)
     return CrossedElement(f0, f1)
-
-
-def _monomial(exps: tuple) -> FunMonomial:
-    """The monomial over an exponent tuple that is already sorted and positive."""
-    mono = object.__new__(FunMonomial)
-    mono.exps = exps
-    return mono
 
 
 def _display_items(f: FunElement, flip=False):

@@ -120,12 +120,30 @@ class FusionData(abc.ABC):
     def grade(self, a) -> int:
         return sum(a)
 
+    @property
+    def label_size(self) -> int:
+        """Entries in one label: n integers."""
+        return self.n
+
 
 def _l1_ball(n, cap):
-    """Integer vectors of length n whose entries have absolute sum <= cap."""
-    if n == 0:
-        return [()]
-    return [(v,) + rest for v in range(-cap, cap + 1) for rest in _l1_ball(n - 1, cap - abs(v))]
+    """Integer vectors of length n whose entries have absolute sum <= cap, in
+    lexicographic order, grown one entry at a time."""
+    partial = [((), cap)]  # (entries so far, absolute sum left)
+    for _ in range(n):
+        partial = [(vec + (v,), left - abs(v)) for vec, left in partial for v in range(-left, left + 1)]
+    return [vec for vec, _left in partial]
+
+
+def _partitions(total, parts, largest):
+    """Partitions of ``total`` into at most ``parts`` parts, none larger than
+    ``largest``, as non-increasing tuples."""
+    if total == 0:
+        yield ()
+    elif parts:
+        for first in range(min(total, largest), 0, -1):
+            for rest in _partitions(total - first, parts - 1, first):
+                yield (first,) + rest
 
 
 def _validate_weight(lam, n):
@@ -228,8 +246,17 @@ class UnFusion(FusionData):
         _validate_weight(a, self.n)
 
     def labels(self, grade_cap):
-        # dominant weights: the weakly decreasing torus weights
-        return [w for w in super().labels(grade_cap) if all(a >= b for a, b in zip(w, w[1:]))]
+        # the dominant weights, listed directly: a partition of s for the
+        # positive entries, zeros, and the negatives of a partition of t for
+        # the negative entries, with s + t <= grade_cap
+        n = self.n
+        out = []
+        for s in range(grade_cap + 1):
+            for plus in _partitions(s, n, s):
+                for t in range(grade_cap - s + 1):
+                    for minus in _partitions(t, n - len(plus), t):
+                        out.append(plus + (0,) * (n - len(plus) - len(minus)) + tuple(-x for x in reversed(minus)))
+        return sorted(out)
 
     def _labels_by_size(self):
         # A dominant weight of absolute sum g is a partition of s into its p
@@ -279,6 +306,7 @@ class SU2Fusion(FusionData):
 
     unit = Fraction(0)
     fundamental = Fraction(1, 2)
+    label_size = 1  # a spin is one number
 
     def __init__(self):
         # spins carry no dimension n

@@ -35,7 +35,9 @@ conjugate exponents.  So each Weingarten table keeps a memo of the integrals
 of degree p over U(n), keyed by the cells with rows and columns relabelled
 in a fixed order, the smaller key of the monomial and of its conjugate: a
 real relabelling, never a coarser invariant, so equal keys are equal
-integrals.  It holds at most the shapes of degree p, and lives as long as its
+integrals.  A monomial equal to its conjugate, as every product m-bar m of
+a norm is, has one key, built once: the swap leaves its cells unchanged.
+The memo holds at most the shapes of degree p, and lives as long as its
 table: clearing ``_TABLE_CACHE`` clears it too.  After ``halfcomm verify
 --suite all`` the memos of the 18 tables hold 52 shapes; one ``exact-warm``
 round of the benchmark (seed 1) integrates 1,623 monomials of 136 shapes.
@@ -55,7 +57,7 @@ import numpy as np
 from .crossed import CrossedElement, FunElement, crossed_mul, crossed_star
 from .errors import DegreeCapError, DimensionMismatchError
 from .groups import GroupModel, evaluate_fun_batch, sample_batch
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import ONE, ZERO, GaussianRational, _reduced, reduce_terms
 
 PMAX_DEFAULT = 5
 
@@ -296,22 +298,25 @@ def _coset_cycle_types(classes, table, p) -> dict:
         follow_memo.clear()
 
 
-def _ranks(groups):
-    """Rank of each label of ``groups`` {label: codes}, ordered by its codes
-    (sorted in place), ties by label."""
-    for codes in groups.values():
-        codes.sort()
-    return {label: k for k, (_codes, label) in enumerate(sorted([(codes, label) for label, codes in groups.items()]))}
-
-
 def _shape_key(cells):
     """The cells {(row, col): code} after relabelling their rows and their
-    columns by ``_ranks``, as a sorted tuple of (row, col, code)."""
-    rows, cols = defaultdict(list), defaultdict(list)
+    columns, as a sorted tuple of (row, col, code).  A row's new label is its
+    rank among the rows, ordered by the sorted codes of their cells, ties by
+    old label; likewise for the columns."""
+    rows, cols = {}, {}
     for (i, j), v in cells.items():
-        rows[i].append(v)
-        cols[j].append(v)
-    row_at, col_at = _ranks(rows), _ranks(cols)
+        codes = rows.get(i)
+        if codes is None:
+            rows[i] = [v]
+        else:
+            codes.append(v)
+        codes = cols.get(j)
+        if codes is None:
+            cols[j] = [v]
+        else:
+            codes.append(v)
+    row_at = {i: k for k, (_codes, i) in enumerate(sorted([(sorted(codes), i) for i, codes in rows.items()]))}
+    col_at = {j: k for k, (_codes, j) in enumerate(sorted([(sorted(codes), j) for j, codes in cols.items()]))}
     return tuple(sorted([(row_at[i], col_at[j], v) for (i, j), v in cells.items()]))
 
 
@@ -322,7 +327,9 @@ def _monomial_integral(mono, n, p_max) -> Fraction:
     A cell (i, j) with plain exponent a and conjugate exponent b has the code
     a (p + 1) + b.  Relabelling rows and columns, and swapping plain with
     conjugate, keep the integral, so the memo key is the smaller of the
-    ``_shape_key`` of the codes and that of the swapped codes.
+    ``_shape_key`` of the codes and that of the swapped codes.  When the swap
+    leaves the codes as they are (m-bar m is its own conjugate), the two keys
+    are one, and it is built once.
     """
     p = sum(e for (_i, _j, b), e in mono.exps if not b)
     base = p + 1
@@ -337,7 +344,7 @@ def _monomial_integral(mono, n, p_max) -> Fraction:
         return Fraction(1)
     table = weingarten_table(p, n, p_max)
     swapped = {ij: v % base * base + v // base for ij, v in cells.items()}
-    key = min(_shape_key(cells), _shape_key(swapped))
+    key = _shape_key(cells) if swapped == cells else min(_shape_key(cells), _shape_key(swapped))
     value = table.shapes.get(key)
     if value is None:
         plain = {ij: v // base for ij, v in cells.items() if v >= base}
@@ -373,7 +380,8 @@ def haar_integral(f: FunElement, p_max: int = PMAX_DEFAULT) -> GaussianRational:
     for mono, coeff in f.terms.items():
         val = _monomial_integral(mono, f.n, p_max)
         if val:
-            total = total + coeff * val
+            num = val.numerator
+            total = total + _reduced(coeff.a * num, coeff.b * num, coeff.d * val.denominator)
     return total
 
 
@@ -411,7 +419,7 @@ def _orthogonal_pieces(x: CrossedElement):
         for mono, coeff in part.terms.items():
             blocks[_torus_weight(mono, x.n)][mono] = coeff
         for terms in blocks.values():
-            yield wrap(FunElement(x.n, terms))
+            yield wrap(part._like(terms))
 
 
 def norm_squared(x: CrossedElement, p_max: int = PMAX_DEFAULT) -> Fraction:
@@ -422,7 +430,7 @@ def norm_squared(x: CrossedElement, p_max: int = PMAX_DEFAULT) -> Fraction:
     different pieces are merged before they are integrated.
     """
     squares = (crossed_mul(crossed_star(piece), piece).f0 for piece in _orthogonal_pieces(x))
-    even = FunElement(x.n, itertools.chain.from_iterable(f.terms.items() for f in squares))
+    even = x.f0._like(reduce_terms(itertools.chain.from_iterable(f.terms.items() for f in squares)))
     val = haar_integral(even, p_max=p_max)
     if val.b or val.a < 0:
         raise ArithmeticError(f"norm came out as {val}; this is a bug")

@@ -166,7 +166,8 @@ class SparseSum:
     ``terms`` maps normal keys to nonzero coefficients.  A subclass names the
     attribute holding its space in ``SPACE``, the error and message for mixed
     spaces in ``MISMATCH``, normalises one key in ``_normal_key`` (returning
-    None for a key that vanishes) and multiplies two keys in ``key_mul``; its
+    None for a key that vanishes) and multiplies two keys in ``key_mul``,
+    whose products ``_from_products`` turns into an element; its
     constructor takes the space and a dict or an iterable of ``(key, coeff)``
     pairs, which ``_reduce`` turns into ``terms``.
     """
@@ -210,6 +211,12 @@ class SparseSum:
         out.terms = terms
         return out
 
+    def _from_products(self, terms):
+        """An element of the same space over merged key products.  A key
+        product need not be normal (a concatenated word), so by default it
+        goes back through the constructor."""
+        return type(self)(self.space, terms)
+
     def _check(self, other):
         if self.space != other.space:
             error, message = self.MISMATCH
@@ -222,7 +229,10 @@ class SparseSum:
         return self._like(reduce_terms(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self._like(reduce_terms(chain(self.terms.items(), ((k, -c) for k, c in other.terms.items()))))
 
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()})
@@ -236,9 +246,7 @@ class SparseSum:
                 for k1, c1 in self.terms.items()
                 for k2, c2 in other.terms.items()
             )
-            # a key product need not be normal (a concatenated word), so it
-            # goes back through the constructor
-            return type(self)(self.space, reduce_terms(products))
+            return self._from_products(reduce_terms(products))
         try:
             c = GaussianRational.coerce(other)
         except TypeError:

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from halfcomm import fusion as fus
-from halfcomm.cli import _MAX_TABLE_PAIRS, MC_SAMPLES, _echo_config, _settle_flags, build_parser, main
+from halfcomm.cli import _MAX_TABLE_ENTRIES, _MAX_TABLE_PAIRS, MC_SAMPLES, _echo_config, _settle_flags, build_parser, main
 from halfcomm.verify import SUITES, run_verify, suite_params
 
 
@@ -196,6 +196,7 @@ def test_fusion_table_past_the_pair_cap_lists_no_labels(capsys, monkeypatch):
         raise AssertionError("labels listed before the cap was checked")
 
     monkeypatch.setattr(fus, "_l1_ball", no_listing)
+    monkeypatch.setattr(fus.UnFusion, "labels", no_listing)
     code, out, err = run_cli(capsys, "fusion-table", "--group", "un:10", "--grade-cap", "1000")
     assert code == 2 and out == ""
     (line,) = [l for l in err.splitlines() if not l.startswith("# config")]
@@ -225,6 +226,39 @@ def test_fusion_over_a_huge_n_allocates_nothing_of_size_n(capsys, argv):
     assert code == 2 and out == ""
     (line,) = [l for l in err.splitlines() if not l.startswith("# config")]
     assert line.startswith("error: ") and "1000000000" in line
+
+
+def _no_l1_ball(*args):
+    raise AssertionError("the L1 ball was listed")
+
+
+def test_fusion_table_of_one_long_label(capsys):
+    # the ball is grown entry by entry, not by one recursive call per entry
+    code, out, _ = run_cli(capsys, "fusion-table", "--group", "torus:900", "--grade-cap", "0")
+    assert code == 0
+    table = json.loads(out)
+    unit = "(t[" + ",".join(["0"] * 900) + "],e)"
+    assert [l["label"] for l in table["labels"]] == [unit]
+    assert table["products"] == [{"x": unit, "y": unit, "result": [{"label": unit, "mult": 1}]}]
+
+
+def test_fusion_table_lists_dominant_weights_directly(capsys, monkeypatch):
+    # un:120 at cap 2 has 8 labels; the L1 ball around them holds 29,041
+    monkeypatch.setattr(fus, "_l1_ball", _no_l1_ball)
+    code, out, _ = run_cli(capsys, "fusion-table", "--group", "un:120", "--grade-cap", "1")
+    assert code == 0
+    labels = [l["label"] for l in json.loads(out)["labels"]]
+    zeros = ",".join(["0"] * 119)
+    assert sorted(labels) == sorted([f"([0,{zeros}],e)", f"([1,{zeros}],s)", f"([{zeros},-1],s)"])
+    assert len(fus.fusion_instance("un:120").labels(2)) == 8
+
+
+def test_fusion_table_past_the_entry_cap_lists_no_labels(capsys, monkeypatch):
+    monkeypatch.setattr(fus, "_l1_ball", _no_l1_ball)
+    code, out, err = run_cli(capsys, "fusion-table", "--group", "torus:1000000000", "--grade-cap", "0")
+    assert code == 2 and out == ""
+    (line,) = [l for l in err.splitlines() if not l.startswith("# config")]
+    assert line.startswith("error: ") and "1000000000 label entries" in line and str(_MAX_TABLE_ENTRIES) in line
 
 
 @pytest.mark.parametrize("group, cap", [("un:2", 2), ("un:3", 2), ("un:4", 2), ("un:3", 6), ("torus:1", 2)])

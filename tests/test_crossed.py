@@ -8,6 +8,7 @@ from halfcomm.crossed import (
     CrossedElement,
     FunElement,
     FunMonomial,
+    _monomial,
     coinvariant_test,
     crossed_antipode,
     crossed_coproduct,
@@ -21,6 +22,16 @@ from halfcomm.errors import DegreeCapError, DimensionMismatchError, IndexRangeEr
 from halfcomm.scalars import GaussianRational, I
 from halfcomm.verify import coinvariant_by_coproduct
 from halfcomm.words import WordElement, ah_star, ao_star, au_star_star, letter
+from tests_helpers import (
+    assert_reduced,
+    crossed_parities,
+    lean_cases,
+    ref_bar,
+    ref_crossed_mul,
+    ref_crossed_star,
+    ref_mul,
+    ref_sum,
+)
 
 
 def u(n, i, j):
@@ -450,3 +461,80 @@ def test_generator_half_commutation_all_triples():
             lhs = crossed_mul(crossed_mul(g(n, *a), g(n, *b)), g(n, *c))
             rhs = crossed_mul(crossed_mul(g(n, *c), g(n, *b)), g(n, *a))
             assert lhs == rhs
+
+
+# -- the lean path: results built once, equal to constructor references ---------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fun_operations_match_constructor_references(n):
+    rng = random.Random(1700 + n)
+    merged = 0
+    for f, g in lean_cases(rng, n, 30):
+        product = f * g
+        merged += len(product.terms) < len(f.terms) * len(g.terms)
+        # the cross terms of (f + g)(f - g) cancel
+        assert (f + g) * (f - g) == ref_sum(ref_mul(f, f), ref_mul(g, g), -1)
+        results = [(product, ref_mul(f, g)), (f - g, ref_sum(f, g, -1)), (f - f, FunElement.zero(n)),
+                   (f.bar(), ref_bar(f)), (f.star(), ref_bar(f, conjugate=True)),
+                   (g.bar() * f, ref_mul(f, g, twist=True))]
+        for got, expected in results:
+            assert got == expected
+            assert_reduced(got)
+    assert merged
+
+
+def test_products_drop_the_sums_that_cancel():
+    # (u11 + u12)(u11 - u12) = u11^2 - u12^2: the two u11 u12 terms cancel
+    f, g = u(2, 1, 1) + u(2, 1, 2), u(2, 1, 1) - u(2, 1, 2)
+    assert set((f * g).terms) == {*(u(2, 1, 1) * u(2, 1, 1)).terms, *(u(2, 1, 2) * u(2, 1, 2)).terms}
+    assert ((f * g) - (u(2, 1, 1) * u(2, 1, 1) - u(2, 1, 2) * u(2, 1, 2))).terms == {}
+    # a key that comes out of two products keeps the sum of their coefficients
+    h = (u(2, 1, 1) + ub(2, 1, 1)) * (u(2, 1, 1) + ub(2, 1, 1))
+    assert h.terms[next(iter((u(2, 1, 1) * ub(2, 1, 1)).terms))] == 2
+    assert_reduced(h)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_crossed_operations_match_constructor_references(n):
+    rng = random.Random(1800 + n)
+    for f, g in lean_cases(rng, n, 12):
+        for x in crossed_parities(f, g):
+            for y in crossed_parities(g, f):
+                for got, expected in ((crossed_mul(x, y), ref_crossed_mul(x, y)), (x - y, CrossedElement(
+                        ref_sum(x.f0, y.f0, -1), ref_sum(x.f1, y.f1, -1)))):
+                    assert got == expected
+                    assert_reduced(got.f0)
+                    assert_reduced(got.f1)
+            star = crossed_star(x)
+            assert star == ref_crossed_star(x)
+            assert_reduced(star.f0)
+            assert_reduced(star.f1)
+
+
+def test_monomials_hash_their_exponents_on_every_route():
+    rng = random.Random(19)
+    for n in (1, 2, 3, 4):
+        for _ in range(40):
+            exps = {}
+            for _ in range(rng.randint(0, 5)):
+                sym = (rng.randint(1, n), rng.randint(1, n), rng.random() < 0.5)
+                exps[sym] = exps.get(sym, 0) + rng.randint(1, 3)
+            m = FunMonomial(exps)
+            other = FunMonomial({(rng.randint(1, n), rng.randint(1, n), True): rng.randint(1, 2)})
+            made = [m, _monomial(m.exps), m.mul(other), other.mul(m), m.mul(FunMonomial()), m.bar(), m.bar().bar(),
+                    m.transpose(), m.transpose().bar()]
+            for k in made:
+                assert hash(k) == hash(k.exps), k
+            # a route may share a monomial, never its hash with a different one
+            assert m.bar() == FunMonomial({(i, j, not b): e for (i, j, b), e in m.exps})
+            assert m.transpose() == FunMonomial({(j, i, b): e for (i, j, b), e in m.exps})
+            assert m.mul(other) == FunMonomial({**dict(m.exps), **{s: dict(m.exps).get(s, 0) + e for s, e in other.exps}})
+    for pres in (ao_star(2), ao_star(3), au_star_star(1), au_star_star(2)):
+        letters = [letter(pres, r, c, starred) for r in range(1, pres.n + 1) for c in range(1, pres.n + 1)
+                   for starred in ((False,) if pres.orthogonal else (False, True))]
+        for _ in range(30):
+            words = {tuple(rng.choice(letters) for _ in range(rng.randint(0, 5))): rng.randint(1, 3) for _ in range(3)}
+            x = embed_pi(WordElement(pres, words))
+            assert_reduced(x.f0)
+            assert_reduced(x.f1)

@@ -9,6 +9,7 @@ from halfcomm.fusion import (
     SU2Fusion,
     TorusFusion,
     UnFusion,
+    _l1_ball,
     astar_dual,
     astar_tensor,
     crossed_tensor,
@@ -257,6 +258,16 @@ def test_labels_within_a_grade_cap():
     assert fusion_instance("torus:1").labels(2) == [(-2,), (-1,), (0,), (1,), (2,)]
     assert len(fusion_instance("torus:2").labels(2)) == 13
     assert fusion_instance("su2").labels(1) == [Fraction(0), Fraction(1, 2), Fraction(1)]
+
+
+def test_dominant_weights_are_the_decreasing_vectors_of_the_ball():
+    for n in range(1, 6):
+        for cap in range(6):
+            ball = _l1_ball(n, cap)
+            assert len(ball) == len(set(ball)) and ball == sorted(ball)
+            assert all(sum(map(abs, v)) <= cap for v in ball)
+            dominant = [w for w in ball if all(a >= b for a, b in zip(w, w[1:]))]
+            assert UnFusion(n).labels(cap) == dominant, (n, cap)
 
 
 @pytest.mark.parametrize("name", LABEL_GROUPS)

@@ -36,11 +36,12 @@ from halfcomm.haar import (
     _monomial_integral,
     _partitions,
     _permutations,
+    _shape_key,
     _type_code,
 )
 from halfcomm.scalars import GaussianRational
 from halfcomm.words import WordElement, ao_star, au_star_star, hc_normal_form, letter
-from tests_helpers import random_crossed
+from tests_helpers import crossed_parities, lean_cases, random_crossed, ref_crossed_mul, ref_crossed_star
 
 
 def u(n, i, j):
@@ -367,6 +368,59 @@ def test_shape_memo_lives_on_its_table():
         _TABLE_CACHE.update(saved)
 
 
+def _cells(m):
+    """The cells {(row, col): code} of a balanced monomial, coded as
+    ``_monomial_integral`` codes them, and those of its conjugate."""
+    base = sum(e for (_i, _j, b), e in m.exps if not b) + 1
+    cells = {}
+    for (i, j, b), e in m.exps:
+        cells[i, j] = cells.get((i, j), 0) + (e if b else e * base)
+    return cells, {ij: v % base * base + v // base for ij, v in cells.items()}
+
+
+def _ranked_key(cells):
+    """The relabelling key spelled out: rows and columns ranked by their
+    sorted codes, ties by old label."""
+    def ranks(index):
+        labels = {ij[index] for ij in cells}
+        signature = {a: sorted(v for ij, v in cells.items() if ij[index] == a) for a in labels}
+        return {a: k for k, a in enumerate(sorted(labels, key=lambda a: (signature[a], a)))}
+
+    rows, cols = ranks(0), ranks(1)
+    return tuple(sorted((rows[i], cols[j], v) for (i, j), v in cells.items()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_memo_key_is_the_smaller_relabelled_key(n):
+    # every balanced monomial is memoised under min(key, key of its swap),
+    # the product m-bar m under its one key, which is that minimum too
+    rng = random.Random(1900 + n)
+    distinct = 0
+    for p in range(1, 5):
+        table = weingarten_table(p, n)
+        for _ in range(15):
+            us = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(p)]
+            ubars = rng.sample(us, p) if rng.random() < 0.5 else [(rng.randint(1, n), rng.randint(1, n)) for _ in range(p)]
+            (m,) = mono(n, us, ubars).terms
+            cells, swapped = _cells(m)
+            assert _shape_key(cells) == _ranked_key(cells) and _shape_key(swapped) == _ranked_key(swapped)
+            distinct += _shape_key(cells) > _shape_key(swapped)
+            table.shapes.clear()
+            _monomial_integral(m, n, 5)
+            assert set(table.shapes) == {min(_shape_key(cells), _shape_key(swapped))}, (us, ubars)
+        for _ in range(10):
+            (half,) = mono(n, [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(1, p))], []).terms
+            (m,) = (FunElement(n, {half.bar(): 1}) * FunElement(n, {half: 1})).terms
+            cells, swapped = _cells(m)
+            assert swapped == cells
+            table = weingarten_table(half.degree, n)
+            table.shapes.clear()
+            assert _monomial_integral(m, n, 5) == _filtered_monomial_integral(m, n)
+            assert set(table.shapes) == {_shape_key(cells)} == {min(_shape_key(cells), _shape_key(swapped))}
+    # over n = 1 every balanced monomial is its own conjugate
+    assert distinct or n == 1
+
+
 def test_degree_cap_precedes_label_mismatch():
     # rows and columns of the plain and conjugate factors differ, so the
     # integral is 0 below the cap; above it the cap is raised all the same
@@ -434,6 +488,18 @@ def test_norm_squared_matches_full_expansion_on_random_elements(n):
     for _ in range(100):
         x = random_crossed(rng, n, max_degree=4)
         assert norm_squared(x) == _norm_by_expansion(x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_norm_squared_matches_the_constructor_reference(n):
+    # the lean x* x expansion against one rebuilt term by term through the
+    # constructor, on elements of both parities whose sums cancel
+    rng = random.Random(2000 + n)
+    for f, g in lean_cases(rng, n, 8, max_degree=2):
+        for x in crossed_parities(f, g):
+            expected = haar_integral(ref_crossed_mul(ref_crossed_star(x), x).f0)
+            assert expected.im == 0
+            assert norm_squared(x) == expected.re
 
 
 @pytest.mark.parametrize("pres", [ao_star(2), au_star_star(1)], ids=str)

@@ -18,3 +18,75 @@ def random_fun(rng, n, max_degree=3, terms=2):
 
 def random_crossed(rng, n, max_degree=3):
     return CrossedElement(random_fun(rng, n, max_degree), random_fun(rng, n, max_degree))
+
+
+# References for the lean exact path: each result is rebuilt term by term
+# through the validating constructor ``FunElement(n, pairs)``, with monomials
+# made from plain exponent dicts, never by ``FunMonomial.mul`` or ``bar``.
+
+
+def ref_monomial(*monos, flip=False):
+    """The product of ``monos`` (each bar-flipped when ``flip``), via the constructor."""
+    exps = {}
+    for m in monos:
+        for (i, j, b), e in m.exps:
+            sym = (i, j, b != flip)
+            exps[sym] = exps.get(sym, 0) + e
+    return FunMonomial(exps)
+
+
+def ref_mul(f, g, twist=False):
+    """f g, or f bar(g) when ``twist``."""
+    return FunElement(
+        f.n,
+        [(ref_monomial(m1, ref_monomial(m2, flip=twist)), c1 * c2) for m1, c1 in f.terms.items() for m2, c2 in g.terms.items()],
+    )
+
+
+def ref_sum(f, g, sign=1):
+    """f + g, or f - g when ``sign`` is -1."""
+    return FunElement(f.n, [*f.terms.items(), *((m, c * sign) for m, c in g.terms.items())])
+
+
+def ref_bar(f, conjugate=False):
+    """bar(f), or f^* when ``conjugate``."""
+    return FunElement(f.n, [(ref_monomial(m, flip=True), c.conjugate() if conjugate else c) for m, c in f.terms.items()])
+
+
+def ref_crossed_mul(x, y):
+    """(f + g s)(f' + g' s) = (f f' + g bar(g')) + (f g' + g bar(f')) s."""
+    return CrossedElement(
+        ref_sum(ref_mul(x.f0, y.f0), ref_mul(x.f1, y.f1, twist=True)),
+        ref_sum(ref_mul(x.f0, y.f1), ref_mul(x.f1, y.f0, twist=True)),
+    )
+
+
+def ref_crossed_star(x):
+    """(f + g s)^* = f^* + bar(g)^* s."""
+    return CrossedElement(ref_bar(x.f0, conjugate=True), ref_bar(ref_bar(x.f1), conjugate=True))
+
+
+def assert_reduced(f):
+    """f's terms are what the constructor makes: sorted positive exponents
+    over indices 1..n, a hash equal to that of the exponents, and nonzero
+    Gaussian-rational coefficients."""
+    for m, c in f.terms.items():
+        assert type(m) is FunMonomial and hash(m) == hash(m.exps), m
+        assert list(m.exps) == sorted(m.exps), m
+        assert all(type(e) is int and e > 0 and 1 <= i <= f.n and 1 <= j <= f.n for (i, j, _b), e in m.exps), m
+        assert type(c) is GaussianRational and c, (m, c)
+
+
+def lean_cases(rng, n, count, max_degree=3):
+    """Pairs of random polynomials over n with Gaussian coefficients, and
+    for each pair also (f + g, f - g), whose product f^2 - g^2 loses its
+    cross terms, so that sums of products cancel."""
+    for _ in range(count):
+        f, g = random_fun(rng, n, max_degree, terms=3), random_fun(rng, n, max_degree, terms=3)
+        yield f, g
+        yield f + g, f - g
+
+
+def crossed_parities(f, g):
+    """Crossed elements from f and g: both parts, the even and the odd part."""
+    return CrossedElement(f, g), CrossedElement.even(f), CrossedElement.odd(g)
