@@ -16,7 +16,7 @@ from . import fusion as fus
 from .crossed import CrossedElement, embed_pi, format_crossed_element
 from .errors import ClosureSizeError, DegreeCapError, ParseError
 from .expressions import CrossedContext, parse_context, parse_expression
-from .groups import PREDICATES, parse_model, predicate
+from .groups import PREDICATES, check_predicate, parse_model, predicate
 from .haar import PMAX_DEFAULT, haar_state, mc_integral, norm_squared
 from .verify import DEFAULT_SEED, SUITES, run_verify, suite_params
 from .words import AO_STAR, Presentation, format_word_element
@@ -250,6 +250,8 @@ def cmd_fusion_table(args):
 def cmd_predicates(args):
     model = parse_model(args.model)
     names = PREDICATES if args.which == "all" else (args.which,)
+    for which in names:  # refuse a draw over the cap before any predicate runs
+        check_predicate(model, which, args.trials)
     for which in names:
         res = predicate(model, which, trials=args.trials, rng_seed=args.seed)
         witness = None

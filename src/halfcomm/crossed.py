@@ -370,69 +370,78 @@ def embed_pi(x: WordElement) -> CrossedElement:
     Since s f = bar(f) s, a word v_a1 v_a2 ... v_ak goes to the single
     monomial u_a1 ubar_a2 u_a3 ... s^k: letters at odd positions stay plain,
     letters at even positions are conjugated, and the term is odd iff k is.
+    Letters of one class, (row, col, position parity), commute in the image.
+    A word in normal form has each parity class sorted (``hc_normal_form``),
+    so a class is one run of equal (row, col) there, and one pass over the
+    word reads the runs in symbol order; its letters are in range, as a
+    ``WordElement`` checks them when it is made.  An orthogonal word is one
+    monomial, a run's symbol to the run's length.  Distinct normal forms have
+    distinct letter multisets per parity, so their images are distinct and
+    nothing is merged.
+
     A unitary-presentation letter expands over dimension 2n: u_ij to
-    x_ij + i*x_(n+i)j and its star to x_ij - i*x_(n+i)j.  Letters of one
-    class, (row, col, position parity), commute in the image, so each class
-    splits once by its count of shifted letters (``_class_splits``) and a word
-    makes prod(e_class + 1) terms at most, not 2^k; an orthogonal class does
-    not split.  A word's terms come out in the order in which the letter-by-
-    letter expansion first meets them, so sums over them keep their order.
+    x_ij + i*x_(n+i)j and its star to x_ij - i*x_(n+i)j.  A run of p plain
+    and q starred letters splits once by its count of shifted letters
+    (``_class_splits``), so a word makes prod(e_run + 1) terms at most, not
+    2^k; a shifted row exceeds n, so the shifted pieces sort after the plain
+    ones.  A word's terms come out in the order in which the letter-by-letter
+    expansion first meets them, so sums over them keep their order.
     """
     n = x.presentation.n
     unitary = x.presentation.kind == AU_STAR_STAR
-    shift = n if unitary else 0
-    dim = n + shift
     parts = ([], [])
     for word, coeff in x.terms.items():
-        classes = {}  # (row, col, odd position) -> the positions of its letters
-        for pos, (row, col, _starred) in enumerate(word):
-            sym = (row, col, pos % 2 == 1)
-            positions = classes.get(sym)
-            if positions is None:
-                classes[sym] = [pos]
-            else:
-                positions.append(pos)
-        for row, col, _odd in classes:
-            if not (1 <= row and row + shift <= dim and 1 <= col <= dim):
-                raise IndexRangeError(f"symbol index ({row},{col}) outside 1..{dim}")
+        runs = []  # (symbol, first, end): letters first..end-1 of the symbol's parity class
+        for odd in (0, 1):
+            letters = word[odd::2]
+            end, size = 0, len(letters)
+            while end < size:
+                first = end
+                row, col, _starred = letters[end]
+                end += 1
+                while end < size and letters[end][0] == row and letters[end][1] == col:
+                    end += 1
+                runs.append(((row, col, odd == 1), first, end))
+        runs.sort()
         part = parts[len(word) % 2]
         if not unitary:
-            part.append((tuple(sorted((sym, len(ps)) for sym, ps in classes.items())), coeff))
+            part.append((_monomial(tuple([(sym, end - first) for sym, first, end in runs])), coeff))
             continue
-        # (pieces, weight re, weight im, first choice): the letter-by-letter
-        # expansion runs through the shift choices as binary numbers, the
-        # letter at position pos worth 2^(last - pos) when shifted, so a term
-        # first shows up at the least choice that makes it
-        terms = [((), 1, 0, 0)]
+        # (plain pieces, shifted pieces, weight re, weight im, first choice):
+        # the letter-by-letter expansion runs through the shift choices as
+        # binary numbers, the letter at position pos worth 2^(last - pos) when
+        # shifted, so a term first shows up at the least choice that makes it
+        terms = [((), (), 1, 0, 0)]
         last = len(word) - 1
-        for sym, positions in classes.items():
+        for sym, first, end in runs:
             row, col, odd = sym
-            e = len(positions)
+            letters = word[odd::2]
+            e = end - first
             q = 0
             choices = [0]  # choices[k]: the least choice that shifts k letters
-            for pos in reversed(positions):
-                q += word[pos].starred
-                choices.append(choices[-1] + (1 << (last - pos)))
-            splits = []
-            for k, re, im in _class_splits(e - q, q):
-                pieces = ((sym, e - k),) if k < e else ()
-                if k:
-                    pieces += (((row + n, col, odd), k),)
-                splits.append((pieces, re, im, choices[k]))
-            terms = [
-                (pieces + more, re * r - im * s, re * s + im * r, choice + later)
-                for pieces, re, im, choice in terms
-                for more, r, s, later in splits
+            for k in range(end - 1, first - 1, -1):
+                q += letters[k].starred
+                choices.append(choices[-1] + (1 << (last - 2 * k - odd)))
+            splits = [
+                (((sym, e - k),) if k < e else (), (((row + n, col, odd), k),) if k else (), re, im, choices[k])
+                for k, re, im in _class_splits(e - q, q)
             ]
-        terms.sort(key=operator.itemgetter(3))
+            terms = [
+                (plain + more, shifted + more_shifted, re * r - im * s, re * s + im * r, choice + later)
+                for plain, shifted, re, im, choice in terms
+                for more, more_shifted, r, s, later in splits
+            ]
+        terms.sort(key=operator.itemgetter(4))
         scaled = {(1, 0): coeff}  # the coefficient times each weight, once
-        for pieces, re, im, _choice in terms:
+        for plain, shifted, re, im, _choice in terms:
             c = scaled.get((re, im))
             if c is None:
                 c = scaled[re, im] = coeff * GaussianRational(re, im)
-            part.append((tuple(sorted(pieces)), c))
-    zero = FunElement.zero(dim)
-    f0, f1 = (zero._like({_monomial(exps): c for exps, c in reduce_terms(part).items()}) for part in parts)
+            part.append((_monomial(plain + shifted), c))
+    zero = FunElement.zero(2 * n if unitary else n)
+    # unitary words that differ only in their stars can meet in one monomial
+    merge = reduce_terms if unitary else dict
+    f0, f1 = (zero._like(merge(part)) for part in parts)
     return CrossedElement(f0, f1)
 
 

@@ -157,14 +157,25 @@ def _validate_weight(lam, n):
 
 def un_dim(lam, n: int) -> int:
     """Dimension of the irreducible with highest weight lam, by the Weyl
-    product formula prod_(i<j) (lam_i - lam_j + j - i) / (j - i)."""
+    product formula prod_(i<j) (lam_i - lam_j + j - i) / (j - i).
+
+    The factors go into one integer numerator and one integer denominator,
+    divided once at the end.  A pair with lam_i = lam_j gives the factor 1,
+    and lam is weakly decreasing, so only the pairs that span two runs of
+    equal entries are multiplied: none for the weight 0 over any n.
+    """
     lam = _validate_weight(lam, n)
-    out = Fraction(1)
+    ends = [n] * n  # ends[i]: the index past the run of entries equal to lam[i]
+    for i in range(n - 2, -1, -1):
+        ends[i] = ends[i + 1] if lam[i] == lam[i + 1] else i + 1
+    num = den = 1
     for i in range(n):
-        for j in range(i + 1, n):
-            out *= Fraction(lam[i] - lam[j] + j - i, j - i)
-    assert out.denominator == 1 and out > 0
-    return int(out)
+        for j in range(ends[i], n):
+            num *= lam[i] - lam[j] + j - i
+            den *= j - i
+    out, rest = divmod(num, den)
+    assert rest == 0 and out > 0
+    return out
 
 
 def _lattice_strips(shape, size, prev):

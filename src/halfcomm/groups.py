@@ -32,6 +32,18 @@ WITNESS_TOL = 1e-6  # smallest imaginary part a non-reality witness shows
 
 PREDICATES = ("self_transpose", "non_real", "doubly_non_real")
 
+# complex entries one draw may hold: a chunk of sampled matrices, or the
+# entry products a predicate forms from one sample; 2^24 of them take 256 MiB
+MAX_DRAW_ENTRIES = 1 << 24
+
+
+def check_draw_size(entries: int, what: str) -> None:
+    """Raise ``ValueError``, naming the count, when a draw of ``entries``
+    complex entries is over ``MAX_DRAW_ENTRIES``; called before anything of
+    that size is allocated."""
+    if entries > MAX_DRAW_ENTRIES:
+        raise ValueError(f"{what} holds {entries} complex entries; the cap is {MAX_DRAW_ENTRIES}")
+
 
 @dataclass(frozen=True)
 class GroupModel:
@@ -160,6 +172,22 @@ class PredicateResult:
         return self.value
 
 
+def check_predicate(model: GroupModel, which: str, trials: int = 100) -> None:
+    """Raise ``ValueError`` for an unknown predicate, fewer than one trial, or
+    a trial whose draw is over ``MAX_DRAW_ENTRIES``, drawing nothing: a trial
+    holds one d x d sample, and doubly_non_real also the d^2 x d^2 products
+    of its entries.  The orthogonal group's non-reality predicates draw
+    nothing."""
+    if which not in PREDICATES:
+        raise ValueError(f"unknown predicate {which!r}; choose from {PREDICATES}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if model.kind == KIND_ON and which in ("non_real", "doubly_non_real"):
+        return
+    d = model.ambient_dim
+    check_draw_size(d**4 if which == "doubly_non_real" else d * d, f"predicate {which} over {model}")
+
+
 def predicate(
     model: GroupModel,
     which: str,
@@ -175,10 +203,7 @@ def predicate(
     in ``trials`` samples (except for the orthogonal group, whose entries are
     real by construction).
     """
-    if which not in PREDICATES:
-        raise ValueError(f"unknown predicate {which!r}; choose from {PREDICATES}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_predicate(model, which, trials)
     if model.kind == KIND_ON and which in ("non_real", "doubly_non_real"):
         return PredicateResult(False, None)
 

@@ -25,7 +25,11 @@ decides equality exactly.  ``norm_equal`` first evaluates the difference,
 exactly, at one fixed unitary matrix with Gaussian-rational entries: a
 function that vanishes on U(n) vanishes there, so a non-zero value proves
 inequality with no integration, and only the pairs it cannot refute are
-integrated.
+integrated.  The point is built fraction-free, by Bareiss elimination over
+the Gaussian integers, as a Gaussian-integer matrix N over one positive
+integer D; a difference is evaluated on N alone, each term scaled to the
+common denominator, so the test for zero is one sum of Gaussian integers
+with no gcd per factor.
 
 A monomial's integral depends only on its shape.  Haar measure is invariant
 under U -> P U Q for permutation matrices P and Q, which relabel the rows and
@@ -37,10 +41,13 @@ in a fixed order, the smaller key of the monomial and of its conjugate: a
 real relabelling, never a coarser invariant, so equal keys are equal
 integrals.  A monomial equal to its conjugate, as every product m-bar m of
 a norm is, has one key, built once: the swap leaves its cells unchanged.
-The memo holds at most the shapes of degree p, and lives as long as its
-table: clearing ``_TABLE_CACHE`` clears it too.  After ``halfcomm verify
---suite all`` the memos of the 18 tables hold 52 shapes; one ``exact-warm``
-round of the benchmark (seed 1) integrates 1,623 monomials of 136 shapes.
+And a polynomial that holds a monomial and its conjugate, as a norm holds
+m-bar m' and m'-bar m, integrates the pair once, with the sum of their
+coefficients.  The memo holds at most the shapes of degree p, and lives as
+long as its table: clearing ``_TABLE_CACHE`` clears it too.  After
+``halfcomm verify --suite all`` the memos of the 18 tables hold 52 shapes;
+one ``exact-warm`` round of the benchmark (seed 1) integrates polynomials of
+1,623 terms, among them 316 conjugate pairs, in 1,307 integrals of 136 shapes.
 """
 
 from __future__ import annotations
@@ -56,8 +63,8 @@ import numpy as np
 
 from .crossed import CrossedElement, FunElement, crossed_mul, crossed_star
 from .errors import DegreeCapError, DimensionMismatchError
-from .groups import GroupModel, evaluate_fun_batch, sample_batch
-from .scalars import ONE, ZERO, GaussianRational, _reduced, reduce_terms
+from .groups import GroupModel, check_draw_size, evaluate_fun_batch, sample_batch
+from .scalars import ZERO, GaussianRational, _reduced, reduce_terms
 
 PMAX_DEFAULT = 5
 
@@ -321,8 +328,15 @@ def _shape_key(cells):
 
 
 def _monomial_integral(mono, n, p_max) -> Fraction:
-    """Integral of a monomial, looked up in the ``shapes`` memo of its
-    Weingarten table, and on a miss counted by ``_coset_integral``.
+    """Integral of a monomial over U(n); see ``_integral``."""
+    return _integral(mono, n, p_max)[0]
+
+
+def _integral(mono, n, p_max):
+    """The integral of a monomial, looked up in the ``shapes`` memo of its
+    Weingarten table, and on a miss counted by ``_coset_integral``; and
+    whether its conjugate is another monomial of degree p >= 1, which has
+    the same integral.
 
     A cell (i, j) with plain exponent a and conjugate exponent b has the code
     a (p + 1) + b.  Relabelling rows and columns, and swapping plain with
@@ -339,18 +353,19 @@ def _monomial_integral(mono, n, p_max) -> Fraction:
             q += e
         cells[i, j] = cells.get((i, j), 0) + (e if b else e * base)
     if p != q:
-        return Fraction(0)
+        return Fraction(0), False
     if p == 0:
-        return Fraction(1)
+        return Fraction(1), False
     table = weingarten_table(p, n, p_max)
     swapped = {ij: v % base * base + v // base for ij, v in cells.items()}
-    key = _shape_key(cells) if swapped == cells else min(_shape_key(cells), _shape_key(swapped))
+    paired = swapped != cells
+    key = min(_shape_key(cells), _shape_key(swapped)) if paired else _shape_key(cells)
     value = table.shapes.get(key)
     if value is None:
         plain = {ij: v // base for ij, v in cells.items() if v >= base}
         conj = {ij: v % base for ij, v in cells.items() if v % base}
         value = table.shapes[key] = _coset_integral(plain, conj, table)
-    return value
+    return value, paired
 
 
 def _coset_integral(plain, conj, table) -> Fraction:
@@ -375,11 +390,26 @@ def _coset_integral(plain, conj, table) -> Fraction:
 
 
 def haar_integral(f: FunElement, p_max: int = PMAX_DEFAULT) -> GaussianRational:
-    """Exact Haar integral of a coordinate polynomial over U(n), n = f.n."""
+    """Exact Haar integral of a coordinate polynomial over U(n), n = f.n.
+
+    A monomial and its conjugate have one integral (see ``_integral``), so
+    when both are terms of f they are integrated once, with the sum of their
+    coefficients; the conjugate is looked for only when it differs.
+    """
+    terms = f.terms
+    folded = set()  # conjugates already integrated with their partner
     total = ZERO
-    for mono, coeff in f.terms.items():
-        val = _monomial_integral(mono, f.n, p_max)
-        if val:
+    for mono, coeff in terms.items():
+        if mono in folded:
+            continue
+        val, paired = _integral(mono, f.n, p_max)
+        if paired:
+            conj = mono.bar()
+            other = terms.get(conj)
+            if other is not None:
+                folded.add(conj)
+                coeff = coeff + other
+        if val and coeff:
             num = val.numerator
             total = total + _reduced(coeff.a * num, coeff.b * num, coeff.d * val.denominator)
     return total
@@ -454,65 +484,118 @@ def _skew_hermitian(n):
     return out
 
 
+def _witness(n):
+    """The witness point over n, as (``witness_point(n)``, numerators,
+    denominator): g = N / D with N a matrix of Gaussian integers and D a
+    positive integer, the least common denominator of the entries.
+    ``numerators`` maps each coordinate symbol (i, j, bar) to the
+    (real, imaginary) parts of N_ij, or of its conjugate when bar is set.
+
+    g solves (I + A) g = I - A, and is found fraction-free: Bareiss
+    elimination over the Gaussian integers, run on every row (Gauss-Jordan),
+    takes [I + A | I - A] to [det I | adj(I + A)(I - A)], each step dividing
+    exactly by the previous pivot.  The pivots are the leading principal
+    minors of I + A, each again I plus a skew-Hermitian matrix, so none is
+    zero.  Built once per n, and checked to be exactly unitary,
+    N N* = D^2 I, when built.
+    """
+    cached = _POINTS.get(n)
+    if cached is not None:
+        return cached
+    a = [[(v.a, v.b) for v in row] for row in _skew_hermitian(n)]
+    rows = [[(int(j == k) + a[j][k][0], a[j][k][1]) for k in range(n)]
+            + [(int(j == k) - a[j][k][0], -a[j][k][1]) for k in range(n)] for j in range(n)]
+    prev = (1, 0)
+    for col in range(n):
+        pr, pi = rows[col][col]
+        qr, qi = prev
+        nrm = qr * qr + qi * qi
+        for r in range(n):
+            if r == col:
+                continue
+            fr, fi = rows[r][col]
+            new = []
+            for (vr, vi), (wr, wi) in zip(rows[r], rows[col]):
+                # (pivot v - factor w) / prev, an exact Gaussian-integer quotient
+                tr = pr * vr - pi * vi - fr * wr + fi * wi
+                ti = pr * vi + pi * vr - fr * wi - fi * wr
+                new.append(((tr * qr + ti * qi) // nrm, (ti * qr - tr * qi) // nrm))
+            rows[r] = new
+        prev = (pr, pi)
+    # g = adj(I + A)(I - A) / det, over the real denominator |det|^2 reduced
+    # by the gcd of every part: the least common denominator of the entries
+    qr, qi = prev
+    nums = [[(vr * qr + vi * qi, vi * qr - vr * qi) for vr, vi in row[n:]] for row in rows]
+    common = math.gcd(qr * qr + qi * qi, *(part for row in nums for v in row for part in v))
+    den = (qr * qr + qi * qi) // common
+    nums = [[(vr // common, vi // common) for vr, vi in row] for row in nums]
+    for j in range(n):
+        for k in range(n):
+            re = sum(x * z + y * w for (x, y), (z, w) in zip(nums[j], nums[k]))
+            im = sum(y * z - x * w for (x, y), (z, w) in zip(nums[j], nums[k]))
+            if (re, im) != (den * den * (j == k), 0):
+                raise ArithmeticError(f"witness point over n={n} is not unitary; this is a bug")
+    numerators = {}
+    for i in range(n):
+        for j in range(n):
+            re, im = nums[i][j]
+            numerators[i + 1, j + 1, False] = (re, im)
+            numerators[i + 1, j + 1, True] = (re, -im)
+    point = {sym: _reduced(re, im, den) for sym, (re, im) in numerators.items()}
+    out = _POINTS[n] = (point, numerators, den)
+    return out
+
+
 def witness_point(n: int) -> dict:
     """A unitary n x n matrix g with Gaussian-rational entries, as the map
     from each coordinate symbol (i, j, bar) to g_ij or its conjugate.
 
     g is the Cayley transform (I - A)(I + A)^-1 of ``_skew_hermitian(n)``:
-    unitary because A is skew-Hermitian, and rational because I + A is
-    inverted by Gauss-Jordan elimination over Q(i).  Every leading principal
-    submatrix of I + A is again I plus a skew-Hermitian matrix, so it is
-    invertible and no pivot is zero.  Built once per n, and checked to be
-    exactly unitary when built.
+    unitary because A is skew-Hermitian, and rational because I + A has
+    Gaussian-integer entries; ``_witness`` builds it fraction-free.
     """
-    point = _POINTS.get(n)
-    if point is not None:
-        return point
-    a = _skew_hermitian(n)
-    eye = [[ONE if j == k else ZERO for k in range(n)] for j in range(n)]
-    # solve (I + A) g = I - A; the two factors commute
-    rows = [[e + v for e, v in zip(eye[j], a[j])] + [e - v for e, v in zip(eye[j], a[j])] for j in range(n)]
-    for col in range(n):
-        pivot = rows[col][col]
-        rows[col] = [v / pivot for v in rows[col]]
-        for r in range(n):
-            factor = rows[r][col]
-            if r != col and factor:
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
-    g = [row[n:] for row in rows]
-    for j in range(n):
-        for k in range(n):
-            if sum((g[j][m] * g[k][m].conjugate() for m in range(n)), ZERO) != eye[j][k]:
-                raise ArithmeticError(f"witness point over n={n} is not unitary; this is a bug")
-    point = {}
-    for i in range(n):
-        for j in range(n):
-            point[i + 1, j + 1, False] = g[i][j]
-            point[i + 1, j + 1, True] = g[i][j].conjugate()
-    _POINTS[n] = point
-    return point
+    return _witness(n)[0]
 
 
-def _value_at(f: FunElement, point: dict) -> GaussianRational:
-    """f evaluated at a matrix given as ``witness_point`` gives it."""
-    total = ZERO
-    for mono, coeff in f.terms.items():
+def _vanishes_at(f: FunElement, numerators: dict, den: int) -> bool:
+    """Whether f is zero at the point N / D that ``_witness`` gives.
+
+    A term c m of degree t with c = (a + b i) / d is worth (a + b i) N^m /
+    (d D^t), where N^m is a Gaussian integer; scaled by L D^T, for L the
+    least common multiple of the d and T the largest degree, every term is a
+    Gaussian integer, and f vanishes exactly when their sum does.
+    """
+    values, top = [], 0
+    for mono, c in f.terms.items():
+        re, im, t = c.a, c.b, 0
         for sym, e in mono.exps:
-            value = point[sym]
+            x, y = numerators[sym]
+            t += e
             for _ in range(e):
-                coeff = coeff * value
-        total = total + coeff
-    return total
+                re, im = re * x - im * y, re * y + im * x
+        values.append((re, im, c.d, t))
+        if t > top:
+            top = t
+    scale = math.lcm(*(d for _re, _im, d, _t in values))
+    powers = [den**k for k in range(top + 1)]
+    total_re = total_im = 0
+    for re, im, d, t in values:
+        k = scale // d * powers[top - t]
+        total_re += re * k
+        total_im += im * k
+    return not (total_re or total_im)
 
 
 def witness_refutes(x: CrossedElement) -> bool:
     """True when a component of x is non-zero at ``witness_point(x.n)``.
 
     That value is exact, and g is a point of U(n), so a non-zero value proves
-    that x does not vanish on U(n); False proves nothing.
+    that x does not vanish on U(n); False proves nothing.  The value is
+    decided on Gaussian integers, over the point's one denominator
+    (``_vanishes_at``).
     """
-    point = witness_point(x.n)
-    return any(_value_at(f, point) for f in (x.f0, x.f1))
+    _point, numerators, den = _witness(x.n)
+    return not (_vanishes_at(x.f0, numerators, den) and _vanishes_at(x.f1, numerators, den))
 
 
 def norm_equal(x: CrossedElement, y: CrossedElement, p_max: int = PMAX_DEFAULT) -> bool:
@@ -561,6 +644,9 @@ def mc_integrals(xs, model: GroupModel, samples: int, seed: int) -> list[MCEstim
             raise DimensionMismatchError(
                 f"element over n={f.n} cannot be integrated over {model} (ambient {model.ambient_dim})"
             )
+    chunk = min(MC_CHUNK, samples)
+    d = model.ambient_dim
+    check_draw_size(chunk * d * d, f"a Monte Carlo chunk of {chunk} samples over {model}")
     rng = np.random.default_rng(seed)
     totals = [0j] * len(fs)
     totals_sq = [0.0] * len(fs)

@@ -229,10 +229,28 @@ class SparseSum:
         return self._like(reduce_terms(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
+        """self - other in one pass over a copy of self's terms, with no negated
+        copy of other's; the keys keep the order that merging self's terms
+        with other's negated ones would give."""
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check(other)
-        return self._like(reduce_terms(chain(self.terms.items(), ((k, -c) for k, c in other.terms.items()))))
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            prev = terms.get(key)
+            if prev is None:
+                terms[key] = _reduced(-c.a, -c.b, c.d)
+                continue
+            d, e = prev.d, c.d
+            if d == e:
+                a, b = prev.a - c.a, prev.b - c.b
+            else:
+                a, b, d = prev.a * e - c.a * d, prev.b * e - c.b * d, d * e
+            if a or b:
+                terms[key] = _reduced(a, b, d)
+            else:
+                del terms[key]
+        return self._like(terms)
 
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()})

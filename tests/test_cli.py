@@ -228,6 +228,46 @@ def test_fusion_over_a_huge_n_allocates_nothing_of_size_n(capsys, argv):
     assert line.startswith("error: ") and "1000000000" in line
 
 
+def _no_sampling(*args):
+    raise AssertionError("samples were drawn before the cap was checked")
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        # the d^2 x d^2 entry products of one sample, d = 200
+        (("predicates", "--model", "un:200", "--which", "doubly_non_real"), 200**4),
+        (("predicates", "--model", "u2n:100"), 200**4),
+        # a Monte Carlo chunk of 4,096 samples of d x d matrices, d = 100
+        (("haar", "--mc", "--group", "un:100", "u[1,1]"), 4096 * 100**2),
+        (("equal", "--context", "crossed:100", "--method", "mc", "--group", "un:100", "u[1,1]", "u[2,2]"), 4096 * 100**2),
+    ],
+)
+def test_sampling_past_the_draw_cap_draws_nothing(capsys, monkeypatch, argv, count):
+    from halfcomm import groups, haar
+
+    monkeypatch.setattr(groups, "sample_batch", _no_sampling)
+    monkeypatch.setattr(haar, "sample_batch", _no_sampling)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    (line,) = [l for l in err.splitlines() if not l.startswith("# config")]
+    assert line.startswith("error: ") and f" {count} complex entries" in line and str(groups.MAX_DRAW_ENTRIES) in line
+
+
+def test_sampling_at_the_draw_cap_runs(capsys, monkeypatch):
+    # with the cap at 3^4 entries: the 9 x 9 products of a 3 x 3 sample, and
+    # a chunk of 9 samples of 3 x 3, are at the cap; one more sample is over
+    from halfcomm import groups
+
+    monkeypatch.setattr(groups, "MAX_DRAW_ENTRIES", 3**4)
+    for argv in (("predicates", "--model", "un:3", "--which", "doubly_non_real", "--trials", "1"),
+                 ("haar", "--mc", "--group", "un:3", "--samples", "9", "u[1,1]")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)
+    code, out, err = run_cli(capsys, "haar", "--mc", "--group", "un:3", "--samples", "10", "u[1,1]")
+    assert code == 2 and out == "" and " 90 complex entries" in err
+
+
 def _no_l1_ball(*args):
     raise AssertionError("the L1 ball was listed")
 

@@ -377,13 +377,15 @@ def test_embed_matches_generator_products_on_random_elements():
 
 
 def embed_letter_by_letter(x):
-    """Reference image of a unitary-presentation element, term by term: each
-    letter takes its plain symbol or its shifted one (times i, or -i when
-    starred), 2^L choices per word, run through in binary order."""
+    """Reference image, term by term: each letter of a unitary-presentation
+    word takes its plain symbol or its shifted one (times i, or -i when
+    starred), 2^L choices per word, run through in binary order; an
+    orthogonal letter takes its plain symbol only."""
     n = x.presentation.n
+    shift = 0 if x.presentation.orthogonal else n
     parts = ([], [])
     for word, coeff in x.terms.items():
-        for shifts in itertools.product((0, n), repeat=len(word)):
+        for shifts in itertools.product(sorted({0, shift}), repeat=len(word)):
             exps = {}
             c = coeff
             for pos, (l, shift) in enumerate(zip(word, shifts)):
@@ -392,20 +394,26 @@ def embed_letter_by_letter(x):
                 if shift:
                     c = c * (-I if l.starred else I)
             parts[len(word) % 2].append((FunMonomial(exps), c))
-    return CrossedElement(FunElement(2 * n, parts[0]), FunElement(2 * n, parts[1]))
+    dim = n if x.presentation.orthogonal else 2 * n
+    return CrossedElement(FunElement(dim, parts[0]), FunElement(dim, parts[1]))
 
 
 AU1, AU2 = au_star_star(1), au_star_star(2)
 
-# letter sets whose words repeat a (row, col, position parity) class with
-# plain and starred letters mixed, and the longest word taken from each
+# letter sets whose words repeat a (row, col, position parity) class, with
+# plain and starred letters mixed in the unitary presentation, and the
+# longest word taken from each
 CLASS_CASES = [
     (AU1, all_letters(AU1), 6),
     (AU2, [letter(AU2, 1, 1), letter(AU2, 1, 1, starred=True), letter(AU2, 1, 2)], 5),
+    (ao_star(2), all_letters(ao_star(2)), 5),
+    (ah_star(2), all_letters(ah_star(2)), 5),
+    (ao_star(3), all_letters(ao_star(3)), 3),
 ]
 
 
-@pytest.mark.parametrize("pres, letters, max_len", CLASS_CASES, ids=("au1-all", "au2-v11-v11*-v12"))
+@pytest.mark.parametrize("pres, letters, max_len", CLASS_CASES,
+                         ids=("au1-all", "au2-v11-v11*-v12", "ao2-all", "ah2-all", "ao3-all"))
 def test_embed_splits_letter_classes_like_the_letter_expansion(pres, letters, max_len):
     for length in range(max_len + 1):
         for word in itertools.product(letters, repeat=length):
@@ -416,6 +424,21 @@ def test_embed_splits_letter_classes_like_the_letter_expansion(pres, letters, ma
             reference = embed_letter_by_letter(x)
             assert list(image.f0.terms) == list(reference.f0.terms), word
             assert list(image.f1.terms) == list(reference.f1.terms), word
+    # a sum's terms come out word by word, in the order of its words; the
+    # terms of unitary words whose stars differ can meet, and keep the place
+    # of the first
+    rng = random.Random(f"class cases {pres}")
+    for _ in range(40):
+        x = WordElement(pres, {tuple(rng.choice(letters) for _ in range(rng.randint(0, max_len))):
+                               GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) / rng.randint(1, 3)
+                               for _ in range(rng.randint(1, 5))})
+        images = [embed_letter_by_letter(WordElement(pres, {w: c})) for w, c in x.terms.items()]
+        image = embed_pi(x)
+        reference = CrossedElement(FunElement(image.n, [t for y in images for t in y.f0.terms.items()]),
+                                   FunElement(image.n, [t for y in images for t in y.f1.terms.items()]))
+        assert image == reference == embed_by_products(x)
+        assert list(image.f0.terms) == list(reference.f0.terms)
+        assert list(image.f1.terms) == list(reference.f1.terms)
 
 
 def test_embed_leaves_out_a_class_weight_that_cancels():
@@ -481,6 +504,8 @@ def test_fun_operations_match_constructor_references(n):
         for got, expected in results:
             assert got == expected
             assert_reduced(got)
+        # a difference keeps the key order of merging f with -g
+        assert list((f - g).terms) == list(ref_sum(f, g, -1).terms)
     assert merged
 
 

@@ -71,6 +71,20 @@ def test_lr_shift_invariance():
         assert shifted == {tuple(x + 1 for x in nu): m for nu, m in base.items()}
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_un_dim_matches_the_fraction_product(n):
+    # the Weyl product taken factor by factor in Fractions, on seeded
+    # dominant weights with repeated entries and runs of several lengths
+    rng = random.Random(2200 + n)
+    for _ in range(40):
+        lam = tuple(sorted((rng.randint(-3, 3) for _ in range(n)), reverse=True))
+        expected = Fraction(1)
+        for i in range(n):
+            for j in range(i + 1, n):
+                expected *= Fraction(lam[i] - lam[j] + j - i, j - i)
+        assert un_dim(lam, n) == expected, lam
+
+
 def test_un_dim():
     assert un_dim((1, 0), 2) == 2
     assert un_dim((1, 1), 2) == 1

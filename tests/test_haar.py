@@ -38,10 +38,19 @@ from halfcomm.haar import (
     _permutations,
     _shape_key,
     _type_code,
+    _witness,
 )
 from halfcomm.scalars import GaussianRational
 from halfcomm.words import WordElement, ao_star, au_star_star, hc_normal_form, letter
-from tests_helpers import crossed_parities, lean_cases, random_crossed, ref_crossed_mul, ref_crossed_star
+from tests_helpers import (
+    crossed_parities,
+    lean_cases,
+    random_crossed,
+    random_fun,
+    ref_crossed_mul,
+    ref_crossed_star,
+    ref_value_at,
+)
 
 
 def u(n, i, j):
@@ -421,6 +430,40 @@ def test_memo_key_is_the_smaller_relabelled_key(n):
     assert distinct or n == 1
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_integral_of_conjugate_pairs_matches_the_unfolded_sum(n):
+    # balanced monomials whose rows and columns match up, so that most have
+    # a non-zero integral and differ from their conjugates, next to those
+    # conjugates, with coefficients that are non-real, unrelated, or
+    # opposite so that a pair's sum is 0; the integral folds each pair, the
+    # reference integrates term by term
+    rng = random.Random(2100 + n)
+    coeffs = (GaussianRational(1, 2), GaussianRational(Fraction(-1, 3), 1), GaussianRational(2), GaussianRational(0, -1))
+    folded = opposite = 0
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            p = rng.randint(1, 3)
+            us = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(p)]
+            rows, cols = [i for i, _ in us], [j for _, j in us]
+            rng.shuffle(rows)
+            rng.shuffle(cols)
+            (m,) = mono(n, us, list(zip(rows, cols))).terms
+            c = rng.choice(coeffs)
+            terms[m] = c
+            paired = m.bar() != m and _monomial_integral(m, n, 5) != 0
+            if rng.random() < 0.3:
+                terms[m.bar()] = -c
+                opposite += paired
+            else:
+                terms[m.bar()] = rng.choice(coeffs)
+                folded += paired
+        f = FunElement(n, terms)
+        expected = sum((c * _monomial_integral(m, n, 5) for m, c in f.terms.items()), GaussianRational(0))
+        assert haar_integral(f) == expected, f
+    assert folded >= 10 and opposite >= 5, (folded, opposite)
+
+
 def test_degree_cap_precedes_label_mismatch():
     # rows and columns of the plain and conjugate factors differ, so the
     # integral is 0 below the cap; above it the cap is raised all the same
@@ -551,6 +594,34 @@ def test_witness_point_is_exactly_unitary(n):
             rows = sum((g[i, k, False] * g[j, k, True] for k in range(1, n + 1)), GaussianRational(0))
             cols = sum((g[k, i, True] * g[k, j, False] for k in range(1, n + 1)), GaussianRational(0))
             assert rows == cols == one * (i == j), (i, j)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_witness_numerators_share_one_least_denominator(n):
+    point, numerators, den = _witness(n)
+    assert point is witness_point(n)
+    assert math.lcm(*(v.d for v in point.values())) == den
+    for sym, (re, im) in numerators.items():
+        assert GaussianRational(Fraction(re, den), Fraction(im, den)) == point[sym], sym
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_witness_refutes_like_a_gaussian_rational_evaluation(n):
+    # f, and f minus its own value at the point, which vanishes there; the
+    # coefficients have denominators and the terms mixed degrees, so a term
+    # scaled by the wrong power of the point's denominator shows
+    rng = random.Random(2000 + n)
+    point = witness_point(n)
+    zeros = 0
+    for _ in range(40):
+        f = random_fun(rng, n, max_degree=4, terms=4) * GaussianRational(Fraction(1, rng.randint(1, 6)), Fraction(1, 3))
+        g = f - FunElement.one(n) * ref_value_at(f, point)
+        for h in (f, g):
+            for x in (CrossedElement.even(h), CrossedElement.odd(h), CrossedElement(g, h)):
+                expected = bool(ref_value_at(x.f0, point)) or bool(ref_value_at(x.f1, point))
+                assert witness_refutes(x) == expected, x
+                zeros += not expected
+    assert zeros >= 40
 
 
 def _unitarity_relations(n):

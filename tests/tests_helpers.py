@@ -1,7 +1,7 @@
 """Shared helpers for the test modules."""
 
 from halfcomm.crossed import CrossedElement, FunElement, FunMonomial
-from halfcomm.scalars import GaussianRational
+from halfcomm.scalars import ZERO, GaussianRational
 
 
 def random_fun(rng, n, max_degree=3, terms=2):
@@ -90,3 +90,16 @@ def lean_cases(rng, n, count, max_degree=3):
 def crossed_parities(f, g):
     """Crossed elements from f and g: both parts, the even and the odd part."""
     return CrossedElement(f, g), CrossedElement.even(f), CrossedElement.odd(g)
+
+
+def ref_value_at(f, point):
+    """f evaluated at a point given as ``haar.witness_point`` gives it, a map
+    from each symbol (i, j, bar) to a Gaussian rational, in Gaussian-rational
+    arithmetic, one factor at a time."""
+    total = ZERO
+    for mono, coeff in f.terms.items():
+        for sym, e in mono.exps:
+            for _ in range(e):
+                coeff = coeff * point[sym]
+        total = total + coeff
+    return total
