@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .crossed import CrossedElement
 from .errors import DegreeCapError, ParseError
-from .haar import PMAX_DEFAULT, haar_state
+from .haar import PMAX_DEFAULT, _partitions, haar_state
 from .scalars import GaussianRational
 
 
@@ -133,17 +133,6 @@ def _l1_ball(n, cap):
     for _ in range(n):
         partial = [(vec + (v,), left - abs(v)) for vec, left in partial for v in range(-left, left + 1)]
     return [vec for vec, _left in partial]
-
-
-def _partitions(total, parts, largest):
-    """Partitions of ``total`` into at most ``parts`` parts, none larger than
-    ``largest``, as non-increasing tuples."""
-    if total == 0:
-        yield ()
-    elif parts:
-        for first in range(min(total, largest), 0, -1):
-            for rest in _partitions(total - first, parts - 1, first):
-                yield (first,) + rest
 
 
 def _validate_weight(lam, n):
@@ -263,9 +252,9 @@ class UnFusion(FusionData):
         n = self.n
         out = []
         for s in range(grade_cap + 1):
-            for plus in _partitions(s, n, s):
+            for plus in _partitions(s, n):
                 for t in range(grade_cap - s + 1):
-                    for minus in _partitions(t, n - len(plus), t):
+                    for minus in _partitions(t, n - len(plus)):
                         out.append(plus + (0,) * (n - len(plus) - len(minus)) + tuple(-x for x in reversed(minus)))
         return sorted(out)
 

@@ -22,14 +22,15 @@ monomials of different torus weights integrate to zero too, so the norm is
 summed over weight blocks, forming only the products inside each block.
 Since the state is faithful on polynomial functions, a vanishing norm
 decides equality exactly.  ``norm_equal`` first evaluates the difference,
-exactly, at one fixed unitary matrix with Gaussian-rational entries: a
-function that vanishes on U(n) vanishes there, so a non-zero value proves
-inequality with no integration, and only the pairs it cannot refute are
-integrated.  The point is built fraction-free, by Bareiss elimination over
-the Gaussian integers, as a Gaussian-integer matrix N over one positive
-integer D; a difference is evaluated on N alone, each term scaled to the
-common denominator, so the test for zero is one sum of Gaussian integers
-with no gcd per factor.
+exactly, at one fixed point (g, g^-T) for an invertible integer matrix g: on
+U(n) the conjugate of u_ij is (u^-1)_ji, and U(n) is Zariski-dense in its
+complexification GL_n(C), so a function that vanishes on U(n) vanishes at
+(g, g^-T) too.  A non-zero value proves inequality with no integration, and
+only the pairs it cannot refute are integrated.  g is diagonally dominant
+with |det g| >= 2, so the point is not in SL_n and refutes identities that
+hold only on SU(n), such as u11 = conj(u22) at n = 2.  A difference is
+evaluated on integers alone: g, and g^-1 times its least common
+denominator D, each term scaled by the power of D its barred factors miss.
 
 A monomial's integral depends only on its shape.  Haar measure is invariant
 under U -> P U Q for permutation matrices P and Q, which relabel the rows and
@@ -115,14 +116,15 @@ def _permutations(p):
     return tuple(itertools.permutations(range(p)))
 
 
-def _partitions(p, largest=None):
-    """Partitions of p as non-increasing tuples."""
-    if p == 0:
+def _partitions(total, parts, largest=None):
+    """Partitions of ``total`` into at most ``parts`` parts, none larger than
+    ``largest`` (by default ``total``), as non-increasing tuples."""
+    if total == 0:
         yield ()
-        return
-    for first in range(min(p, largest or p), 0, -1):
-        for rest in _partitions(p - first, first):
-            yield (first,) + rest
+    elif parts:
+        for first in range(min(total, largest or total), 0, -1):
+            for rest in _partitions(total - first, parts - 1, first):
+                yield (first,) + rest
 
 
 def _character(beta, mu):
@@ -207,7 +209,7 @@ def weingarten_table(p: int, n: int, p_max: int = PMAX_DEFAULT) -> WeingartenTab
     if cached is not None:
         return cached
 
-    types = list(_partitions(p))
+    types = list(_partitions(p, p))
     terms = [
         (frozenset(part + len(lam) - 1 - i for i, part in enumerate(lam)), _hook_content_product(lam, n))
         for lam in types
@@ -470,140 +472,101 @@ def norm_squared(x: CrossedElement, p_max: int = PMAX_DEFAULT) -> Fraction:
 _POINTS: dict = {}  # idempotent fills, like _TABLE_CACHE
 
 
-def _skew_hermitian(n):
-    """A fixed n x n skew-Hermitian matrix of Gaussian integers.  Any one
-    gives a unitary witness point; this one makes a point that is not
-    symmetric and whose entries g11 and g12 differ in modulus, and at n = 2 it
-    refutes every unequal pair of the faithfulness suite."""
-    out = [[ZERO] * n for _ in range(n)]
-    for j in range(n):
-        out[j][j] = GaussianRational(0, 2 * j + 1)
-        for k in range(j + 1, n):
-            z = GaussianRational(2 * j + k + 1, j + 3 * k + 2)
-            out[j][k], out[k][j] = z, -z.conjugate()
-    return out
-
-
 def _witness(n):
-    """The witness point over n, as (``witness_point(n)``, numerators,
-    denominator): g = N / D with N a matrix of Gaussian integers and D a
-    positive integer, the least common denominator of the entries.
-    ``numerators`` maps each coordinate symbol (i, j, bar) to the
-    (real, imaginary) parts of N_ij, or of its conjugate when bar is set.
+    """The witness point over n, as (values, D): ``values`` maps each
+    coordinate symbol (i, j, bar) to an integer, g_ij, or D (g^-1)_ji when
+    bar is set, for a fixed invertible integer matrix g and D the least
+    common denominator of g^-1.
 
-    g solves (I + A) g = I - A, and is found fraction-free: Bareiss
-    elimination over the Gaussian integers, run on every row (Gauss-Jordan),
-    takes [I + A | I - A] to [det I | adj(I + A)(I - A)], each step dividing
-    exactly by the previous pivot.  The pivots are the leading principal
-    minors of I + A, each again I plus a skew-Hermitian matrix, so none is
-    zero.  Built once per n, and checked to be exactly unitary,
-    N N* = D^2 I, when built.
+    Off the diagonal, g holds the first n (n - 1) primes, row by row; g_ii
+    is their sum plus i + 2.  So the n^2 entries are pairwise distinct, and g
+    is strictly diagonally dominant: its leading principal minors are not
+    zero, and |det g| >= 3^n.  Fraction-free Gauss-Jordan elimination
+    (Bareiss, on every row) takes [g | I] to [det I | adj g], each step
+    dividing exactly by the previous pivot.  Built once per n, and checked
+    when built: g adj g = det I and |det| >= 2.
     """
     cached = _POINTS.get(n)
     if cached is not None:
         return cached
-    a = [[(v.a, v.b) for v in row] for row in _skew_hermitian(n)]
-    rows = [[(int(j == k) + a[j][k][0], a[j][k][1]) for k in range(n)]
-            + [(int(j == k) - a[j][k][0], -a[j][k][1]) for k in range(n)] for j in range(n)]
-    prev = (1, 0)
-    for col in range(n):
-        pr, pi = rows[col][col]
-        qr, qi = prev
-        nrm = qr * qr + qi * qi
-        for r in range(n):
-            if r == col:
-                continue
-            fr, fi = rows[r][col]
-            new = []
-            for (vr, vi), (wr, wi) in zip(rows[r], rows[col]):
-                # (pivot v - factor w) / prev, an exact Gaussian-integer quotient
-                tr = pr * vr - pi * vi - fr * wr + fi * wi
-                ti = pr * vi + pi * vr - fr * wi - fi * wr
-                new.append(((tr * qr + ti * qi) // nrm, (ti * qr - tr * qi) // nrm))
-            rows[r] = new
-        prev = (pr, pi)
-    # g = adj(I + A)(I - A) / det, over the real denominator |det|^2 reduced
-    # by the gcd of every part: the least common denominator of the entries
-    qr, qi = prev
-    nums = [[(vr * qr + vi * qi, vi * qr - vr * qi) for vr, vi in row[n:]] for row in rows]
-    common = math.gcd(qr * qr + qi * qi, *(part for row in nums for v in row for part in v))
-    den = (qr * qr + qi * qi) // common
-    nums = [[(vr // common, vi // common) for vr, vi in row] for row in nums]
-    for j in range(n):
-        for k in range(n):
-            re = sum(x * z + y * w for (x, y), (z, w) in zip(nums[j], nums[k]))
-            im = sum(y * z - x * w for (x, y), (z, w) in zip(nums[j], nums[k]))
-            if (re, im) != (den * den * (j == k), 0):
-                raise ArithmeticError(f"witness point over n={n} is not unitary; this is a bug")
-    numerators = {}
+    primes = (k for k in itertools.count(2) if all(k % q for q in range(2, math.isqrt(k) + 1)))
+    g = [[0 if i == j else next(primes) for j in range(n)] for i in range(n)]
+    off = sum(map(sum, g))
     for i in range(n):
-        for j in range(n):
-            re, im = nums[i][j]
-            numerators[i + 1, j + 1, False] = (re, im)
-            numerators[i + 1, j + 1, True] = (re, -im)
-    point = {sym: _reduced(re, im, den) for sym, (re, im) in numerators.items()}
-    out = _POINTS[n] = (point, numerators, den)
+        g[i][i] = off + (i + 1) + 2
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(g)]
+    prev = 1
+    for col in range(n):
+        pivot = rows[col][col]
+        for r in range(n):
+            if r != col:
+                factor = rows[r][col]
+                rows[r] = [(pivot * v - factor * w) // prev for v, w in zip(rows[r], rows[col])]
+        prev = pivot
+    det, adj = prev, [row[n:] for row in rows]
+    if abs(det) < 2 or any(
+        sum(g[i][k] * adj[k][j] for k in range(n)) != det * (i == j) for i in range(n) for j in range(n)
+    ):
+        raise ArithmeticError(f"witness point over n={n} is not invertible with |det| >= 2; this is a bug")
+    den = abs(det) // math.gcd(det, *(v for row in adj for v in row))
+    values = {(i + 1, j + 1, bar): adj[j][i] * den // det if bar else g[i][j]
+              for i in range(n) for j in range(n) for bar in (False, True)}
+    out = _POINTS[n] = (values, den)
     return out
 
 
 def witness_point(n: int) -> dict:
-    """A unitary n x n matrix g with Gaussian-rational entries, as the map
-    from each coordinate symbol (i, j, bar) to g_ij or its conjugate.
+    """The witness point (g, g^-T) over n, as the map from each coordinate
+    symbol (i, j, bar) to its value: g_ij, or (g^-1)_ji when bar is set."""
+    values, den = _witness(n)
+    return {sym: GaussianRational(Fraction(v, den) if sym[2] else v) for sym, v in values.items()}
 
-    g is the Cayley transform (I - A)(I + A)^-1 of ``_skew_hermitian(n)``:
-    unitary because A is skew-Hermitian, and rational because I + A has
-    Gaussian-integer entries; ``_witness`` builds it fraction-free.
+
+def _vanishes_at(f: FunElement, values: dict, den: int) -> bool:
+    """Whether f is zero at the point that ``_witness`` gives.
+
+    A term c m with c = (a + b i) / d and q barred factors is worth
+    (a + b i) V / (d D^q), where V is the integer product of the values of
+    its factors; scaled by L D^Q, for L the least common multiple of the d
+    and Q the largest q, every term is a Gaussian integer, and f vanishes
+    exactly when their sum does.
     """
-    return _witness(n)[0]
-
-
-def _vanishes_at(f: FunElement, numerators: dict, den: int) -> bool:
-    """Whether f is zero at the point N / D that ``_witness`` gives.
-
-    A term c m of degree t with c = (a + b i) / d is worth (a + b i) N^m /
-    (d D^t), where N^m is a Gaussian integer; scaled by L D^T, for L the
-    least common multiple of the d and T the largest degree, every term is a
-    Gaussian integer, and f vanishes exactly when their sum does.
-    """
-    values, top = [], 0
+    terms, top = [], 0
     for mono, c in f.terms.items():
-        re, im, t = c.a, c.b, 0
+        v, q = 1, 0
         for sym, e in mono.exps:
-            x, y = numerators[sym]
-            t += e
-            for _ in range(e):
-                re, im = re * x - im * y, re * y + im * x
-        values.append((re, im, c.d, t))
-        if t > top:
-            top = t
-    scale = math.lcm(*(d for _re, _im, d, _t in values))
+            v *= values[sym] ** e
+            q += e if sym[2] else 0
+        terms.append((v, c, q))
+        top = max(top, q)
+    scale = math.lcm(*(c.d for _v, c, _q in terms))
     powers = [den**k for k in range(top + 1)]
     total_re = total_im = 0
-    for re, im, d, t in values:
-        k = scale // d * powers[top - t]
-        total_re += re * k
-        total_im += im * k
+    for v, c, q in terms:
+        k = v * (scale // c.d) * powers[top - q]
+        total_re += c.a * k
+        total_im += c.b * k
     return not (total_re or total_im)
 
 
 def witness_refutes(x: CrossedElement) -> bool:
     """True when a component of x is non-zero at ``witness_point(x.n)``.
 
-    That value is exact, and g is a point of U(n), so a non-zero value proves
-    that x does not vanish on U(n); False proves nothing.  The value is
-    decided on Gaussian integers, over the point's one denominator
-    (``_vanishes_at``).
+    That value is exact, and a function that vanishes on U(n) vanishes at
+    the point, so a non-zero value proves that x does not vanish on U(n);
+    False proves nothing.  The value is decided on integers, over the
+    point's one denominator (``_vanishes_at``).
     """
-    _point, numerators, den = _witness(x.n)
-    return not (_vanishes_at(x.f0, numerators, den) and _vanishes_at(x.f1, numerators, den))
+    values, den = _witness(x.n)
+    return not (_vanishes_at(x.f0, values, den) and _vanishes_at(x.f1, values, den))
 
 
 def norm_equal(x: CrossedElement, y: CrossedElement, p_max: int = PMAX_DEFAULT) -> bool:
     """Exact equality of crossed elements as functions on the unitary group.
 
     Decides equality in the half-commutative algebra attached to U(n), in two
-    exact stages.  A difference that is non-zero at the unitary witness point
-    is unequal, with no integration (``witness_refutes``).  Otherwise the
+    exact stages.  A difference that is non-zero at the witness point is
+    unequal, with no integration (``witness_refutes``).  Otherwise the
     answer is a vanishing Haar norm (``norm_squared``), which decides
     equality since the Haar state is faithful on polynomial functions.  So a
     pair beyond ``p_max`` answers False when the witness refutes it, since

@@ -37,6 +37,7 @@ from .crossed import (
 from .errors import ClosureSizeError, DegreeCapError
 from .groups import (
     DEFAULT_TOL,
+    check_draw_size,
     contains,
     evaluate_fun_batch,
     matrix_model_eval,
@@ -248,11 +249,18 @@ def suite_half_comm(n=2):
     yield f"self-adjoint-n{n}", "generator images are self-adjoint", check_star
 
 
+def _draw(model, rng, count):
+    """``sample_batch``, once ``check_draw_size`` has passed the draw."""
+    d = model.ambient_dim
+    check_draw_size(count * d * d, f"a draw of {count} samples over {model}")
+    return sample_batch(model, rng, count)
+
+
 @functools.lru_cache(maxsize=8)
 def _haar_points(n, seed):
     """The seeded batch of Haar unitaries over U(n) that ``pointwise_equal``
     evaluates at: drawn once per (n, seed) and shared read-only."""
-    gs = sample_batch(parse_model(f"un:{n}"), np.random.default_rng(seed), POINTWISE_SAMPLES)
+    gs = _draw(parse_model(f"un:{n}"), np.random.default_rng(seed), POINTWISE_SAMPLES)
     gs.flags.writeable = False
     return gs
 
@@ -621,7 +629,7 @@ def suite_predicates(trials=1000, seed=DEFAULT_SEED):
     def check_transpose():
         rng = np.random.default_rng(seed)
         for model in shipped_models():
-            gs = sample_batch(model, rng, trials)
+            gs = _draw(model, rng, trials)
             if not contains(model, np.swapaxes(gs, -2, -1)).all():
                 return False, f"transpose escapes {model}"
         return True, f"{trials} samples per model, {len(shipped_models())} models"
@@ -635,7 +643,7 @@ def suite_kn(n=3, draws=1000, seed=DEFAULT_SEED, tol=1e-12):
 
     def check_vanishing():
         rng = np.random.default_rng(seed)
-        gs = sample_batch(model, rng, draws)
+        gs = _draw(model, rng, draws)
         worst = 0.0
         count = 0
         for i in range(1, n + 1):
@@ -665,7 +673,7 @@ def suite_u2n(n=1, draws=1000, points=100, seed=DEFAULT_SEED, point_tol=1e-9):
 
     def check_sampler():
         rng = np.random.default_rng(seed)
-        if not contains(model, sample_batch(model, rng, draws)).all():
+        if not contains(model, _draw(model, rng, draws)).all():
             return False, "sample escapes the block pattern"
         return True, f"{draws} samples, block pattern and unitarity within {DEFAULT_TOL}"
 
@@ -681,7 +689,7 @@ def suite_u2n(n=1, draws=1000, points=100, seed=DEFAULT_SEED, point_tol=1e-9):
 
     def check_unitarity():
         rng = np.random.default_rng(seed + 1)
-        gs = sample_batch(model, rng, points)
+        gs = _draw(model, rng, points)
         worst = 0.0
         for starred in (False, True):
             m = np.block(
@@ -700,7 +708,7 @@ def suite_u2n(n=1, draws=1000, points=100, seed=DEFAULT_SEED, point_tol=1e-9):
 
     def check_half_commutation():
         rng = np.random.default_rng(seed + 2)
-        gs = sample_batch(model, rng, points)
+        gs = _draw(model, rng, points)
         keys = sorted(gens)
         worst = 0.0
         for a, b, c in itertools.product(keys, repeat=3):
@@ -966,8 +974,7 @@ def _partitions_upto(total, max_rows):
     padded = (
         lam + (0,) * (max_rows - len(lam))
         for p in range(total + 1)
-        for lam in _partitions(p)
-        if len(lam) <= max_rows
+        for lam in _partitions(p, max_rows)
     )
     return sorted(padded, reverse=True)
 

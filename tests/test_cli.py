@@ -241,13 +241,17 @@ def _no_sampling(*args):
         # a Monte Carlo chunk of 4,096 samples of d x d matrices, d = 100
         (("haar", "--mc", "--group", "un:100", "u[1,1]"), 4096 * 100**2),
         (("equal", "--context", "crossed:100", "--method", "mc", "--group", "un:100", "u[1,1]", "u[2,2]"), 4096 * 100**2),
+        # the 1,000 structural draws of d x d matrices, d = 1000
+        (("verify", "--suite", "kn", "--n", "1000"), 1000 * 1000**2),
+        (("verify", "--suite", "u2n", "--n", "500"), 1000 * 1000**2),
     ],
 )
 def test_sampling_past_the_draw_cap_draws_nothing(capsys, monkeypatch, argv, count):
-    from halfcomm import groups, haar
+    from halfcomm import groups, haar, verify
 
     monkeypatch.setattr(groups, "sample_batch", _no_sampling)
     monkeypatch.setattr(haar, "sample_batch", _no_sampling)
+    monkeypatch.setattr(verify, "sample_batch", _no_sampling)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     (line,) = [l for l in err.splitlines() if not l.startswith("# config")]
@@ -266,6 +270,18 @@ def test_sampling_at_the_draw_cap_runs(capsys, monkeypatch):
         assert code == 0 and json.loads(out)
     code, out, err = run_cli(capsys, "haar", "--mc", "--group", "un:3", "--samples", "10", "u[1,1]")
     assert code == 2 and out == "" and " 90 complex entries" in err
+
+
+def test_verify_draws_at_the_draw_cap_run(capsys, monkeypatch):
+    # kn draws 1,000 samples: of 2 x 2 matrices they are at a cap of 4,000
+    # entries, of 3 x 3 over it
+    from halfcomm import groups
+
+    monkeypatch.setattr(groups, "MAX_DRAW_ENTRIES", 1000 * 2**2)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "kn", "--n", "2")
+    assert code == 0 and [json.loads(line)["status"] for line in out.splitlines()] == ["pass"]
+    code, out, err = run_cli(capsys, "verify", "--suite", "kn", "--n", "3")
+    assert code == 2 and out == "" and " 9000 complex entries" in err
 
 
 def _no_l1_ball(*args):

@@ -217,7 +217,7 @@ def test_table_numerators_over_common_denominator(p, n):
     table = weingarten_table(p, n)
     # one code per cycle type, so the walk's counts find their numerators
     assert table.numerators.keys() == {_type_code(mu, p) for mu in table.values}
-    assert len(table.numerators) == len(table.values) == len(list(_partitions(p)))
+    assert len(table.numerators) == len(table.values) == len(list(_partitions(p, p)))
     assert all(Fraction(table.numerators[_type_code(mu, p)], table.denominator) == v for mu, v in table.values.items())
     # the denominator is the least common one
     assert math.gcd(table.denominator, *table.numerators.values()) == 1
@@ -583,26 +583,66 @@ def test_norm_squared_degree_cap():
 # -- the witness point -------------------------------------------------------------
 
 
+def _exact_det(rows):
+    """The determinant of a square matrix, by elimination over the rationals."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        r = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if r is None:
+            return Fraction(0)
+        if r != c:
+            m[c], m[r], det = m[r], m[c], -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
 @pytest.mark.parametrize("n", range(1, 9))
-def test_witness_point_is_exactly_unitary(n):
-    g = witness_point(n)
-    assert witness_point(n) is g
-    one = GaussianRational(1)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            assert g[i, j, True] == g[i, j, False].conjugate()
-            rows = sum((g[i, k, False] * g[j, k, True] for k in range(1, n + 1)), GaussianRational(0))
-            cols = sum((g[k, i, True] * g[k, j, False] for k in range(1, n + 1)), GaussianRational(0))
-            assert rows == cols == one * (i == j), (i, j)
+def test_witness_point_is_an_integer_matrix_and_its_transposed_inverse(n):
+    # the symbols map to g and D g^-T: integers, D the least denominator of
+    # g^-1; g is off SL_n, and its n^2 entries are pairwise distinct
+    values, den = _witness(n)
+    assert _witness(n)[0] is values
+    assert all(type(v) is int for v in values.values())
+    idx = range(1, n + 1)
+    g = [[values[i, j, False] for j in idx] for i in idx]
+    inv = [[Fraction(values[j, i, True], den) for j in idx] for i in idx]
+    assert [[sum(g[a][k] * inv[k][b] for k in range(n)) for b in range(n)] for a in range(n)] == [
+        [int(a == b) for b in range(n)] for a in range(n)
+    ]
+    assert math.lcm(*(v.denominator for row in inv for v in row)) == den
+    assert abs(_exact_det(g)) >= 2
+    assert len({v for row in g for v in row}) == n * n
+    point = witness_point(n)
+    for i in idx:
+        for j in idx:
+            assert point[i, j, False] == GaussianRational(g[i - 1][j - 1])
+            assert point[i, j, True] == GaussianRational(inv[j - 1][i - 1])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_witness_numerators_share_one_least_denominator(n):
-    point, numerators, den = _witness(n)
-    assert point is witness_point(n)
-    assert math.lcm(*(v.d for v in point.values())) == den
-    for sym, (re, im) in numerators.items():
-        assert GaussianRational(Fraction(re, den), Fraction(im, den)) == point[sym], sym
+def _det_u(n):
+    """det u, the sum over S_n of sign(s) u_{1 s(1)} ... u_{n s(n)}."""
+    total = FunElement.zero(n)
+    for s in itertools.permutations(range(n)):
+        term = FunElement.one(n) * (-1) ** sum(s[a] > s[b] for a, b in itertools.combinations(range(n), 2))
+        for i in range(n):
+            term = term * u(n, i + 1, s[i] + 1)
+        total = total + term
+    return total
+
+
+def test_witness_refutes_identities_of_special_unitary_groups():
+    # u11 = 1 on SU(1), u11 = conj(u22) on SU(2), det u = 1 on SU(n): none
+    # holds on U(n), and the witness point, off SL_n, refutes each of them
+    cases = [u(1, 1, 1) - FunElement.one(1), u(2, 1, 1) - ub(2, 2, 2)]
+    cases += [_det_u(n) - FunElement.one(n) for n in (2, 3)]
+    for f in cases:
+        for x in (CrossedElement.even(f), CrossedElement.odd(f)):
+            assert witness_refutes(x), f
+            assert norm_squared(x) > 0 and not norm_equal(x, CrossedElement.zero(f.n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -94,8 +94,9 @@ def crossed_parities(f, g):
 
 def ref_value_at(f, point):
     """f evaluated at a point given as ``haar.witness_point`` gives it, a map
-    from each symbol (i, j, bar) to a Gaussian rational, in Gaussian-rational
-    arithmetic, one factor at a time."""
+    from each symbol (i, j, bar) to a Gaussian rational (for the witness,
+    g_ij and (g^-1)_ji), in Gaussian-rational arithmetic, one factor at a
+    time."""
     total = ZERO
     for mono, coeff in f.terms.items():
         for sym, e in mono.exps:
