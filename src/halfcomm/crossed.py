@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections import Counter
 
 from .errors import DimensionMismatchError, IndexRangeError
@@ -383,57 +382,44 @@ def embed_pi(x: WordElement) -> CrossedElement:
     x_ij + i*x_(n+i)j and its star to x_ij - i*x_(n+i)j.  A run of p plain
     and q starred letters splits once by its count of shifted letters
     (``_class_splits``), so a word makes prod(e_run + 1) terms at most, not
-    2^k; a shifted row exceeds n, so the shifted pieces sort after the plain
-    ones.  A word's terms come out in the order in which the letter-by-letter
-    expansion first meets them, so sums over them keep their order.
+    2^k, in the product order of its runs; a shifted row exceeds n, so the
+    shifted pieces sort after the plain ones.
     """
     n = x.presentation.n
     unitary = x.presentation.kind == AU_STAR_STAR
     parts = ([], [])
     for word, coeff in x.terms.items():
-        runs = []  # (symbol, first, end): letters first..end-1 of the symbol's parity class
-        for odd in (0, 1):
+        runs = []  # (symbol, length, starred letters) of each run
+        for odd in (False, True):
             letters = word[odd::2]
             end, size = 0, len(letters)
             while end < size:
                 first = end
-                row, col, _starred = letters[end]
+                row, col, q = letters[end]
                 end += 1
                 while end < size and letters[end][0] == row and letters[end][1] == col:
+                    q += letters[end][2]
                     end += 1
-                runs.append(((row, col, odd == 1), first, end))
+                runs.append(((row, col, odd), end - first, q))
         runs.sort()
         part = parts[len(word) % 2]
         if not unitary:
-            part.append((_monomial(tuple([(sym, end - first) for sym, first, end in runs])), coeff))
+            part.append((_monomial(tuple([(sym, e) for sym, e, _q in runs])), coeff))
             continue
-        # (plain pieces, shifted pieces, weight re, weight im, first choice):
-        # the letter-by-letter expansion runs through the shift choices as
-        # binary numbers, the letter at position pos worth 2^(last - pos) when
-        # shifted, so a term first shows up at the least choice that makes it
-        terms = [((), (), 1, 0, 0)]
-        last = len(word) - 1
-        for sym, first, end in runs:
+        terms = [((), (), 1, 0)]  # (plain pieces, shifted pieces, weight re, weight im)
+        for sym, e, q in runs:
             row, col, odd = sym
-            letters = word[odd::2]
-            e = end - first
-            q = 0
-            choices = [0]  # choices[k]: the least choice that shifts k letters
-            for k in range(end - 1, first - 1, -1):
-                q += letters[k].starred
-                choices.append(choices[-1] + (1 << (last - 2 * k - odd)))
             splits = [
-                (((sym, e - k),) if k < e else (), (((row + n, col, odd), k),) if k else (), re, im, choices[k])
+                (((sym, e - k),) if k < e else (), (((row + n, col, odd), k),) if k else (), re, im)
                 for k, re, im in _class_splits(e - q, q)
             ]
             terms = [
-                (plain + more, shifted + more_shifted, re * r - im * s, re * s + im * r, choice + later)
-                for plain, shifted, re, im, choice in terms
-                for more, more_shifted, r, s, later in splits
+                (plain + more, shifted + more_shifted, re * r - im * s, re * s + im * r)
+                for plain, shifted, re, im in terms
+                for more, more_shifted, r, s in splits
             ]
-        terms.sort(key=operator.itemgetter(4))
         scaled = {(1, 0): coeff}  # the coefficient times each weight, once
-        for plain, shifted, re, im, _choice in terms:
+        for plain, shifted, re, im in terms:
             c = scaled.get((re, im))
             if c is None:
                 c = scaled[re, im] = coeff * GaussianRational(re, im)

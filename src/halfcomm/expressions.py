@@ -41,6 +41,10 @@ _LETTER_RE = re.compile(r"([vu])(\*?)\[\s*(\d+)\s*,\s*(\d+)\s*\]")
 class CrossedContext:
     n: int
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.n}")
+
     def __str__(self):
         return f"crossed:{self.n}"
 

@@ -234,6 +234,18 @@ def _lr_tensor(lam, mu) -> dict:
     return dict(sorted(out.items(), reverse=True))
 
 
+def _dominant_parts(n, g):
+    """The dominant weights of length n and absolute sum g, as pairs
+    (plus, minus): a partition of s for the positive entries, and one of
+    g - s for the absolute values of the negative ones, in at most n parts
+    together.  A pair is small whatever n, so counting the weights, unlike
+    listing them, allocates nothing of size n."""
+    for s in range(g + 1):
+        for plus in _partitions(s, n):
+            for minus in _partitions(g - s, n - len(plus)):
+                yield plus, minus
+
+
 class UnFusion(FusionData):
     """Irreducibles of the unitary group, labeled by weakly decreasing
     integer weights of length n."""
@@ -246,34 +258,16 @@ class UnFusion(FusionData):
         _validate_weight(a, self.n)
 
     def labels(self, grade_cap):
-        # the dominant weights, listed directly: a partition of s for the
-        # positive entries, zeros, and the negatives of a partition of t for
-        # the negative entries, with s + t <= grade_cap
         n = self.n
-        out = []
-        for s in range(grade_cap + 1):
-            for plus in _partitions(s, n):
-                for t in range(grade_cap - s + 1):
-                    for minus in _partitions(t, n - len(plus)):
-                        out.append(plus + (0,) * (n - len(plus) - len(minus)) + tuple(-x for x in reversed(minus)))
-        return sorted(out)
+        return sorted(
+            plus + (0,) * (n - len(plus) - len(minus)) + tuple(-x for x in reversed(minus))
+            for g in range(grade_cap + 1)
+            for plus, minus in _dominant_parts(n, g)
+        )
 
     def _labels_by_size(self):
-        # A dominant weight of absolute sum g is a partition of s into its p
-        # positive entries and one of g - s into at most n - p negative ones.
-        exact = []  # exact[s][p]: partitions of s into exactly p parts
-        at_most = []  # at_most[s][r]: partitions of s into at most r parts, r <= s
         for g in itertools.count():
-            row = [1 if g == 0 else 0]
-            for p in range(1, g + 1):
-                row.append(exact[g - 1][p - 1] + (exact[g - p][p] if 2 * p <= g else 0))
-            exact.append(row)
-            at_most.append(list(itertools.accumulate(row)))
-            yield sum(
-                exact[s][p] * at_most[g - s][min(self.n - p, g - s)]
-                for s in range(g + 1)
-                for p in range(min(self.n, s) + 1)
-            )
+            yield sum(1 for _ in _dominant_parts(self.n, g))
 
     def dim(self, a):
         return un_dim(a, self.n)

@@ -34,21 +34,16 @@ denominator D, each term scaled by the power of D its barred factors miss.
 
 A monomial's integral depends only on its shape.  Haar measure is invariant
 under U -> P U Q for permutation matrices P and Q, which relabel the rows and
-the columns of its exponent cells (i, j) -> (plain, conjugate), and the
-integral is rational, so it equals its own conjugate, which swaps plain and
-conjugate exponents.  So each Weingarten table keeps a memo of the integrals
-of degree p over U(n), keyed by the cells with rows and columns relabelled
-in a fixed order, the smaller key of the monomial and of its conjugate: a
-real relabelling, never a coarser invariant, so equal keys are equal
-integrals.  A monomial equal to its conjugate, as every product m-bar m of
-a norm is, has one key, built once: the swap leaves its cells unchanged.
-And a polynomial that holds a monomial and its conjugate, as a norm holds
-m-bar m' and m'-bar m, integrates the pair once, with the sum of their
-coefficients.  The memo holds at most the shapes of degree p, and lives as
-long as its table: clearing ``_TABLE_CACHE`` clears it too.  After
-``halfcomm verify --suite all`` the memos of the 18 tables hold 52 shapes;
-one ``exact-warm`` round of the benchmark (seed 1) integrates polynomials of
-1,623 terms, among them 316 conjugate pairs, in 1,307 integrals of 136 shapes.
+the columns of its exponent cells (i, j) -> (plain, conjugate).  So each
+Weingarten table keeps a memo of the integrals of degree p over U(n), keyed
+by the cells with rows and columns relabelled in a fixed order: a real
+relabelling, never a coarser invariant, so equal keys are equal integrals.
+The integral is also rational, so it equals its own conjugate, which swaps
+plain and conjugate exponents: a polynomial that holds a monomial and its
+conjugate, as a norm holds m-bar m' and m'-bar m, integrates the pair once,
+with the sum of their coefficients.  The memo holds at most the shapes of
+degree p, and lives as long as its table: clearing ``_TABLE_CACHE`` clears
+it too.
 """
 
 from __future__ import annotations
@@ -160,10 +155,10 @@ class WeingartenTable:
     coset walk counts cycle types.
 
     ``shapes`` memoises the integrals of degree-p monomials over U(n) by
-    shape (see ``_monomial_integral``).  A shape is a table of exponent pairs
-    of total degree 2p, so the memo is bounded by their number, whatever the
-    dimension; it fills idempotently with exact values and is dropped with
-    the table."""
+    shape, their exponent cells up to relabelling rows and columns (see
+    ``_integral``).  A shape is a table of exponent pairs of total degree
+    2p, so the memo is bounded by their number, whatever the dimension; it
+    fills idempotently with exact values and is dropped with the table."""
 
     p: int
     n: int
@@ -341,11 +336,10 @@ def _integral(mono, n, p_max):
     the same integral.
 
     A cell (i, j) with plain exponent a and conjugate exponent b has the code
-    a (p + 1) + b.  Relabelling rows and columns, and swapping plain with
-    conjugate, keep the integral, so the memo key is the smaller of the
-    ``_shape_key`` of the codes and that of the swapped codes.  When the swap
-    leaves the codes as they are (m-bar m is its own conjugate), the two keys
-    are one, and it is built once.
+    a (p + 1) + b, and the memo key is the ``_shape_key`` of the codes:
+    relabelling rows and columns keeps the integral.  The conjugate swaps a
+    and b in every cell, so it is another monomial exactly when some cell
+    has a != b.
     """
     p = sum(e for (_i, _j, b), e in mono.exps if not b)
     base = p + 1
@@ -359,15 +353,13 @@ def _integral(mono, n, p_max):
     if p == 0:
         return Fraction(1), False
     table = weingarten_table(p, n, p_max)
-    swapped = {ij: v % base * base + v // base for ij, v in cells.items()}
-    paired = swapped != cells
-    key = min(_shape_key(cells), _shape_key(swapped)) if paired else _shape_key(cells)
+    key = _shape_key(cells)
     value = table.shapes.get(key)
     if value is None:
         plain = {ij: v // base for ij, v in cells.items() if v >= base}
         conj = {ij: v % base for ij, v in cells.items() if v % base}
         value = table.shapes[key] = _coset_integral(plain, conj, table)
-    return value, paired
+    return value, any(v // base != v % base for v in cells.values())
 
 
 def _coset_integral(plain, conj, table) -> Fraction:

@@ -29,6 +29,15 @@ def test_normalize_crossed(capsys):
     assert out.strip() == "u[1,1] u*[2,2]"
 
 
+@pytest.mark.parametrize("argv", [("normalize", "s"), ("equal", "--method", "exact", "s", "1")])
+@pytest.mark.parametrize("n", [0, -1])
+def test_crossed_context_needs_a_positive_dimension(capsys, argv, n):
+    command, *rest = argv
+    code, out, err = run_cli(capsys, command, "--context", f"crossed:{n}", *rest)
+    assert code == 2 and out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: dimension must be >= 1, got {n}"]
+
+
 def test_normalize_parse_error(capsys):
     code, _, err = run_cli(capsys, "normalize", "--context", "ao-star:2", "v[1,3]")
     assert code == 2

@@ -26,6 +26,8 @@ from tests_helpers import (
     assert_reduced,
     crossed_parities,
     lean_cases,
+    random_crossed,
+    random_fun,
     ref_bar,
     ref_crossed_mul,
     ref_crossed_star,
@@ -48,21 +50,6 @@ def g(n, i, j):
 
 def word_elem(pres, *pairs):
     return WordElement.from_word(pres, tuple(letter(pres, r, c) for r, c in pairs))
-
-
-def random_fun(rng, n, max_degree=3, terms=2):
-    f = FunElement.zero(n)
-    for _ in range(terms):
-        exps = {}
-        for _ in range(rng.randint(0, max_degree)):
-            sym = (rng.randint(1, n), rng.randint(1, n), rng.random() < 0.5)
-            exps[sym] = exps.get(sym, 0) + 1
-        f = f + FunElement(n, {FunMonomial(exps): GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))})
-    return f
-
-
-def random_crossed(rng, n, max_degree=3):
-    return CrossedElement(random_fun(rng, n, max_degree), random_fun(rng, n, max_degree))
 
 
 # -- flip automorphism ---------------------------------------------------------
@@ -419,11 +406,7 @@ def test_embed_splits_letter_classes_like_the_letter_expansion(pres, letters, ma
         for word in itertools.product(letters, repeat=length):
             x = WordElement.from_word(pres, word)
             image = embed_pi(x)
-            assert image == embed_by_products(x), word
-            # a word's terms come out in the order the letter expansion meets them
-            reference = embed_letter_by_letter(x)
-            assert list(image.f0.terms) == list(reference.f0.terms), word
-            assert list(image.f1.terms) == list(reference.f1.terms), word
+            assert image == embed_by_products(x) == embed_letter_by_letter(x), word
     # a sum's terms come out word by word, in the order of its words; the
     # terms of unitary words whose stars differ can meet, and keep the place
     # of the first
@@ -432,11 +415,11 @@ def test_embed_splits_letter_classes_like_the_letter_expansion(pres, letters, ma
         x = WordElement(pres, {tuple(rng.choice(letters) for _ in range(rng.randint(0, max_len))):
                                GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) / rng.randint(1, 3)
                                for _ in range(rng.randint(1, 5))})
-        images = [embed_letter_by_letter(WordElement(pres, {w: c})) for w, c in x.terms.items()]
+        images = [embed_pi(WordElement(pres, {w: c})) for w, c in x.terms.items()]
         image = embed_pi(x)
         reference = CrossedElement(FunElement(image.n, [t for y in images for t in y.f0.terms.items()]),
                                    FunElement(image.n, [t for y in images for t in y.f1.terms.items()]))
-        assert image == reference == embed_by_products(x)
+        assert image == reference == embed_by_products(x) == embed_letter_by_letter(x)
         assert list(image.f0.terms) == list(reference.f0.terms)
         assert list(image.f1.terms) == list(reference.f1.terms)
 
