@@ -35,6 +35,7 @@ _TOKEN_RE = re.compile(
 )
 
 _LETTER_RE = re.compile(r"([vu])(\*?)\[\s*(\d+)\s*,\s*(\d+)\s*\]")
+MAX_NESTING = 100  # parentheses an expression may nest, well inside the recursion limit
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,8 @@ def _tokenize(text):
 
 class _Parser:
     """Recursive descent over: expr := [+-] term ((+|-) term)*;
-    term := factor (['*'] factor)*; factor := number | i | letter | s | (expr)."""
+    term := factor (['*'] factor)*; factor := number | i | letter | s | (expr).
+    Only parentheses recurse; ``depth`` counts the open ones."""
 
     def __init__(self, text, context):
         self.tokens = _tokenize(text)
@@ -92,6 +94,7 @@ class _Parser:
         self.context = context
         self.crossed = isinstance(context, CrossedContext)
         self.n = context.n
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -194,8 +197,12 @@ class _Parser:
         if kind == "letter":
             return self.letter_value(text, pos)
         if kind == "lpar":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", position=pos)
+            self.depth += 1
             value = self.parse_expr()
             self.expect("rpar")
+            self.depth -= 1
             return value
         raise ParseError(f"unexpected token {text!r}", position=pos)
 

@@ -387,11 +387,14 @@ def fusion_instance(name: str) -> FusionData:
     if name == "su2":
         return SU2Fusion()
     kind, _, raw_n = name.partition(":")
-    if kind == "un" and raw_n:
-        return UnFusion(int(raw_n))
-    if kind == "torus" and raw_n:
-        return TorusFusion(int(raw_n))
-    raise ValueError(f"no fusion data for {name!r} (available: un:N, su2, torus:N)")
+    data = {"un": UnFusion, "torus": TorusFusion}.get(kind)
+    try:
+        n = int(raw_n)
+    except ValueError:
+        data = None
+    if data is None:
+        raise ValueError(f"no fusion data for {name!r} (available: un:N, su2, torus:N)")
+    return data(n)
 
 
 def crossed_tensor(data: FusionData, x, y) -> dict:

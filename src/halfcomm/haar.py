@@ -79,8 +79,9 @@ def _inverse(s):
 
 @functools.cache
 def _cycle_type(s):
-    """Cycle lengths of the permutation s, non-increasing; memoised, so that a
-    warm ``WeingartenTable.wg`` costs two hash lookups."""
+    """Cycle lengths of the permutation s, non-increasing; memoised for verify's
+    ``class_convolution`` oracle, which evaluates class functions at every
+    permutation of S_p (integrals read ``WeingartenTable.numerators`` instead)."""
     seen = [False] * len(s)
     lengths = []
     for a in range(len(s)):
@@ -322,11 +323,6 @@ def _shape_key(cells):
     row_at = {i: k for k, (_codes, i) in enumerate(sorted([(sorted(codes), i) for i, codes in rows.items()]))}
     col_at = {j: k for k, (_codes, j) in enumerate(sorted([(sorted(codes), j) for j, codes in cols.items()]))}
     return tuple(sorted([(row_at[i], col_at[j], v) for (i, j), v in cells.items()]))
-
-
-def _monomial_integral(mono, n, p_max) -> Fraction:
-    """Integral of a monomial over U(n); see ``_integral``."""
-    return _integral(mono, n, p_max)[0]
 
 
 def _integral(mono, n, p_max):

@@ -229,9 +229,7 @@ class SparseSum:
         return self._like(reduce_terms(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
-        """self - other in one pass over a copy of self's terms, with no negated
-        copy of other's; the keys keep the order that merging self's terms
-        with other's negated ones would give."""
+        """self - other in one pass, with the key order of ``self + (-other)``."""
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check(other)
@@ -239,17 +237,11 @@ class SparseSum:
         for key, c in other.terms.items():
             prev = terms.get(key)
             if prev is None:
-                terms[key] = _reduced(-c.a, -c.b, c.d)
-                continue
-            d, e = prev.d, c.d
-            if d == e:
-                a, b = prev.a - c.a, prev.b - c.b
-            else:
-                a, b, d = prev.a * e - c.a * d, prev.b * e - c.b * d, d * e
-            if a or b:
-                terms[key] = _reduced(a, b, d)
-            else:
+                terms[key] = -c
+            elif prev == c:
                 del terms[key]
+            else:
+                terms[key] = prev - c
         return self._like(terms)
 
     def __neg__(self):

@@ -84,6 +84,12 @@ POINTWISE_TOL = 1e-9
 FAITHFULNESS_MAXLEN = 3  # word length up to which faithfulness compares normal forms
 HOPF_ELEMENTS = 25  # random elements per hopf involution check
 SEQUENCE_WORDS = 20  # random embedded words the coinvariance check tests
+STRUCTURAL_DRAWS = 1000  # samples the kn and u2n model checks draw
+KN_TOL = 1e-12  # largest |value| a vanishing kn monomial may take at a sample
+UNITARITY_TOL = 1e-9  # largest entry of U U* - I the u2n generator matrix may have
+FUSION_TRIPLES = 50  # random labels, pairs or triples per fusion check
+LR_SIZE_CAP = 4  # the largest |lam|, |mu| the fusion suite's Schur oracle multiplies
+MOMENT_CASES = ((2, 1), (2, 2), (3, 1))  # the (n, k) the moments suite cross-checks
 
 
 @dataclass
@@ -175,6 +181,18 @@ def _index_pairs(n):
     return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
 
+def _abc_cba(gens):
+    """``(passed, detail)`` of abc = cba as exact identities, for every triple
+    of the values of the dict ``gens``, in the order of its sorted keys."""
+    keys = sorted(gens)
+    for a, b, c in itertools.product(keys, repeat=3):
+        x = crossed_mul(crossed_mul(gens[a], gens[b]), gens[c])
+        y = crossed_mul(crossed_mul(gens[c], gens[b]), gens[a])
+        if x != y:
+            return False, f"abc != cba at {a},{b},{c}"
+    return True, f"{len(keys) ** 3} triples exact"
+
+
 # -- rewriting ---------------------------------------------------------------
 
 
@@ -229,13 +247,7 @@ def suite_half_comm(n=2):
     pairs = _index_pairs(n)
 
     def check_triples():
-        gens = {e: CrossedElement.generator(n, *e) for e in pairs}
-        for a, b, c in itertools.product(pairs, repeat=3):
-            x = crossed_mul(crossed_mul(gens[a], gens[b]), gens[c])
-            y = crossed_mul(crossed_mul(gens[c], gens[b]), gens[a])
-            if x != y:
-                return False, f"abc != cba at {a},{b},{c}"
-        return True, f"{len(pairs) ** 3} triples exact"
+        return _abc_cba({e: CrossedElement.generator(n, *e) for e in pairs})
 
     yield f"abc-cba-n{n}", "images of generator triples satisfy abc = cba as exact polynomial identities", check_triples
 
@@ -638,12 +650,12 @@ def suite_predicates(trials=1000, seed=DEFAULT_SEED):
 
 
 @_suite("kn")
-def suite_kn(n=3, draws=1000, seed=DEFAULT_SEED, tol=1e-12):
+def suite_kn(n=3, seed=DEFAULT_SEED):
     model = parse_model(f"kn:{n}")
 
     def check_vanishing():
         rng = np.random.default_rng(seed)
-        gs = _draw(model, rng, draws)
+        gs = _draw(model, rng, STRUCTURAL_DRAWS)
         worst = 0.0
         count = 0
         for i in range(1, n + 1):
@@ -658,7 +670,7 @@ def suite_kn(n=3, draws=1000, seed=DEFAULT_SEED, tol=1e-12):
                             vals = np.abs(evaluate_fun_batch(f, gs))
                             worst = max(worst, float(vals.max()))
                             count += 1
-        return worst < tol, f"{count} monomial families, max |value| = {worst:.2e}"
+        return worst < KN_TOL, f"{count} monomial families, max |value| = {worst:.2e}"
 
     yield (
         "monomial-vanishing",
@@ -668,24 +680,22 @@ def suite_kn(n=3, draws=1000, seed=DEFAULT_SEED, tol=1e-12):
 
 
 @_suite("u2n")
-def suite_u2n(n=1, draws=1000, points=100, seed=DEFAULT_SEED, point_tol=1e-9):
+def suite_u2n(n=1, points=100, seed=DEFAULT_SEED):
     model = parse_model(f"u2n:{n}")
 
     def check_sampler():
         rng = np.random.default_rng(seed)
-        if not contains(model, _draw(model, rng, draws)).all():
+        if not contains(model, _draw(model, rng, STRUCTURAL_DRAWS)).all():
             return False, "sample escapes the block pattern"
-        return True, f"{draws} samples, block pattern and unitarity within {DEFAULT_TOL}"
+        return True, f"{STRUCTURAL_DRAWS} samples, block pattern and unitarity within {DEFAULT_TOL}"
 
     yield "sampler-pattern", "samples are unitary with the [[A,B],[-B,A]] block pattern", check_sampler
 
     pres = au_star_star(n)
     gens = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            u = embed_pi(WordElement.generator(pres, i, j))
-            gens[(i, j, False)] = u
-            gens[(i, j, True)] = crossed_star(u)
+    for i, j in _index_pairs(n):
+        u = embed_pi(WordElement.generator(pres, i, j))
+        gens[i, j, False], gens[i, j, True] = u, crossed_star(u)
 
     def check_unitarity():
         rng = np.random.default_rng(seed + 1)
@@ -698,7 +708,7 @@ def suite_u2n(n=1, draws=1000, points=100, seed=DEFAULT_SEED, point_tol=1e-9):
             mh = np.swapaxes(m.conj(), -2, -1)
             eye = np.eye(2 * n)
             worst = max(worst, float(np.max(np.abs(m @ mh - eye))), float(np.max(np.abs(mh @ m - eye))))
-        return worst < point_tol, f"max unitarity defect {worst:.2e} at {points} points"
+        return worst < UNITARITY_TOL, f"max unitarity defect {worst:.2e} at {points} points"
 
     yield (
         "unitary-generators",
@@ -706,19 +716,10 @@ def suite_u2n(n=1, draws=1000, points=100, seed=DEFAULT_SEED, point_tol=1e-9):
         check_unitarity,
     )
 
-    def check_half_commutation():
-        keys = sorted(gens)
-        for a, b, c in itertools.product(keys, repeat=3):
-            x = crossed_mul(crossed_mul(gens[a], gens[b]), gens[c])
-            y = crossed_mul(crossed_mul(gens[c], gens[b]), gens[a])
-            if x != y:
-                return False, f"abc != cba at {a},{b},{c}"
-        return True, f"{len(keys) ** 3} triples exact"
-
     yield (
         "half-commutation-at-points",
         "abc = cba for generators and their stars, as exact polynomial identities",
-        check_half_commutation,
+        lambda: _abc_cba(gens),
     )
 
 
@@ -799,7 +800,7 @@ def suite_weingarten(samples=100000, seed=DEFAULT_SEED, p_max=PMAX_DEFAULT):
         for n in (2, 3):
             for k in (1, 2, 3, 4):
                 mono = FunMonomial({(1, 1, False): k, (1, 1, True): k})
-                val = haar_integral(FunElement(n, {mono: 1}), p_max=max(p_max, k))
+                val = haar_integral(FunElement(n, {mono: 1}), p_max=p_max)
                 expect = Fraction(1, math.comb(n - 1 + k, k))
                 if val != GaussianRational(expect):
                     return False, f"|u11|^{2 * k} over n={n}: {val} != {expect}"
@@ -987,18 +988,18 @@ def _random_label(rng, name, data):
 
 
 @_suite("fusion")
-def suite_fusion(seed=DEFAULT_SEED, triples=50, size_cap=4):
+def suite_fusion(seed=DEFAULT_SEED):
     for n in (2, 3):
 
         def check_lr():
-            parts = _partitions_upto(size_cap, n)
+            parts = _partitions_upto(LR_SIZE_CAP, n)
             count = 0
             for lam in parts:
                 for mu in parts:
                     if fus.lr_tensor(lam, mu, n) != schur_tensor_oracle(lam, mu, n):
                         return False, f"mismatch at {lam} (x) {mu}"
                     count += 1
-            return True, f"{count} pairs with |lam|,|mu| <= {size_cap}"
+            return True, f"{count} pairs with |lam|,|mu| <= {LR_SIZE_CAP}"
 
         yield f"lr-vs-schur-n{n}", "tableau counting agrees with the Schur polynomial product oracle", check_lr
 
@@ -1007,7 +1008,7 @@ def suite_fusion(seed=DEFAULT_SEED, triples=50, size_cap=4):
         data = fus.fusion_instance(name)
 
         def check_assoc():
-            for _ in range(triples):
+            for _ in range(FUSION_TRIPLES):
                 a, b, c = (_random_label(rng, name, data) for _ in range(3))
                 left = {}
                 for l1, m1 in data.tensor(a, b).items():
@@ -1019,22 +1020,22 @@ def suite_fusion(seed=DEFAULT_SEED, triples=50, size_cap=4):
                         right[l2] = right.get(l2, 0) + m1 * m2
                 if left != right:
                     return False, f"associativity fails at {a},{b},{c}"
-            return True, f"{triples} random triples"
+            return True, f"{FUSION_TRIPLES} random triples"
 
         yield f"associativity-{name}", "tensor decompositions associate", check_assoc
 
         def check_dim():
-            for _ in range(triples):
+            for _ in range(FUSION_TRIPLES):
                 a, b = (_random_label(rng, name, data) for _ in range(2))
                 dec = data.tensor(a, b)
                 if sum(m * data.dim(l) for l, m in dec.items()) != data.dim(a) * data.dim(b):
                     return False, f"dimension count fails at {a},{b}"
-            return True, f"{triples} random pairs"
+            return True, f"{FUSION_TRIPLES} random pairs"
 
         yield f"dimension-hom-{name}", "dimensions are multiplicative through decompositions", check_dim
 
         def check_frobenius():
-            for _ in range(triples):
+            for _ in range(FUSION_TRIPLES):
                 a, b = (_random_label(rng, name, data) for _ in range(2))
                 dec = data.tensor(a, b)
                 probes = list(dec) + [_random_label(rng, name, data)]
@@ -1045,12 +1046,12 @@ def suite_fusion(seed=DEFAULT_SEED, triples=50, size_cap=4):
                         rhs += m1 * data.tensor(l1, data.dual(c)).get(data.unit, 0)
                     if lhs != rhs:
                         return False, f"Frobenius fails at {a},{b},{c}"
-            return True, f"{triples} random pairs"
+            return True, f"{FUSION_TRIPLES} random pairs"
 
         yield f"frobenius-{name}", "constituent multiplicity equals unit multiplicity against the dual", check_frobenius
 
         def check_duality():
-            for _ in range(triples):
+            for _ in range(FUSION_TRIPLES):
                 a = _random_label(rng, name, data)
                 if data.tensor(a, data.dual(a)).get(data.unit, 0) != 1:
                     return False, f"unit multiplicity != 1 at {a}"
@@ -1058,7 +1059,7 @@ def suite_fusion(seed=DEFAULT_SEED, triples=50, size_cap=4):
                     return False, f"dual or sigma not involutive at {a}"
                 if data.sigma(a) != data.dual(a):
                     return False, f"sigma differs from dual at {a}"
-            return True, f"{triples} random labels; sigma = dual on this instance"
+            return True, f"{FUSION_TRIPLES} random labels; sigma = dual on this instance"
 
         yield f"duality-{name}", "the unit appears once against the dual; dual and sigma are involutive", check_duality
 
@@ -1066,7 +1067,7 @@ def suite_fusion(seed=DEFAULT_SEED, triples=50, size_cap=4):
         for name in FUSION_NAMES:
             data = fus.fusion_instance(name)
             integer_graded = not name.startswith("su2")
-            for _ in range(triples):
+            for _ in range(FUSION_TRIPLES):
                 a = _random_label(rng, name, data)
                 b = _random_label(rng, name, data)
                 xa = (a, data.grade(a) % 2)
@@ -1108,10 +1109,10 @@ def suite_fusion(seed=DEFAULT_SEED, triples=50, size_cap=4):
 
 
 @_suite("moments")
-def suite_moments(cases=((2, 1), (2, 2), (3, 1)), p_max=PMAX_DEFAULT):
+def suite_moments(p_max=PMAX_DEFAULT):
     expected = {1: 1, 2: 2}
 
-    for n, k in cases:
+    for n, k in MOMENT_CASES:
 
         def check():
             count, value = fus.moment_crosscheck(n, k, p_max=p_max)

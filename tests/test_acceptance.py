@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from halfcomm import verify
 from halfcomm.crossed import embed_pi
 from halfcomm.groups import contains, parse_model, predicate, sample_batch
 from halfcomm.haar import norm_equal
@@ -213,23 +214,26 @@ def test_criterion_08_u2n1_as_stated():
 
 
 def test_criterion_09_monomial_group_relations():
-    report = suite_kn(n=3, draws=1000, tol=1e-12)
+    assert verify.STRUCTURAL_DRAWS == 1000 and verify.KN_TOL == 1e-12
+    report = suite_kn(n=3)
     _report("09", "entry products vanish on 10^3 monomial-matrix samples (|value| < 1e-12)", report.passed)
     assert report.passed, _failures(report)
 
 
 def test_criterion_10_block_group_model():
+    assert verify.STRUCTURAL_DRAWS == 1000 and verify.UNITARITY_TOL == 1e-9
     ok = True
     for n in (1, 2):
-        report = suite_u2n(n=n, draws=1000, points=100, point_tol=1e-9)
+        report = suite_u2n(n=n, points=100)
         ok = ok and report.passed
         assert report.passed, _failures(report)
     _report("10", "block sampler pattern; unitary generator matrices; abc=cba at sampled points (n=1,2)", ok)
 
 
 def test_criterion_11_fusion_engine():
+    assert verify.FUSION_TRIPLES == 50 and verify.LR_SIZE_CAP == 4
     t0 = time.monotonic()
-    report = suite_fusion(triples=50, size_cap=4)
+    report = suite_fusion()
     elapsed = time.monotonic() - t0
     ok = report.passed and elapsed < 120
     _report("11", "LR vs Schur oracle (|weights|<=4, n=2,3); associativity/dim/Frobenius/duality/grading", ok, f"{elapsed:.1f}s")
@@ -238,7 +242,8 @@ def test_criterion_11_fusion_engine():
 
 
 def test_criterion_12_moment_crosscheck():
-    report = suite_moments(cases=((2, 1), (2, 2), (3, 1)))
+    assert verify.MOMENT_CASES == ((2, 1), (2, 2), (3, 1))
+    report = suite_moments()
     details = {c.check_id: c.detail for c in report.checks}
     ok = report.passed
     _report("12", "fusion count = exact character moment: (2,1)->1, (2,2)->2, (3,1)->1", ok, str(details))

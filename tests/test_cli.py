@@ -50,6 +50,25 @@ def test_normalize_zero_denominator(capsys):
     assert "parse error" in err and "position 9" in err
 
 
+DEEP = "(" * 400 + "1" + ")" * 400
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("normalize", "--context", "ao-star:2", DEEP),
+        ("normalize", "--context", "crossed:2", DEEP),
+        ("equal", "--context", "ao-star:2", DEEP, "1"),
+        ("equal", "--context", "ao-star:2", "1", DEEP),
+    ],
+)
+def test_deep_nesting_is_one_parse_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = [line for line in err.splitlines() if not line.startswith("# config")]
+    assert lines == ["parse error: parentheses nested deeper than 100 (at position 100)"]
+
+
 def test_equal_exact(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -159,6 +178,16 @@ def test_fuse_zero_denominator_label(capsys):
     code, out, err = run_cli(capsys, "fuse", "--group", "su2", "j=1/0", "j=0")
     assert code == 2 and out == ""
     assert "parse error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("group", ["un:abc", "torus:x"])
+@pytest.mark.parametrize("argv", [("fuse", "([0],e)", "([0],e)"), ("fusion-table",)])
+def test_fusion_group_with_a_non_integer_dimension_is_unknown(capsys, group, argv):
+    command, *rest = argv
+    code, out, err = run_cli(capsys, command, "--group", group, *rest)
+    assert code == 2 and out == ""
+    lines = [line for line in err.splitlines() if not line.startswith("# config")]
+    assert lines == [f"error: no fusion data for '{group}' (available: un:N, su2, torus:N)"]
 
 
 def test_fusion_table_deterministic(tmp_path, capsys):
@@ -501,6 +530,16 @@ def test_verify_honours_degree_cap(capsys):
     assert lines["moment-n2-k1"]["status"] == "pass"
     assert lines["moment-n2-k2"]["status"] == "fail"
     assert lines["moment-n2-k2"]["detail"].startswith("resource cap")
+
+
+def test_verify_entry_moments_honour_degree_cap(capsys):
+    # entry-moments integrates |u11|^8, of degree 4
+    code, out, _ = run_cli(capsys, "verify", "--suite", "weingarten", "--degree-cap", "3", "--samples", "2000")
+    assert code == 1
+    lines = {l["check"]: l for l in map(json.loads, out.strip().splitlines())}
+    assert lines["entry-moments"]["status"] == "fail"
+    assert lines["entry-moments"]["detail"] == "resource cap: degree 4 exceeds p_max=3"
+    assert lines["mc-agreement"]["status"] == "pass"
 
 
 def test_verify_k_flag_rejected(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from halfcomm.crossed import CrossedElement, FunElement, format_crossed_element
 from halfcomm.errors import ParseError
-from halfcomm.expressions import CrossedContext, parse_context, parse_expression
+from halfcomm.expressions import MAX_NESTING, CrossedContext, parse_context, parse_expression
 from halfcomm.scalars import GaussianRational
 from halfcomm.words import WordElement, ao_star, au_star_star, format_word_element, letter
 
@@ -75,6 +75,21 @@ def test_parse_errors():
     except ParseError as exc:
         err = exc
     assert err is not None and err.position == 7
+
+
+@pytest.mark.parametrize("ctx", [ao_star(2), CrossedContext(2)])
+def test_nesting_is_capped_before_the_recursion_limit(ctx):
+    # 100 levels parse; 400 would overflow the interpreter's stack, so the
+    # parser refuses the first parenthesis past its depth cap
+    assert MAX_NESTING == 100
+    one = parse_expression("1", ctx)
+    assert parse_expression("(" * 100 + "1" + ")" * 100, ctx) == one
+    assert parse_expression("(1) " * 400, ctx) == one
+    for depth in (101, 400):
+        with pytest.raises(ParseError) as exc:
+            parse_expression("(" * depth + "1" + ")" * depth, ctx)
+        assert exc.value.position == 100
+        assert str(exc.value) == "parentheses nested deeper than 100 (at position 100)"
 
 
 def test_parse_unitary_presentation():

@@ -32,8 +32,8 @@ from halfcomm.haar import (
     _compose,
     _cycle_count,
     _cycle_type,
+    _integral,
     _inverse,
-    _monomial_integral,
     _partitions,
     _permutations,
     _shape_key,
@@ -253,7 +253,7 @@ def test_monomial_integral_matches_filtered_permutations(n):
             ubars = rng.sample(us, p) if rng.random() < 0.7 else [(rng.randint(1, n), rng.randint(1, n)) for _ in range(p)]
             f = mono(n, us, ubars)
             (m,) = f.terms
-            got = _monomial_integral(m, n, 5)
+            got = _integral(m, n, 5)[0]
             # the integer sum over the table's common denominator, one Fraction
             assert type(got) is Fraction
             assert got == _filtered_monomial_integral(m, n), (n, us, ubars)
@@ -261,7 +261,7 @@ def test_monomial_integral_matches_filtered_permutations(n):
     assert nonzero >= 30
     if n == 2:
         (m,) = mono(2, [(1, 1)] * 5, [(1, 1)] * 5).terms
-        assert _monomial_integral(m, 2, 5) == _filtered_monomial_integral(m, 2) == Fraction(1, 6)
+        assert _integral(m, 2, 5)[0] == _filtered_monomial_integral(m, 2) == Fraction(1, 6)
     # few classes of many equal factors, and degree 6 over n > 1, where the
     # pairs to filter stay few
     for p in range(2, 6):
@@ -269,11 +269,11 @@ def test_monomial_integral_matches_filtered_permutations(n):
             pool = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(2)]
             us = [rng.choice(pool) for _ in range(p)]
             (m,) = mono(n, us, rng.sample(us, p)).terms
-            assert _monomial_integral(m, n, 5) == _filtered_monomial_integral(m, n), (n, us)
+            assert _integral(m, n, 5)[0] == _filtered_monomial_integral(m, n), (n, us)
     for _ in range(4 if n > 1 else 0):
         us = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(6)]
         (m,) = mono(n, us, rng.sample(us, 6)).terms
-        assert _monomial_integral(m, n, 6) == _filtered_monomial_integral(m, n), (n, us)
+        assert _integral(m, n, 6)[0] == _filtered_monomial_integral(m, n), (n, us)
 
 
 def _relabelled(m, rows, cols):
@@ -299,8 +299,8 @@ def test_shape_memo_cold_and_warm_match_filtered_permutations(n):
                 variants += [r, r.bar()]
             expected = _filtered_monomial_integral(m, n)
             table.shapes.clear()
-            assert [_monomial_integral(v, n, 5) for v in variants] == [expected] * len(variants), (n, us, ubars)
-            assert [_monomial_integral(v, n, 5) for v in variants] == [expected] * len(variants), (n, us, ubars)
+            assert [_integral(v, n, 5)[0] for v in variants] == [expected] * len(variants), (n, us, ubars)
+            assert [_integral(v, n, 5)[0] for v in variants] == [expected] * len(variants), (n, us, ubars)
 
 
 def test_shape_memo_is_per_dimension():
@@ -312,7 +312,7 @@ def test_shape_memo_is_per_dimension():
         for us, ubars in shapes:
             if max(max(ij) for ij in us + ubars) <= n:
                 (m,) = mono(n, us, ubars).terms
-                assert _monomial_integral(m, n, 5) == _filtered_monomial_integral(m, n), (n, us, ubars)
+                assert _integral(m, n, 5)[0] == _filtered_monomial_integral(m, n), (n, us, ubars)
 
 
 def test_shape_memo_keeps_plain_and_conjugate_apart():
@@ -330,7 +330,7 @@ def test_shape_memo_keeps_plain_and_conjugate_apart():
     values = []
     for us, ubars in pairs:
         (m,) = mono(n, us, ubars).terms
-        values.append(_monomial_integral(m, n, 5))
+        values.append(_integral(m, n, 5)[0])
         assert values[-1] == _filtered_monomial_integral(m, n), (us, ubars)
     assert values[0] != 0 and values[1] == 0
 
@@ -348,23 +348,23 @@ def test_shape_memo_one_entry_per_shape():
     for rows in itertools.permutations(range(1, n + 1)):
         for cols in itertools.permutations(range(1, n + 1)):
             r = _relabelled(m, rows, cols)
-            assert _monomial_integral(r, n, 5) == _monomial_integral(r.bar(), n, 5) == expected
+            assert _integral(r, n, 5)[0] == _integral(r.bar(), n, 5)[0] == expected
     cells, swapped = _cells(m)
     assert set(table.shapes) == {_shape_key(cells), _shape_key(swapped)} and len(table.shapes) == 2
 
 
 def test_shape_memo_keeps_the_degree_cap():
     (m,) = mono(2, [(1, 1)] * 3 + [(1, 2)] * 3, [(1, 1)] * 3 + [(1, 2)] * 3).terms
-    value = _monomial_integral(m, 2, 6)
+    value = _integral(m, 2, 6)[0]
     assert value == _filtered_monomial_integral(m, 2)
     assert weingarten_table(6, 2, p_max=6).shapes
     with pytest.raises(DegreeCapError):
-        _monomial_integral(m, 2, 5)
+        _integral(m, 2, 5)
 
 
 def test_shape_memo_lives_on_its_table():
     (m,) = mono(2, [(1, 1), (1, 2)], [(1, 1), (1, 2)]).terms
-    _monomial_integral(m, 2, 5)
+    _integral(m, 2, 5)
     before = weingarten_table(2, 2)
     assert before.shapes
     saved = dict(_TABLE_CACHE)
@@ -372,7 +372,7 @@ def test_shape_memo_lives_on_its_table():
     try:
         after = weingarten_table(2, 2)
         assert after is not before and after.shapes == {}
-        assert _monomial_integral(m, 2, 5) == _filtered_monomial_integral(m, 2)
+        assert _integral(m, 2, 5)[0] == _filtered_monomial_integral(m, 2)
         assert len(after.shapes) == 1
     finally:
         _TABLE_CACHE.clear()
@@ -381,7 +381,7 @@ def test_shape_memo_lives_on_its_table():
 
 def _cells(m):
     """The cells {(row, col): code} of a balanced monomial, coded as
-    ``_monomial_integral`` codes them, and those of its conjugate."""
+    ``_integral`` codes them, and those of its conjugate."""
     base = sum(e for (_i, _j, b), e in m.exps if not b) + 1
     cells = {}
     for (i, j, b), e in m.exps:
@@ -417,9 +417,9 @@ def test_memo_key_is_the_relabelled_key(n):
             assert _shape_key(cells) == _ranked_key(cells) and _shape_key(swapped) == _ranked_key(swapped)
             distinct += _shape_key(cells) != _shape_key(swapped)
             table.shapes.clear()
-            value = _monomial_integral(m, n, 5)
+            value = _integral(m, n, 5)[0]
             assert set(table.shapes) == {_shape_key(cells)}, (us, ubars)
-            assert _monomial_integral(m.bar(), n, 5) == value
+            assert _integral(m.bar(), n, 5)[0] == value
             assert set(table.shapes) == {_shape_key(cells), _shape_key(swapped)}, (us, ubars)
         for _ in range(10):
             (half,) = mono(n, [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(1, p))], []).terms
@@ -428,7 +428,7 @@ def test_memo_key_is_the_relabelled_key(n):
             assert swapped == cells
             table = weingarten_table(half.degree, n)
             table.shapes.clear()
-            assert _monomial_integral(m, n, 5) == _filtered_monomial_integral(m, n)
+            assert _integral(m, n, 5)[0] == _filtered_monomial_integral(m, n)
             assert set(table.shapes) == {_shape_key(cells)}
     # over n = 1 every balanced monomial is its own conjugate
     assert distinct or n == 1
@@ -455,7 +455,7 @@ def test_integral_of_conjugate_pairs_matches_the_unfolded_sum(n):
             (m,) = mono(n, us, list(zip(rows, cols))).terms
             c = rng.choice(coeffs)
             terms[m] = c
-            paired = m.bar() != m and _monomial_integral(m, n, 5) != 0
+            paired = m.bar() != m and _integral(m, n, 5)[0] != 0
             if rng.random() < 0.3:
                 terms[m.bar()] = -c
                 opposite += paired
@@ -463,7 +463,7 @@ def test_integral_of_conjugate_pairs_matches_the_unfolded_sum(n):
                 terms[m.bar()] = rng.choice(coeffs)
                 folded += paired
         f = FunElement(n, terms)
-        expected = sum((c * _monomial_integral(m, n, 5) for m, c in f.terms.items()), GaussianRational(0))
+        expected = sum((c * _integral(m, n, 5)[0] for m, c in f.terms.items()), GaussianRational(0))
         assert haar_integral(f) == expected, f
     assert folded >= 10 and opposite >= 5, (folded, opposite)
 
@@ -472,9 +472,9 @@ def test_degree_cap_precedes_label_mismatch():
     # rows and columns of the plain and conjugate factors differ, so the
     # integral is 0 below the cap; above it the cap is raised all the same
     (m,) = mono(2, [(1, 1)] * 6, [(2, 2)] * 6).terms
-    assert _monomial_integral(m, 2, 6) == 0
+    assert _integral(m, 2, 6)[0] == 0
     with pytest.raises(DegreeCapError):
-        _monomial_integral(m, 2, 5)
+        _integral(m, 2, 5)
 
 
 def test_unbalanced_monomials_vanish():
