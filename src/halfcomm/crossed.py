@@ -20,7 +20,7 @@ import math
 from collections import Counter
 
 from .errors import DimensionMismatchError, IndexRangeError
-from .scalars import ZERO, GaussianRational, SparseSum, reduce_terms
+from .scalars import ZERO, GaussianRational, SparseSum, _reduced, reduce_terms
 from .words import AU_STAR_STAR, WordElement, _term_strings, coproduct_splits
 
 # A symbol is (row, col, bar); bar=True marks the conjugate coordinate.
@@ -66,13 +66,41 @@ class FunMonomial:
         return out
 
     def mul(self, other: "FunMonomial") -> "FunMonomial":
-        merged = dict(self.exps)
-        for sym, e in other.exps:
-            merged[sym] = merged.get(sym, 0) + e
-        return _monomial(tuple(sorted(merged.items())))
+        """The product, merging the two sorted exponent tuples in one pass."""
+        a, b = self.exps, other.exps
+        if not a:
+            return other
+        if not b:
+            return self
+        out = []
+        i = j = 0
+        la, lb = len(a), len(b)
+        while i < la and j < lb:
+            (sa, ea), (sb, eb) = a[i], b[j]
+            if sa < sb:
+                out.append(a[i])
+                i += 1
+            elif sb < sa:
+                out.append(b[j])
+                j += 1
+            else:
+                out.append((sa, ea + eb))
+                i += 1
+                j += 1
+        return _monomial(tuple(out) + a[i:] + b[j:])
 
     def bar(self) -> "FunMonomial":
-        return _monomial(tuple(sorted([((i, j, not b), e) for (i, j, b), e in self.exps])))
+        # flipping bar keeps the order of the cells (i, j) and swaps the two
+        # symbols of a cell that holds both
+        out = []
+        last_i = last_j = 0  # indices start at 1
+        for (i, j, b), e in self.exps:
+            if b and i == last_i and j == last_j:
+                out.insert(-1, ((i, j, False), e))
+            else:
+                out.append(((i, j, not b), e))
+                last_i, last_j = i, j
+        return _monomial(tuple(out))
 
     def transpose(self) -> "FunMonomial":
         return _monomial(tuple(sorted([((j, i, b), e) for (i, j, b), e in self.exps])))
@@ -341,17 +369,25 @@ def pun_generator(n: int, i: int, j: int, k: int, l: int) -> FunElement:
 _POWERS_OF_I = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-@functools.cache
-def _class_splits(p: int, q: int) -> tuple:
-    """The nonzero weights of one letter class, as ``(k, re, im)`` triples.
+@functools.lru_cache(maxsize=4096)
+def _run_splits(row, col, odd, e, q, n) -> tuple:
+    """The expansion of one unitary run over dimension 2n, as
+    ``(plain, shifted, re, im)`` tuples.
 
-    A class of p plain and q starred commuting letters expands to
-    sum_k w_k x^(p+q-k) x'^k, where x' is the shifted symbol and
+    A run of e commuting letters (row, col) at positions of parity ``odd``,
+    p = e - q plain and q starred, expands to sum_k w_k x^(e-k) x'^k, with
+    x = (row, col, odd), the shifted symbol x' = (row + n, col, odd), and
     w_k = sum_(a+b=k) C(p,a) C(q,b) i^(a-b): a shifted plain letter brings i
-    and a shifted starred one -i.  w_0 = 1, and w_k = 0 is left out.
+    and a shifted starred one -i.  ``plain`` and ``shifted`` are the
+    exponent pieces of x and x' (empty at exponent 0), and (re, im) is w_k;
+    w_0 = 1, and w_k = 0 is left out.  The keys are small integers, never
+    words or elements, and like ``words._symbol_splits`` the cache keeps at
+    most 4,096 of them.
     """
+    p = e - q
+    sym, shifted = (row, col, odd), (row + n, col, odd)
     out = []
-    for k in range(p + q + 1):
+    for k in range(e + 1):
         re = im = 0
         for a in range(max(0, k - q), min(p, k) + 1):
             c = math.comb(p, a) * math.comb(q, k - a)
@@ -359,7 +395,7 @@ def _class_splits(p: int, q: int) -> tuple:
             re += c * r
             im += c * s
         if re or im:
-            out.append((k, re, im))
+            out.append((((sym, e - k),) if k < e else (), ((shifted, k),) if k else (), re, im))
     return tuple(out)
 
 
@@ -380,14 +416,15 @@ def embed_pi(x: WordElement) -> CrossedElement:
 
     A unitary-presentation letter expands over dimension 2n: u_ij to
     x_ij + i*x_(n+i)j and its star to x_ij - i*x_(n+i)j.  A run of p plain
-    and q starred letters splits once by its count of shifted letters
-    (``_class_splits``), so a word makes prod(e_run + 1) terms at most, not
-    2^k, in the product order of its runs; a shifted row exceeds n, so the
-    shifted pieces sort after the plain ones.
+    and q starred letters splits once by its count of shifted letters, read
+    from the ``_run_splits`` cache, so a word makes prod(e_run + 1) terms at
+    most, not 2^k, in the product order of its runs; a shifted row exceeds
+    n, so the shifted pieces sort after the plain ones.  The coefficient
+    times each weight is integer arithmetic on its (a + b i) / d.
     """
     n = x.presentation.n
     unitary = x.presentation.kind == AU_STAR_STAR
-    parts = ([], [])
+    parts = ({}, {})  # exponent tuple -> coefficient, of the even and the odd part
     for word, coeff in x.terms.items():
         runs = []  # (symbol, length, starred letters) of each run
         for odd in (False, True):
@@ -404,31 +441,30 @@ def embed_pi(x: WordElement) -> CrossedElement:
         runs.sort()
         part = parts[len(word) % 2]
         if not unitary:
-            part.append((_monomial(tuple([(sym, e) for sym, e, _q in runs])), coeff))
+            part[tuple([(sym, e) for sym, e, _q in runs])] = coeff
             continue
-        terms = [((), (), 1, 0)]  # (plain pieces, shifted pieces, weight re, weight im)
-        for sym, e, q in runs:
-            row, col, odd = sym
-            splits = [
-                (((sym, e - k),) if k < e else (), (((row + n, col, odd), k),) if k else (), re, im)
-                for k, re, im in _class_splits(e - q, q)
-            ]
-            terms = [
+        terms = (((), (), 1, 0),)  # (plain pieces, shifted pieces, weight re, weight im)
+        for k, ((row, col, odd), e, q) in enumerate(runs):
+            splits = _run_splits(row, col, odd, e, q, n)
+            # the first run's splits times the unit term are the splits themselves
+            terms = splits if not k else [
                 (plain + more, shifted + more_shifted, re * r - im * s, re * s + im * r)
                 for plain, shifted, re, im in terms
                 for more, more_shifted, r, s in splits
             ]
+        a, b, d = coeff.a, coeff.b, coeff.d
         scaled = {(1, 0): coeff}  # the coefficient times each weight, once
         for plain, shifted, re, im in terms:
             c = scaled.get((re, im))
             if c is None:
-                c = scaled[re, im] = coeff * GaussianRational(re, im)
-            part.append((_monomial(plain + shifted), c))
-    zero = FunElement.zero(2 * n if unitary else n)
-    # unitary words that differ only in their stars can meet in one monomial
-    merge = reduce_terms if unitary else dict
-    f0, f1 = (zero._like(merge(part)) for part in parts)
-    return CrossedElement(f0, f1)
+                c = scaled[re, im] = _reduced(a * re - b * im, a * im + b * re, d)
+            # unitary words that differ only in their stars can meet in one monomial
+            exps = plain + shifted
+            prev = part.get(exps)
+            part[exps] = c if prev is None else prev + c
+    space = 2 * n if unitary else n
+    return CrossedElement(*(FunElement._over(space, {_monomial(exps): c for exps, c in part.items() if c})
+                            for part in parts))
 
 
 def _display_items(f: FunElement, flip=False):

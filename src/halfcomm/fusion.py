@@ -272,17 +272,20 @@ class UnFusion(FusionData):
     def dim(self, a):
         return un_dim(a, self.n)
 
-    def tensor(self, a, b):
-        # the labels of a memo hit were validated when it was stored
-        hit = self._memo.get((tuple(a), tuple(b)))
-        return dict(hit) if hit is not None else super().tensor(a, b)
-
     def _tensor(self, a, b):
-        key = (tuple(a), tuple(b))
+        # Littlewood-Richardson is symmetric in a and b, and shifting a by
+        # (1,...,1) shifts every constituent alike: the memo is keyed by the
+        # two weights shifted to end in 0, larger first, and the total shift
+        # is added back on the way out, which keeps the decreasing order
+        sa, sb = a[-1], b[-1]
+        lam = tuple(x - sa for x in a)
+        mu = tuple(x - sb for x in b)
+        key = (lam, mu) if lam >= mu else (mu, lam)
         hit = self._memo.get(key)
         if hit is None:
             hit = self._memo[key] = _lr_tensor(*key)
-        return hit
+        shift = sa + sb
+        return {tuple(x + shift for x in nu): m for nu, m in hit.items()} if shift else hit
 
     def dual(self, a):
         return tuple(-x for x in reversed(a))

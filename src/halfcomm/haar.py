@@ -303,26 +303,33 @@ def _coset_cycle_types(classes, table, p) -> dict:
         follow_memo.clear()
 
 
-def _shape_key(cells):
-    """The cells {(row, col): code} after relabelling their rows and their
-    columns, as a sorted tuple of (row, col, code).  A row's new label is its
-    rank among the rows, ordered by the sorted codes of their cells, ties by
-    old label; likewise for the columns."""
-    rows, cols = {}, {}
-    for (i, j), v in cells.items():
-        codes = rows.get(i)
-        if codes is None:
-            rows[i] = [v]
+def _shape_key(rows, cols, codes):
+    """The cells (rows[k], cols[k]) -> codes[k] after relabelling their rows
+    and their columns, as a sorted tuple of (row, col, code).  A row's new
+    label is its rank among the rows, ordered by the sorted codes of their
+    cells, ties by old label; likewise for the columns.  The cells come in
+    symbol order, so the cells of one row are adjacent."""
+    if len(codes) == 1:
+        return ((0, 0, codes[0]),)
+    row_sigs, col_sigs = [], {}
+    last = None
+    for i, j, v in zip(rows, cols, codes):
+        if i == last:
+            row_sigs[-1][0].append(v)
         else:
-            codes.append(v)
-        codes = cols.get(j)
-        if codes is None:
-            cols[j] = [v]
+            row_sigs.append(([v], i))
+            last = i
+        sig = col_sigs.get(j)
+        if sig is None:
+            col_sigs[j] = [v]
         else:
-            codes.append(v)
-    row_at = {i: k for k, (_codes, i) in enumerate(sorted([(sorted(codes), i) for i, codes in rows.items()]))}
-    col_at = {j: k for k, (_codes, j) in enumerate(sorted([(sorted(codes), j) for j, codes in cols.items()]))}
-    return tuple(sorted([(row_at[i], col_at[j], v) for (i, j), v in cells.items()]))
+            sig.append(v)
+    for sig, _i in row_sigs:
+        sig.sort()
+    row_sigs.sort()
+    row_at = {i: k for k, (_sig, i) in enumerate(row_sigs)}
+    col_at = {j: k for k, (_sig, j) in enumerate(sorted([(sorted(sig), j) for j, sig in col_sigs.items()]))}
+    return tuple(sorted([(row_at[i], col_at[j], v) for i, j, v in zip(rows, cols, codes)]))
 
 
 def _integral(mono, n, p_max):
@@ -331,31 +338,54 @@ def _integral(mono, n, p_max):
     whether its conjugate is another monomial of degree p >= 1, which has
     the same integral.
 
-    A cell (i, j) with plain exponent a and conjugate exponent b has the code
+    One pass over the sorted exponents reads the cells (i, j), in symbol
+    order, with their plain exponent a and conjugate exponent b: the plain
+    symbol of a cell sorts just before its conjugate.  A cell has the code
     a (p + 1) + b, and the memo key is the ``_shape_key`` of the codes:
     relabelling rows and columns keeps the integral.  The conjugate swaps a
     and b in every cell, so it is another monomial exactly when some cell
-    has a != b.
+    has a != b; on a miss its key is looked up too, so that a shape met as
+    m and later as bar(m) is counted once.  The hits, which a warm memo
+    serves, build one key.
     """
-    p = sum(e for (_i, _j, b), e in mono.exps if not b)
-    base = p + 1
-    cells, q = {}, 0
+    rows, cols, plain, conj = [], [], [], []
+    p = q = 0
+    last_i = last_j = 0  # indices start at 1
     for (i, j, b), e in mono.exps:
         if b:
             q += e
-        cells[i, j] = cells.get((i, j), 0) + (e if b else e * base)
+            if i == last_i and j == last_j:
+                conj[-1] = e
+                continue
+            plain.append(0)
+            conj.append(e)
+        else:
+            p += e
+            plain.append(e)
+            conj.append(0)
+        rows.append(i)
+        cols.append(j)
+        last_i, last_j = i, j
     if p != q:
         return Fraction(0), False
     if p == 0:
         return Fraction(1), False
     table = weingarten_table(p, n, p_max)
-    key = _shape_key(cells)
+    base = p + 1
+    key = _shape_key(rows, cols, [a * base + b for a, b in zip(plain, conj)])
+    paired = plain != conj
     value = table.shapes.get(key)
     if value is None:
-        plain = {ij: v // base for ij, v in cells.items() if v >= base}
-        conj = {ij: v % base for ij, v in cells.items() if v % base}
-        value = table.shapes[key] = _coset_integral(plain, conj, table)
-    return value, any(v // base != v % base for v in cells.values())
+        if paired:  # the conjugate may have been integrated already
+            value = table.shapes.get(_shape_key(rows, cols, [b * base + a for a, b in zip(plain, conj)]))
+        if value is None:
+            value = _coset_integral(
+                {(i, j): a for i, j, a in zip(rows, cols, plain) if a},
+                {(i, j): b for i, j, b in zip(rows, cols, conj) if b},
+                table,
+            )
+        table.shapes[key] = value
+    return value, paired
 
 
 def _coset_integral(plain, conj, table) -> Fraction:
@@ -428,16 +458,23 @@ def _torus_weight(mono, n):
 
 def _orthogonal_pieces(x: CrossedElement):
     """x as a sum of pieces pairwise orthogonal for the Haar state: its even
-    and its odd part, each split by torus weight.
+    and its odd part, each split by torus weight; a part of one torus weight
+    is yielded as it is.
 
     An odd product integrates to zero, and Haar measure is invariant under
     the diagonal torus acting on either side, so bar(m) m' integrates to zero
     unless the monomials m and m' have equal torus weights.
     """
     for part, wrap in ((x.f0, CrossedElement.even), (x.f1, CrossedElement.odd)):
+        if not part.terms:
+            continue
+        weights = [_torus_weight(mono, x.n) for mono in part.terms]
+        if weights.count(weights[0]) == len(weights):
+            yield wrap(part)
+            continue
         blocks = defaultdict(dict)
-        for mono, coeff in part.terms.items():
-            blocks[_torus_weight(mono, x.n)][mono] = coeff
+        for (mono, coeff), weight in zip(part.terms.items(), weights):
+            blocks[weight][mono] = coeff
         for terms in blocks.values():
             yield wrap(part._like(terms))
 
@@ -447,10 +484,14 @@ def norm_squared(x: CrossedElement, p_max: int = PMAX_DEFAULT) -> Fraction:
 
     The sum of h(b* b) over the orthogonal pieces b of x, so that only the
     products of monomials inside one piece are formed; equal products of
-    different pieces are merged before they are integrated.
+    different pieces are merged before they are integrated, and a lone
+    piece's square is integrated as it is.
     """
-    squares = (crossed_mul(crossed_star(piece), piece).f0 for piece in _orthogonal_pieces(x))
-    even = x.f0._like(reduce_terms(itertools.chain.from_iterable(f.terms.items() for f in squares)))
+    squares = [crossed_mul(crossed_star(piece), piece).f0 for piece in _orthogonal_pieces(x)]
+    if len(squares) == 1:
+        (even,) = squares
+    else:
+        even = x.f0._like(reduce_terms(itertools.chain.from_iterable(f.terms.items() for f in squares)))
     val = haar_integral(even, p_max=p_max)
     if val.b or val.a < 0:
         raise ArithmeticError(f"norm came out as {val}; this is a bug")
@@ -503,13 +544,6 @@ def _witness(n):
     return out
 
 
-def witness_point(n: int) -> dict:
-    """The witness point (g, g^-T) over n, as the map from each coordinate
-    symbol (i, j, bar) to its value: g_ij, or (g^-1)_ji when bar is set."""
-    values, den = _witness(n)
-    return {sym: GaussianRational(Fraction(v, den) if sym[2] else v) for sym, v in values.items()}
-
-
 def _vanishes_at(f: FunElement, values: dict, den: int) -> bool:
     """Whether f is zero at the point that ``_witness`` gives.
 
@@ -538,7 +572,8 @@ def _vanishes_at(f: FunElement, values: dict, den: int) -> bool:
 
 
 def witness_refutes(x: CrossedElement) -> bool:
-    """True when a component of x is non-zero at ``witness_point(x.n)``.
+    """True when a component of x is non-zero at the witness point (g, g^-T)
+    over x.n (``_witness``).
 
     That value is exact, and a function that vanishes on U(n) vanishes at
     the point, so a non-zero value proves that x does not vanish on U(n);

@@ -178,7 +178,16 @@ class SparseSum:
 
     @classmethod
     def zero(cls, space):
-        return cls(space, {})
+        return cls._over(space, {})
+
+    @classmethod
+    def _over(cls, space, terms):
+        """An element of ``space`` over ``terms``, whose keys are already
+        normal and whose coefficients are nonzero: no key is checked again."""
+        out = object.__new__(cls)
+        setattr(out, cls.SPACE, space)
+        out.terms = terms
+        return out
 
     @property
     def space(self):
@@ -204,12 +213,8 @@ class SparseSum:
         return reduce_terms(pairs())
 
     def _like(self, terms):
-        """An element of the same space over ``terms``, whose keys are already
-        normal and whose coefficients are nonzero."""
-        out = object.__new__(type(self))
-        setattr(out, self.SPACE, self.space)
-        out.terms = terms
-        return out
+        """An element of the same space over ``terms`` (see ``_over``)."""
+        return self._over(self.space, terms)
 
     def _from_products(self, terms):
         """An element of the same space over merged key products.  A key
@@ -250,13 +255,18 @@ class SparseSum:
     def __mul__(self, other):
         if isinstance(other, type(self)):
             self._check(other)
+            # reduce_terms over the products, inlined: this loop is the
+            # innermost of every product and every norm
             key_mul = self.key_mul
-            products = (
-                (key_mul(k1, k2), c1 * c2)
-                for k1, c1 in self.terms.items()
-                for k2, c2 in other.terms.items()
-            )
-            return self._from_products(reduce_terms(products))
+            right = other.terms.items()
+            acc = {}
+            for k1, c1 in self.terms.items():
+                for k2, c2 in right:
+                    key = key_mul(k1, k2)
+                    c = c1 * c2
+                    prev = acc.get(key)
+                    acc[key] = c if prev is None else prev + c
+            return self._from_products({k: c for k, c in acc.items() if c})
         try:
             c = GaussianRational.coerce(other)
         except TypeError:

@@ -13,6 +13,7 @@ import functools
 import inspect
 import itertools
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -82,6 +83,7 @@ CLOSURE_MAX_SIZE = 20000  # words one rewrite closure may reach
 POINTWISE_SAMPLES = 48  # Haar unitaries pointwise_equal evaluates at
 POINTWISE_TOL = 1e-9
 FAITHFULNESS_MAXLEN = 3  # word length up to which faithfulness compares normal forms
+FAITHFULNESS_MAX_PAIRS = 200_000  # pairs of normal forms faithfulness may compare
 HOPF_ELEMENTS = 25  # random elements per hopf involution check
 SEQUENCE_WORDS = 20  # random embedded words the coinvariance check tests
 STRUCTURAL_DRAWS = 1000  # samples the kn and u2n model checks draw
@@ -293,8 +295,25 @@ def pointwise_equal(x, y, seed=DEFAULT_SEED):
     return worst < POINTWISE_TOL
 
 
+def _normal_form_count(n, maxlen):
+    """The number of normal forms of the ao-star:n words of length at most
+    ``maxlen``, counted, not listed: half-commutation permutes the letters
+    at odd positions and those at even positions, so a form of length L is
+    a multiset of ceil(L/2) and one of floor(L/2) of the n^2 letters."""
+    k = n * n
+    return sum(math.comb(k + (size + 1) // 2 - 1, (size + 1) // 2) * math.comb(k + size // 2 - 1, size // 2)
+               for size in range(maxlen + 1))
+
+
 @_suite("faithfulness")
 def suite_faithfulness(n=2, p_max=PMAX_DEFAULT, seed=DEFAULT_SEED):
+    count = _normal_form_count(n, FAITHFULNESS_MAXLEN)
+    pairs = count * (count + 1) // 2
+    if pairs > FAITHFULNESS_MAX_PAIRS:
+        raise ValueError(
+            f"faithfulness over n={n} compares {count} normal forms, {pairs} pairs; "
+            f"the cap is {FAITHFULNESS_MAX_PAIRS}"
+        )
     pres = ao_star(n)
 
     forms = {()}
@@ -795,8 +814,6 @@ def suite_weingarten(samples=100000, seed=DEFAULT_SEED, p_max=PMAX_DEFAULT):
 
     def check_moments():
         # E |u_11|^(2k) = 1 / binom(n-1+k, k), a Beta-moment identity
-        import math
-
         for n in (2, 3):
             for k in (1, 2, 3, 4):
                 mono = FunMonomial({(1, 1, False): k, (1, 1, True): k})

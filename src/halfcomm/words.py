@@ -250,24 +250,6 @@ def _check_coproduct_cap(degree, n, terms):
         )
 
 
-def coproduct_legs(symbols, n):
-    """The generator rule Delta(v_ij) = sum_k v_ik (x) v_kj, expanded term by term.
-
-    The brute-force reference for ``coproduct_splits``, kept for tests.
-    ``symbols`` is a sequence of ``(row, col, flag)`` triples: a word's
-    letters or a monomial's ``symbols()``.  Returns an iterator over the
-    ``n ** len(symbols)`` ``(left, right)`` pairs, one per choice of the
-    summation indices; each leg is a tuple of ``Letter``s in the order of
-    ``symbols``, and the flag rides along.  Raises ``DegreeCapError`` before
-    expanding anything when that term count exceeds ``COPRODUCT_MAX_TERMS``.
-    """
-    _check_coproduct_cap(len(symbols), n, n ** len(symbols))
-    choices = [[(Letter(r, k, f), Letter(k, c, f)) for k in range(1, n + 1)] for r, c, f in symbols]
-    # zip(*picks) transposes the picked pairs into the two legs; it is empty
-    # only for the empty word, whose one term is the unit on both sides
-    return (tuple(zip(*picks)) or ((), ()) for picks in itertools.product(*choices))
-
-
 @functools.lru_cache(maxsize=4096)
 def _symbol_splits(r, c, f, e, n):
     """The (left, right, weight) splits of the symbol (r, c, f) to the power e.
@@ -318,7 +300,8 @@ def coproduct_splits(classes, n):
     crossed monomial one.  Returns one ``{(left, right): weight}`` dict per
     class (see ``_class_splits``); a term of the coproduct picks one entry
     from each, and over all picks the weights add up to the ``n ** degree``
-    terms of ``coproduct_legs``.  The splits made are the compositions of
+    terms of the term-by-term expansion, one per choice of the summation
+    indices.  The splits made are the compositions of
     each symbol's multiplicity e into n parts, C(e + n - 1, n - 1) of them;
     raises ``DegreeCapError`` before expanding anything when their product
     over all symbols exceeds ``COPRODUCT_MAX_TERMS``.

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -320,6 +321,52 @@ def test_verify_draws_at_the_draw_cap_run(capsys, monkeypatch):
     assert code == 0 and [json.loads(line)["status"] for line in out.splitlines()] == ["pass"]
     code, out, err = run_cli(capsys, "verify", "--suite", "kn", "--n", "3")
     assert code == 2 and out == "" and " 9000 complex entries" in err
+
+
+def _no_normal_forms(*args):
+    raise AssertionError("a word was normalised")
+
+
+def test_faithfulness_past_the_pair_cap_normalises_nothing(capsys, monkeypatch):
+    # n = 4 has 2,449 normal forms of length <= 3, so 3,000,025 pairs: the
+    # suite counts them and refuses before it lists or embeds any form
+    from halfcomm import verify
+
+    monkeypatch.setattr(verify, "hc_normal_form", _no_normal_forms)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--suite", "faithfulness", "--n", "4")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    (line,) = [l for l in err.splitlines() if not l.startswith("# config")]
+    assert line.startswith("error: ") and " 2449 normal forms, 3000025 pairs" in line
+    assert str(verify.FAITHFULNESS_MAX_PAIRS) in line
+
+
+def test_faithfulness_at_the_pair_cap_runs(capsys, monkeypatch):
+    # n = 2: 61 normal forms, 1,891 pairs, at a cap of 1,891 and over 1,890
+    from halfcomm import verify
+
+    monkeypatch.setattr(verify, "FAITHFULNESS_MAX_PAIRS", 1891)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "faithfulness", "--n", "2")
+    assert code == 0 and [json.loads(line)["status"] for line in out.splitlines()] == ["pass", "pass"]
+    assert "61 normal forms" in out
+    monkeypatch.setattr(verify, "FAITHFULNESS_MAX_PAIRS", 1890)
+    code, out, err = run_cli(capsys, "verify", "--suite", "faithfulness", "--n", "2")
+    assert code == 2 and out == "" and " 61 normal forms, 1891 pairs" in err
+
+
+def test_normal_form_count_matches_the_listed_forms():
+    from halfcomm.verify import _all_words, _normal_form_count
+    from halfcomm.words import ao_star, hc_normal_form
+
+    for n in (1, 2, 3):
+        pres = ao_star(n)
+        forms = {()}
+        for maxlen in range(4):
+            if maxlen:
+                forms.update(hc_normal_form(tuple(w)) for w in _all_words(pres, maxlen))
+            assert _normal_form_count(n, maxlen) == len(forms), (n, maxlen)
+    assert [_normal_form_count(n, 3) for n in (2, 3, 4)] == [61, 496, 2449]
 
 
 def _no_l1_ball(*args):

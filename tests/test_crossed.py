@@ -9,6 +9,7 @@ from halfcomm.crossed import (
     FunElement,
     FunMonomial,
     _monomial,
+    _run_splits,
     coinvariant_test,
     crossed_antipode,
     crossed_coproduct,
@@ -433,6 +434,28 @@ def test_embed_leaves_out_a_class_weight_that_cancels():
     assert image == CrossedElement.odd(squares * (ub(4, 1, 2) + I * ub(4, 3, 2)))
     for bar_sym in ((1, 2, True), (3, 2, True)):
         assert FunMonomial({(1, 1, False): 1, (3, 1, False): 1, bar_sym: 1}) not in image.f1.terms
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cached_unitary_runs_match_the_letter_by_letter_expansion(n):
+    # a run of e letters (row, col) at positions of one parity, q of them
+    # starred, is the product of x + i x' over its plain letters and x - i x'
+    # over its starred ones, for x = (row, col, odd), x' = (row + n, col, odd)
+    for row, col in itertools.product(range(1, n + 1), repeat=2):
+        for odd in (False, True):
+            x = FunElement.coordinate(2 * n, row, col, bar=odd)
+            shifted = FunElement.coordinate(2 * n, row + n, col, bar=odd)
+            for e in range(1, 5):
+                for q in range(e + 1):
+                    expected = FunElement.one(2 * n)
+                    for k in range(e):
+                        expected = expected * (x + shifted * (-I if k < q else I))
+                    splits = _run_splits(row, col, odd, e, q, n)
+                    assert all(list(plain + more) == sorted(plain + more) for plain, more, _re, _im in splits)
+                    got = FunElement(2 * n, [(FunMonomial(plain + more), GaussianRational(re, im))
+                                             for plain, more, re, im in splits])
+                    assert got == expected, (row, col, odd, e, q)
+                    assert len(splits) == len(expected.terms)
 
 
 # -- coinvariants and the even part ---------------------------------------------------

@@ -163,6 +163,28 @@ def test_astar_tensor_parity_enforced():
         assert data.grade(lbl) % 2 == parity
 
 
+@pytest.mark.parametrize("n, runs", [(3, 21), (4, 28)])
+def test_tensor_memo_is_keyed_up_to_order_and_shift(n, runs, monkeypatch):
+    # the graded table up to grade 2 asks for 64 products; keyed by the two
+    # weights shifted to end in 0, in a fixed order, they need 21 and 28
+    # Littlewood-Richardson runs, and each product, with its dict order, is
+    # the one a run on the product's own weights gives
+    from halfcomm import fusion
+
+    calls, run = [], fusion._lr_tensor
+    monkeypatch.setattr(fusion, "_lr_tensor", lambda lam, mu: calls.append((lam, mu)) or run(lam, mu))
+    data = UnFusion(n)
+    labels = [(w, data.grade(w) % 2) for w in data.labels(2)]
+    assert len(labels) ** 2 == 64
+    for x in labels:
+        for y in labels:
+            right = data.sigma(y[0]) if x[1] else y[0]
+            expected = [((nu, (x[1] + y[1]) % 2), m) for nu, m in run(x[0], right).items()]
+            assert list(astar_tensor(data, x, y).items()) == expected, (x, y)
+    assert len(calls) == runs and len(set(calls)) == runs
+    assert all(lam[-1] == mu[-1] == 0 and lam >= mu for lam, mu in calls)
+
+
 # U(3) weights that are not labels, each with the flag its grade asks for,
 # so that only its shape is wrong
 BAD_WEIGHTS = [((1, 0), 1), ((1, 0, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 2), 0)]

@@ -27,7 +27,6 @@ from halfcomm.haar import (
     norm_equal,
     norm_squared,
     weingarten_table,
-    witness_point,
     witness_refutes,
     _compose,
     _cycle_count,
@@ -50,6 +49,7 @@ from tests_helpers import (
     ref_crossed_mul,
     ref_crossed_star,
     ref_value_at,
+    witness_point,
 )
 
 
@@ -350,7 +350,7 @@ def test_shape_memo_one_entry_per_shape():
             r = _relabelled(m, rows, cols)
             assert _integral(r, n, 5)[0] == _integral(r.bar(), n, 5)[0] == expected
     cells, swapped = _cells(m)
-    assert set(table.shapes) == {_shape_key(cells), _shape_key(swapped)} and len(table.shapes) == 2
+    assert set(table.shapes) == {_one_pass_key(cells), _one_pass_key(swapped)} and len(table.shapes) == 2
 
 
 def test_shape_memo_keeps_the_degree_cap():
@@ -389,6 +389,12 @@ def _cells(m):
     return cells, {ij: v % base * base + v // base for ij, v in cells.items()}
 
 
+def _one_pass_key(cells):
+    """``_shape_key`` of the cells, fed in symbol order as ``_integral`` reads them."""
+    rows, cols, codes = zip(*[(i, j, v) for (i, j), v in sorted(cells.items())])
+    return _shape_key(rows, cols, codes)
+
+
 def _ranked_key(cells):
     """The relabelling key spelled out: rows and columns ranked by their
     sorted codes, ties by old label."""
@@ -402,9 +408,14 @@ def _ranked_key(cells):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_memo_key_is_the_relabelled_key(n):
+def test_memo_key_is_the_relabelled_key(n, monkeypatch):
     # every balanced monomial is memoised under its own relabelled key, and
-    # its conjugate under the key of the swapped codes, with one value
+    # its conjugate under the key of the swapped codes, with one value and
+    # one walk of the coset
+    from halfcomm import haar
+
+    walks, walk = [], haar._coset_integral
+    monkeypatch.setattr(haar, "_coset_integral", lambda *args: walks.append(args) or walk(*args))
     rng = random.Random(1900 + n)
     distinct = 0
     for p in range(1, 5):
@@ -414,13 +425,15 @@ def test_memo_key_is_the_relabelled_key(n):
             ubars = rng.sample(us, p) if rng.random() < 0.5 else [(rng.randint(1, n), rng.randint(1, n)) for _ in range(p)]
             (m,) = mono(n, us, ubars).terms
             cells, swapped = _cells(m)
-            assert _shape_key(cells) == _ranked_key(cells) and _shape_key(swapped) == _ranked_key(swapped)
-            distinct += _shape_key(cells) != _shape_key(swapped)
+            assert _one_pass_key(cells) == _ranked_key(cells) and _one_pass_key(swapped) == _ranked_key(swapped)
+            distinct += _one_pass_key(cells) != _one_pass_key(swapped)
             table.shapes.clear()
+            walks.clear()
             value = _integral(m, n, 5)[0]
-            assert set(table.shapes) == {_shape_key(cells)}, (us, ubars)
+            assert set(table.shapes) == {_one_pass_key(cells)}, (us, ubars)
             assert _integral(m.bar(), n, 5)[0] == value
-            assert set(table.shapes) == {_shape_key(cells), _shape_key(swapped)}, (us, ubars)
+            assert set(table.shapes) == {_one_pass_key(cells), _one_pass_key(swapped)}, (us, ubars)
+            assert len(walks) == 1, (us, ubars)
         for _ in range(10):
             (half,) = mono(n, [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(1, p))], []).terms
             (m,) = (FunElement(n, {half.bar(): 1}) * FunElement(n, {half: 1})).terms
@@ -429,7 +442,7 @@ def test_memo_key_is_the_relabelled_key(n):
             table = weingarten_table(half.degree, n)
             table.shapes.clear()
             assert _integral(m, n, 5)[0] == _filtered_monomial_integral(m, n)
-            assert set(table.shapes) == {_shape_key(cells)}
+            assert set(table.shapes) == {_one_pass_key(cells)}
     # over n = 1 every balanced monomial is its own conjugate
     assert distinct or n == 1
 

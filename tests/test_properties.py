@@ -28,7 +28,6 @@ from halfcomm.words import (
     ao_star,
     au_star_star,
     coproduct_element,
-    coproduct_legs,
     format_word_element,
     hc_normal_form,
     letter,
@@ -37,6 +36,7 @@ from halfcomm.words import (
 )
 
 from test_crossed import embed_by_products  # the generator-product reference
+from tests_helpers import coproduct_legs, ref_monomial
 
 SEEDED = settings(max_examples=40, derandomize=True, deadline=None)
 
@@ -79,6 +79,11 @@ def crossed_elements(n, max_exp=2):
     return st.builds(CrossedElement, funs, funs)
 
 
+def monomials(n, max_exp=3):
+    symbols = st.tuples(st.integers(1, n), st.integers(1, n), st.booleans())
+    return st.dictionaries(symbols, st.integers(1, max_exp), max_size=5).map(FunMonomial)
+
+
 presentations = st.sampled_from(PRESENTATIONS)
 word_pairs = presentations.flatmap(lambda pres: st.tuples(word_elements(pres), word_elements(pres)))
 crossed_pairs = st.integers(1, 3).flatmap(lambda n: st.tuples(crossed_elements(n), crossed_elements(n)))
@@ -112,6 +117,21 @@ def test_normal_form_is_idempotent_and_names_the_rewrite_class(case):
 def test_word_star_is_anti_multiplicative(pair):
     x, y = pair
     assert star_element(x * y) == star_element(y) * star_element(x)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(monomials(n), monomials(n))))
+def test_merged_monomial_products_match_the_constructor(pair):
+    # over n <= 3 the factors often share symbols, whose exponents add
+    m1, m2 = pair
+    cases = [
+        (m1.mul(m2), ref_monomial(m1, m2)),
+        (m2.mul(m1), ref_monomial(m1, m2)),
+        (m1.bar(), ref_monomial(m1, flip=True)),
+        (m1.bar().mul(m2), ref_monomial(ref_monomial(m1, flip=True), m2)),
+    ]
+    for got, ref in cases:
+        assert got.exps == ref.exps and hash(got) == hash(ref)
 
 
 @SEEDED

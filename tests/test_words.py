@@ -15,7 +15,6 @@ from halfcomm.words import (
     ao_star,
     au_star_star,
     coproduct_element,
-    coproduct_legs,
     counit_element,
     hc_normal_form,
     letter,
@@ -23,6 +22,7 @@ from halfcomm.words import (
     star_element,
     word_has_forbidden_pair,
 )
+from tests_helpers import coproduct_legs
 
 AO2 = ao_star(2)
 AH2 = ah_star(2)

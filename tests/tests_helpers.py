@@ -1,7 +1,13 @@
-"""Shared helpers for the test modules."""
+"""Shared helpers for the test modules, and the brute-force references that
+only the tests read."""
+
+import itertools
+from fractions import Fraction
 
 from halfcomm.crossed import CrossedElement, FunElement, FunMonomial
+from halfcomm.haar import _witness
 from halfcomm.scalars import ZERO, GaussianRational
+from halfcomm.words import Letter, _check_coproduct_cap
 
 
 def random_fun(rng, n, max_degree=3, terms=2):
@@ -92,8 +98,35 @@ def crossed_parities(f, g):
     return CrossedElement(f, g), CrossedElement.even(f), CrossedElement.odd(g)
 
 
+def coproduct_legs(symbols, n):
+    """The generator rule Delta(v_ij) = sum_k v_ik (x) v_kj, expanded term by term.
+
+    The brute-force reference for ``words.coproduct_splits``.  ``symbols``
+    is a sequence of ``(row, col, flag)`` triples: a word's letters or a
+    monomial's ``symbols()``.  Returns an iterator over the
+    ``n ** len(symbols)`` ``(left, right)`` pairs, one per choice of the
+    summation indices; each leg is a tuple of ``Letter``s in the order of
+    ``symbols``, and the flag rides along.  Raises ``DegreeCapError`` before
+    expanding anything when that term count exceeds
+    ``words.COPRODUCT_MAX_TERMS``.
+    """
+    _check_coproduct_cap(len(symbols), n, n ** len(symbols))
+    choices = [[(Letter(r, k, f), Letter(k, c, f)) for k in range(1, n + 1)] for r, c, f in symbols]
+    # zip(*picks) transposes the picked pairs into the two legs; it is empty
+    # only for the empty word, whose one term is the unit on both sides
+    return (tuple(zip(*picks)) or ((), ()) for picks in itertools.product(*choices))
+
+
+def witness_point(n):
+    """The witness point (g, g^-T) of ``haar.witness_refutes`` over n, as the
+    map from each coordinate symbol (i, j, bar) to its value: g_ij, or
+    (g^-1)_ji when bar is set, as Gaussian rationals."""
+    values, den = _witness(n)
+    return {sym: GaussianRational(Fraction(v, den) if sym[2] else v) for sym, v in values.items()}
+
+
 def ref_value_at(f, point):
-    """f evaluated at a point given as ``haar.witness_point`` gives it, a map
+    """f evaluated at a point given as ``witness_point`` gives it, a map
     from each symbol (i, j, bar) to a Gaussian rational (for the witness,
     g_ij and (g^-1)_ji), in Gaussian-rational arithmetic, one factor at a
     time."""
