@@ -18,7 +18,7 @@ from .errors import ClosureSizeError, DegreeCapError, ParseError
 from .expressions import CrossedContext, parse_context, parse_expression
 from .groups import PREDICATES, check_predicate, parse_model, predicate
 from .haar import PMAX_DEFAULT, haar_state, mc_integral, norm_squared
-from .verify import DEFAULT_SEED, SUITES, run_verify, suite_params
+from .verify import DEFAULT_SEED, SUITES, check_caps, run_verify, suite_params
 from .words import AO_STAR, Presentation, format_word_element
 
 EXIT_OK = 0
@@ -273,6 +273,8 @@ def cmd_predicates(args):
 def cmd_verify(args):
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     params = {param: getattr(args, flag) for flag, param in SUITE_PARAMS.items() if getattr(args, flag) is not None}
+    for name in names:  # refuse a battery before any of its suites runs
+        check_caps(name, **params)
     ok = True
     for name in names:
         report = run_verify(name, **params)

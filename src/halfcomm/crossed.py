@@ -382,7 +382,8 @@ def _run_splits(row, col, odd, e, q, n) -> tuple:
     exponent pieces of x and x' (empty at exponent 0), and (re, im) is w_k;
     w_0 = 1, and w_k = 0 is left out.  The keys are small integers, never
     words or elements, and like ``words._symbol_splits`` the cache keeps at
-    most 4,096 of them.
+    most 4,096 of them: runs recur across the distinct words whose images
+    ``_word_image`` builds.
     """
     p = e - q
     sym, shifted = (row, col, odd), (row + n, col, odd)
@@ -399,72 +400,93 @@ def _run_splits(row, col, odd, e, q, n) -> tuple:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=4096)
+def _word_image(word, n, unitary) -> tuple:
+    """The image of one word under ``embed_pi``, as ``(monomial, re, im)``
+    tuples: the monomial times the weight re + im i.
+
+    Letters of one class, (row, col, position parity), commute in the image.
+    A word in normal form has each parity class sorted (``hc_normal_form``),
+    so a class is one run of equal (row, col) there, and one pass over the
+    word reads the runs in symbol order; its letters are in range, as a
+    ``WordElement`` checks them when it is made.  An orthogonal word is one
+    monomial, a run's symbol to the run's length, of weight 1.
+
+    A unitary-presentation letter expands over dimension 2n: u_ij to
+    x_ij + i*x_(n+i)j and its star to x_ij - i*x_(n+i)j.  A run of p plain
+    and q starred letters splits by its count of shifted letters
+    (``_run_splits``), so a word makes prod(e_run + 1) terms at most, not
+    2^k, in the product order of its runs, and distinct terms; a shifted row
+    exceeds n, so the shifted pieces sort after the plain ones.
+
+    The image depends on n only through the shifted rows, and a unitary
+    word with no starred letter equals the orthogonal word of its letters,
+    so n and ``unitary`` are part of the key.  Like ``words._symbol_splits``
+    the cache keeps at most 4,096 entries; a repeated word returns the same
+    monomial objects, so dicts that meet them again match keys by identity.
+    """
+    runs = []  # (symbol, length, starred letters) of each run
+    for odd in (False, True):
+        letters = word[odd::2]
+        end, size = 0, len(letters)
+        while end < size:
+            first = end
+            row, col, q = letters[end]
+            end += 1
+            while end < size and letters[end][0] == row and letters[end][1] == col:
+                q += letters[end][2]
+                end += 1
+            runs.append(((row, col, odd), end - first, q))
+    runs.sort()
+    if not unitary:
+        return ((_monomial(tuple([(sym, e) for sym, e, _q in runs])), 1, 0),)
+    terms = (((), (), 1, 0),)  # (plain pieces, shifted pieces, weight re, weight im)
+    for k, ((row, col, odd), e, q) in enumerate(runs):
+        splits = _run_splits(row, col, odd, e, q, n)
+        # the first run's splits times the unit term are the splits themselves
+        terms = splits if not k else [
+            (plain + more, shifted + more_shifted, re * r - im * s, re * s + im * r)
+            for plain, shifted, re, im in terms
+            for more, more_shifted, r, s in splits
+        ]
+    return tuple((_monomial(plain + shifted), re, im) for plain, shifted, re, im in terms)
+
+
 def embed_pi(x: WordElement) -> CrossedElement:
     """The *-homomorphism sending the generator v_ij to u_ij * s.
 
     Since s f = bar(f) s, a word v_a1 v_a2 ... v_ak goes to the single
     monomial u_a1 ubar_a2 u_a3 ... s^k: letters at odd positions stay plain,
     letters at even positions are conjugated, and the term is odd iff k is.
-    Letters of one class, (row, col, position parity), commute in the image.
-    A word in normal form has each parity class sorted (``hc_normal_form``),
-    so a class is one run of equal (row, col) there, and one pass over the
-    word reads the runs in symbol order; its letters are in range, as a
-    ``WordElement`` checks them when it is made.  An orthogonal word is one
-    monomial, a run's symbol to the run's length.  Distinct normal forms have
-    distinct letter multisets per parity, so their images are distinct and
-    nothing is merged.
-
-    A unitary-presentation letter expands over dimension 2n: u_ij to
-    x_ij + i*x_(n+i)j and its star to x_ij - i*x_(n+i)j.  A run of p plain
-    and q starred letters splits once by its count of shifted letters, read
-    from the ``_run_splits`` cache, so a word makes prod(e_run + 1) terms at
-    most, not 2^k, in the product order of its runs; a shifted row exceeds
-    n, so the shifted pieces sort after the plain ones.  The coefficient
-    times each weight is integer arithmetic on its (a + b i) / d.
+    A unitary-presentation letter expands over dimension 2n.  Each word's
+    image comes from the ``_word_image`` cache, and this only scales its
+    weights by the word's coefficient, integer arithmetic on (a + b i) / d,
+    and sums them per part.  Distinct orthogonal normal forms have distinct
+    letter multisets per parity, so their images are distinct; unitary
+    words that differ only in their stars can meet in one monomial.
     """
     n = x.presentation.n
     unitary = x.presentation.kind == AU_STAR_STAR
-    parts = ({}, {})  # exponent tuple -> coefficient, of the even and the odd part
+    parts = ({}, {})  # monomial -> coefficient, of the even and the odd part
+    merged = False  # whether two words met in a monomial, whose sum may vanish
     for word, coeff in x.terms.items():
-        runs = []  # (symbol, length, starred letters) of each run
-        for odd in (False, True):
-            letters = word[odd::2]
-            end, size = 0, len(letters)
-            while end < size:
-                first = end
-                row, col, q = letters[end]
-                end += 1
-                while end < size and letters[end][0] == row and letters[end][1] == col:
-                    q += letters[end][2]
-                    end += 1
-                runs.append(((row, col, odd), end - first, q))
-        runs.sort()
         part = parts[len(word) % 2]
-        if not unitary:
-            part[tuple([(sym, e) for sym, e, _q in runs])] = coeff
-            continue
-        terms = (((), (), 1, 0),)  # (plain pieces, shifted pieces, weight re, weight im)
-        for k, ((row, col, odd), e, q) in enumerate(runs):
-            splits = _run_splits(row, col, odd, e, q, n)
-            # the first run's splits times the unit term are the splits themselves
-            terms = splits if not k else [
-                (plain + more, shifted + more_shifted, re * r - im * s, re * s + im * r)
-                for plain, shifted, re, im in terms
-                for more, more_shifted, r, s in splits
-            ]
         a, b, d = coeff.a, coeff.b, coeff.d
         scaled = {(1, 0): coeff}  # the coefficient times each weight, once
-        for plain, shifted, re, im in terms:
+        for mono, re, im in _word_image(word, n, unitary):
             c = scaled.get((re, im))
             if c is None:
                 c = scaled[re, im] = _reduced(a * re - b * im, a * im + b * re, d)
-            # unitary words that differ only in their stars can meet in one monomial
-            exps = plain + shifted
-            prev = part.get(exps)
-            part[exps] = c if prev is None else prev + c
+            prev = part.get(mono)
+            if prev is None:
+                part[mono] = c
+            else:
+                part[mono] = prev + c
+                merged = True
+    if merged:
+        parts = [{m: c for m, c in part.items() if c} for part in parts]
     space = 2 * n if unitary else n
-    return CrossedElement(*(FunElement._over(space, {_monomial(exps): c for exps, c in part.items() if c})
-                            for part in parts))
+    return CrossedElement(*(FunElement._over(space, part) for part in parts))
 
 
 def _display_items(f: FunElement, flip=False):

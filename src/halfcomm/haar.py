@@ -42,8 +42,12 @@ The integral is also rational, so it equals its own conjugate, which swaps
 plain and conjugate exponents: a polynomial that holds a monomial and its
 conjugate, as a norm holds m-bar m' and m'-bar m, integrates the pair once,
 with the sum of their coefficients.  The memo holds at most the shapes of
-degree p, and lives as long as its table: clearing ``_TABLE_CACHE`` clears
-it too.
+degree p.  In front of it, a second memo maps each monomial met before to
+its integral and its conjugate, so a repeated monomial reads neither its
+cells nor its key; it holds at most ``MONOMIAL_MEMO_CAP`` monomials per
+table, and a hit still gets its table from ``weingarten_table``, so the
+degree cap holds as on a miss.  Both memos live as long as their table:
+clearing ``_TABLE_CACHE`` clears them too.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ from .groups import GroupModel, check_draw_size, evaluate_fun_batch, sample_batc
 from .scalars import ZERO, GaussianRational, _reduced, reduce_terms
 
 PMAX_DEFAULT = 5
+MONOMIAL_MEMO_CAP = 4096  # monomials one Weingarten table memoises; misses past it are not stored
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _compose(s, t):
@@ -158,8 +164,11 @@ class WeingartenTable:
     ``shapes`` memoises the integrals of degree-p monomials over U(n) by
     shape, their exponent cells up to relabelling rows and columns (see
     ``_integral``).  A shape is a table of exponent pairs of total degree
-    2p, so the memo is bounded by their number, whatever the dimension; it
-    fills idempotently with exact values and is dropped with the table."""
+    2p, so the memo is bounded by their number, whatever the dimension.
+    ``monomials`` maps a monomial met before to its ``_integral`` answer,
+    (value, conjugate or None), and holds at most ``MONOMIAL_MEMO_CAP``
+    of them.  Both fill idempotently with exact values and are dropped with
+    the table."""
 
     p: int
     n: int
@@ -168,6 +177,7 @@ class WeingartenTable:
     denominator: int = field(init=False)
     numerators: dict = field(init=False)
     shapes: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    monomials: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.denominator = math.lcm(*(v.denominator for v in self.values.values()))
@@ -333,44 +343,56 @@ def _shape_key(rows, cols, codes):
 
 
 def _integral(mono, n, p_max):
-    """The integral of a monomial, looked up in the ``shapes`` memo of its
-    Weingarten table, and on a miss counted by ``_coset_integral``; and
-    whether its conjugate is another monomial of degree p >= 1, which has
-    the same integral.
+    """The integral of a monomial, and its conjugate monomial when that is
+    another monomial of degree p >= 1, which has the same integral (else
+    None).
 
-    One pass over the sorted exponents reads the cells (i, j), in symbol
-    order, with their plain exponent a and conjugate exponent b: the plain
-    symbol of a cell sorts just before its conjugate.  A cell has the code
-    a (p + 1) + b, and the memo key is the ``_shape_key`` of the codes:
-    relabelling rows and columns keeps the integral.  The conjugate swaps a
-    and b in every cell, so it is another monomial exactly when some cell
-    has a != b; on a miss its key is looked up too, so that a shape met as
-    m and later as bar(m) is counted once.  The hits, which a warm memo
-    serves, build one key.
+    One pass over the sorted exponents reads the plain degree p and the
+    conjugate degree q: an unbalanced monomial integrates to 0, and the
+    constant to 1.  Otherwise the ``monomials`` memo of the degree-p table,
+    got through ``weingarten_table`` so that its degree cap holds on a hit
+    as on a miss, answers a monomial met before.  A miss reads the cells
+    (i, j), in symbol order, with their plain exponent a and conjugate
+    exponent b: the plain symbol of a cell sorts just before its conjugate.
+    A cell has the code a (p + 1) + b, and the ``shapes`` memo key is the
+    ``_shape_key`` of the codes: relabelling rows and columns keeps the
+    integral.  The conjugate swaps a and b in every cell, so it is another
+    monomial exactly when some cell has a != b; then its key is looked up
+    too, so that a shape met as m and later as bar(m) is counted once, and
+    only a shape met in neither orientation is counted by
+    ``_coset_integral``.  Past ``MONOMIAL_MEMO_CAP`` entries a miss is
+    answered but not stored.
     """
-    rows, cols, plain, conj = [], [], [], []
     p = q = 0
+    for (_i, _j, b), e in mono.exps:
+        if b:
+            q += e
+        else:
+            p += e
+    if p != q:
+        return _ZERO, None
+    if p == 0:
+        return _ONE, None
+    table = weingarten_table(p, n, p_max)
+    memo = table.monomials
+    out = memo.get(mono)
+    if out is not None:
+        return out
+    rows, cols, plain, conj = [], [], [], []
     last_i = last_j = 0  # indices start at 1
     for (i, j, b), e in mono.exps:
         if b:
-            q += e
             if i == last_i and j == last_j:
                 conj[-1] = e
                 continue
             plain.append(0)
             conj.append(e)
         else:
-            p += e
             plain.append(e)
             conj.append(0)
         rows.append(i)
         cols.append(j)
         last_i, last_j = i, j
-    if p != q:
-        return Fraction(0), False
-    if p == 0:
-        return Fraction(1), False
-    table = weingarten_table(p, n, p_max)
     base = p + 1
     key = _shape_key(rows, cols, [a * base + b for a, b in zip(plain, conj)])
     paired = plain != conj
@@ -385,7 +407,10 @@ def _integral(mono, n, p_max):
                 table,
             )
         table.shapes[key] = value
-    return value, paired
+    out = value, mono.bar() if paired else None
+    if len(memo) < MONOMIAL_MEMO_CAP:
+        memo[mono] = out
+    return out
 
 
 def _coset_integral(plain, conj, table) -> Fraction:
@@ -414,7 +439,8 @@ def haar_integral(f: FunElement, p_max: int = PMAX_DEFAULT) -> GaussianRational:
 
     A monomial and its conjugate have one integral (see ``_integral``), so
     when both are terms of f they are integrated once, with the sum of their
-    coefficients; the conjugate is looked for only when it differs.
+    coefficients; the conjugate that ``_integral`` returns is looked for
+    only when it differs.
     """
     terms = f.terms
     folded = set()  # conjugates already integrated with their partner
@@ -422,9 +448,8 @@ def haar_integral(f: FunElement, p_max: int = PMAX_DEFAULT) -> GaussianRational:
     for mono, coeff in terms.items():
         if mono in folded:
             continue
-        val, paired = _integral(mono, f.n, p_max)
-        if paired:
-            conj = mono.bar()
+        val, conj = _integral(mono, f.n, p_max)
+        if conj is not None:
             other = terms.get(conj)
             if other is not None:
                 folded.add(conj)

@@ -136,9 +136,10 @@ class VerifyReport:
 
 
 SUITES = {}
+CAPS = {}  # suite name -> the cap check of a suite that has one; takes its parameters
 
 
-def _suite(name):
+def _suite(name, caps=None):
     """Register a generator of ``(check_id, rule, check)`` triples as the
     suite ``name``; ``check()`` returns ``(passed, detail)``.
 
@@ -148,11 +149,25 @@ def _suite(name):
     the generator.  A check's ``elapsed_s`` runs from the end of the previous
     check, so it includes the set-up code the generator ran for it, and the
     timings of a suite add up to its run time.
+
+    ``caps``, when given, takes every parameter of the suite, defaults
+    filled in, and raises ``ValueError`` when they ask for more than a
+    resource cap allows; it runs before the first check, and ``check_caps``
+    runs it on its own, so that a battery refuses before any suite runs.
     """
 
     def register(gen):
+        signature = inspect.signature(gen)
+
+        def check_params(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            caps(**bound.arguments)
+
         @functools.wraps(gen)
         def run(*args, **kwargs):
+            if caps is not None:
+                check_params(*args, **kwargs)
             report = VerifyReport(name)
             start = time.perf_counter()
             for check_id, rule, check in gen(*args, **kwargs):
@@ -166,6 +181,8 @@ def _suite(name):
             return report
 
         SUITES[name] = run
+        if caps is not None:
+            CAPS[name] = check_params
         return run
 
     return register
@@ -263,10 +280,15 @@ def suite_half_comm(n=2):
     yield f"self-adjoint-n{n}", "generator images are self-adjoint", check_star
 
 
-def _draw(model, rng, count):
-    """``sample_batch``, once ``check_draw_size`` has passed the draw."""
+def _check_draw(model, count):
+    """``check_draw_size`` of a draw of ``count`` samples over ``model``."""
     d = model.ambient_dim
     check_draw_size(count * d * d, f"a draw of {count} samples over {model}")
+
+
+def _draw(model, rng, count):
+    """``sample_batch``, once ``_check_draw`` has passed the draw."""
+    _check_draw(model, count)
     return sample_batch(model, rng, count)
 
 
@@ -305,8 +327,9 @@ def _normal_form_count(n, maxlen):
                for size in range(maxlen + 1))
 
 
-@_suite("faithfulness")
-def suite_faithfulness(n=2, p_max=PMAX_DEFAULT, seed=DEFAULT_SEED):
+def _faithfulness_caps(n, **_):
+    """Refuse more than ``FAITHFULNESS_MAX_PAIRS`` pairs of normal forms,
+    counted before any is listed."""
     count = _normal_form_count(n, FAITHFULNESS_MAXLEN)
     pairs = count * (count + 1) // 2
     if pairs > FAITHFULNESS_MAX_PAIRS:
@@ -314,6 +337,10 @@ def suite_faithfulness(n=2, p_max=PMAX_DEFAULT, seed=DEFAULT_SEED):
             f"faithfulness over n={n} compares {count} normal forms, {pairs} pairs; "
             f"the cap is {FAITHFULNESS_MAX_PAIRS}"
         )
+
+
+@_suite("faithfulness", caps=_faithfulness_caps)
+def suite_faithfulness(n=2, p_max=PMAX_DEFAULT, seed=DEFAULT_SEED):
     pres = ao_star(n)
 
     forms = {()}
@@ -627,7 +654,14 @@ def shipped_models():
     return [parse_model(t) for t in names]
 
 
-@_suite("predicates")
+def _predicates_caps(trials, **_):
+    # the doubly-non-real checks draw one sample at a time; transpose-closure
+    # draws ``trials`` over each shipped model, in this order
+    for model in shipped_models():
+        _check_draw(model, trials)
+
+
+@_suite("predicates", caps=_predicates_caps)
 def suite_predicates(trials=1000, seed=DEFAULT_SEED):
     def check_on_real():
         res = predicate(parse_model("on:3"), "non_real", trials=10, rng_seed=seed)
@@ -668,7 +702,11 @@ def suite_predicates(trials=1000, seed=DEFAULT_SEED):
     yield "transpose-closure", "the transpose of every sample stays in its model", check_transpose
 
 
-@_suite("kn")
+def _kn_caps(n, **_):
+    _check_draw(parse_model(f"kn:{n}"), STRUCTURAL_DRAWS)
+
+
+@_suite("kn", caps=_kn_caps)
 def suite_kn(n=3, seed=DEFAULT_SEED):
     model = parse_model(f"kn:{n}")
 
@@ -698,7 +736,13 @@ def suite_kn(n=3, seed=DEFAULT_SEED):
     )
 
 
-@_suite("u2n")
+def _u2n_caps(n, points, **_):
+    model = parse_model(f"u2n:{n}")
+    _check_draw(model, STRUCTURAL_DRAWS)  # sampler-pattern
+    _check_draw(model, points)  # unitary-generators
+
+
+@_suite("u2n", caps=_u2n_caps)
 def suite_u2n(n=1, points=100, seed=DEFAULT_SEED):
     model = parse_model(f"u2n:{n}")
 
@@ -1150,9 +1194,24 @@ def suite_params(suite: str):
     return inspect.signature(SUITES[suite]).parameters
 
 
+def _accepted(suite, params):
+    """Those of ``params`` that the named suite takes; an unknown suite
+    raises ``ValueError``."""
+    accepted = suite_params(suite)
+    return {k: v for k, v in params.items() if k in accepted}
+
+
 def run_verify(suite: str, **params) -> VerifyReport:
     """Run a named suite with those of ``params`` that it accepts; the rest
     are ignored, so one set of parameters serves every suite of ``verify
     --suite all``.  An unknown suite raises ``ValueError``."""
-    accepted = suite_params(suite)
-    return SUITES[suite](**{k: v for k, v in params.items() if k in accepted})
+    return SUITES[suite](**_accepted(suite, params))
+
+
+def check_caps(suite: str, **params) -> None:
+    """Raise the ``ValueError`` that ``run_verify(suite, **params)`` raises
+    for parameters over a resource cap, without running any check: the
+    faithfulness pair count and the draws of kn, predicates and u2n."""
+    params = _accepted(suite, params)
+    if suite in CAPS:
+        CAPS[suite](**params)

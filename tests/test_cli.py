@@ -355,6 +355,35 @@ def test_faithfulness_at_the_pair_cap_runs(capsys, monkeypatch):
     assert code == 2 and out == "" and " 61 normal forms, 1891 pairs" in err
 
 
+@pytest.mark.parametrize(
+    "flags, suite, max_pairs",
+    [
+        # ah-zero runs before faithfulness, and took most of a minute at n = 4
+        (("--n", "4"), "faithfulness", None),
+        # with the pair cap lifted, kn's 1,000 draws of 1000 x 1000 matrices
+        (("--n", "1000"), "kn", 10**40),
+        # predicates' transpose-closure draws over un:3 as well
+        (("--trials", "2000000"), "predicates", None),
+    ],
+)
+def test_verify_all_refuses_before_any_suite_runs(capsys, monkeypatch, flags, suite, max_pairs):
+    # the battery refuses with the line its capped suite gives on its own,
+    # before any suite prints a check line or its summary
+    from halfcomm import verify
+
+    if max_pairs is not None:
+        monkeypatch.setattr(verify, "FAITHFULNESS_MAX_PAIRS", max_pairs)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", *flags)
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    (line,) = [l for l in err.splitlines() if not l.startswith("# config")]
+    code, out, alone = run_cli(capsys, "verify", "--suite", suite, *flags)
+    assert code == 2 and out == ""
+    assert [l for l in alone.splitlines() if not l.startswith("# config")] == [line]
+    assert line.startswith("error: ") and "the cap is" in line
+
+
 def test_normal_form_count_matches_the_listed_forms():
     from halfcomm.verify import _all_words, _normal_form_count
     from halfcomm.words import ao_star, hc_normal_form

@@ -10,6 +10,7 @@ from halfcomm.crossed import (
     FunMonomial,
     _monomial,
     _run_splits,
+    _word_image,
     coinvariant_test,
     crossed_antipode,
     crossed_coproduct,
@@ -423,6 +424,55 @@ def test_embed_splits_letter_classes_like_the_letter_expansion(pres, letters, ma
         assert image == reference == embed_by_products(x) == embed_letter_by_letter(x)
         assert list(image.f0.terms) == list(reference.f0.terms)
         assert list(image.f1.terms) == list(reference.f1.terms)
+
+
+WORD_CACHE_CASES = [ao_star(2), ao_star(3), ao_star(4), AU1, AU2]
+
+
+def _over(pres, word):
+    """The letters of ``word`` over ``pres``: the stars dropped in an
+    orthogonal presentation, None when an index is out of its range."""
+    if any(max(l.row, l.col) > pres.n for l in word):
+        return None
+    return tuple(letter(pres, l.row, l.col, l.starred and not pres.orthogonal) for l in word)
+
+
+def test_cached_word_images_match_the_letter_expansion():
+    # seeded elements over each presentation, embedded from a cold word
+    # cache and again from a warm one, and their words embedded over every
+    # other presentation they fit: the same word over two n (au-star-star:1
+    # and :2) or as an unstarred word of both kinds meets the cache again
+    _word_image.cache_clear()
+    rng = random.Random(2301)
+    shared = 0
+    for _ in range(150):
+        pres = rng.choice(WORD_CACHE_CASES)
+        letters = all_letters(pres)
+        x = WordElement(pres, {tuple(rng.choice(letters) for _ in range(rng.randint(0, 5))):
+                               GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) / rng.randint(1, 3)
+                               for _ in range(rng.randint(1, 4))})
+        expected = embed_letter_by_letter(x)
+        image = embed_pi(x)
+        again = embed_pi(x)
+        assert image == again == expected
+        # a warm image is built from the very monomials of the cold one
+        for part, warm in ((image.f0, again.f0), (image.f1, again.f1)):
+            assert all(a is b for a, b in zip(part.terms, warm.terms))
+        for other in WORD_CACHE_CASES:
+            moved = {_over(other, w): c for w, c in x.terms.items()}
+            if other is not pres and None not in moved:
+                y = WordElement(other, moved)
+                assert embed_pi(y) == embed_letter_by_letter(y), (pres, other, x)
+                shared += any(w in x.terms for w in y.terms)
+    assert shared >= 20, shared
+    # the same words over au-star-star:1 and :2, in both orders
+    words = list(itertools.product(all_letters(AU1), repeat=3))
+    for order in ((AU1, AU2), (AU2, AU1)):
+        _word_image.cache_clear()
+        for pres in order:
+            for w in words:
+                x = WordElement.from_word(pres, w)
+                assert embed_pi(x) == embed_letter_by_letter(x), (pres, w)
 
 
 def test_embed_leaves_out_a_class_weight_that_cancels():

@@ -276,6 +276,13 @@ def test_monomial_integral_matches_filtered_permutations(n):
         assert _integral(m, n, 6)[0] == _filtered_monomial_integral(m, n), (n, us)
 
 
+def _clear_memos(table):
+    """Empty a table's monomial memo and the shape memo behind it, so that
+    the next integrals of its degree read and fill ``shapes`` again."""
+    table.monomials.clear()
+    table.shapes.clear()
+
+
 def _relabelled(m, rows, cols):
     """m with row i renamed rows[i - 1] and column j renamed cols[j - 1]."""
     return FunMonomial({(rows[i - 1], cols[j - 1], b): e for (i, j, b), e in m.exps})
@@ -298,7 +305,7 @@ def test_shape_memo_cold_and_warm_match_filtered_permutations(n):
                 r = _relabelled(m, rng.sample(range(1, n + 1), n), rng.sample(range(1, n + 1), n))
                 variants += [r, r.bar()]
             expected = _filtered_monomial_integral(m, n)
-            table.shapes.clear()
+            _clear_memos(table)
             assert [_integral(v, n, 5)[0] for v in variants] == [expected] * len(variants), (n, us, ubars)
             assert [_integral(v, n, 5)[0] for v in variants] == [expected] * len(variants), (n, us, ubars)
 
@@ -320,7 +327,7 @@ def test_shape_memo_keeps_plain_and_conjugate_apart():
     # factors: |u11|^2 |u12|^2 against u11^2 ubar12^2 and u11 u12^2 ubar11^2 ubar12
     n = 2
     table = weingarten_table(4, n)
-    table.shapes.clear()
+    _clear_memos(table)
     pairs = [
         ([(1, 1), (1, 1), (1, 2), (1, 2)], [(1, 1), (1, 1), (1, 2), (1, 2)]),
         ([(1, 1), (1, 1), (1, 1), (1, 1)], [(1, 2), (1, 2), (1, 2), (1, 2)]),
@@ -342,7 +349,7 @@ def test_shape_memo_one_entry_per_shape():
     n = 3
     (m,) = mono(n, [(1, 1), (1, 1), (2, 2)], [(1, 1), (1, 2), (2, 1)]).terms
     table = weingarten_table(3, n)
-    table.shapes.clear()
+    _clear_memos(table)
     expected = _filtered_monomial_integral(m, n)
     assert expected != 0
     for rows in itertools.permutations(range(1, n + 1)):
@@ -377,6 +384,101 @@ def test_shape_memo_lives_on_its_table():
     finally:
         _TABLE_CACHE.clear()
         _TABLE_CACHE.update(saved)
+
+
+@pytest.fixture
+def fresh_tables():
+    """An empty ``_TABLE_CACHE`` for the test, the saved tables put back after."""
+    saved = dict(_TABLE_CACHE)
+    _TABLE_CACHE.clear()
+    yield
+    _TABLE_CACHE.clear()
+    _TABLE_CACHE.update(saved)
+
+
+def _margin_matched(rng, us):
+    """Conjugate cells with the rows and the columns of ``us``, each list
+    shuffled on its own, so that most integrals are non-zero and most
+    monomials differ from their conjugates."""
+    rows, cols = [i for i, _ in us], [j for _, j in us]
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return list(zip(rows, cols))
+
+
+def _counting_walks(monkeypatch):
+    """Count the calls of ``haar._coset_integral`` from now on."""
+    from halfcomm import haar
+
+    walks, walk = [], haar._coset_integral
+    monkeypatch.setattr(haar, "_coset_integral", lambda *args: walks.append(args) or walk(*args))
+    return walks
+
+
+def test_monomial_memo_hit_keeps_the_degree_cap(fresh_tables):
+    # the degree-3 table holds the monomial, yet a cap below 3 refuses it,
+    # alone and inside a polynomial, as it refuses a monomial never seen
+    (m,) = mono(2, [(1, 1), (1, 2), (2, 1)], [(1, 1), (1, 2), (2, 1)]).terms
+    answer = _integral(m, 2, 5)
+    assert weingarten_table(3, 2).monomials == {m: answer}
+    assert _integral(m, 2, 3) == answer
+    for p_max in (1, 2):
+        with pytest.raises(DegreeCapError):
+            _integral(m, 2, p_max)
+        with pytest.raises(DegreeCapError):
+            haar_integral(FunElement(2, {m: 1}), p_max=p_max)
+
+
+def test_monomial_memo_goes_with_its_table(fresh_tables, monkeypatch):
+    walks = _counting_walks(monkeypatch)
+    (m,) = mono(3, [(1, 1), (2, 3)], [(1, 3), (2, 1)]).terms
+    value = _integral(m, 3, 5)[0]
+    assert value == _filtered_monomial_integral(m, 3) != 0
+    assert len(walks) == 1
+    assert _integral(m, 3, 5)[0] == value and len(walks) == 1  # a memo hit walks nothing
+    _TABLE_CACHE.clear()
+    assert _integral(m, 3, 5)[0] == value and len(walks) == 2  # the new table walks again
+    assert set(weingarten_table(2, 3).monomials) == {m}
+
+
+def test_monomial_memo_stops_growing_at_its_cap(fresh_tables, monkeypatch):
+    from halfcomm import haar
+
+    monkeypatch.setattr(haar, "MONOMIAL_MEMO_CAP", 4)
+    rng = random.Random(2311)
+    monos = []
+    while len(monos) < 12:
+        us = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(3)]
+        (m,) = mono(3, us, _margin_matched(rng, us)).terms
+        if m not in monos:
+            monos.append(m)
+    expected = [(_filtered_monomial_integral(m, 3), m.bar() if m.bar() != m else None) for m in monos]
+    assert sum(v != 0 for v, _c in expected) >= 6 and sum(c is not None for _v, c in expected) >= 4
+    table = weingarten_table(3, 3)
+    for rep in range(2):
+        assert [_integral(m, 3, 5) for m in monos] == expected, rep
+        assert list(table.monomials) == monos[:4]
+    assert haar_integral(FunElement(3, {m: k + 1 for k, m in enumerate(monos)})) == sum(
+        (GaussianRational(k + 1) * v for k, (v, _c) in enumerate(expected)), GaussianRational(0))
+
+
+def test_monomial_memo_returns_the_conjugate(fresh_tables):
+    # a miss and then a hit give the conjugate as a monomial, or None when
+    # the monomial is its own conjugate; the fold in haar_integral reads it
+    rng = random.Random(2312)
+    paired = 0
+    for _ in range(60):
+        n = rng.randint(2, 3)
+        us = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(2, 3))]
+        (m,) = mono(n, us, _margin_matched(rng, us)).terms
+        conj = m.bar() if m.bar() != m else None
+        value = _filtered_monomial_integral(m, n)
+        assert _integral(m, n, 5) == _integral(m, n, 5) == (value, conj)
+        paired += conj is not None and value != 0
+        f = FunElement(n, {m: GaussianRational(2, 1), m.bar(): GaussianRational(Fraction(1, 3))})
+        expected = sum((c * _filtered_monomial_integral(t, n) for t, c in f.terms.items()), GaussianRational(0))
+        assert haar_integral(f) == haar_integral(f) == expected
+    assert paired >= 10, paired
 
 
 def _cells(m):
@@ -427,7 +529,7 @@ def test_memo_key_is_the_relabelled_key(n, monkeypatch):
             cells, swapped = _cells(m)
             assert _one_pass_key(cells) == _ranked_key(cells) and _one_pass_key(swapped) == _ranked_key(swapped)
             distinct += _one_pass_key(cells) != _one_pass_key(swapped)
-            table.shapes.clear()
+            _clear_memos(table)
             walks.clear()
             value = _integral(m, n, 5)[0]
             assert set(table.shapes) == {_one_pass_key(cells)}, (us, ubars)
@@ -440,7 +542,7 @@ def test_memo_key_is_the_relabelled_key(n, monkeypatch):
             cells, swapped = _cells(m)
             assert swapped == cells
             table = weingarten_table(half.degree, n)
-            table.shapes.clear()
+            _clear_memos(table)
             assert _integral(m, n, 5)[0] == _filtered_monomial_integral(m, n)
             assert set(table.shapes) == {_one_pass_key(cells)}
     # over n = 1 every balanced monomial is its own conjugate

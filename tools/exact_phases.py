@@ -16,6 +16,14 @@ Prints one line per (presentation, equal or unequal pair): the number of
 pairs, the mean ms of each stage per pair (norm per pair that reaches it)
 and how many pairs reach the norm.  The answers are checked against
 ``haar.norm_equal``.
+
+Then, per presentation and for the whole round, its equality decisions
+and Haar states taken once: how many embedded words, and how many
+integrated monomials, repeat an earlier one of the round, the work that
+the word-image cache of ``crossed.embed_pi`` and the monomial memo of the
+Weingarten tables save.  The words are read off the round's elements; the
+monomials are those the round hands ``haar._integral``, recorded by a
+wrapper in this process.  Last, the ``cache_info()`` of the word cache.
 """
 
 from __future__ import annotations
@@ -40,18 +48,54 @@ from halfcomm.words import WordElement  # noqa: E402
 PHASES = ("embed", "subtract", "witness", "norm")
 
 
-def round_pairs(seed):
-    """(group, x, y) of each equality decision of the seed's exact-warm round,
-    drawn as ``workloads.exact_warm_round`` draws them."""
+def round_inputs(seed):
+    """The seed's exact-warm round, drawn as ``workloads.exact_warm_round``
+    draws it: (group, x, y) of each equality decision, and (presentation, x)
+    of each Haar state."""
     rng = random.Random(f"exact-warm:{seed}")
-    out = []
+    pairs, states = [], []
     for pres, lengths, n_equal, n_state in workloads.EXACT_WARM:
         for k in range(n_equal):
             equal = k % 2 == 0
             xt, yt = workloads.equality_pair(rng, pres, lengths, equal)
-            out.append(((str(pres), "equal" if equal else "unequal"), WordElement(pres, xt), WordElement(pres, yt)))
+            pairs.append(((str(pres), "equal" if equal else "unequal"), WordElement(pres, xt), WordElement(pres, yt)))
         for _ in range(n_state):
-            workloads.rand_terms(rng, pres, lengths)  # the round's Haar states draw from the same stream
+            states.append((str(pres), WordElement(pres, workloads.rand_terms(rng, pres, lengths))))
+    return pairs, states
+
+
+def repeat_counts(pairs, states):
+    """{presentation: (words, repeated words, monomials, repeated monomials)}
+    over one pass of the round, "all" for the whole round: an item repeats
+    when an earlier one of the round equals it (a word over the same
+    presentation, a monomial over the same dimension)."""
+    words, monos = defaultdict(list), defaultdict(list)
+    for (pres, _kind), x, y in pairs:
+        words[pres] += [*x.terms, *y.terms]
+    for pres, x in states:
+        words[pres] += list(x.terms)
+    integral = haar._integral
+    current = [None]  # the presentation of the operation running
+
+    def recording(mono, n, p_max):
+        monos[current[0]].append((mono, n))
+        return integral(mono, n, p_max)
+
+    haar._integral = recording
+    try:
+        for (pres, _kind), x, y in pairs:
+            current[0] = pres
+            haar.norm_equal(crossed.embed_pi(x), crossed.embed_pi(y))
+        for pres, x in states:
+            current[0] = pres
+            haar.haar_state(crossed.embed_pi(x))
+    finally:
+        haar._integral = integral
+    out = {}
+    for pres in sorted(words):
+        w, m = words[pres], monos[pres]
+        out[pres] = (len(w), len(w) - len(set(w)), len(m), len(m) - len(set(m)))
+    out["all"] = tuple(map(sum, zip(*out.values())))
     return out
 
 
@@ -85,7 +129,7 @@ def main(argv=None) -> int:
 
     for p, n in workloads.exact_tables():
         haar.weingarten_table(p, n)
-    pairs = round_pairs(args.seed)
+    pairs, states = round_inputs(args.seed)
     count, reached = defaultdict(int), defaultdict(int)
     for group, x, y in pairs:
         answer, norm = decide(x, y, defaultdict(float))
@@ -106,6 +150,12 @@ def main(argv=None) -> int:
         means = [times[group][p] / per[p] * 1e3 if per[p] else 0.0 for p in PHASES]
         print(f"{group[0]:<16} {group[1]:<8} {count[group]:>5} " + " ".join(f"{m:>9.4f}" for m in means)
               + f"  {reached[group]:>10}")
+
+    print(f"# exact-warm seed {args.seed}, one pass of the round: items that repeat an earlier one of the round")
+    print(f"{'presentation':<16} {'words':>6} {'repeat':>7} {'share':>6}  {'monomials':>9} {'repeat':>7} {'share':>6}")
+    for pres, (w, w_rep, m, m_rep) in repeat_counts(pairs, states).items():
+        print(f"{pres:<16} {w:>6} {w_rep:>7} {w_rep / w:>6.1%}  {m:>9} {m_rep:>7} {(m_rep / m if m else 0):>6.1%}")
+    print(f"# word cache: {crossed._word_image.cache_info()}")
     return 0
 
 
