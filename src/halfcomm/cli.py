@@ -312,7 +312,9 @@ def build_parser():
     samples = argparse.ArgumentParser(add_help=False)
     samples.add_argument("--samples", type=_count_at_least(2), default=None, help="Monte Carlo sample count")
     degree_cap = argparse.ArgumentParser(add_help=False)
-    degree_cap.add_argument("--degree-cap", type=int, dest="degree_cap", help="cap on the exact-integration degree")
+    degree_cap.add_argument(
+        "--degree-cap", type=_count_at_least(0), dest="degree_cap", help="cap on the exact-integration degree"
+    )
     as_json = argparse.ArgumentParser(add_help=False)
     as_json.add_argument("--json", action="store_true", help="machine-readable output")
 

@@ -32,22 +32,9 @@ hold only on SU(n), such as u11 = conj(u22) at n = 2.  A difference is
 evaluated on integers alone: g, and g^-1 times its least common
 denominator D, each term scaled by the power of D its barred factors miss.
 
-A monomial's integral depends only on its shape.  Haar measure is invariant
-under U -> P U Q for permutation matrices P and Q, which relabel the rows and
-the columns of its exponent cells (i, j) -> (plain, conjugate).  So each
-Weingarten table keeps a memo of the integrals of degree p over U(n), keyed
-by the cells with rows and columns relabelled in a fixed order: a real
-relabelling, never a coarser invariant, so equal keys are equal integrals.
-The integral is also rational, so it equals its own conjugate, which swaps
-plain and conjugate exponents: a polynomial that holds a monomial and its
-conjugate, as a norm holds m-bar m' and m'-bar m, integrates the pair once,
-with the sum of their coefficients.  The memo holds at most the shapes of
-degree p.  In front of it, a second memo maps each monomial met before to
-its integral and its conjugate, so a repeated monomial reads neither its
-cells nor its key; it holds at most ``MONOMIAL_MEMO_CAP`` monomials per
-table, and a hit still gets its table from ``weingarten_table``, so the
-degree cap holds as on a miss.  Both memos live as long as their table:
-clearing ``_TABLE_CACHE`` clears them too.
+Each Weingarten table keeps a memo from the monomials integrated with it
+to their integrals, so a monomial met again is read, not counted; it holds
+at most ``MONOMIAL_MEMO_CAP`` monomials and is cleared with its table.
 """
 
 from __future__ import annotations
@@ -159,16 +146,9 @@ class WeingartenTable:
     ``pseudo`` marks n < p, where the Gram matrix is singular.  The same
     values as integer ``numerators`` over one common ``denominator`` let an
     integral sum them as ints; they are keyed by ``_type_code``, as the
-    coset walk counts cycle types.
-
-    ``shapes`` memoises the integrals of degree-p monomials over U(n) by
-    shape, their exponent cells up to relabelling rows and columns (see
-    ``_integral``).  A shape is a table of exponent pairs of total degree
-    2p, so the memo is bounded by their number, whatever the dimension.
-    ``monomials`` maps a monomial met before to its ``_integral`` answer,
-    (value, conjugate or None), and holds at most ``MONOMIAL_MEMO_CAP``
-    of them.  Both fill idempotently with exact values and are dropped with
-    the table."""
+    coset walk counts cycle types.  ``monomials`` maps a monomial met
+    before to its integral; it holds at most ``MONOMIAL_MEMO_CAP`` of them,
+    fills idempotently with exact values, and is dropped with the table."""
 
     p: int
     n: int
@@ -176,7 +156,6 @@ class WeingartenTable:
     pseudo: bool
     denominator: int = field(init=False)
     numerators: dict = field(init=False)
-    shapes: dict = field(init=False, default_factory=dict, repr=False, compare=False)
     monomials: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -313,55 +292,17 @@ def _coset_cycle_types(classes, table, p) -> dict:
         follow_memo.clear()
 
 
-def _shape_key(rows, cols, codes):
-    """The cells (rows[k], cols[k]) -> codes[k] after relabelling their rows
-    and their columns, as a sorted tuple of (row, col, code).  A row's new
-    label is its rank among the rows, ordered by the sorted codes of their
-    cells, ties by old label; likewise for the columns.  The cells come in
-    symbol order, so the cells of one row are adjacent."""
-    if len(codes) == 1:
-        return ((0, 0, codes[0]),)
-    row_sigs, col_sigs = [], {}
-    last = None
-    for i, j, v in zip(rows, cols, codes):
-        if i == last:
-            row_sigs[-1][0].append(v)
-        else:
-            row_sigs.append(([v], i))
-            last = i
-        sig = col_sigs.get(j)
-        if sig is None:
-            col_sigs[j] = [v]
-        else:
-            sig.append(v)
-    for sig, _i in row_sigs:
-        sig.sort()
-    row_sigs.sort()
-    row_at = {i: k for k, (_sig, i) in enumerate(row_sigs)}
-    col_at = {j: k for k, (_sig, j) in enumerate(sorted([(sorted(sig), j) for j, sig in col_sigs.items()]))}
-    return tuple(sorted([(row_at[i], col_at[j], v) for i, j, v in zip(rows, cols, codes)]))
-
-
 def _integral(mono, n, p_max):
-    """The integral of a monomial, and its conjugate monomial when that is
-    another monomial of degree p >= 1, which has the same integral (else
-    None).
+    """The integral of a monomial over U(n), a Fraction.
 
     One pass over the sorted exponents reads the plain degree p and the
     conjugate degree q: an unbalanced monomial integrates to 0, and the
     constant to 1.  Otherwise the ``monomials`` memo of the degree-p table,
     got through ``weingarten_table`` so that its degree cap holds on a hit
-    as on a miss, answers a monomial met before.  A miss reads the cells
-    (i, j), in symbol order, with their plain exponent a and conjugate
-    exponent b: the plain symbol of a cell sorts just before its conjugate.
-    A cell has the code a (p + 1) + b, and the ``shapes`` memo key is the
-    ``_shape_key`` of the codes: relabelling rows and columns keeps the
-    integral.  The conjugate swaps a and b in every cell, so it is another
-    monomial exactly when some cell has a != b; then its key is looked up
-    too, so that a shape met as m and later as bar(m) is counted once, and
-    only a shape met in neither orientation is counted by
-    ``_coset_integral``.  Past ``MONOMIAL_MEMO_CAP`` entries a miss is
-    answered but not stored.
+    as on a miss, answers a monomial met before.  A miss splits the
+    exponents into plain and conjugate tables and counts the coset with
+    ``_coset_integral``; past ``MONOMIAL_MEMO_CAP`` entries it is answered
+    but not stored.
     """
     p = q = 0
     for (_i, _j, b), e in mono.exps:
@@ -370,47 +311,20 @@ def _integral(mono, n, p_max):
         else:
             p += e
     if p != q:
-        return _ZERO, None
+        return _ZERO
     if p == 0:
-        return _ONE, None
+        return _ONE
     table = weingarten_table(p, n, p_max)
     memo = table.monomials
-    out = memo.get(mono)
-    if out is not None:
-        return out
-    rows, cols, plain, conj = [], [], [], []
-    last_i = last_j = 0  # indices start at 1
-    for (i, j, b), e in mono.exps:
-        if b:
-            if i == last_i and j == last_j:
-                conj[-1] = e
-                continue
-            plain.append(0)
-            conj.append(e)
-        else:
-            plain.append(e)
-            conj.append(0)
-        rows.append(i)
-        cols.append(j)
-        last_i, last_j = i, j
-    base = p + 1
-    key = _shape_key(rows, cols, [a * base + b for a, b in zip(plain, conj)])
-    paired = plain != conj
-    value = table.shapes.get(key)
+    value = memo.get(mono)
     if value is None:
-        if paired:  # the conjugate may have been integrated already
-            value = table.shapes.get(_shape_key(rows, cols, [b * base + a for a, b in zip(plain, conj)]))
-        if value is None:
-            value = _coset_integral(
-                {(i, j): a for i, j, a in zip(rows, cols, plain) if a},
-                {(i, j): b for i, j, b in zip(rows, cols, conj) if b},
-                table,
-            )
-        table.shapes[key] = value
-    out = value, mono.bar() if paired else None
-    if len(memo) < MONOMIAL_MEMO_CAP:
-        memo[mono] = out
-    return out
+        plain, conj = {}, {}
+        for (i, j, b), e in mono.exps:
+            (conj if b else plain)[i, j] = e
+        value = _coset_integral(plain, conj, table)
+        if len(memo) < MONOMIAL_MEMO_CAP:
+            memo[mono] = value
+    return value
 
 
 def _coset_integral(plain, conj, table) -> Fraction:
@@ -435,26 +349,12 @@ def _coset_integral(plain, conj, table) -> Fraction:
 
 
 def haar_integral(f: FunElement, p_max: int = PMAX_DEFAULT) -> GaussianRational:
-    """Exact Haar integral of a coordinate polynomial over U(n), n = f.n.
-
-    A monomial and its conjugate have one integral (see ``_integral``), so
-    when both are terms of f they are integrated once, with the sum of their
-    coefficients; the conjugate that ``_integral`` returns is looked for
-    only when it differs.
-    """
-    terms = f.terms
-    folded = set()  # conjugates already integrated with their partner
+    """Exact Haar integral of a coordinate polynomial over U(n), n = f.n: the
+    sum over its terms of the coefficient times the monomial's integral."""
     total = ZERO
-    for mono, coeff in terms.items():
-        if mono in folded:
-            continue
-        val, conj = _integral(mono, f.n, p_max)
-        if conj is not None:
-            other = terms.get(conj)
-            if other is not None:
-                folded.add(conj)
-                coeff = coeff + other
-        if val and coeff:
+    for mono, coeff in f.terms.items():
+        val = _integral(mono, f.n, p_max)
+        if val:
             num = val.numerator
             total = total + _reduced(coeff.a * num, coeff.b * num, coeff.d * val.denominator)
     return total

@@ -638,6 +638,9 @@ def test_verify_k_flag_rejected(capsys):
         (["verify", "--suite", "all", "--n", "0"], "--n"),
         (["verify", "--suite", "all", "--maxlen", "0"], "--maxlen"),
         (["verify", "--suite", "all", "--points", "0"], "--points"),
+        (["equal", "--context", "ao-star:2", "--degree-cap", "-1", "v[1,1]", "v[1,1]"], "--degree-cap"),
+        (["haar", "--group", "un:2", "--degree-cap", "-1", "1"], "--degree-cap"),
+        (["verify", "--suite", "moments", "--degree-cap", "-1"], "--degree-cap"),
     ],
 )
 def test_counts_below_their_minimum_are_usage_errors(capsys, argv, flag):
@@ -745,6 +748,8 @@ def test_config_echo_gives_the_samples_used(capsys):
 def test_counts_at_their_minimum_run(capsys):
     code, out, _ = run_cli(capsys, "haar", "--mc", "--group", "kn:2", "--samples", "2", "u[1,1] u[1,2]")
     assert code == 0 and json.loads(out)["samples"] == 2
+    code, out, _ = run_cli(capsys, "haar", "--group", "un:2", "--degree-cap", "0", "1")
+    assert code == 0 and out.strip() == "1"
     code, out, _ = run_cli(capsys, "fusion-table", "--group", "torus:1", "--grade-cap", "0")
     assert code == 0 and [l["label"] for l in json.loads(out)["labels"]] == ["(t[0],e)"]
     code, out, _ = run_cli(capsys, "predicates", "--model", "on:3", "--which", "non_real", "--trials", "1")

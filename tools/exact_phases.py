@@ -2,10 +2,15 @@
 
 Usage: ``python tools/exact_phases.py --seed N --reps K`` (from anywhere).
 
-Draws the equality pairs of the benchmark's ``exact-warm`` round for seed N
-(the same inputs, in generation order), warms the Weingarten tables and
-decides every pair once untimed, then decides them K more times, timing
-each stage of ``haar.norm_equal(embed_pi(x), embed_pi(y))`` on its own:
+Draws the benchmark's ``exact-warm`` round for seed N (the same inputs, in
+generation order).  First it builds the round's Weingarten tables and
+takes one pass of the round, its equality decisions and Haar states, with
+their monomial memos empty: it prints that cold pass's ms and how many
+double cosets it walks (calls of ``haar._coset_integral``, counted by a
+wrapper in this process), the cost of meeting monomials for the first
+time, which the benchmark's warm rounds do not show.  It then decides
+every pair once untimed, and K more times, timing each stage of
+``haar.norm_equal(embed_pi(x), embed_pi(y))`` on its own:
 
 - embed: ``embed_pi`` of both sides;
 - subtract: the difference of the two images;
@@ -64,6 +69,40 @@ def round_inputs(seed):
     return pairs, states
 
 
+def run_round(pairs, states, before=lambda pres: None):
+    """One pass of the round: each equality decision, then each Haar state,
+    calling ``before`` with the presentation ahead of each."""
+    for (pres, _kind), x, y in pairs:
+        before(pres)
+        haar.norm_equal(crossed.embed_pi(x), crossed.embed_pi(y))
+    for pres, x in states:
+        before(pres)
+        haar.haar_state(crossed.embed_pi(x))
+
+
+def cold_pass(pairs, states):
+    """Seconds and ``haar._coset_integral`` calls of one pass of the round
+    with fresh Weingarten tables: built, before the pass, with empty
+    monomial memos."""
+    haar._TABLE_CACHE.clear()
+    for p, n in workloads.exact_tables():
+        haar.weingarten_table(p, n)
+    walk, walks = haar._coset_integral, [0]
+
+    def counting(*args):
+        walks[0] += 1
+        return walk(*args)
+
+    haar._coset_integral = counting
+    try:
+        t0 = perf_counter()
+        run_round(pairs, states)
+        secs = perf_counter() - t0
+    finally:
+        haar._coset_integral = walk
+    return secs, walks[0]
+
+
 def repeat_counts(pairs, states):
     """{presentation: (words, repeated words, monomials, repeated monomials)}
     over one pass of the round, "all" for the whole round: an item repeats
@@ -75,20 +114,15 @@ def repeat_counts(pairs, states):
     for pres, x in states:
         words[pres] += list(x.terms)
     integral = haar._integral
-    current = [None]  # the presentation of the operation running
+    current = []  # the presentations of the operations run; the last one is running
 
     def recording(mono, n, p_max):
-        monos[current[0]].append((mono, n))
+        monos[current[-1]].append((mono, n))
         return integral(mono, n, p_max)
 
     haar._integral = recording
     try:
-        for (pres, _kind), x, y in pairs:
-            current[0] = pres
-            haar.norm_equal(crossed.embed_pi(x), crossed.embed_pi(y))
-        for pres, x in states:
-            current[0] = pres
-            haar.haar_state(crossed.embed_pi(x))
+        run_round(pairs, states, current.append)
     finally:
         haar._integral = integral
     out = {}
@@ -127,9 +161,9 @@ def main(argv=None) -> int:
     if args.reps < 1:
         parser.error("--reps must be at least 1")
 
-    for p, n in workloads.exact_tables():
-        haar.weingarten_table(p, n)
     pairs, states = round_inputs(args.seed)
+    secs, walks = cold_pass(pairs, states)
+    print(f"# exact-warm seed {args.seed}, first pass with fresh tables: {secs * 1e3:.1f} ms, {walks} coset walks")
     count, reached = defaultdict(int), defaultdict(int)
     for group, x, y in pairs:
         answer, norm = decide(x, y, defaultdict(float))
