@@ -2,8 +2,9 @@
 
 Elements are pairs (f0, f1) standing for f0 + f1*s, where f0, f1 are
 commutative *-polynomials in coordinate symbols u_ij and their conjugates
-ubar_ij, and s is the flip that exchanges the two symbol families.  The
-product twists the right factor of the odd part:
+ubar_ij, and s is the flip that exchanges the two symbol families.  A
+polynomial maps monomials, each the sorted tuple of its (symbol, exponent)
+pairs, to coefficients.  The product twists the right factor of the odd part:
 
     (f + g s)(f' + g' s) = (f f' + g bar(g')) + (f g' + g bar(f')) s
 
@@ -26,55 +27,55 @@ from .words import AU_STAR_STAR, WordElement, _term_strings, coproduct_splits
 # A symbol is (row, col, bar); bar=True marks the conjugate coordinate.
 
 
-class FunMonomial:
-    """Commutative monomial in coordinate symbols, as a sorted exponent vector.
-
-    The exponents are positive and the symbols sorted, so equal monomials
-    have equal tuples; the hash of that tuple is computed once, when the
-    monomial is made.  ``mul``, ``bar`` and ``transpose`` merge or relabel
-    exponents that are already positive and build the result with
+class FunMonomial(tuple):
+    """Commutative monomial in coordinate symbols: the tuple of its (symbol,
+    exponent) pairs, sorted, with positive exponents, so it hashes and
+    compares as that tuple does, in C.  The constructor sums the exponents of
+    a repeated symbol and rejects one that is negative or not an ``int``.
+    ``mul``, ``bar`` and ``transpose`` build their results with
     ``_monomial``, without validating again.  They keep indices in range: a
     product has only its factors' symbols, and bar and transpose permute
-    (row, col, bar), so a monomial over dimension n stays over n.  Since Q(i)
-    has no zero divisors, the product of two terms with nonzero coefficients
-    is again a term in normal form with a nonzero coefficient (see
-    ``FunElement``).
+    (row, col, bar).  Since Q(i) has no zero divisors, the product of two
+    terms with nonzero coefficients is again a term in normal form with a
+    nonzero coefficient (see ``FunElement``).  The constant monomial is the
+    empty tuple, which is falsy: test ``degree``, not truth.
     """
 
-    __slots__ = ("exps", "_hash")
+    __slots__ = ()
 
-    def __init__(self, exps=()):
+    def __new__(cls, exps=()):
         items = exps.items() if isinstance(exps, dict) else exps
-        cleaned = []
+        summed = {}
         for sym, e in items:
+            if type(e) is not int:
+                raise ValueError(f"exponent {e!r} on {sym} is not an int")
             if e < 0:
                 raise ValueError(f"negative exponent on {sym}")
             if e:
-                cleaned.append((sym, int(e)))
-        self.exps = tuple(sorted(cleaned))
-        self._hash = hash(self.exps)
+                summed[sym] = summed.get(sym, 0) + e
+        return tuple.__new__(cls, sorted(summed.items()))
 
     @property
     def degree(self) -> int:
-        return sum(e for _, e in self.exps)
+        return sum(e for _, e in self)
 
     def symbols(self):
         """Symbols with multiplicity, as a flat list."""
         out = []
-        for sym, e in self.exps:
+        for sym, e in self:
             out.extend([sym] * e)
         return out
 
     def mul(self, other: "FunMonomial") -> "FunMonomial":
-        """The product, merging the two sorted exponent tuples in one pass."""
-        a, b = self.exps, other.exps
-        if not a:
+        """The product, merging the two sorted pair tuples in one pass."""
+        a, b = self, other
+        la, lb = len(a), len(b)
+        if not la:
             return other
-        if not b:
+        if not lb:
             return self
         out = []
         i = j = 0
-        la, lb = len(a), len(b)
         while i < la and j < lb:
             (sa, ea), (sb, eb) = a[i], b[j]
             if sa < sb:
@@ -94,54 +95,46 @@ class FunMonomial:
         # symbols of a cell that holds both
         out = []
         last_i = last_j = 0  # indices start at 1
-        for (i, j, b), e in self.exps:
+        for (i, j, b), e in self:
             if b and i == last_i and j == last_j:
                 out.insert(-1, ((i, j, False), e))
             else:
                 out.append(((i, j, not b), e))
                 last_i, last_j = i, j
-        return _monomial(tuple(out))
+        return _monomial(out)
 
     def transpose(self) -> "FunMonomial":
-        return _monomial(tuple(sorted([((j, i, b), e) for (i, j, b), e in self.exps])))
+        return _monomial(sorted([((j, i, b), e) for (i, j, b), e in self]))
 
     def is_diagonal(self) -> bool:
-        return all(i == j for (i, j, _b), _e in self.exps)
-
-    def __eq__(self, other):
-        return isinstance(other, FunMonomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return self._hash
+        return all(i == j for (i, j, _b), _e in self)
 
     def __repr__(self):
-        return f"FunMonomial({self.exps!r})"
+        return f"FunMonomial({tuple.__repr__(self)})"
 
 
-def _monomial(exps: tuple) -> FunMonomial:
-    """The monomial over an exponent tuple that is already sorted and positive."""
-    mono = object.__new__(FunMonomial)
-    mono.exps = exps
-    mono._hash = hash(exps)
-    return mono
+def _monomial(exps) -> FunMonomial:
+    """The monomial over ``(symbol, exponent)`` pairs that are already sorted
+    and positive."""
+    return tuple.__new__(FunMonomial, exps)
 
 
 MONO_ONE = FunMonomial()
 
 
 def format_monomial(mono: FunMonomial) -> str:
-    if not mono.exps:
-        return "1"
     parts = []
     for (i, j, b) in mono.symbols():
         name = "u*" if b else "u"
         parts.append(f"{name}[{i},{j}]")
-    return " ".join(parts)
+    return " ".join(parts) or "1"
 
 
 class FunElement(SparseSum):
     """Polynomial in the coordinate symbols over dimension n; always reduced.
 
+    The validating constructor rejects a key that is not a ``FunMonomial``
+    with ``TypeError``: a plain tuple of its pairs equals and hashes like it.
     Products, ``bar``, ``star`` and differences of reduced elements are built
     with ``_like``, not the validating constructor.  That is sound for two
     reasons.  A product of two monomials over n, and the bar of one, is a
@@ -162,8 +155,10 @@ class FunElement(SparseSum):
         self.terms = self._reduce(terms)
 
     def _normal_key(self, mono):
+        if type(mono) is not FunMonomial:
+            raise TypeError(f"a term's key must be a FunMonomial, not {type(mono).__name__}")
         n = self.n
-        for (i, j, _b), _e in mono.exps:
+        for (i, j, _b), _e in mono:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise IndexRangeError(f"symbol index ({i},{j}) outside 1..{n}")
         return mono
@@ -330,13 +325,14 @@ def crossed_coproduct(x: CrossedElement):
     def mono_of(leg):
         m = monos.get(leg)
         if m is None:
-            m = monos[leg] = FunMonomial(Counter(leg))
+            # a leg is sorted, so its counts come in symbol order
+            m = monos[leg] = _monomial(Counter(leg).items())
         return m
 
     def pairs():
         for parity, f in ((0, x.f0), (1, x.f1)):
             for mono, coeff in f.terms.items():
-                (splits,) = coproduct_splits((mono.exps,), x.n)
+                (splits,) = coproduct_splits((mono,), x.n)
                 scaled = {}  # coeff times each weight, computed once
                 for (left, right), weight in splits.items():
                     c = scaled.get(weight)
@@ -492,8 +488,8 @@ def embed_pi(x: WordElement) -> CrossedElement:
 def _display_items(f: FunElement, flip=False):
     """(coefficient, body) pairs of f in display order; ``flip`` appends s."""
     items = []
-    for mono in sorted(f.terms, key=lambda m: (m.degree, m.exps)):
-        body = format_monomial(mono) if mono.exps else None
+    for mono in sorted(f.terms, key=lambda m: (m.degree, m)):
+        body = format_monomial(mono) if mono.degree else None
         if flip:
             body = f"{body} s" if body else "s"
         items.append((f.terms[mono], body))

@@ -255,7 +255,7 @@ def evaluate_fun_batch(f: FunElement, gs: np.ndarray) -> np.ndarray:
     total = np.zeros(gs.shape[0], dtype=complex)
     for mono, coeff in f.terms.items():
         vals = np.full(gs.shape[0], coeff.to_complex())
-        for (i, j, bar), e in mono.exps:
+        for (i, j, bar), e in mono:
             entry = gs[:, i - 1, j - 1]
             if bar:
                 entry = entry.conj()

@@ -305,7 +305,7 @@ def _integral(mono, n, p_max):
     but not stored.
     """
     p = q = 0
-    for (_i, _j, b), e in mono.exps:
+    for (_i, _j, b), e in mono:
         if b:
             q += e
         else:
@@ -319,7 +319,7 @@ def _integral(mono, n, p_max):
     value = memo.get(mono)
     if value is None:
         plain, conj = {}, {}
-        for (i, j, b), e in mono.exps:
+        for (i, j, b), e in mono:
             (conj if b else plain)[i, j] = e
         value = _coset_integral(plain, conj, table)
         if len(memo) < MONOMIAL_MEMO_CAP:
@@ -373,7 +373,7 @@ def _torus_weight(mono, n):
     """Row and column weights of a monomial: per index, the number of plain
     factors minus the number of conjugate ones."""
     rows, cols = [0] * (n + 1), [0] * (n + 1)
-    for (i, j, b), e in mono.exps:
+    for (i, j, b), e in mono:
         if b:
             e = -e
         rows[i] += e
@@ -481,7 +481,7 @@ def _vanishes_at(f: FunElement, values: dict, den: int) -> bool:
     terms, top = [], 0
     for mono, c in f.terms.items():
         v, q = 1, 0
-        for sym, e in mono.exps:
+        for sym, e in mono:
             v *= values[sym] ** e
             q += e if sym[2] else 0
         terms.append((v, c, q))

@@ -21,10 +21,12 @@ from halfcomm.crossed import (
     pun_generator,
 )
 from halfcomm.errors import DegreeCapError, DimensionMismatchError, IndexRangeError
+from halfcomm.haar import haar_integral
 from halfcomm.scalars import GaussianRational, I
 from halfcomm.verify import coinvariant_by_coproduct
 from halfcomm.words import WordElement, ah_star, ao_star, au_star_star, letter
 from tests_helpers import (
+    assert_pair_tuple,
     assert_reduced,
     crossed_parities,
     lean_cases,
@@ -593,7 +595,7 @@ def test_crossed_operations_match_constructor_references(n):
             assert_reduced(star.f1)
 
 
-def test_monomials_hash_their_exponents_on_every_route():
+def test_monomials_are_their_pair_tuples_on_every_route():
     rng = random.Random(19)
     for n in (1, 2, 3, 4):
         for _ in range(40):
@@ -603,19 +605,54 @@ def test_monomials_hash_their_exponents_on_every_route():
                 exps[sym] = exps.get(sym, 0) + rng.randint(1, 3)
             m = FunMonomial(exps)
             other = FunMonomial({(rng.randint(1, n), rng.randint(1, n), True): rng.randint(1, 2)})
-            made = [m, _monomial(m.exps), m.mul(other), other.mul(m), m.mul(FunMonomial()), m.bar(), m.bar().bar(),
+            made = [m, _monomial(tuple(m)), m.mul(other), other.mul(m), m.mul(FunMonomial()), m.bar(), m.bar().bar(),
                     m.transpose(), m.transpose().bar()]
             for k in made:
-                assert hash(k) == hash(k.exps), k
+                assert_pair_tuple(k)
             # a route may share a monomial, never its hash with a different one
-            assert m.bar() == FunMonomial({(i, j, not b): e for (i, j, b), e in m.exps})
-            assert m.transpose() == FunMonomial({(j, i, b): e for (i, j, b), e in m.exps})
-            assert m.mul(other) == FunMonomial({**dict(m.exps), **{s: dict(m.exps).get(s, 0) + e for s, e in other.exps}})
+            assert m.bar() == FunMonomial({(i, j, not b): e for (i, j, b), e in m})
+            assert m.transpose() == FunMonomial({(j, i, b): e for (i, j, b), e in m})
+            assert m.mul(other) == FunMonomial({**dict(m), **{s: dict(m).get(s, 0) + e for s, e in other}})
+            # a dict, shuffled pairs and pairs with each exponent split into
+            # repeats of its symbol all build the same monomial
+            shuffled = list(exps.items())
+            rng.shuffle(shuffled)
+            split = []
+            for sym, e in shuffled:
+                cut = rng.randint(0, e)
+                split += [(sym, cut), (sym, e - cut)]
+            rng.shuffle(split)
+            for built in (FunMonomial(shuffled), FunMonomial(split)):
+                assert_pair_tuple(built)
+                assert built == m
+            with pytest.raises(TypeError):
+                FunElement(n, {tuple(m): 1})
     for pres in (ao_star(2), ao_star(3), au_star_star(1), au_star_star(2)):
         letters = [letter(pres, r, c, starred) for r in range(1, pres.n + 1) for c in range(1, pres.n + 1)
                    for starred in ((False,) if pres.orthogonal else (False, True))]
         for _ in range(30):
             words = {tuple(rng.choice(letters) for _ in range(rng.randint(0, 5))): rng.randint(1, 3) for _ in range(3)}
+            for word in words:
+                for k, _re, _im in _word_image(word, pres.n, not pres.orthogonal):
+                    assert_pair_tuple(k)
             x = embed_pi(WordElement(pres, words))
             assert_reduced(x.f0)
             assert_reduced(x.f1)
+
+
+def test_monomial_sums_the_exponents_of_a_repeated_symbol():
+    repeated = FunMonomial([((1, 1, False), 1), ((1, 1, False), 1), ((1, 1, True), 2)])
+    assert repeated == FunMonomial({(1, 1, False): 2, (1, 1, True): 2})
+    assert repeated == (((1, 1, False), 2), ((1, 1, True), 2))
+    # |u_11|^4 integrates to 2 / (n (n + 1)) = 1/3 over U(2)
+    assert haar_integral(FunElement(2, {repeated: 1})) == GaussianRational(1, 0) / 3
+
+
+@pytest.mark.parametrize("exponent, message",
+                         [(1.7, "not an int"), (2.0, "not an int"), (True, "not an int"), ("1", "not an int"),
+                          (-1, "negative")])
+def test_monomial_rejects_an_exponent_that_is_not_a_nonnegative_int(exponent, message):
+    with pytest.raises(ValueError, match=message):
+        FunMonomial({(1, 1, False): exponent})
+    with pytest.raises(ValueError, match=message):
+        FunMonomial([((1, 1, False), 1), ((1, 1, False), exponent)])

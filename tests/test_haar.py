@@ -277,7 +277,7 @@ def test_monomial_integral_matches_filtered_permutations(n):
 
 def _relabelled(m, rows, cols):
     """m with row i renamed rows[i - 1] and column j renamed cols[j - 1]."""
-    return FunMonomial({(rows[i - 1], cols[j - 1], b): e for (i, j, b), e in m.exps})
+    return FunMonomial({(rows[i - 1], cols[j - 1], b): e for (i, j, b), e in m})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -464,7 +464,7 @@ def test_cold_pass_walks_once_per_distinct_monomial_per_table(n, fresh_tables, m
         us = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(p)]
         (m,) = mono(n, us, _margin_matched(rng, us) if rng.random() < 0.8 else us[1:]).terms
         monos += [m, rng.choice([m, m.bar(), _relabelled(m, rng.sample(range(1, n + 1), n), list(range(1, n + 1)))])]
-    balanced = {m for m in monos if m.degree and 2 * sum(e for (_i, _j, b), e in m.exps if b) == m.degree}
+    balanced = {m for m in monos if m.degree and 2 * sum(e for (_i, _j, b), e in m if b) == m.degree}
     assert len(balanced) >= 20 and len(balanced) < len(monos) - 1
     cold = [_integral(m, n, 5) for m in monos]
     assert cold == [_filtered_monomial_integral(m, n) for m in monos]

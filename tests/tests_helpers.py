@@ -35,7 +35,7 @@ def ref_monomial(*monos, flip=False):
     """The product of ``monos`` (each bar-flipped when ``flip``), via the constructor."""
     exps = {}
     for m in monos:
-        for (i, j, b), e in m.exps:
+        for (i, j, b), e in m:
             sym = (i, j, b != flip)
             exps[sym] = exps.get(sym, 0) + e
     return FunMonomial(exps)
@@ -72,14 +72,19 @@ def ref_crossed_star(x):
     return CrossedElement(ref_bar(x.f0, conjugate=True), ref_bar(ref_bar(x.f1), conjugate=True))
 
 
+def assert_pair_tuple(m):
+    """m is a monomial that equals, and hashes like, the tuple of its pairs."""
+    assert type(m) is FunMonomial and m == tuple(m) and hash(m) == hash(tuple(m)), m
+
+
 def assert_reduced(f):
     """f's terms are what the constructor makes: sorted positive exponents
-    over indices 1..n, a hash equal to that of the exponents, and nonzero
-    Gaussian-rational coefficients."""
+    over indices 1..n, equal and hash-equal to the tuple of its pairs, and
+    nonzero Gaussian-rational coefficients."""
     for m, c in f.terms.items():
-        assert type(m) is FunMonomial and hash(m) == hash(m.exps), m
-        assert list(m.exps) == sorted(m.exps), m
-        assert all(type(e) is int and e > 0 and 1 <= i <= f.n and 1 <= j <= f.n for (i, j, _b), e in m.exps), m
+        assert_pair_tuple(m)
+        assert list(m) == sorted(m), m
+        assert all(type(e) is int and e > 0 and 1 <= i <= f.n and 1 <= j <= f.n for (i, j, _b), e in m), m
         assert type(c) is GaussianRational and c, (m, c)
 
 
@@ -132,7 +137,7 @@ def ref_value_at(f, point):
     time."""
     total = ZERO
     for mono, coeff in f.terms.items():
-        for sym, e in mono.exps:
+        for sym, e in mono:
             for _ in range(e):
                 coeff = coeff * point[sym]
         total = total + coeff
