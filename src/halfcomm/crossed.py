@@ -463,26 +463,24 @@ def embed_pi(x: WordElement) -> CrossedElement:
     """
     n = x.presentation.n
     unitary = x.presentation.kind == AU_STAR_STAR
-    parts = ({}, {})  # monomial -> coefficient, of the even and the odd part
-    merged = False  # whether two words met in a monomial, whose sum may vanish
+    pairs = ([], [])  # (monomial, coefficient) of the even and the odd part
     for word, coeff in x.terms.items():
-        part = parts[len(word) % 2]
+        out = pairs[len(word) % 2]
         a, b, d = coeff.a, coeff.b, coeff.d
         scaled = {(1, 0): coeff}  # the coefficient times each weight, once
         for mono, re, im in _word_image(word, n, unitary):
             c = scaled.get((re, im))
             if c is None:
                 c = scaled[re, im] = _reduced(a * re - b * im, a * im + b * re, d)
-            prev = part.get(mono)
-            if prev is None:
-                part[mono] = c
-            else:
-                part[mono] = prev + c
-                merged = True
-    if merged:
-        parts = [{m: c for m, c in part.items() if c} for part in parts]
+            out.append((mono, c))
     space = 2 * n if unitary else n
-    return CrossedElement(*(FunElement._over(space, part) for part in parts))
+    parts = []
+    for items in pairs:
+        part = dict(items)
+        if len(part) < len(items):  # two words met in a monomial, whose sum may vanish
+            part = reduce_terms(items)
+        parts.append(FunElement._over(space, part))
+    return CrossedElement(*parts)
 
 
 def _display_items(f: FunElement, flip=False):

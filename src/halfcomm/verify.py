@@ -3,8 +3,8 @@
 Each suite is a generator of ``(check_id, rule, check)`` triples, registered
 with ``@_suite(name)``; one runner executes the checks in order, times them,
 and returns a machine-readable report.  The acceptance tests drive the same
-functions.  A resource-cap overflow inside one check fails that check without
-aborting the suite.
+functions.  A check that raises, on a resource cap or otherwise, fails
+without aborting its suite or the battery.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .haar import (
     _inverse,
     _partitions,
     _permutations,
+    _witness,
 )
 from .scalars import GaussianRational, reduce_terms
 from .words import (
@@ -92,6 +93,7 @@ UNITARITY_TOL = 1e-9  # largest entry of U U* - I the u2n generator matrix may h
 FUSION_TRIPLES = 50  # random labels, pairs or triples per fusion check
 LR_SIZE_CAP = 4  # the largest |lam|, |mu| the fusion suite's Schur oracle multiplies
 MOMENT_CASES = ((2, 1), (2, 2), (3, 1))  # the (n, k) the moments suite cross-checks
+MIXED_DIMS = (2, 3)  # the dimensions of faithfulness's mixed-degree identities
 
 
 @dataclass
@@ -175,6 +177,8 @@ def _suite(name, caps=None):
                     passed, detail = check()
                 except (DegreeCapError, ClosureSizeError) as exc:
                     passed, detail = False, f"resource cap: {exc}"
+                except Exception as exc:  # a check that raises fails; the battery goes on
+                    passed, detail = False, f"{type(exc).__name__}: {exc}"
                 end = time.perf_counter()
                 report.checks.append(Check(check_id, rule, passed, detail, end - start))
                 start = end
@@ -401,6 +405,75 @@ def suite_faithfulness(n=2, p_max=PMAX_DEFAULT, seed=DEFAULT_SEED):
         return True, "row and column orthogonality sums vanish exactly"
 
     yield "orthogonality-in-image", "sum over k of pi(v[1,k] v[2,k]) has exact Haar norm zero", check_orthogonality
+
+    def check_mixed_degrees():
+        identities = blind = 0
+        for dim in MIXED_DIMS:
+            pres_d = ao_star(dim)
+
+            def word(*idx):
+                return WordElement.from_word(pres_d, [letter(pres_d, i, j) for i, j in idx])
+
+            for i, j in _index_pairs(dim):
+                # x (sum_k v_ik v_jk - delta_ij) y = 0: the delta term has one
+                # barred factor fewer than the sum's
+                mid = sum((word((i, k), (j, k)) for k in range(1, dim + 1)), WordElement(pres_d))
+                if i == j:
+                    mid = mid - WordElement.one(pres_d)
+                for xw, yw in itertools.product(((), ((1, 1),), ((1, 2), (2, 1))), ((), ((2, 1),))):
+                    if len(xw) + 2 + len(yw) > p_max:
+                        continue
+                    if not norm_equal(embed_pi(word(*xw) * mid * word(*yw)), CrossedElement.zero(dim), p_max=p_max):
+                        return False, f"x (sum_k v{i}k v{j}k - delta) y != 0 over {pres_d} for x={xw}, y={yw}"
+                    identities += 1
+            row = sum((FunElement.coordinate(dim, 1, j) * FunElement.coordinate(dim, 1, j, bar=True)
+                       for j in range(1, dim + 1)), FunElement.zero(dim))
+            u = functools.partial(FunElement.coordinate, dim)
+            for m in (FunElement.one(dim), u(1, 1), u(1, 2, bar=True), u(2, 1) * u(2, 2, bar=True),
+                      u(1, 1) * u(1, 2) * u(2, 1, bar=True)):
+                degree = max(mono.degree for mono in m.terms)
+                power = row
+                for k in range(1, (p_max - degree) // 2 + 1):
+                    # (sum_j u1j ubar1j)^k m = m on U(n), mixing barred degrees
+                    if not norm_equal(CrossedElement.even(power * m), CrossedElement.even(m), p_max=p_max):
+                        return False, f"(sum_j u1j ubar1j)^{k} m != m over U({dim}) for m = {m}"
+                    identities += 1
+                    power = power * row
+                if degree + 1 > p_max:
+                    continue
+                # m and m u11 differ by one in plain minus barred degree; this
+                # combination of them vanishes at the witness point but not on
+                # U(n), so the witness must leave it to the norm
+                m2 = m * u(1, 1)
+                d = _at_witness(m2) * m - _at_witness(m) * m2
+                if witness_refutes(CrossedElement.even(d)):
+                    return False, f"the witness point refutes {d}, which vanishes there"
+                if norm_equal(CrossedElement.even(d), CrossedElement.zero(dim), p_max=p_max):
+                    return False, f"{d} decided equal to 0"
+                blind += 1
+        return True, (f"{identities} identities over dimensions {MIXED_DIMS} equal; "
+                      f"{blind} differences vanishing at the witness point only are unequal")
+
+    yield (
+        "mixed-degree-identities",
+        "true identities whose terms differ in barred degree decide equal through norm_equal, and the witness "
+        "point refutes no difference that vanishes there",
+        check_mixed_degrees,
+    )
+
+
+def _at_witness(f: FunElement) -> GaussianRational:
+    """The exact value of f at the witness point of ``haar._witness``: u_ij
+    to g_ij and ubar_ij to (g^-1)_ji, each factor a Fraction, with none of
+    the common scaling that ``witness_refutes`` applies."""
+    values, den = _witness(f.n)
+    total = GaussianRational(0)
+    for mono, c in f.terms.items():
+        v = Fraction(1)
+        for sym, e in mono:
+            v *= Fraction(values[sym], den if sym[2] else 1) ** e
+        total = total + c * GaussianRational(v)
+    return total
 
 
 def _tensor_components(x):

@@ -78,6 +78,15 @@ def au_star_star(n: int) -> Presentation:
 
 
 class Letter(NamedTuple):
+    """The generator in row ``row`` and column ``col``, or its star.
+
+    A letter is a plain value: it compares, hashes and orders as the tuple
+    (row, col, starred).  The library makes each value once, in
+    ``_LETTERS``, and shares that object among every word that holds the
+    letter; which object a letter is stays an implementation detail, so a
+    ``Letter`` made directly works everywhere a shared one does.
+    """
+
     row: int
     col: int
     starred: bool
@@ -86,13 +95,51 @@ class Letter(NamedTuple):
         return (self.row, self.col, self.starred)
 
 
+class _Interned(dict):
+    """(row, col, starred) -> the one ``Letter`` of that value, made the
+    first time it is asked for, so the table holds only the letters met."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        row, col, starred = key
+        made = Letter(row, col, bool(starred))
+        return self.setdefault(made, made)
+
+
+_LETTERS = _Interned()
+
+
+class _LetterMap(dict):
+    """Letter -> the shared letter whose (row, col, starred) ``image`` gives
+    for it, filled like ``_LETTERS`` with the letters met."""
+
+    __slots__ = ("image",)
+
+    def __init__(self, image):
+        super().__init__()
+        self.image = image
+
+    def __missing__(self, l):
+        return self.setdefault(_LETTERS[l], _LETTERS[self.image(*l)])
+
+
+# the letter maps of star (unitary) and of the antipode (orthogonal, unitary)
+_STAR = _LetterMap(lambda row, col, starred: (row, col, not starred))
+_TRANSPOSE = _LetterMap(lambda row, col, starred: (col, row, starred))
+_STAR_TRANSPOSE = _LetterMap(lambda row, col, starred: (col, row, not starred))
+
+
 def letter(presentation: Presentation, row: int, col: int, starred: bool = False) -> Letter:
+    """The letter v_ij (``u_ij``, or ``u*_ij`` when ``starred``) of
+    ``presentation``, checked against its dimension and kind; equal calls
+    return the same shared object (see ``Letter``)."""
     n = presentation.n
     if not (1 <= row <= n and 1 <= col <= n):
         raise IndexRangeError(f"index ({row},{col}) outside 1..{n}")
     if starred and presentation.orthogonal:
         raise PresentationError("orthogonal generators are self-adjoint; no starred letters")
-    return Letter(row, col, starred)
+    return _LETTERS[row, col, starred]
 
 
 # A Word is a tuple of Letters; the empty tuple is the unit.
@@ -205,32 +252,22 @@ class WordElement(SparseSum):
         return f"<{self.presentation}| {format_word_element(self)}>"
 
 
-def _star_letter(l: Letter, presentation: Presentation) -> Letter:
-    if presentation.orthogonal:
-        return l
-    return l._replace(starred=not l.starred)
-
-
 def star_element(x: WordElement) -> WordElement:
-    """Antilinear involution: reverse words, conjugate coefficients, star letters."""
-    terms = {}
-    for word, coeff in x.terms.items():
-        sw = tuple(_star_letter(l, x.presentation) for l in reversed(word))
-        terms[sw] = coeff.conjugate()
+    """Antilinear involution: reverse words, conjugate coefficients, star
+    letters (orthogonal letters are self-adjoint)."""
+    if x.presentation.orthogonal:
+        terms = {word[::-1]: coeff.conjugate() for word, coeff in x.terms.items()}
+    else:
+        star = _STAR.__getitem__
+        terms = {tuple(map(star, reversed(word))): coeff.conjugate() for word, coeff in x.terms.items()}
     return WordElement(x.presentation, terms)
 
 
-def _antipode_letter(l: Letter, presentation: Presentation) -> Letter:
-    starred = l.starred if presentation.orthogonal else not l.starred
-    return Letter(l.col, l.row, starred)
-
-
 def antipode_element(x: WordElement) -> WordElement:
-    """Antipode: anti-multiplicative, transposes indices, linear on coefficients."""
-    terms = {}
-    for word, coeff in x.terms.items():
-        sw = tuple(_antipode_letter(l, x.presentation) for l in reversed(word))
-        terms[sw] = coeff
+    """Antipode: anti-multiplicative, transposes indices (and stars unitary
+    letters), linear on coefficients."""
+    image = (_TRANSPOSE if x.presentation.orthogonal else _STAR_TRANSPOSE).__getitem__
+    terms = {tuple(map(image, reversed(word))): coeff for word, coeff in x.terms.items()}
     return WordElement(x.presentation, terms)
 
 
@@ -263,7 +300,7 @@ def _symbol_splits(r, c, f, e, n):
         weight = math.factorial(e)
         for ek in Counter(ks).values():
             weight //= math.factorial(ek)
-        out.append((tuple(Letter(r, k, f) for k in ks), tuple(Letter(k, c, f) for k in ks), weight))
+        out.append((tuple(_LETTERS[r, k, f] for k in ks), tuple(_LETTERS[k, c, f] for k in ks), weight))
     return tuple(out)
 
 

@@ -348,7 +348,7 @@ def test_faithfulness_at_the_pair_cap_runs(capsys, monkeypatch):
 
     monkeypatch.setattr(verify, "FAITHFULNESS_MAX_PAIRS", 1891)
     code, out, _ = run_cli(capsys, "verify", "--suite", "faithfulness", "--n", "2")
-    assert code == 0 and [json.loads(line)["status"] for line in out.splitlines()] == ["pass", "pass"]
+    assert code == 0 and [json.loads(line)["status"] for line in out.splitlines()] == ["pass"] * 3
     assert "61 normal forms" in out
     monkeypatch.setattr(verify, "FAITHFULNESS_MAX_PAIRS", 1890)
     code, out, err = run_cli(capsys, "verify", "--suite", "faithfulness", "--n", "2")
@@ -470,7 +470,7 @@ def test_verify_suite(capsys):
 FUSION_NAMES = ("su2", "torus:2", "un:2", "un:3")
 VERIFY_ALL_IDS = {
     "ah-zero": [f"zero-rule-len-{k}" for k in range(1, 6)],
-    "faithfulness": ["norm-decides-function-equality", "orthogonality-in-image"],
+    "faithfulness": ["mixed-degree-identities", "norm-decides-function-equality", "orthogonality-in-image"],
     "fusion": [
         *(f"{kind}-{name}" for kind in ("associativity", "dimension-hom", "duality", "frobenius") for name in FUSION_NAMES),
         "graded-structure", "lr-vs-schur-n2", "lr-vs-schur-n3", "noncommutative-witness",
@@ -495,7 +495,7 @@ def test_verify_all_checks_pass_with_timings(capsys):
     assert code == 0
     lines = [json.loads(l) for l in out.strip().splitlines()]
     expect = {(suite, check) for suite, checks in VERIFY_ALL_IDS.items() for check in checks}
-    assert len(expect) == 63
+    assert len(expect) == 64
     assert sorted((l["suite"], l["check"]) for l in lines) == sorted(expect)
     assert all(l["status"] == "pass" for l in lines)
     assert all(isinstance(l["elapsed_s"], float) and l["elapsed_s"] >= 0 for l in lines)
@@ -534,7 +534,7 @@ def test_verify_all_flags_reach_only_their_suites(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--maxlen", "6", "--trials", "3")
     assert code == 0
     lines = {(l["suite"], l["check"]): l for l in map(json.loads, out.strip().splitlines())}
-    assert len(lines) == 65 and all(l["status"] == "pass" for l in lines.values())
+    assert len(lines) == 66 and all(l["status"] == "pass" for l in lines.values())
     assert ("rewrite-oracle", "closure-len-6") in lines and ("ah-zero", "zero-rule-len-6") in lines
     assert lines[("faithfulness", "norm-decides-function-equality")]["detail"].startswith("61 normal forms;")
     assert lines[("hopf", "antipode-squared")]["detail"].startswith("25 random elements")
@@ -547,7 +547,7 @@ def test_verify_all_at_dimension_one(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--n", "1")
     assert code == 0
     lines = [json.loads(l) for l in out.strip().splitlines()]
-    assert len(lines) == 63 and all(l["status"] == "pass" for l in lines)
+    assert len(lines) == 64 and all(l["status"] == "pass" for l in lines)
     (orth,) = (l for l in lines if l["check"] == "orthogonality-in-image")
     assert "no pairs" in orth["detail"]
 
@@ -590,6 +590,32 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
     assert json.loads(out.strip())["status"] == "fail"
     assert "FAIL" in err
+
+
+def test_verify_check_that_raises_fails_and_the_battery_goes_on(capsys):
+    from halfcomm.verify import _suite
+
+    def suite_raising():
+        def boom():
+            raise ArithmeticError("by construction")
+
+        yield "raises", "a check that raises", boom
+        yield "after", "a check after it", lambda: (True, "ran")
+
+    name = "aaa-raising"  # sorts first, so every suite of the battery runs after it
+    _suite(name)(suite_raising)
+    try:
+        code, out, err = run_cli(capsys, "verify", "--suite", "all")
+    finally:
+        del SUITES[name]
+    assert code == 1
+    lines = [json.loads(l) for l in out.strip().splitlines()]
+    assert len({(l["suite"], l["check"]) for l in lines}) == len(lines) == 64 + 2
+    (failed,) = (l for l in lines if l["status"] == "fail")
+    assert (failed["suite"], failed["check"]) == (name, "raises")
+    assert failed["detail"] == "ArithmeticError: by construction"
+    assert {l["suite"] for l in lines} == {name, *VERIFY_ALL_IDS}
+    assert err.count(": PASS (") == len(VERIFY_ALL_IDS) and f"# suite {name}: FAIL (2 checks)" in err
 
 
 def test_verify_moments(capsys):

@@ -4,9 +4,11 @@ import random
 import pytest
 
 from halfcomm.errors import ClosureSizeError, DegreeCapError, IndexRangeError, PresentationError
+from halfcomm.expressions import parse_expression
 from halfcomm.scalars import GaussianRational, I
 from halfcomm.words import (
     COPRODUCT_MAX_TERMS,
+    _LETTERS,
     Letter,
     WordElement,
     ah_star,
@@ -363,3 +365,65 @@ def test_counit_axiom_short_words():
         for word in all_words(AO2, length):
             x = WordElement.from_word(AO2, word)
             assert _counit_sides(AO2, coproduct_element(x)) == (x, x)
+
+
+# -- shared letters --------------------------------------------------------------
+
+
+def _presentations_up_to_3():
+    return [make(n) for make in (ao_star, ah_star, au_star_star) for n in (1, 2, 3)]
+
+
+def _every_letter(pres):
+    stars = (False,) if pres.orthogonal else (False, True)
+    return [letter(pres, r, c, s) for r in range(1, pres.n + 1) for c in range(1, pres.n + 1) for s in stars]
+
+
+def _shared(word):
+    return all(_LETTERS[l] is l for l in word)
+
+
+def test_letter_returns_one_object_per_value():
+    for pres in _presentations_up_to_3():
+        for made in _every_letter(pres):
+            assert letter(pres, *made) is made
+    au = au_star_star(2)
+    assert letter(au, 1, 2, True) is not letter(au, 1, 2)
+    # identity is an implementation detail: a Letter made directly is equal
+    assert Letter(1, 2, True) == letter(au, 1, 2, True) and hash(Letter(1, 2, True)) == hash(letter(au, 1, 2, True))
+
+
+def test_library_letters_are_the_shared_objects():
+    for pres, text in ((AO2, "v[1,2] v[2,1] v[2,2] + 2 v[1,1] v[1,2] - v[2,1]"),
+                       (au_star_star(2), "u[1,2] u*[2,1] u[2,2] + i u*[1,1] u[1,2] - u[2,1]")):
+        x = parse_expression(text, pres)
+        assert all(map(_shared, x.terms))
+        assert all(map(_shared, star_element(x).terms))
+        assert all(map(_shared, antipode_element(x).terms))
+        assert all(_shared(left) and _shared(right) for left, right in coproduct_element(x))
+
+
+def _old_star_letter(l, pres):
+    return l if pres.orthogonal else Letter(l.row, l.col, not l.starred)
+
+
+def _old_antipode_letter(l, pres):
+    return Letter(l.col, l.row, l.starred if pres.orthogonal else not l.starred)
+
+
+def test_star_and_antipode_match_the_per_letter_definitions():
+    for pres in _presentations_up_to_3():
+        letters = _every_letter(pres)
+        for word in [(l,) for l in letters] + [tuple(letters)]:
+            x = WordElement.from_word(pres, word, 2 + I)
+            assert star_element(x) == WordElement.from_word(
+                pres, [_old_star_letter(l, pres) for l in reversed(word)], 2 - I)
+            assert antipode_element(x) == WordElement.from_word(
+                pres, [_old_antipode_letter(l, pres) for l in reversed(word)], 2 + I)
+
+
+def test_a_letter_adds_one_entry_to_the_intern_table():
+    before = len(_LETTERS)
+    made = letter(ao_star(1000), 999, 998)
+    assert len(_LETTERS) == before + 1
+    assert letter(ao_star(1000), 999, 998) is made and len(_LETTERS) == before + 1
