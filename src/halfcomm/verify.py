@@ -4,7 +4,9 @@ Each suite is a generator of ``(check_id, rule, check)`` triples, registered
 with ``@_suite(name)``; one runner executes the checks in order, times them,
 and returns a machine-readable report.  The acceptance tests drive the same
 functions.  A check that raises, on a resource cap or otherwise, fails
-without aborting its suite or the battery.
+without aborting its suite or the battery; when a suite's own code raises
+between checks, one failed check ``<set-up>`` ends that suite and the
+battery goes on.
 """
 
 from __future__ import annotations
@@ -139,6 +141,16 @@ class VerifyReport:
 
 SUITES = {}
 CAPS = {}  # suite name -> the cap check of a suite that has one; takes its parameters
+# the failed check that stands for a suite whose own code raised between checks
+SETUP_CHECK = "<set-up>"
+SETUP_RULE = "the suite's set-up code runs without raising"
+
+
+def _failure(exc):
+    """The detail of a failed check that raised ``exc``."""
+    if isinstance(exc, (DegreeCapError, ClosureSizeError)):
+        return f"resource cap: {exc}"
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _suite(name, caps=None):
@@ -172,13 +184,19 @@ def _suite(name, caps=None):
                 check_params(*args, **kwargs)
             report = VerifyReport(name)
             start = time.perf_counter()
-            for check_id, rule, check in gen(*args, **kwargs):
+            checks = gen(*args, **kwargs)
+            while True:
                 try:
-                    passed, detail = check()
-                except (DegreeCapError, ClosureSizeError) as exc:
-                    passed, detail = False, f"resource cap: {exc}"
-                except Exception as exc:  # a check that raises fails; the battery goes on
-                    passed, detail = False, f"{type(exc).__name__}: {exc}"
+                    check_id, rule, check = next(checks)
+                except StopIteration:
+                    break
+                except Exception as exc:  # set-up code raised: one failed check, and the generator is done
+                    check_id, rule, passed, detail = SETUP_CHECK, SETUP_RULE, False, _failure(exc)
+                else:
+                    try:
+                        passed, detail = check()
+                    except Exception as exc:  # a check that raises fails; the suite goes on
+                        passed, detail = False, _failure(exc)
                 end = time.perf_counter()
                 report.checks.append(Check(check_id, rule, passed, detail, end - start))
                 start = end

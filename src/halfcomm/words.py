@@ -95,39 +95,31 @@ class Letter(NamedTuple):
         return (self.row, self.col, self.starred)
 
 
+# most letters the intern table holds; one presentation has 2·n² letters,
+# so every letter of any n up to 181 fits
+LETTER_TABLE_CAP = 65_536
+
+
 class _Interned(dict):
     """(row, col, starred) -> the one ``Letter`` of that value, made the
-    first time it is asked for, so the table holds only the letters met."""
+    first time it is asked for, so the table holds only the letters met.
+
+    Past ``LETTER_TABLE_CAP`` entries the table starts again empty, as the
+    other memos are bounded; letters made before then stay valid values and
+    only stop being shared with the new ones.
+    """
 
     __slots__ = ()
 
     def __missing__(self, key):
+        if len(self) >= LETTER_TABLE_CAP:
+            self.clear()
         row, col, starred = key
         made = Letter(row, col, bool(starred))
         return self.setdefault(made, made)
 
 
 _LETTERS = _Interned()
-
-
-class _LetterMap(dict):
-    """Letter -> the shared letter whose (row, col, starred) ``image`` gives
-    for it, filled like ``_LETTERS`` with the letters met."""
-
-    __slots__ = ("image",)
-
-    def __init__(self, image):
-        super().__init__()
-        self.image = image
-
-    def __missing__(self, l):
-        return self.setdefault(_LETTERS[l], _LETTERS[self.image(*l)])
-
-
-# the letter maps of star (unitary) and of the antipode (orthogonal, unitary)
-_STAR = _LetterMap(lambda row, col, starred: (row, col, not starred))
-_TRANSPOSE = _LetterMap(lambda row, col, starred: (col, row, starred))
-_STAR_TRANSPOSE = _LetterMap(lambda row, col, starred: (col, row, not starred))
 
 
 def letter(presentation: Presentation, row: int, col: int, starred: bool = False) -> Letter:
@@ -258,16 +250,21 @@ def star_element(x: WordElement) -> WordElement:
     if x.presentation.orthogonal:
         terms = {word[::-1]: coeff.conjugate() for word, coeff in x.terms.items()}
     else:
-        star = _STAR.__getitem__
-        terms = {tuple(map(star, reversed(word))): coeff.conjugate() for word, coeff in x.terms.items()}
+        terms = {
+            tuple(_LETTERS[row, col, not starred] for row, col, starred in reversed(word)): coeff.conjugate()
+            for word, coeff in x.terms.items()
+        }
     return WordElement(x.presentation, terms)
 
 
 def antipode_element(x: WordElement) -> WordElement:
     """Antipode: anti-multiplicative, transposes indices (and stars unitary
     letters), linear on coefficients."""
-    image = (_TRANSPOSE if x.presentation.orthogonal else _STAR_TRANSPOSE).__getitem__
-    terms = {tuple(map(image, reversed(word))): coeff for word, coeff in x.terms.items()}
+    unitary = not x.presentation.orthogonal
+    terms = {
+        tuple(_LETTERS[col, row, starred != unitary] for row, col, starred in reversed(word)): coeff
+        for word, coeff in x.terms.items()
+    }
     return WordElement(x.presentation, terms)
 
 

@@ -593,7 +593,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 
 def test_verify_check_that_raises_fails_and_the_battery_goes_on(capsys):
-    from halfcomm.verify import _suite
+    from halfcomm.verify import SETUP_CHECK, _suite
 
     def suite_raising():
         def boom():
@@ -602,20 +602,30 @@ def test_verify_check_that_raises_fails_and_the_battery_goes_on(capsys):
         yield "raises", "a check that raises", boom
         yield "after", "a check after it", lambda: (True, "ran")
 
-    name = "aaa-raising"  # sorts first, so every suite of the battery runs after it
-    _suite(name)(suite_raising)
+    def suite_raising_in_set_up():
+        raise LookupError("before any check")
+        yield  # a generator, as every suite is
+
+    # both sort first, so every suite of the battery runs after them
+    suites = {"aaa-raising": suite_raising, "aab-raising-in-set-up": suite_raising_in_set_up}
+    for name, gen in suites.items():
+        _suite(name)(gen)
     try:
         code, out, err = run_cli(capsys, "verify", "--suite", "all")
     finally:
-        del SUITES[name]
+        for name in suites:
+            del SUITES[name]
     assert code == 1
     lines = [json.loads(l) for l in out.strip().splitlines()]
-    assert len({(l["suite"], l["check"]) for l in lines}) == len(lines) == 64 + 2
-    (failed,) = (l for l in lines if l["status"] == "fail")
-    assert (failed["suite"], failed["check"]) == (name, "raises")
-    assert failed["detail"] == "ArithmeticError: by construction"
-    assert {l["suite"] for l in lines} == {name, *VERIFY_ALL_IDS}
-    assert err.count(": PASS (") == len(VERIFY_ALL_IDS) and f"# suite {name}: FAIL (2 checks)" in err
+    assert len({(l["suite"], l["check"]) for l in lines}) == len(lines) == 64 + 2 + 1
+    failed = {(l["suite"], l["check"]): l["detail"] for l in lines if l["status"] == "fail"}
+    assert failed == {
+        ("aaa-raising", "raises"): "ArithmeticError: by construction",
+        ("aab-raising-in-set-up", SETUP_CHECK): "LookupError: before any check",
+    }
+    assert {l["suite"] for l in lines} == {*suites, *VERIFY_ALL_IDS}
+    assert err.count(": PASS (") == len(VERIFY_ALL_IDS)
+    assert "# suite aaa-raising: FAIL (2 checks)" in err and "# suite aab-raising-in-set-up: FAIL (1 checks)" in err
 
 
 def test_verify_moments(capsys):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from halfcomm import words
 from halfcomm.errors import ClosureSizeError, DegreeCapError, IndexRangeError, PresentationError
 from halfcomm.expressions import parse_expression
 from halfcomm.scalars import GaussianRational, I
@@ -427,3 +428,18 @@ def test_a_letter_adds_one_entry_to_the_intern_table():
     made = letter(ao_star(1000), 999, 998)
     assert len(_LETTERS) == before + 1
     assert letter(ao_star(1000), 999, 998) is made and len(_LETTERS) == before + 1
+
+
+def test_the_intern_table_is_bounded(monkeypatch):
+    saved = dict(_LETTERS)
+    monkeypatch.setattr(words, "LETTER_TABLE_CAP", 3)
+    try:
+        pres = ao_star(1000)
+        made = [letter(pres, 1000, c) for c in range(1, 8)]
+        assert len(_LETTERS) <= 3
+        # a cleared table only stops sharing: the letters keep their values
+        assert made == [(1000, c, False) for c in range(1, 8)]
+        assert letter(pres, 1000, 7) is made[-1]
+    finally:
+        _LETTERS.clear()
+        _LETTERS.update(saved)

@@ -3,14 +3,16 @@
 Usage: ``python tools/gc_census.py --seed N --rounds K`` (from anywhere).
 
 Draws the benchmark's ``symbolic`` round for seed N (the same operations,
-in the same order) and runs it once untimed, keeping that round's answers
-alive as ``perfbench`` keeps its first round's.  It then runs K more
-rounds with a ``gc.callbacks`` timer installed, and prints, per
-generation, how many collections ran and the seconds they took, next to
-the rounds' own seconds.  Last, after ``gc.collect()``, it prints how many
-objects the collector tracks (``gc.get_objects()``), by type, the largest
-counts first, and every type of the library: the objects that every full
-collection walks.
+in the same order) and runs it through ``perfbench``'s own loop
+(``perfbench.run.in_process_loop``): once untimed, to warm the caches, then
+K rounds with a ``gc.callbacks`` timer installed.  It prints, per
+generation, how many collections ran and the seconds they took, next to the
+rounds' own seconds.  Last, with the timed loop still alive (its first
+round's answers, latencies and per-round records, as a benchmark run holds
+them), it prints after ``gc.collect()`` how many objects the collector
+tracks (``gc.get_objects()``), by type, the ``TOP`` largest counts first,
+and every type of the library: the objects that every full collection
+walks.
 """
 
 from __future__ import annotations
@@ -29,21 +31,13 @@ for path in (os.path.join(ROOT, "src"), ROOT):
         sys.path.insert(0, path)
 
 from perfbench import workloads  # noqa: E402
+from perfbench.run import in_process_loop  # noqa: E402
 
-
-def run_round(ops):
-    """Each operation's answer, or the exception it raised."""
-    results = []
-    for op in ops:
-        try:
-            results.append(op.run())
-        except Exception as exc:  # counted as an answer, as perfbench counts it
-            results.append(exc)
-    return results
+TOP = 15  # types listed, the largest counts first
 
 
 def timed_rounds(ops, rounds):
-    """Seconds of the rounds, and per generation [collections, seconds]."""
+    """The loop of the rounds, and per generation [collections, seconds]."""
     per_gen = [[0, 0.0] for _ in range(3)]
     started = []
 
@@ -57,13 +51,10 @@ def timed_rounds(ops, rounds):
 
     gc.callbacks.append(timer)
     try:
-        t0 = perf_counter()
-        for _ in range(rounds):
-            run_round(ops)
-        secs = perf_counter() - t0
+        loop = in_process_loop(ops, 0, max_rounds=rounds)
     finally:
         gc.callbacks.remove(timer)
-    return secs, per_gen
+    return loop, per_gen
 
 
 def census():
@@ -81,21 +72,20 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--top", type=int, default=15, help="types to list, the largest counts first")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 
     ops = workloads.symbolic_round(random.Random(f"symbolic:{args.seed}"))
-    first = run_round(ops)  # noqa: F841 -- kept alive, as perfbench keeps its first round's answers
-    secs, per_gen = timed_rounds(ops, args.rounds)
-    print(f"# symbolic seed {args.seed}, {len(ops)} operations, {args.rounds} warm rounds: {secs * 1e3:.1f} ms")
+    in_process_loop(ops, 0, max_rounds=1)  # warms the caches; its answers are dropped
+    loop, per_gen = timed_rounds(ops, args.rounds)
+    print(f"# symbolic seed {args.seed}, {len(ops)} operations, {args.rounds} warm rounds: {loop.seconds * 1e3:.1f} ms")
     print(f"{'generation':<10} {'collections':>11} {'ms':>9} {'ms/round':>9}")
     for gen, (count, gen_s) in enumerate(per_gen):
         print(f"{gen:<10} {count:>11} {gen_s * 1e3:>9.2f} {gen_s * 1e3 / args.rounds:>9.2f}")
-    counts = census()
+    counts = census()  # the timed loop is still alive, as in a benchmark run
     print(f"# tracked objects after the rounds: {sum(counts.values()):,}")
-    for name, count in counts.most_common(args.top):
+    for name, count in counts.most_common(TOP):
         print(f"{count:>9,}  {name}")
     print("# of which the library's, by type:")
     for name, count in counts.most_common():
