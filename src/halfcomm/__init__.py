@@ -44,7 +44,7 @@ from .crossed import (
     embed_pi,
     pun_generator,
 )
-from .groups import GroupModel, contains, matrix_model_eval, parse_model, predicate, sample_haar
+from .groups import GroupModel, contains, matrix_model_eval, parse_model, predicate, sample_batch
 from .haar import (
     MCEstimate,
     WeingartenTable,

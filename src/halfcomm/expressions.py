@@ -36,6 +36,9 @@ _TOKEN_RE = re.compile(
 
 _LETTER_RE = re.compile(r"([vu])(\*?)\[\s*(\d+)\s*,\s*(\d+)\s*\]")
 MAX_NESTING = 100  # parentheses an expression may nest, well inside the recursion limit
+# term pairs the products of one expression may form, summed over its products;
+# eight juxtaposed sums of the eight degree-1 letters of crossed:2 form 51,472
+MAX_PRODUCT_PAIRS = 65_536
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,12 @@ def _tokenize(text):
     return tokens
 
 
+def _term_count(value):
+    if isinstance(value, CrossedElement):
+        return len(value.f0.terms) + len(value.f1.terms)
+    return len(value.terms)
+
+
 class _Parser:
     """Recursive descent over: expr := [+-] term ((+|-) term)*;
     term := factor (['*'] factor)*; factor := number | i | letter | s | (expr).
@@ -95,6 +104,7 @@ class _Parser:
         self.crossed = isinstance(context, CrossedContext)
         self.n = context.n
         self.depth = 0
+        self.pairs = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -167,15 +177,25 @@ class _Parser:
             value = value - term if op == "minus" else value + term
         return value
 
+    def product(self, left, right):
+        """left * right, once the term pairs of every product so far, these
+        included, are counted against ``MAX_PRODUCT_PAIRS``."""
+        self.pairs += _term_count(left) * _term_count(right)
+        if self.pairs > MAX_PRODUCT_PAIRS:
+            raise ValueError(
+                f"the expression's products form {self.pairs} term pairs, above the cap of {MAX_PRODUCT_PAIRS}"
+            )
+        return left * right
+
     def parse_term(self):
         value = self.parse_factor()
         while True:
             kind = self.peek()[0]
             if kind == "star":
                 self.advance()
-                value = value * self.parse_factor()
+                value = self.product(value, self.parse_factor())
             elif kind in ("number", "name", "letter", "lpar"):
-                value = value * self.parse_factor()
+                value = self.product(value, self.parse_factor())
             else:
                 return value
 

@@ -121,11 +121,6 @@ def sample_batch(model: GroupModel, rng, count: int) -> np.ndarray:
     raise AssertionError(model.kind)
 
 
-def sample_haar(model: GroupModel, rng_seed: int) -> np.ndarray:
-    """One Haar sample, deterministic in the seed."""
-    return sample_batch(model, np.random.default_rng(rng_seed), 1)[0]
-
-
 def contains(model: GroupModel, g: np.ndarray) -> bool | np.ndarray:
     """Membership within ``DEFAULT_TOL``: unitarity plus the shape pattern.
 

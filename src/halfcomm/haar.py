@@ -88,10 +88,6 @@ def _cycle_type(s):
     return tuple(sorted(lengths, reverse=True))
 
 
-def _cycle_count(s):
-    return len(_cycle_type(s))
-
-
 def _type_code(lengths, p):
     """A cycle type of S_p as one int, sum of (p + 1)^length over its cycles:
     the base-(p + 1) digit at position k counts the cycles of length k, and
@@ -116,10 +112,14 @@ def _partitions(total, parts, largest=None):
                 yield (first,) + rest
 
 
+@functools.lru_cache(maxsize=65_536)
 def _character(beta, mu):
     """chi^lam at cycle type mu by Murnaghan-Nakayama, for lam given by its
     beta-set {lam_i + len(lam) - 1 - i}: removing a rim hook of length k moves
-    a bead from b to a free b - k, with sign (-1)^(beads strictly between)."""
+    a bead from b to a free b - k, with sign (-1)^(beads strictly between).
+    Memoised: the recursion meets one (beta-set, remaining cycles) pair from
+    many rim-hook orders, and tables of one degree over different n share
+    them; a cold ``weingarten_table(14, 14)`` makes 33,131 of them."""
     if not mu:
         return 1
     k = mu[0]
@@ -156,6 +156,8 @@ class WeingartenTable:
     pseudo: bool
     denominator: int = field(init=False)
     numerators: dict = field(init=False)
+    # a dict per table, not a functools memo on _integral, so that it is
+    # dropped with its table and every integral still calls weingarten_table
     monomials: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -168,7 +170,9 @@ class WeingartenTable:
         return self.values[_cycle_type(perm)]
 
 
-_TABLE_CACHE: dict = {}  # idempotent fills; a torn value is impossible in CPython
+# not a functools memo: perfbench's _reset_tables clears it, and p_max is checked
+# before every lookup; idempotent fills, so a torn value is impossible in CPython
+_TABLE_CACHE: dict = {}
 
 
 def weingarten_table(p: int, n: int, p_max: int = PMAX_DEFAULT) -> WeingartenTable:
@@ -423,9 +427,7 @@ def norm_squared(x: CrossedElement, p_max: int = PMAX_DEFAULT) -> Fraction:
     return val.re
 
 
-_POINTS: dict = {}  # idempotent fills, like _TABLE_CACHE
-
-
+@functools.cache
 def _witness(n):
     """The witness point over n, as (values, D): ``values`` maps each
     coordinate symbol (i, j, bar) to an integer, g_ij, or D (g^-1)_ji when
@@ -437,12 +439,9 @@ def _witness(n):
     is strictly diagonally dominant: its leading principal minors are not
     zero, and |det g| >= 3^n.  Fraction-free Gauss-Jordan elimination
     (Bareiss, on every row) takes [g | I] to [det I | adj g], each step
-    dividing exactly by the previous pivot.  Built once per n, and checked
-    when built: g adj g = det I and |det| >= 2.
+    dividing exactly by the previous pivot.  Built once per n (memoised: the
+    callers share ``values``), and checked: g adj g = det I and |det| >= 2.
     """
-    cached = _POINTS.get(n)
-    if cached is not None:
-        return cached
     primes = (k for k in itertools.count(2) if all(k % q for q in range(2, math.isqrt(k) + 1)))
     g = [[0 if i == j else next(primes) for j in range(n)] for i in range(n)]
     off = sum(map(sum, g))
@@ -465,8 +464,7 @@ def _witness(n):
     den = abs(det) // math.gcd(det, *(v for row in adj for v in row))
     values = {(i + 1, j + 1, bar): adj[j][i] * den // det if bar else g[i][j]
               for i in range(n) for j in range(n) for bar in (False, True)}
-    out = _POINTS[n] = (values, den)
-    return out
+    return values, den
 
 
 def _vanishes_at(f: FunElement, values: dict, den: int) -> bool:

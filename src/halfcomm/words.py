@@ -81,8 +81,8 @@ class Letter(NamedTuple):
     """The generator in row ``row`` and column ``col``, or its star.
 
     A letter is a plain value: it compares, hashes and orders as the tuple
-    (row, col, starred).  The library makes each value once, in
-    ``_LETTERS``, and shares that object among every word that holds the
+    (row, col, starred).  The library makes each value once, through the
+    ``_letter`` memo, and shares that object among every word that holds the
     letter; which object a letter is stays an implementation detail, so a
     ``Letter`` made directly works everywhere a shared one does.
     """
@@ -95,31 +95,18 @@ class Letter(NamedTuple):
         return (self.row, self.col, self.starred)
 
 
-# most letters the intern table holds; one presentation has 2·n² letters,
-# so every letter of any n up to 181 fits
+# most letters ``_letter`` keeps; one presentation has 2·n² letters, so
+# every letter of any n up to 181 fits
 LETTER_TABLE_CAP = 65_536
 
 
-class _Interned(dict):
-    """(row, col, starred) -> the one ``Letter`` of that value, made the
-    first time it is asked for, so the table holds only the letters met.
-
-    Past ``LETTER_TABLE_CAP`` entries the table starts again empty, as the
-    other memos are bounded; letters made before then stay valid values and
-    only stop being shared with the new ones.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        if len(self) >= LETTER_TABLE_CAP:
-            self.clear()
-        row, col, starred = key
-        made = Letter(row, col, bool(starred))
-        return self.setdefault(made, made)
-
-
-_LETTERS = _Interned()
+@functools.lru_cache(maxsize=LETTER_TABLE_CAP)
+def _letter(row, col, starred):
+    """The one shared ``Letter`` of value (row, col, starred), made the first
+    time it is asked for; past ``LETTER_TABLE_CAP`` letters the least
+    recently used one is dropped, and stays a valid value that is only no
+    longer shared with letters made after it."""
+    return Letter(row, col, bool(starred))
 
 
 def letter(presentation: Presentation, row: int, col: int, starred: bool = False) -> Letter:
@@ -131,7 +118,7 @@ def letter(presentation: Presentation, row: int, col: int, starred: bool = False
         raise IndexRangeError(f"index ({row},{col}) outside 1..{n}")
     if starred and presentation.orthogonal:
         raise PresentationError("orthogonal generators are self-adjoint; no starred letters")
-    return _LETTERS[row, col, starred]
+    return _letter(row, col, starred)
 
 
 # A Word is a tuple of Letters; the empty tuple is the unit.
@@ -143,10 +130,7 @@ def hc_normal_form(word):
     Sorts the odd-position and even-position letters separately and
     interleaves them; a ``Letter`` orders like its ``key()``.
     """
-    out = list(word)
-    out[0::2] = sorted(word[0::2])
-    out[1::2] = sorted(word[1::2])
-    return tuple(out)
+    return _interleave(sorted(word[0::2]), sorted(word[1::2]))
 
 
 def _forbidden(a: Letter, b: Letter) -> bool:
@@ -251,7 +235,7 @@ def star_element(x: WordElement) -> WordElement:
         terms = {word[::-1]: coeff.conjugate() for word, coeff in x.terms.items()}
     else:
         terms = {
-            tuple(_LETTERS[row, col, not starred] for row, col, starred in reversed(word)): coeff.conjugate()
+            tuple(_letter(row, col, not starred) for row, col, starred in reversed(word)): coeff.conjugate()
             for word, coeff in x.terms.items()
         }
     return WordElement(x.presentation, terms)
@@ -262,7 +246,7 @@ def antipode_element(x: WordElement) -> WordElement:
     letters), linear on coefficients."""
     unitary = not x.presentation.orthogonal
     terms = {
-        tuple(_LETTERS[col, row, starred != unitary] for row, col, starred in reversed(word)): coeff
+        tuple(_letter(col, row, starred != unitary) for row, col, starred in reversed(word)): coeff
         for word, coeff in x.terms.items()
     }
     return WordElement(x.presentation, terms)
@@ -297,7 +281,7 @@ def _symbol_splits(r, c, f, e, n):
         weight = math.factorial(e)
         for ek in Counter(ks).values():
             weight //= math.factorial(ek)
-        out.append((tuple(_LETTERS[r, k, f] for k in ks), tuple(_LETTERS[k, c, f] for k in ks), weight))
+        out.append((tuple(_letter(r, k, f) for k in ks), tuple(_letter(k, c, f) for k in ks), weight))
     return tuple(out)
 
 

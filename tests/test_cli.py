@@ -355,6 +355,20 @@ def test_faithfulness_at_the_pair_cap_runs(capsys, monkeypatch):
     assert code == 2 and out == "" and " 61 normal forms, 1891 pairs" in err
 
 
+def test_expression_products_are_capped_by_their_term_pairs(capsys):
+    # k juxtaposed sums of the eight degree-1 letters of crossed:2: k = 8
+    # forms 51,472 term pairs and normalizes; k = 14 is refused before its
+    # ninth factor is multiplied in, which would bring the count to 102,952
+    factor = "(" + "+".join(f"u{s}[{i},{j}]" for s in ("", "*") for i in (1, 2) for j in (1, 2)) + ")"
+    code, out, err = run_cli(capsys, "normalize", "--context", "crossed:2", " ".join([factor] * 8))
+    assert code == 0 and out.strip()
+    code, out, err = run_cli(capsys, "normalize", "--context", "crossed:2", " ".join([factor] * 14))
+    assert code == 2 and out == ""
+    assert [l for l in err.splitlines() if not l.startswith("# config")] == [
+        "error: the expression's products form 102952 term pairs, above the cap of 65536"
+    ]
+
+
 @pytest.mark.parametrize(
     "flags, suite, max_pairs",
     [

@@ -23,15 +23,13 @@ from halfcomm.crossed import (
 from halfcomm.errors import DegreeCapError, DimensionMismatchError, IndexRangeError
 from halfcomm.haar import haar_integral
 from halfcomm.scalars import GaussianRational, I
-from halfcomm.verify import coinvariant_by_coproduct
+from halfcomm.verify import _random_crossed, _random_fun, coinvariant_by_coproduct
 from halfcomm.words import WordElement, ah_star, ao_star, au_star_star, letter
 from tests_helpers import (
     assert_pair_tuple,
     assert_reduced,
     crossed_parities,
     lean_cases,
-    random_crossed,
-    random_fun,
     ref_bar,
     ref_crossed_mul,
     ref_crossed_star,
@@ -69,7 +67,7 @@ def test_bar_examples():
 def test_bar_is_algebra_map():
     rng = random.Random(3)
     for _ in range(25):
-        f1, f2 = random_fun(rng, 2), random_fun(rng, 2)
+        f1, f2 = _random_fun(rng, 2, max_degree=3), _random_fun(rng, 2, max_degree=3)
         assert (f1 * f2).bar() == f1.bar() * f2.bar()
 
 
@@ -81,7 +79,7 @@ def test_crossed_mul_examples():
     y = CrossedElement.odd(u(2, 2, 2))
     assert crossed_mul(x, y) == CrossedElement.even(u(2, 1, 1) * ub(2, 2, 2))
     one = CrossedElement.one(2)
-    z = random_crossed(random.Random(0), 2)
+    z = _random_crossed(random.Random(0), 2, max_degree=3)
     assert crossed_mul(one, z) == z and crossed_mul(z, one) == z
     a = CrossedElement.even(u(2, 1, 1))
     b = CrossedElement.odd(u(2, 1, 2))
@@ -97,7 +95,7 @@ def test_crossed_mul_dimension_mismatch():
 def test_crossed_mul_associative_distributive(n):
     rng = random.Random(n)
     for _ in range(20):
-        x, y, z = (random_crossed(rng, n) for _ in range(3))
+        x, y, z = (_random_crossed(rng, n, max_degree=3) for _ in range(3))
         assert crossed_mul(crossed_mul(x, y), z) == crossed_mul(x, crossed_mul(y, z))
         assert crossed_mul(x, y + z) == crossed_mul(x, y) + crossed_mul(x, z)
 
@@ -117,7 +115,7 @@ def test_crossed_star_examples():
 def test_crossed_star_involutive_antimultiplicative():
     rng = random.Random(11)
     for _ in range(25):
-        x, y = random_crossed(rng, 2), random_crossed(rng, 2)
+        x, y = _random_crossed(rng, 2, max_degree=3), _random_crossed(rng, 2, max_degree=3)
         assert crossed_star(crossed_star(x)) == x
         assert crossed_star(crossed_mul(x, y)) == crossed_mul(crossed_star(y), crossed_star(x))
 
@@ -132,7 +130,7 @@ def test_crossed_antipode_examples():
 def test_crossed_antipode_antimultiplicative():
     rng = random.Random(5)
     for _ in range(25):
-        x, y = random_crossed(rng, 2), random_crossed(rng, 2)
+        x, y = _random_crossed(rng, 2, max_degree=3), _random_crossed(rng, 2, max_degree=3)
         assert crossed_antipode(crossed_mul(x, y)) == crossed_mul(
             crossed_antipode(y), crossed_antipode(x)
         )
@@ -241,7 +239,7 @@ def _brute_crossed_coproduct(x):
 def test_crossed_coproduct_matches_brute_force_expansion():
     rng = random.Random(29)
     for _ in range(200):
-        x = random_crossed(rng, rng.randint(1, 3))
+        x = _random_crossed(rng, rng.randint(1, 3), max_degree=3)
         assert crossed_coproduct(x) == _brute_crossed_coproduct(x)
 
 
@@ -523,7 +521,7 @@ def test_coinvariant_examples():
 def test_coinvariant_routes_on_random_elements():
     rng = random.Random(13)
     for _ in range(20):
-        x = random_crossed(rng, 2, max_degree=2)
+        x = _random_crossed(rng, 2, max_degree=2)
         for y in (x, CrossedElement.even(x.f0), CrossedElement.odd(x.f1)):
             assert coinvariant_test(y) == coinvariant_by_coproduct(y)
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from halfcomm import expressions
 from halfcomm.crossed import CrossedElement, FunElement, format_crossed_element
 from halfcomm.errors import ParseError
 from halfcomm.expressions import MAX_NESTING, CrossedContext, parse_context, parse_expression
@@ -90,6 +91,17 @@ def test_nesting_is_capped_before_the_recursion_limit(ctx):
             parse_expression("(" * depth + "1" + ")" * depth, ctx)
         assert exc.value.position == 100
         assert str(exc.value) == "parentheses nested deeper than 100 (at position 100)"
+
+
+@pytest.mark.parametrize("ctx, factors", [(ao_star(2), "(v[1,1]+v[1,2]) (v[2,1]+v[2,2])"),
+                                          (CrossedContext(2), "(u[1,1]+u[1,2]) (u[2,1]+u[2,2])")])
+def test_products_are_capped_by_their_term_pairs(ctx, factors, monkeypatch):
+    # one product of two 2-term sums forms 4 term pairs: at the cap it parses
+    monkeypatch.setattr(expressions, "MAX_PRODUCT_PAIRS", 4)
+    parse_expression(factors, ctx)
+    monkeypatch.setattr(expressions, "MAX_PRODUCT_PAIRS", 3)
+    with pytest.raises(ValueError, match="products form 4 term pairs, above the cap of 3"):
+        parse_expression(factors, ctx)
 
 
 def test_parse_unitary_presentation():

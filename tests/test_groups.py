@@ -10,7 +10,6 @@ from halfcomm.groups import (
     parse_model,
     predicate,
     sample_batch,
-    sample_haar,
 )
 from halfcomm.words import WordElement, ao_star
 
@@ -41,8 +40,9 @@ def test_parse_model():
 
 def test_sampler_determinism():
     m = parse_model("un:3")
-    assert np.allclose(sample_haar(m, 42), sample_haar(m, 42))
-    assert not np.allclose(sample_haar(m, 42), sample_haar(m, 43))
+    first, again, other = (sample_batch(m, np.random.default_rng(seed), 1)[0] for seed in (42, 42, 43))
+    assert np.allclose(first, again)
+    assert not np.allclose(first, other)
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -110,14 +110,14 @@ def test_membership_of_a_stack_is_per_matrix(name):
 
 def test_kn_sample_is_monomial():
     model = parse_model("kn:3")
-    g = sample_haar(model, 9)
+    g = sample_batch(model, np.random.default_rng(9), 1)[0]
     mask = np.abs(g) > 0.5
     assert mask.sum(axis=0).tolist() == [1, 1, 1]
     assert mask.sum(axis=1).tolist() == [1, 1, 1]
 
 
 def test_torus_sample_is_diagonal():
-    g = sample_haar(parse_model("torus:2"), 3)
+    g = sample_batch(parse_model("torus:2"), np.random.default_rng(3), 1)[0]
     off = g - np.diag(np.diag(g))
     assert np.max(np.abs(off)) < 1e-12
     assert np.allclose(np.abs(np.diag(g)), 1.0)
@@ -125,7 +125,7 @@ def test_torus_sample_is_diagonal():
 
 def test_u2n_block_pattern():
     n = 2
-    g = sample_haar(parse_model("u2n:2"), 1)
+    g = sample_batch(parse_model("u2n:2"), np.random.default_rng(1), 1)[0]
     a, b = g[:n, :n], g[:n, n:]
     c, d = g[n:, :n], g[n:, n:]
     assert np.allclose(a, d) and np.allclose(b, -c)
@@ -196,7 +196,7 @@ def test_evaluate_fun():
 
 def test_matrix_model_unit():
     x = CrossedElement.one(2)
-    g = sample_haar(parse_model("un:2"), 0)
+    g = sample_batch(parse_model("un:2"), np.random.default_rng(0), 1)[0]
     assert np.allclose(matrix_model_eval(x, g), np.eye(2))
 
 
@@ -206,12 +206,12 @@ def test_matrix_model_multiplicative_star():
     import random
 
     prng = random.Random(4)
-    from tests_helpers import random_crossed  # local helper module
+    from halfcomm.verify import _random_crossed
 
     for _ in range(100):
         g = sample_batch(model, rng, 1)[0]
-        x = random_crossed(prng, 3, max_degree=2)
-        y = random_crossed(prng, 3, max_degree=2)
+        x = _random_crossed(prng, 3, max_degree=2)
+        y = _random_crossed(prng, 3, max_degree=2)
         lhs = matrix_model_eval(crossed_mul(x, y), g)
         rhs = matrix_model_eval(x, g) @ matrix_model_eval(y, g)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
@@ -224,14 +224,14 @@ def test_matrix_model_multiplicative_star():
 def test_matrix_model_of_a_stack_is_per_matrix():
     import random
 
-    from tests_helpers import random_crossed  # local helper module
+    from halfcomm.verify import _random_crossed
 
     prng = random.Random(6)
     for name in ("un:2", "u2n:1", "kn:3"):
         model = parse_model(name)
         d = model.ambient_dim
         gs = sample_batch(model, np.random.default_rng(5), 12).reshape(3, 4, d, d)
-        x = random_crossed(prng, d, max_degree=3)
+        x = _random_crossed(prng, d, max_degree=3)
         got = matrix_model_eval(x, gs)
         assert got.shape == (3, 4, 2, 2)
         for a in range(3):
@@ -245,7 +245,7 @@ def test_matrix_model_of_a_stack_is_per_matrix():
 
 def test_matrix_model_orthogonal_point_is_symmetric():
     pres = ao_star(3)
-    g = sample_haar(parse_model("on:3"), 11)
+    g = sample_batch(parse_model("on:3"), np.random.default_rng(11), 1)[0]
     x = embed_pi(WordElement.generator(pres, 1, 2))
     m = matrix_model_eval(x, g)
     assert abs(m[0, 1] - m[1, 0]) < 1e-12

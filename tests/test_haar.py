@@ -29,7 +29,6 @@ from halfcomm.haar import (
     weingarten_table,
     witness_refutes,
     _compose,
-    _cycle_count,
     _cycle_type,
     _integral,
     _inverse,
@@ -39,12 +38,11 @@ from halfcomm.haar import (
     _witness,
 )
 from halfcomm.scalars import GaussianRational
+from halfcomm.verify import _random_crossed, _random_fun
 from halfcomm.words import WordElement, ao_star, au_star_star, hc_normal_form, letter
 from tests_helpers import (
     crossed_parities,
     lean_cases,
-    random_crossed,
-    random_fun,
     ref_crossed_mul,
     ref_crossed_star,
     ref_value_at,
@@ -92,7 +90,7 @@ def test_table_row_sums():
     # meaningful in the invertible regime (below it G G+ is a projection)
     for p, n in ((2, 2), (3, 3), (2, 4)):
         t = weingarten_table(p, n)
-        total = sum(t.wg(s) * Fraction(n ** _cycle_count(s)) for s in _permutations(p))
+        total = sum(t.wg(s) * Fraction(n ** len(_cycle_type(s))) for s in _permutations(p))
         assert total == 1
 
 
@@ -131,7 +129,7 @@ def test_table_inverse_identity():
             for s in _permutations(p):
                 for r in _permutations(p):
                     total = sum(
-                        Fraction(n ** _cycle_count(_compose(s, _inverse(tt)))) * t.wg(_compose(tt, _inverse(r)))
+                        Fraction(n ** len(_cycle_type(_compose(s, _inverse(tt))))) * t.wg(_compose(tt, _inverse(r)))
                         for tt in _permutations(p)
                     )
                     assert total == (1 if s == r else 0)
@@ -145,7 +143,7 @@ def test_table_gram_identities_convolution_form():
     for p, n in ((5, 2), (5, 3), (5, 5), (6, 3), (6, 6)):
         t = weingarten_table(p, n, p_max=6)
         assert t.pseudo == (n < p)
-        g = lambda s: Fraction(n ** _cycle_count(s))
+        g = lambda s: Fraction(n ** len(_cycle_type(s)))
         gw = class_convolution(g, t.wg, p)
         if not t.pseudo:
             assert gw == {ct: int(len(ct) == p) for ct in gw}, (p, n)
@@ -162,6 +160,16 @@ def test_table_pseudo_regime_flag():
 def test_table_degree_cap():
     with pytest.raises(DegreeCapError):
         weingarten_table(6, 6)
+
+
+def test_memoised_characters_give_the_tables_of_the_plain_recursion(fresh_tables, monkeypatch):
+    from halfcomm import haar
+
+    memoised = {(p, n): weingarten_table(p, n, p).values for p in range(1, 9) for n in range(1, p + 2)}
+    _TABLE_CACHE.clear()
+    # the recursion looks its subproblems up by the module name, so every level is unmemoised
+    monkeypatch.setattr(haar, "_character", haar._character.__wrapped__)
+    assert {(p, n): weingarten_table(p, n, p).values for p, n in memoised} == memoised
 
 
 # -- exact integrals ------------------------------------------------------------
@@ -589,7 +597,7 @@ def test_state_positivity():
     rng = random.Random(19)
     for n in (2, 3):
         for _ in range(50):
-            x = random_crossed(rng, n, max_degree=2)
+            x = _random_crossed(rng, n, max_degree=2)
             val = haar_state(crossed_mul(crossed_star(x), x))
             assert val.im == 0 and val.re >= 0
 
@@ -619,7 +627,7 @@ def _norm_by_expansion(x, p_max=5):
 def test_norm_squared_matches_full_expansion_on_random_elements(n):
     rng = random.Random(610 + n)
     for _ in range(100):
-        x = random_crossed(rng, n, max_degree=4)
+        x = _random_crossed(rng, n, max_degree=4)
         assert norm_squared(x) == _norm_by_expansion(x)
 
 
@@ -744,7 +752,7 @@ def test_witness_refutes_like_a_gaussian_rational_evaluation(n):
     point = witness_point(n)
     zeros = 0
     for _ in range(40):
-        f = random_fun(rng, n, max_degree=4, terms=4) * GaussianRational(Fraction(1, rng.randint(1, 6)), Fraction(1, 3))
+        f = _random_fun(rng, n, max_degree=4, terms=4) * GaussianRational(Fraction(1, rng.randint(1, 6)), Fraction(1, 3))
         g = f - FunElement.one(n) * ref_value_at(f, point)
         for h in (f, g):
             for x in (CrossedElement.even(h), CrossedElement.odd(h), CrossedElement(g, h)):
@@ -947,7 +955,7 @@ def test_mc_integrals_share_draws_bit_for_bit(name):
     # shared-draw estimate equals the estimate of its element alone, exactly
     model = parse_model(name)
     n = model.ambient_dim
-    fs = [u(n, 1, 1) * ub(n, 1, 1), u(n, 1, 2) * ub(n, 2, 1) + u(n, 2, 2), random_crossed(random.Random(n), n)]
+    fs = [u(n, 1, 1) * ub(n, 1, 1), u(n, 1, 2) * ub(n, 2, 1) + u(n, 2, 2), _random_crossed(random.Random(n), n, max_degree=3)]
     ests = mc_integrals(fs, model, 4097, seed=11)
     for f, est in zip(fs, ests):
         assert est == mc_integral(f, model, 4097, seed=11)

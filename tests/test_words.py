@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from halfcomm import words
 from halfcomm.errors import ClosureSizeError, DegreeCapError, IndexRangeError, PresentationError
 from halfcomm.expressions import parse_expression
 from halfcomm.scalars import GaussianRational, I
 from halfcomm.words import (
     COPRODUCT_MAX_TERMS,
-    _LETTERS,
+    LETTER_TABLE_CAP,
+    _letter,
     Letter,
     WordElement,
     ah_star,
@@ -381,7 +381,7 @@ def _every_letter(pres):
 
 
 def _shared(word):
-    return all(_LETTERS[l] is l for l in word)
+    return all(_letter(*l) is l for l in word)
 
 
 def test_letter_returns_one_object_per_value():
@@ -424,22 +424,19 @@ def test_star_and_antipode_match_the_per_letter_definitions():
 
 
 def test_a_letter_adds_one_entry_to_the_intern_table():
-    before = len(_LETTERS)
+    before = _letter.cache_info()
     made = letter(ao_star(1000), 999, 998)
-    assert len(_LETTERS) == before + 1
-    assert letter(ao_star(1000), 999, 998) is made and len(_LETTERS) == before + 1
+    assert _letter.cache_info().misses == before.misses + 1
+    assert letter(ao_star(1000), 999, 998) is made and _letter.cache_info().misses == before.misses + 1
 
 
-def test_the_intern_table_is_bounded(monkeypatch):
-    saved = dict(_LETTERS)
-    monkeypatch.setattr(words, "LETTER_TABLE_CAP", 3)
-    try:
-        pres = ao_star(1000)
-        made = [letter(pres, 1000, c) for c in range(1, 8)]
-        assert len(_LETTERS) <= 3
-        # a cleared table only stops sharing: the letters keep their values
-        assert made == [(1000, c, False) for c in range(1, 8)]
-        assert letter(pres, 1000, 7) is made[-1]
-    finally:
-        _LETTERS.clear()
-        _LETTERS.update(saved)
+def test_the_intern_table_is_bounded():
+    assert _letter.cache_info().maxsize == LETTER_TABLE_CAP
+    pres = ao_star(1000)
+    made = [letter(pres, 1 + k // 1000, 1 + k % 1000) for k in range(LETTER_TABLE_CAP + 1)]
+    assert _letter.cache_info().currsize == LETTER_TABLE_CAP
+    # the least recently used letter was dropped, and only stops being
+    # shared: a letter made again keeps its value; the newest stays shared
+    again = letter(pres, made[0].row, made[0].col)
+    assert again == made[0] and again is not made[0]
+    assert letter(pres, made[-1].row, made[-1].col) is made[-1]

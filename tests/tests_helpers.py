@@ -7,23 +7,8 @@ from fractions import Fraction
 from halfcomm.crossed import CrossedElement, FunElement, FunMonomial
 from halfcomm.haar import _witness
 from halfcomm.scalars import ZERO, GaussianRational
+from halfcomm.verify import _random_fun
 from halfcomm.words import Letter, _check_coproduct_cap
-
-
-def random_fun(rng, n, max_degree=3, terms=2):
-    f = FunElement.zero(n)
-    for _ in range(terms):
-        exps = {}
-        for _ in range(rng.randint(0, max_degree)):
-            sym = (rng.randint(1, n), rng.randint(1, n), rng.random() < 0.5)
-            exps[sym] = exps.get(sym, 0) + 1
-        coeff = GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
-        f = f + FunElement(n, {FunMonomial(exps): coeff})
-    return f
-
-
-def random_crossed(rng, n, max_degree=3):
-    return CrossedElement(random_fun(rng, n, max_degree), random_fun(rng, n, max_degree))
 
 
 # References for the lean exact path: each result is rebuilt term by term
@@ -93,7 +78,7 @@ def lean_cases(rng, n, count, max_degree=3):
     for each pair also (f + g, f - g), whose product f^2 - g^2 loses its
     cross terms, so that sums of products cancel."""
     for _ in range(count):
-        f, g = random_fun(rng, n, max_degree, terms=3), random_fun(rng, n, max_degree, terms=3)
+        f, g = _random_fun(rng, n, max_degree, terms=3), _random_fun(rng, n, max_degree, terms=3)
         yield f, g
         yield f + g, f - g
 
