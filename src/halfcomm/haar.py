@@ -119,7 +119,7 @@ def _character(beta, mu):
     a bead from b to a free b - k, with sign (-1)^(beads strictly between).
     Memoised: the recursion meets one (beta-set, remaining cycles) pair from
     many rim-hook orders, and tables of one degree over different n share
-    them; a cold ``weingarten_table(14, 14)`` makes 33,131 of them."""
+    them; a cold ``weingarten_table(14, 14, 14)`` makes 33,131 of them."""
     if not mu:
         return 1
     k = mu[0]

@@ -3,14 +3,16 @@ import random
 
 import pytest
 
+from halfcomm.crossed import _run_splits, _word_image
 from halfcomm.errors import ClosureSizeError, DegreeCapError, IndexRangeError, PresentationError
 from halfcomm.expressions import parse_expression
 from halfcomm.scalars import GaussianRational, I
 from halfcomm.words import (
     COPRODUCT_MAX_TERMS,
     LETTER_TABLE_CAP,
-    _letter,
     Letter,
+    _letter,
+    _symbol_splits,
     WordElement,
     ah_star,
     ah_zero_test,
@@ -430,7 +432,16 @@ def test_a_letter_adds_one_entry_to_the_intern_table():
     assert letter(ao_star(1000), 999, 998) is made and _letter.cache_info().misses == before.misses + 1
 
 
-def test_the_intern_table_is_bounded():
+@pytest.fixture
+def fresh_letter_memos():
+    """Empty the letter table, and the memos that hold its letters, after
+    the test, so that later tests see one consistent shared table again."""
+    yield
+    for memo in (_letter, _symbol_splits, _run_splits, _word_image):
+        memo.cache_clear()
+
+
+def test_the_intern_table_is_bounded(fresh_letter_memos):
     assert _letter.cache_info().maxsize == LETTER_TABLE_CAP
     pres = ao_star(1000)
     made = [letter(pres, 1 + k // 1000, 1 + k % 1000) for k in range(LETTER_TABLE_CAP + 1)]

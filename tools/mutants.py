@@ -1,11 +1,11 @@
 """Mutation gate: each fault below must make ``verify --suite all`` fail a check.
 
-Usage: ``python tools/mutants.py [--timeout SECONDS]`` (from anywhere).
+Usage: ``python tools/mutants.py`` (from anywhere).
 
 Each mutant is a one-line change ``(file, old, new, reason)`` to the library.
 For each, the tool copies ``src/`` to a temporary directory, replaces the one
 occurrence of ``old`` by ``new`` there, and runs ``python -m halfcomm verify
---suite all`` on the copy, one child at a time, each under the timeout.  A
+--suite all`` on the copy, one child at a time, each under ``TIMEOUT_S``.  A
 mutant is *killed* when verify exits 1 with at least one failed check and no
 traceback, *crashed* when it ends any other way (a traceback, another exit
 code, the timeout), and *survived* when verify exits 0.  The unmutated copy
@@ -19,7 +19,6 @@ in the list.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -29,6 +28,7 @@ from time import perf_counter
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT_S = 120  # seconds each verify run may take; a clean run takes about 2 s
 
 
 class Mutant(NamedTuple):
@@ -58,7 +58,7 @@ MUTANTS = (
 )
 
 
-def run_verify(mutant, timeout):
+def run_verify(mutant):
     """Apply ``mutant`` (or nothing, for None) to a copy of ``src/`` and run
     the battery there; returns (outcome, failed checks, seconds, note)."""
     with tempfile.TemporaryDirectory(prefix="halfcomm-mutant-") as tmp:
@@ -76,9 +76,9 @@ def run_verify(mutant, timeout):
         cmd = [sys.executable, "-m", "halfcomm", "verify", "--suite", "all"]
         start = perf_counter()
         try:
-            res = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True, timeout=timeout)
+            res = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            return "crashed", 0, perf_counter() - start, f"no answer within {timeout} s"
+            return "crashed", 0, perf_counter() - start, f"no answer within {TIMEOUT_S} s"
         elapsed = perf_counter() - start
     failed = res.stdout.count('"status": "fail"')  # one JSON line per check
     if res.returncode == 0:
@@ -90,14 +90,11 @@ def run_verify(mutant, timeout):
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--timeout", type=float, default=120.0, help="seconds each verify run may take")
-    args = parser.parse_args()
-    outcome, failed, elapsed, note = run_verify(None, args.timeout)
+    outcome, failed, elapsed, note = run_verify(None)
     ok = outcome == "survived" and failed == 0
     print(f"{'clean' if ok else 'BROKEN':9} {elapsed:6.1f} s  unmutated copy {note}".rstrip())
     for mutant in MUTANTS:
-        outcome, failed, elapsed, note = run_verify(mutant, args.timeout)
+        outcome, failed, elapsed, note = run_verify(mutant)
         print(f"{outcome:9} {elapsed:6.1f} s  {failed:2} failed  {os.path.basename(mutant.file)}: {mutant.reason}"
               + (f" ({note})" if note else ""))
         ok = ok and outcome == "killed"
