@@ -365,7 +365,6 @@ def pun_generator(n: int, i: int, j: int, k: int, l: int) -> FunElement:
 _POWERS_OF_I = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-@functools.lru_cache(maxsize=4096)
 def _run_splits(row, col, odd, e, q, n) -> tuple:
     """The expansion of one unitary run over dimension 2n, as
     ``(plain, shifted, re, im)`` tuples.
@@ -376,10 +375,8 @@ def _run_splits(row, col, odd, e, q, n) -> tuple:
     w_k = sum_(a+b=k) C(p,a) C(q,b) i^(a-b): a shifted plain letter brings i
     and a shifted starred one -i.  ``plain`` and ``shifted`` are the
     exponent pieces of x and x' (empty at exponent 0), and (re, im) is w_k;
-    w_0 = 1, and w_k = 0 is left out.  The keys are small integers, never
-    words or elements, and like ``words._symbol_splits`` the cache keeps at
-    most 4,096 of them: runs recur across the distinct words whose images
-    ``_word_image`` builds.
+    w_0 = 1, and w_k = 0 is left out.  It is not memoised: it runs only
+    when ``_word_image`` misses.
     """
     p = e - q
     sym, shifted = (row, col, odd), (row + n, col, odd)

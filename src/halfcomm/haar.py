@@ -107,7 +107,8 @@ def _partitions(total, parts, largest=None):
     if total == 0:
         yield ()
     elif parts:
-        for first in range(min(total, largest or total), 0, -1):
+        # a first part below total / parts leaves more than the other parts can hold
+        for first in range(min(total, largest or total), (total - 1) // parts, -1):
             for rest in _partitions(total - first, parts - 1, first):
                 yield (first,) + rest
 

@@ -18,6 +18,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -82,6 +83,9 @@ from .words import (
 
 DEFAULT_SEED = 1234
 CLOSURE_MAX_SIZE = 20000  # words one rewrite closure may reach
+CLOSURE_MAX_STATES = 250_000  # closure states rewrite-oracle and ah-zero may walk, all words together
+HALF_COMM_MAX_TRIPLES = 50_000  # generator triples half-comm may multiply out
+PUN_MAX_PRODUCTS = 1_000  # index tuples pun's biunitarity check may sum
 POINTWISE_SAMPLES = 48  # Haar unitaries pointwise_equal evaluates at
 POINTWISE_TOL = 1e-9
 FAITHFULNESS_MAXLEN = 3  # word length up to which faithfulness compares normal forms
@@ -210,7 +214,11 @@ def _suite(name, caps=None):
 
 
 def _all_letters(pres):
-    return [letter(pres, r, c) for r in range(1, pres.n + 1) for c in range(1, pres.n + 1)]
+    """Every letter of ``pres``: by row, column, and then star in a unitary
+    presentation."""
+    stars = (False,) if pres.orthogonal else (False, True)
+    idx = range(1, pres.n + 1)
+    return [letter(pres, r, c, s) for r in idx for c in idx for s in stars]
 
 
 def _all_words(pres, length):
@@ -236,7 +244,46 @@ def _abc_cba(gens):
 # -- rewriting ---------------------------------------------------------------
 
 
-@_suite("rewrite-oracle")
+def _multinomial(counts):
+    """(sum of counts)! / prod(count!), as a product of binomials."""
+    out, total = 1, 0
+    for c in counts:
+        total += c
+        out *= math.comb(total, c)
+    return out
+
+
+def _closure_states(k, length):
+    """The states that the rewrite closures of all words of ``length`` over
+    k letters hold together, counted, not listed.  A closure is every
+    rearrangement of a word's odd positions and of its even ones, so the
+    words of length L hold S(ceil(L/2)) S(floor(L/2)) states, where S(a)
+    sums the squared arrangement count over the multisets of a letters.
+    The multisets whose multiplicities form the partition m of a each have
+    multinomial(m) arrangements, and there are C(k, len(m)) times the
+    arrangements of m's parts of them."""
+
+    def squares(a):
+        return sum(math.comb(k, len(m)) * _multinomial(Counter(m).values()) * _multinomial(m) ** 2
+                   for m in _partitions(a, k))
+
+    return squares((length + 1) // 2) * squares(length // 2)
+
+
+def _closure_caps(suite, n, maxlen):
+    """Refuse more than ``CLOSURE_MAX_STATES`` closure states over the words
+    of lengths 1..maxlen, counted before any word is listed, and stop
+    counting once past the cap."""
+    count = 0
+    for length in range(1, maxlen + 1):
+        count += _closure_states(n * n, length)
+        if count > CLOSURE_MAX_STATES:
+            least = "" if length == maxlen else "at least "
+            raise ValueError(f"{suite} over n={n} up to length {maxlen} walks {least}{count} closure states; "
+                             f"the cap is {CLOSURE_MAX_STATES}")
+
+
+@_suite("rewrite-oracle", caps=functools.partial(_closure_caps, "rewrite-oracle"))
 def suite_rewrite_oracle(n=2, maxlen=5):
     pres = ao_star(n)
     for length in range(1, maxlen + 1):
@@ -255,7 +302,7 @@ def suite_rewrite_oracle(n=2, maxlen=5):
         yield f"closure-len-{length}", "closure reachability coincides with equality of canonical forms", check
 
 
-@_suite("ah-zero")
+@_suite("ah-zero", caps=functools.partial(_closure_caps, "ah-zero"))
 def suite_ah_zero(n=2, maxlen=5):
     pres = ah_star(n)
     for length in range(1, maxlen + 1):
@@ -282,7 +329,12 @@ def suite_ah_zero(n=2, maxlen=5):
 # -- crossed product ---------------------------------------------------------
 
 
-@_suite("half-comm")
+def _half_comm_caps(n):
+    if n**6 > HALF_COMM_MAX_TRIPLES:
+        raise ValueError(f"half-comm over n={n} checks {n**6} generator triples; the cap is {HALF_COMM_MAX_TRIPLES}")
+
+
+@_suite("half-comm", caps=_half_comm_caps)
 def suite_half_comm(n=2):
     pairs = _index_pairs(n)
 
@@ -505,6 +557,26 @@ def _basis_elem(n, mono, parity):
     return CrossedElement.even(f) if parity == 0 else CrossedElement.odd(f)
 
 
+def _word_counit_sides(pres, delta):
+    """(eps (x) id) Delta and (id (x) eps) Delta, as word elements, of a word
+    coproduct ``delta``."""
+    left = right = WordElement.zero(pres)
+    for (w1, w2), c in delta.items():
+        left = left + counit_element(WordElement.from_word(pres, w1)) * c * WordElement.from_word(pres, w2)
+        right = right + counit_element(WordElement.from_word(pres, w2)) * c * WordElement.from_word(pres, w1)
+    return left, right
+
+
+def _crossed_counit_sides(n, delta):
+    """(eps (x) id) Delta and (id (x) eps) Delta, as crossed elements over n,
+    of a crossed coproduct ``delta``."""
+    left = right = CrossedElement.zero(n)
+    for ((lm, lp), (rm, rp)), c in delta.items():
+        left = left + crossed_counit(_basis_elem(n, lm, lp)) * c * _basis_elem(n, rm, rp)
+        right = right + crossed_counit(_basis_elem(n, rm, rp)) * c * _basis_elem(n, lm, lp)
+    return left, right
+
+
 def _tensor_mul(n, t1, t2):
     def pairs():
         for (l1, r1), c1 in t1.items():
@@ -565,13 +637,7 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, p_max=PMAX_DEFAULT):
         for length in range(0, 3):
             for w in _all_words(pres, length):
                 x = WordElement.from_word(pres, tuple(w))
-                delta = coproduct_element(x)
-                left = WordElement.zero(pres)
-                right = WordElement.zero(pres)
-                for (w1, w2), c in delta.items():
-                    left = left + counit_element(WordElement.from_word(pres, w1)) * c * WordElement.from_word(pres, w2)
-                    right = right + counit_element(WordElement.from_word(pres, w2)) * c * WordElement.from_word(pres, w1)
-                if left != x or right != x:
+                if _word_counit_sides(pres, coproduct_element(x)) != (x, x):
                     return False, f"counit axiom fails on {w}"
         return True, "all words of length <= 2"
 
@@ -598,12 +664,7 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, p_max=PMAX_DEFAULT):
         samples = [CrossedElement.generator(n, i, j) for i, j in pairs]
         samples.append(crossed_mul(samples[0], samples[-1]))
         for x in samples:
-            left = CrossedElement.zero(n)
-            right = CrossedElement.zero(n)
-            for ((lm, lp), (rm, rp)), c in crossed_coproduct(x).items():
-                left = left + crossed_counit(_basis_elem(n, lm, lp)) * c * _basis_elem(n, rm, rp)
-                right = right + crossed_counit(_basis_elem(n, rm, rp)) * c * _basis_elem(n, lm, lp)
-            if left != x or right != x:
+            if _crossed_counit_sides(n, crossed_coproduct(x)) != (x, x):
                 return False, "counit axiom fails in the crossed product"
         return True, f"{len(samples)} elements"
 
@@ -674,7 +735,12 @@ def _random_word_element(rng, pres, max_len=3, terms=2):
     return out
 
 
-@_suite("pun")
+def _pun_caps(n, **_):
+    if n**6 > PUN_MAX_PRODUCTS:
+        raise ValueError(f"pun over n={n} forms {n**6} biunitarity products; the cap is {PUN_MAX_PRODUCTS}")
+
+
+@_suite("pun", caps=_pun_caps)
 def suite_pun(n=2, p_max=PMAX_DEFAULT):
     rng_indices = range(1, n + 1)
 
@@ -1301,7 +1367,9 @@ def run_verify(suite: str, **params) -> VerifyReport:
 def check_caps(suite: str, **params) -> None:
     """Raise the ``ValueError`` that ``run_verify(suite, **params)`` raises
     for parameters over a resource cap, without running any check: the
-    faithfulness pair count and the draws of kn, predicates and u2n."""
+    closure states of rewrite-oracle and ah-zero, the generator triples of
+    half-comm, the faithfulness pair count, the biunitarity products of pun,
+    and the draws of kn, predicates and u2n."""
     params = _accepted(suite, params)
     if suite in CAPS:
         CAPS[suite](**params)

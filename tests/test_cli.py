@@ -323,8 +323,8 @@ def test_verify_draws_at_the_draw_cap_run(capsys, monkeypatch):
     assert code == 2 and out == "" and " 9000 complex entries" in err
 
 
-def _no_normal_forms(*args):
-    raise AssertionError("a word was normalised")
+def _no_work(*args):
+    raise AssertionError("a capped suite did its work")
 
 
 def test_faithfulness_past_the_pair_cap_normalises_nothing(capsys, monkeypatch):
@@ -332,7 +332,7 @@ def test_faithfulness_past_the_pair_cap_normalises_nothing(capsys, monkeypatch):
     # suite counts them and refuses before it lists or embeds any form
     from halfcomm import verify
 
-    monkeypatch.setattr(verify, "hc_normal_form", _no_normal_forms)
+    monkeypatch.setattr(verify, "hc_normal_form", _no_work)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", "--suite", "faithfulness", "--n", "4")
     assert time.perf_counter() - start < 1
@@ -370,23 +370,25 @@ def test_expression_products_are_capped_by_their_term_pairs(capsys):
 
 
 @pytest.mark.parametrize(
-    "flags, suite, max_pairs",
+    "flags, suite, lifted",
     [
-        # ah-zero runs before faithfulness, and took most of a minute at n = 4
-        (("--n", "4"), "faithfulness", None),
-        # with the pair cap lifted, kn's 1,000 draws of 1000 x 1000 matrices
-        (("--n", "1000"), "kn", 10**40),
+        # ah-zero, first in the battery, counts 11,332,880 closure states at
+        # n = 4 (faithfulness would refuse too)
+        (("--n", "4"), "ah-zero", ()),
+        # with the caps of the suites before it lifted, kn's 1,000 draws of
+        # 1000 x 1000 matrices
+        (("--n", "1000"), "kn", ("CLOSURE_MAX_STATES", "FAITHFULNESS_MAX_PAIRS", "HALF_COMM_MAX_TRIPLES")),
         # predicates' transpose-closure draws over un:3 as well
-        (("--trials", "2000000"), "predicates", None),
+        (("--trials", "2000000"), "predicates", ()),
     ],
 )
-def test_verify_all_refuses_before_any_suite_runs(capsys, monkeypatch, flags, suite, max_pairs):
+def test_verify_all_refuses_before_any_suite_runs(capsys, monkeypatch, flags, suite, lifted):
     # the battery refuses with the line its capped suite gives on its own,
     # before any suite prints a check line or its summary
     from halfcomm import verify
 
-    if max_pairs is not None:
-        monkeypatch.setattr(verify, "FAITHFULNESS_MAX_PAIRS", max_pairs)
+    for cap in lifted:
+        monkeypatch.setattr(verify, cap, 10**40)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", "--suite", "all", *flags)
     assert time.perf_counter() - start < 5
@@ -410,6 +412,71 @@ def test_normal_form_count_matches_the_listed_forms():
                 forms.update(hc_normal_form(tuple(w)) for w in _all_words(pres, maxlen))
             assert _normal_form_count(n, maxlen) == len(forms), (n, maxlen)
     assert [_normal_form_count(n, 3) for n in (2, 3, 4)] == [61, 496, 2449]
+
+
+def test_closure_state_count_matches_the_closures():
+    # the closure-state count of each length against the sizes of the
+    # closures of every word, over ao-star and ah-star
+    from halfcomm.verify import CLOSURE_MAX_SIZE, _all_words, _closure_states
+    from halfcomm.words import ah_star, ao_star, rewrite_closure_oracle
+
+    for make in (ao_star, ah_star):
+        for n, maxlen in ((1, 6), (2, 4)):
+            pres = make(n)
+            for length in range(1, maxlen + 1):
+                walked = sum(len(rewrite_closure_oracle(w, pres, CLOSURE_MAX_SIZE)) for w in _all_words(pres, length))
+                assert _closure_states(n * n, length) == walked, (pres, length)
+    totals = {(n, maxlen): sum(_closure_states(n * n, k) for k in range(1, maxlen + 1))
+              for n, maxlen in ((2, 5), (2, 6), (2, 7), (3, 5), (4, 5))}
+    assert totals == {(2, 5): 8084, (2, 6): 73620, (2, 7): 768916, (3, 5): 588069, (4, 5): 11332880}
+
+
+# suite, its cap constant, what the cap counts, that count at n = 2, and the
+# functions that do the counted work
+WORK_CAPS = [
+    ("rewrite-oracle", "CLOSURE_MAX_STATES", "closure states", 8084, ("hc_normal_form", "rewrite_closure_oracle")),
+    ("ah-zero", "CLOSURE_MAX_STATES", "closure states", 8084, ("ah_zero_test", "rewrite_closure_oracle")),
+    ("half-comm", "HALF_COMM_MAX_TRIPLES", "generator triples", 64, ("crossed_mul",)),
+    ("pun", "PUN_MAX_PRODUCTS", "biunitarity products", 64, ("pun_generator",)),
+]
+
+
+@pytest.mark.parametrize("suite, cap, unit, count, work", WORK_CAPS, ids=[c[0] for c in WORK_CAPS])
+def test_verify_work_caps_admit_their_count_and_refuse_one_less(capsys, monkeypatch, suite, cap, unit, count, work):
+    from halfcomm import verify
+
+    monkeypatch.setattr(verify, cap, count)
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--n", "2")
+    assert code == 0 and {json.loads(line)["status"] for line in out.splitlines()} == {"pass"}
+    monkeypatch.setattr(verify, cap, count - 1)
+    for name in work:
+        monkeypatch.setattr(verify, name, _no_work)
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n", "2")
+    assert code == 2 and out == ""
+    (line,) = [l for l in err.splitlines() if not l.startswith("# config")]
+    assert line.startswith(f"error: {suite} over n=2 ") and line.endswith(f" {count} {unit}; the cap is {count - 1}")
+
+
+@pytest.mark.parametrize(
+    "suite, admitted, refused, message",
+    [
+        ("rewrite-oracle", {"maxlen": 6}, {"maxlen": 7}, "up to length 7 walks 768916 closure states"),
+        ("ah-zero", {"n": 2}, {"n": 3}, "over n=3 up to length 5 walks 588069 closure states"),
+        # a long --maxlen is refused once the count passes the cap
+        ("ah-zero", {"maxlen": 6}, {"maxlen": 10**9}, "up to length 1000000000 walks at least 768916 closure states"),
+        ("half-comm", {"n": 6}, {"n": 7}, "checks 117649 generator triples"),
+        ("pun", {"n": 3}, {"n": 4}, "forms 4096 biunitarity products"),
+    ],
+    ids=("rewrite-oracle", "ah-zero", "ah-zero-long", "half-comm", "pun"),
+)
+def test_verify_work_caps_as_shipped(suite, admitted, refused, message):
+    # 73,620 closure states, 46,656 triples and 729 products are admitted;
+    # counted, not run
+    from halfcomm.verify import check_caps
+
+    assert check_caps(suite, **admitted) is None
+    with pytest.raises(ValueError, match=message):
+        check_caps(suite, **refused)
 
 
 def _no_l1_ball(*args):

@@ -23,27 +23,30 @@ from halfcomm.crossed import (
 from halfcomm.errors import DegreeCapError, DimensionMismatchError, IndexRangeError
 from halfcomm.haar import haar_integral
 from halfcomm.scalars import GaussianRational, I
-from halfcomm.verify import _random_crossed, _random_fun, coinvariant_by_coproduct
+from halfcomm.verify import (
+    _all_letters,
+    _all_words,
+    _basis_elem,
+    _crossed_counit_sides,
+    _random_crossed,
+    _random_fun,
+    coinvariant_by_coproduct,
+)
 from halfcomm.words import WordElement, ah_star, ao_star, au_star_star, letter
 from tests_helpers import (
     assert_pair_tuple,
     assert_reduced,
     crossed_parities,
+    embed_by_products,
     lean_cases,
     ref_bar,
     ref_crossed_mul,
     ref_crossed_star,
     ref_mul,
     ref_sum,
+    u,
+    ub,
 )
-
-
-def u(n, i, j):
-    return FunElement.coordinate(n, i, j)
-
-
-def ub(n, i, j):
-    return FunElement.coordinate(n, i, j, bar=True)
 
 
 def g(n, i, j):
@@ -112,14 +115,6 @@ def test_crossed_star_examples():
     assert crossed_star(crossed_mul(a, b)) == crossed_mul(crossed_star(b), crossed_star(a))
 
 
-def test_crossed_star_involutive_antimultiplicative():
-    rng = random.Random(11)
-    for _ in range(25):
-        x, y = _random_crossed(rng, 2, max_degree=3), _random_crossed(rng, 2, max_degree=3)
-        assert crossed_star(crossed_star(x)) == x
-        assert crossed_star(crossed_mul(x, y)) == crossed_mul(crossed_star(y), crossed_star(x))
-
-
 def test_crossed_antipode_examples():
     assert crossed_antipode(CrossedElement.even(u(2, 1, 2))) == CrossedElement.even(ub(2, 2, 1))
     assert crossed_antipode(CrossedElement.odd(u(2, 1, 2))) == CrossedElement.odd(u(2, 2, 1))
@@ -137,11 +132,6 @@ def test_crossed_antipode_antimultiplicative():
 
 
 # -- coproduct -----------------------------------------------------------------------
-
-
-def basis(n, mono, parity):
-    f = FunElement(n, {mono: 1})
-    return CrossedElement.even(f) if parity == 0 else CrossedElement.odd(f)
 
 
 def test_crossed_coproduct_generator():
@@ -164,10 +154,10 @@ def test_crossed_coproduct_coassociative():
     delta = crossed_coproduct(x)
     left, right = {}, {}
     for ((lm, lp), (rm, rp)), c in delta.items():
-        for (k1, k2), c2 in crossed_coproduct(basis(2, lm, lp)).items():
+        for (k1, k2), c2 in crossed_coproduct(_basis_elem(2, lm, lp)).items():
             key = (k1, k2, (rm, rp))
             left[key] = left.get(key, GaussianRational(0)) + c * c2
-        for (k1, k2), c2 in crossed_coproduct(basis(2, rm, rp)).items():
+        for (k1, k2), c2 in crossed_coproduct(_basis_elem(2, rm, rp)).items():
             key = ((lm, lp), k1, k2)
             right[key] = right.get(key, GaussianRational(0)) + c * c2
     assert {k: v for k, v in left.items() if v} == {k: v for k, v in right.items() if v}
@@ -177,7 +167,7 @@ def test_crossed_coproduct_of_a_power_is_binomial():
     # Delta(u11) = u11 (x) u11 + u12 (x) u21 over n = 2, so Delta(u11^e) is
     # sum_k C(e, k) u11^(e-k) u12^k (x) u11^(e-k) u21^k; e = 16 sits at the cap
     for e in range(1, 17):
-        delta = crossed_coproduct(basis(2, FunMonomial({(1, 1, False): e}), 0))
+        delta = crossed_coproduct(_basis_elem(2, FunMonomial({(1, 1, False): e}), 0))
         expected = {
             (
                 (FunMonomial({(1, 1, False): e - k, (1, 2, False): k}), 0),
@@ -198,17 +188,7 @@ def test_crossed_coproduct_degree_cap():
     # u12^5 u*34^4 alone makes 56 * 35 = 1,960 splits, although its 4**9
     # index choices are above the cap
     x = CrossedElement.even(FunElement(4, {FunMonomial({(1, 2, False): 5, (3, 4, True): 4}): 1}))
-    assert _counit_sides(x, crossed_coproduct(x)) == (x, x)
-
-
-def _counit_sides(x, delta):
-    """(eps (x) id) Delta and (id (x) eps) Delta, as crossed elements."""
-    left = CrossedElement.zero(x.n)
-    right = CrossedElement.zero(x.n)
-    for ((lm, lp), (rm, rp)), c in delta.items():
-        left = left + crossed_counit(basis(x.n, lm, lp)) * c * basis(x.n, rm, rp)
-        right = right + crossed_counit(basis(x.n, rm, rp)) * c * basis(x.n, lm, lp)
-    return left, right
+    assert _crossed_counit_sides(4, crossed_coproduct(x)) == (x, x)
 
 
 def test_crossed_coproduct_expands_below_the_term_cap():
@@ -216,31 +196,7 @@ def test_crossed_coproduct_expands_below_the_term_cap():
     # were refused by the former degree-8 cap
     f = FunElement(2, {FunMonomial({(1, 1, False): 10}): 1})
     for x in (CrossedElement.even(f), CrossedElement.odd(f * ub(2, 2, 1))):
-        assert _counit_sides(x, crossed_coproduct(x)) == (x, x)
-
-
-def _brute_crossed_coproduct(x):
-    """Reference: every choice of the n**degree summation indices, each leg
-    counted into a monomial symbol by symbol."""
-    out = {}
-    for parity, f in ((0, x.f0), (1, x.f1)):
-        for mono, coeff in f.terms.items():
-            occ = mono.symbols()
-            for ks in itertools.product(range(1, x.n + 1), repeat=len(occ)):
-                left, right = {}, {}
-                for (i, j, b), k in zip(occ, ks):
-                    left[(i, k, b)] = left.get((i, k, b), 0) + 1
-                    right[(k, j, b)] = right.get((k, j, b), 0) + 1
-                key = ((FunMonomial(left), parity), (FunMonomial(right), parity))
-                out[key] = out.get(key, GaussianRational(0)) + coeff
-    return {k: v for k, v in out.items() if v}
-
-
-def test_crossed_coproduct_matches_brute_force_expansion():
-    rng = random.Random(29)
-    for _ in range(200):
-        x = _random_crossed(rng, rng.randint(1, 3), max_degree=3)
-        assert crossed_coproduct(x) == _brute_crossed_coproduct(x)
+        assert _crossed_counit_sides(2, crossed_coproduct(x)) == (x, x)
 
 
 def test_crossed_counit():
@@ -307,64 +263,6 @@ def test_embed_unitary_presentation():
     assert embed_pi(x * y) == crossed_mul(embed_pi(x), embed_pi(y))
 
 
-def embed_by_products(x):
-    """Reference image: the iterated crossed product of the generator images.
-
-    Unitary letters map to x_ij s +- i x_(n+i)j s over dimension 2n.
-    """
-    n = x.presentation.n
-    unitary = not x.presentation.orthogonal
-    dim = 2 * n if unitary else n
-    out = CrossedElement.zero(dim)
-    for word, coeff in x.terms.items():
-        elem = CrossedElement.one(dim)
-        for l in word:
-            image = g(dim, l.row, l.col)
-            if unitary:
-                image = image + (-I if l.starred else I) * g(dim, l.row + n, l.col)
-            elem = crossed_mul(elem, image)
-        out = out + coeff * elem
-    return out
-
-
-# (presentation, longest word) pairs compared exhaustively
-EMBED_CASES = [
-    (ao_star(2), 5),
-    (ah_star(2), 5),
-    (au_star_star(1), 5),
-    (au_star_star(2), 3),
-    (ao_star(3), 3),
-]
-
-
-def all_letters(pres):
-    stars = (False,) if pres.orthogonal else (False, True)
-    idx = range(1, pres.n + 1)
-    return [letter(pres, r, c, st) for r in idx for c in idx for st in stars]
-
-
-@pytest.mark.parametrize("pres, max_len", EMBED_CASES, ids=str)
-def test_embed_matches_generator_products_on_every_word(pres, max_len):
-    letters = all_letters(pres)
-    for length in range(max_len + 1):
-        for word in itertools.product(letters, repeat=length):
-            x = WordElement.from_word(pres, word)
-            assert embed_pi(x) == embed_by_products(x), word
-
-
-def test_embed_matches_generator_products_on_random_elements():
-    rng = random.Random(17)
-    for _ in range(300):
-        pres, max_len = rng.choice(EMBED_CASES)
-        letters = all_letters(pres)
-        terms = {}
-        for _ in range(rng.randint(1, 4)):
-            word = tuple(rng.choice(letters) for _ in range(rng.randint(0, max_len)))
-            terms[word] = GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) / rng.randint(1, 4)
-        x = WordElement(pres, terms)
-        assert embed_pi(x) == embed_by_products(x)
-
-
 def embed_letter_by_letter(x):
     """Reference image, term by term: each letter of a unitary-presentation
     word takes its plain symbol or its shifted one (times i, or -i when
@@ -393,16 +291,17 @@ AU1, AU2 = au_star_star(1), au_star_star(2)
 # plain and starred letters mixed in the unitary presentation, and the
 # longest word taken from each
 CLASS_CASES = [
-    (AU1, all_letters(AU1), 6),
+    (AU1, _all_letters(AU1), 6),
     (AU2, [letter(AU2, 1, 1), letter(AU2, 1, 1, starred=True), letter(AU2, 1, 2)], 5),
-    (ao_star(2), all_letters(ao_star(2)), 5),
-    (ah_star(2), all_letters(ah_star(2)), 5),
-    (ao_star(3), all_letters(ao_star(3)), 3),
+    (AU2, _all_letters(AU2), 3),
+    (ao_star(2), _all_letters(ao_star(2)), 5),
+    (ah_star(2), _all_letters(ah_star(2)), 5),
+    (ao_star(3), _all_letters(ao_star(3)), 3),
 ]
 
 
 @pytest.mark.parametrize("pres, letters, max_len", CLASS_CASES,
-                         ids=("au1-all", "au2-v11-v11*-v12", "ao2-all", "ah2-all", "ao3-all"))
+                         ids=("au1-all", "au2-v11-v11*-v12", "au2-all", "ao2-all", "ah2-all", "ao3-all"))
 def test_embed_splits_letter_classes_like_the_letter_expansion(pres, letters, max_len):
     for length in range(max_len + 1):
         for word in itertools.product(letters, repeat=length):
@@ -447,7 +346,7 @@ def test_cached_word_images_match_the_letter_expansion():
     shared = 0
     for _ in range(150):
         pres = rng.choice(WORD_CACHE_CASES)
-        letters = all_letters(pres)
+        letters = _all_letters(pres)
         x = WordElement(pres, {tuple(rng.choice(letters) for _ in range(rng.randint(0, 5))):
                                GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) / rng.randint(1, 3)
                                for _ in range(rng.randint(1, 4))})
@@ -466,7 +365,7 @@ def test_cached_word_images_match_the_letter_expansion():
                 shared += any(w in x.terms for w in y.terms)
     assert shared >= 20, shared
     # the same words over au-star-star:1 and :2, in both orders
-    words = list(itertools.product(all_letters(AU1), repeat=3))
+    words = list(_all_words(AU1, 3))
     for order in ((AU1, AU2), (AU2, AU1)):
         _word_image.cache_clear()
         for pres in order:
@@ -531,15 +430,6 @@ def test_pun_generator():
     assert pun_generator(2, 1, 2, 1, 2).star() == pun_generator(2, 2, 1, 2, 1)
     with pytest.raises(IndexRangeError):
         pun_generator(2, 0, 1, 1, 1)
-
-
-def test_generator_half_commutation_all_triples():
-    for n in (2, 3):
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-        for a, b, c in itertools.product(pairs, repeat=3):
-            lhs = crossed_mul(crossed_mul(g(n, *a), g(n, *b)), g(n, *c))
-            rhs = crossed_mul(crossed_mul(g(n, *c), g(n, *b)), g(n, *a))
-            assert lhs == rhs
 
 
 # -- the lean path: results built once, equal to constructor references ---------
@@ -626,8 +516,7 @@ def test_monomials_are_their_pair_tuples_on_every_route():
             with pytest.raises(TypeError):
                 FunElement(n, {tuple(m): 1})
     for pres in (ao_star(2), ao_star(3), au_star_star(1), au_star_star(2)):
-        letters = [letter(pres, r, c, starred) for r in range(1, pres.n + 1) for c in range(1, pres.n + 1)
-                   for starred in ((False,) if pres.orthogonal else (False, True))]
+        letters = _all_letters(pres)
         for _ in range(30):
             words = {tuple(rng.choice(letters) for _ in range(rng.randint(0, 5))): rng.randint(1, 3) for _ in range(3)}
             for word in words:

@@ -38,24 +38,16 @@ from halfcomm.haar import (
     _witness,
 )
 from halfcomm.scalars import GaussianRational
-from halfcomm.verify import _random_crossed, _random_fun
+from halfcomm.verify import _all_words, _at_witness, _random_crossed, _random_fun
 from halfcomm.words import WordElement, ao_star, au_star_star, hc_normal_form, letter
 from tests_helpers import (
     crossed_parities,
     lean_cases,
     ref_crossed_mul,
     ref_crossed_star,
-    ref_value_at,
-    witness_point,
+    u,
+    ub,
 )
-
-
-def u(n, i, j):
-    return FunElement.coordinate(n, i, j)
-
-
-def ub(n, i, j):
-    return FunElement.coordinate(n, i, j, bar=True)
 
 
 def mono(n, us, ubars):
@@ -123,6 +115,8 @@ def _cycle_lengths(s):
 
 
 def test_table_inverse_identity():
+    # the Gram product summed permutation by permutation, the brute-force
+    # check of verify.class_convolution, which the convolution-form test reads
     for p in (1, 2, 3):
         for n in (3, 4):
             t = weingarten_table(p, n)
@@ -341,24 +335,6 @@ def test_integral_keeps_plain_and_conjugate_apart():
     assert values[0] != 0 and values[1] == 0
 
 
-def test_integral_is_invariant_under_every_relabelling():
-    # every relabelling of rows and columns over n = 3, and its conjugate,
-    # integrates alike; the memo holds each distinct monomial once
-    n = 3
-    (m,) = mono(n, [(1, 1), (1, 1), (2, 2)], [(1, 1), (1, 2), (2, 1)]).terms
-    table = weingarten_table(3, n)
-    table.monomials.clear()
-    expected = _filtered_monomial_integral(m, n)
-    assert expected != 0
-    met = set()
-    for rows in itertools.permutations(range(1, n + 1)):
-        for cols in itertools.permutations(range(1, n + 1)):
-            r = _relabelled(m, rows, cols)
-            assert _integral(r, n, 5) == _integral(r.bar(), n, 5) == expected
-            met |= {r, r.bar()}
-    assert set(table.monomials) == met and len(met) == 72
-
-
 @pytest.fixture
 def fresh_tables():
     """An empty ``_TABLE_CACHE`` for the test, the saved tables put back after."""
@@ -528,40 +504,6 @@ def test_integral_of_bar_and_of_self_conjugate_monomials(n, monkeypatch):
     assert distinct or n == 1
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_integral_of_conjugate_pairs_matches_the_unfolded_sum(n):
-    # balanced monomials whose rows and columns match up, so that most have
-    # a non-zero integral and differ from their conjugates, next to those
-    # conjugates, with coefficients that are non-real, unrelated, or
-    # opposite so that a pair's sum is 0; the reference integrates term by
-    # term with ``_integral``
-    rng = random.Random(2100 + n)
-    coeffs = (GaussianRational(1, 2), GaussianRational(Fraction(-1, 3), 1), GaussianRational(2), GaussianRational(0, -1))
-    unrelated = opposite = 0
-    for _ in range(40):
-        terms = {}
-        for _ in range(rng.randint(1, 4)):
-            p = rng.randint(1, 3)
-            us = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(p)]
-            rows, cols = [i for i, _ in us], [j for _, j in us]
-            rng.shuffle(rows)
-            rng.shuffle(cols)
-            (m,) = mono(n, us, list(zip(rows, cols))).terms
-            c = rng.choice(coeffs)
-            terms[m] = c
-            paired = m.bar() != m and _integral(m, n, 5) != 0
-            if rng.random() < 0.3:
-                terms[m.bar()] = -c
-                opposite += paired
-            else:
-                terms[m.bar()] = rng.choice(coeffs)
-                unrelated += paired
-        f = FunElement(n, terms)
-        expected = sum((c * _integral(m, n, 5) for m, c in f.terms.items()), GaussianRational(0))
-        assert haar_integral(f) == expected, f
-    assert unrelated >= 10 and opposite >= 5, (unrelated, opposite)
-
-
 def test_degree_cap_precedes_label_mismatch():
     # rows and columns of the plain and conjugate factors differ, so the
     # integral is 0 below the cap; above it the cap is raised all the same
@@ -645,10 +587,8 @@ def test_norm_squared_matches_the_constructor_reference(n):
 
 @pytest.mark.parametrize("pres", [ao_star(2), au_star_star(1)], ids=str)
 def test_norm_squared_matches_full_expansion_on_embedded_words(pres):
-    letters = [letter(pres, r, c, starred) for r in range(1, pres.n + 1) for c in range(1, pres.n + 1)
-               for starred in ((False,) if pres.orthogonal else (False, True))]
     for length in range(1, 5):
-        for word in itertools.product(letters, repeat=length):
+        for word in _all_words(pres, length):
             x = embed_pi(WordElement(pres, {word: GaussianRational(1, length)}))
             assert norm_squared(x) == _norm_by_expansion(x), word
 
@@ -714,11 +654,6 @@ def test_witness_point_is_an_integer_matrix_and_its_transposed_inverse(n):
     assert math.lcm(*(v.denominator for row in inv for v in row)) == den
     assert abs(_exact_det(g)) >= 2
     assert len({v for row in g for v in row}) == n * n
-    point = witness_point(n)
-    for i in idx:
-        for j in idx:
-            assert point[i, j, False] == GaussianRational(g[i - 1][j - 1])
-            assert point[i, j, True] == GaussianRational(inv[j - 1][i - 1])
 
 
 def _det_u(n):
@@ -749,14 +684,13 @@ def test_witness_refutes_like_a_gaussian_rational_evaluation(n):
     # coefficients have denominators and the terms mixed degrees, so a term
     # scaled by the wrong power of the point's denominator shows
     rng = random.Random(2000 + n)
-    point = witness_point(n)
     zeros = 0
     for _ in range(40):
         f = _random_fun(rng, n, max_degree=4, terms=4) * GaussianRational(Fraction(1, rng.randint(1, 6)), Fraction(1, 3))
-        g = f - FunElement.one(n) * ref_value_at(f, point)
+        g = f - FunElement.one(n) * _at_witness(f)
         for h in (f, g):
             for x in (CrossedElement.even(h), CrossedElement.odd(h), CrossedElement(g, h)):
-                expected = bool(ref_value_at(x.f0, point)) or bool(ref_value_at(x.f1, point))
+                expected = bool(_at_witness(x.f0)) or bool(_at_witness(x.f1))
                 assert witness_refutes(x) == expected, x
                 zeros += not expected
     assert zeros >= 40
@@ -842,11 +776,9 @@ def test_faithfulness_small_battery():
     from halfcomm.verify import pointwise_equal
 
     pres = ao_star(2)
-    letters = [letter(pres, r, c) for r in (1, 2) for c in (1, 2)]
     forms = {()}
     for length in (1, 2):
-        for word in itertools.product(letters, repeat=length):
-            forms.add(hc_normal_form(word))
+        forms.update(hc_normal_form(word) for word in _all_words(pres, length))
     forms = sorted(forms, key=lambda w: (len(w), w))
     images = [embed_pi(WordElement.from_word(pres, w)) for w in forms]
     coinciding = []

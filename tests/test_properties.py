@@ -1,8 +1,6 @@
 """Property tests: seeded Hypothesis runs over small words, polynomials and
 permutations."""
 
-from collections import Counter
-
 from hypothesis import given, settings, strategies as st
 
 from halfcomm.crossed import (
@@ -19,7 +17,7 @@ from halfcomm.crossed import (
 from halfcomm.expressions import CrossedContext, parse_expression
 from halfcomm.fusion import lr_tensor
 from halfcomm.haar import _compose, _inverse, weingarten_table
-from halfcomm.scalars import GaussianRational, reduce_terms
+from halfcomm.scalars import GaussianRational
 from halfcomm.verify import schur_tensor_oracle
 from halfcomm.words import (
     WordElement,
@@ -28,6 +26,7 @@ from halfcomm.words import (
     ao_star,
     au_star_star,
     coproduct_element,
+    counit_element,
     format_word_element,
     hc_normal_form,
     letter,
@@ -35,8 +34,7 @@ from halfcomm.words import (
     star_element,
 )
 
-from test_crossed import embed_by_products  # the generator-product reference
-from tests_helpers import coproduct_legs, ref_monomial
+from tests_helpers import embed_by_products, ref_crossed_coproduct, ref_monomial, ref_word_coproduct
 
 SEEDED = settings(max_examples=40, derandomize=True, deadline=None)
 
@@ -107,6 +105,8 @@ def test_normal_form_is_idempotent_and_names_the_rewrite_class(case):
     pres, word = case
     nf = hc_normal_form(word)
     assert hc_normal_form(nf) == nf
+    # half-commutation only permutes the letters within each parity class
+    assert sorted(nf[0::2]) == sorted(word[0::2]) and sorted(nf[1::2]) == sorted(word[1::2])
     closure = rewrite_closure_oracle(word, pres)
     assert nf in closure
     assert {hc_normal_form(w) for w in closure} == {nf}
@@ -114,9 +114,11 @@ def test_normal_form_is_idempotent_and_names_the_rewrite_class(case):
 
 @SEEDED
 @given(word_pairs)
-def test_word_star_is_anti_multiplicative(pair):
+def test_word_star_is_an_involutive_anti_homomorphism(pair):
     x, y = pair
+    assert star_element(star_element(x)) == x
     assert star_element(x * y) == star_element(y) * star_element(x)
+    assert counit_element(star_element(x)) == counit_element(x).conjugate()
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -136,8 +138,9 @@ def test_merged_monomial_products_match_the_constructor(pair):
 
 @SEEDED
 @given(crossed_pairs)
-def test_crossed_star_is_anti_multiplicative(pair):
+def test_crossed_star_is_an_involutive_anti_homomorphism(pair):
     x, y = pair
+    assert crossed_star(crossed_star(x)) == x
     assert crossed_star(crossed_mul(x, y)) == crossed_mul(crossed_star(y), crossed_star(x))
 
 
@@ -159,32 +162,6 @@ def test_weingarten_is_a_class_function(perms, n):
     assert table.wg(sigma) == table.wg(_compose(_compose(pi, sigma), _inverse(pi)))
 
 
-def _word_coproduct_reference(x):
-    """Every one of the n**L terms of coproduct_legs, legs normalized as words."""
-    pres = x.presentation
-
-    def pairs():
-        for word, coeff in x.terms.items():
-            for left, right in coproduct_legs(word, pres.n):
-                for a in WordElement.from_word(pres, left).terms:
-                    for b in WordElement.from_word(pres, right).terms:
-                        yield (a, b), coeff
-
-    return reduce_terms(pairs())
-
-
-def _crossed_coproduct_reference(x):
-    """Every one of the n**degree terms of coproduct_legs, legs counted into monomials."""
-
-    def pairs():
-        for parity, f in ((0, x.f0), (1, x.f1)):
-            for mono, coeff in f.terms.items():
-                for left, right in coproduct_legs(mono.symbols(), x.n):
-                    yield ((FunMonomial(Counter(left)), parity), (FunMonomial(Counter(right)), parity)), coeff
-
-    return reduce_terms(pairs())
-
-
 @SEEDED
 @given(
     presentations.flatmap(
@@ -194,13 +171,13 @@ def _crossed_coproduct_reference(x):
     )
 )
 def test_word_coproduct_matches_the_term_by_term_expansion(x):
-    assert coproduct_element(x) == _word_coproduct_reference(x)
+    assert coproduct_element(x) == ref_word_coproduct(x)
 
 
 @SEEDED
 @given(st.integers(1, 3).flatmap(lambda n: crossed_elements(n, max_exp=3)))
 def test_crossed_coproduct_matches_the_term_by_term_expansion(x):
-    assert crossed_coproduct(x) == _crossed_coproduct_reference(x)
+    assert crossed_coproduct(x) == ref_crossed_coproduct(x)
 
 
 def weights(n):

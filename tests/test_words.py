@@ -1,12 +1,12 @@
 import itertools
-import random
 
 import pytest
 
-from halfcomm.crossed import _run_splits, _word_image
+from halfcomm.crossed import _word_image
 from halfcomm.errors import ClosureSizeError, DegreeCapError, IndexRangeError, PresentationError
 from halfcomm.expressions import parse_expression
 from halfcomm.scalars import GaussianRational, I
+from halfcomm.verify import _all_letters, _all_words, _word_counit_sides
 from halfcomm.words import (
     COPRODUCT_MAX_TERMS,
     LETTER_TABLE_CAP,
@@ -25,9 +25,8 @@ from halfcomm.words import (
     letter,
     rewrite_closure_oracle,
     star_element,
-    word_has_forbidden_pair,
 )
-from tests_helpers import coproduct_legs
+from tests_helpers import coproduct_legs, ref_word_coproduct
 
 AO2 = ao_star(2)
 AH2 = ah_star(2)
@@ -39,11 +38,6 @@ def w(pres, *pairs):
 
 def elem(pres, *pairs):
     return WordElement.from_word(pres, w(pres, *pairs))
-
-
-def all_words(pres, length):
-    letters = [letter(pres, r, c) for r in range(1, pres.n + 1) for c in range(1, pres.n + 1)]
-    return [tuple(t) for t in itertools.product(letters, repeat=length)]
 
 
 # -- normal forms against the brute-force oracle -----------------------------
@@ -63,7 +57,7 @@ def test_closure_frozen_examples():
     assert cls == {word, w(AO2, (2, 1), (1, 2), (1, 1))}
     short = w(AO2, (1, 1), (2, 2))
     assert rewrite_closure_oracle(short, AO2) == {short}
-    for word in all_words(AO2, 4)[:40]:
+    for word in itertools.islice(_all_words(AO2, 4), 40):
         assert len(rewrite_closure_oracle(word, AO2)) <= 4  # 2! * 2!
 
 
@@ -71,35 +65,6 @@ def test_closure_size_guard():
     word = w(AO2, (1, 1), (1, 2), (2, 1), (2, 2), (1, 1))
     with pytest.raises(ClosureSizeError):
         rewrite_closure_oracle(word, AO2, max_size=2)
-
-
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
-def test_closure_matches_normal_form(n, length):
-    # reachability by rewrites is exactly equality of canonical forms
-    pres = ao_star(n)
-    words = all_words(pres, length)
-    by_nf = {}
-    for word in words:
-        by_nf.setdefault(hc_normal_form(word), set()).add(word)
-    rng = random.Random(17 * n + length)
-    sample = words if len(words) <= 300 else rng.sample(words, 300)
-    for word in sample:
-        assert rewrite_closure_oracle(word, pres) == by_nf[hc_normal_form(word)]
-
-
-def test_normal_form_preserves_parity_multisets():
-    rng = random.Random(7)
-    for _ in range(200):
-        length = rng.randint(0, 6)
-        word = tuple(
-            letter(AO2, rng.randint(1, 2), rng.randint(1, 2)) for _ in range(length)
-        )
-        nf = hc_normal_form(word)
-        assert len(nf) == len(word)
-        assert sorted(nf[0::2]) == sorted(word[0::2])
-        assert sorted(nf[1::2]) == sorted(word[1::2])
-        assert hc_normal_form(nf) == nf  # idempotent
 
 
 # -- the hyperoctahedral zero rule -------------------------------------------
@@ -114,15 +79,6 @@ def test_ah_zero_frozen_examples():
 def test_ah_zero_requires_presentation():
     with pytest.raises(PresentationError):
         ah_zero_test(w(AO2, (1, 1)), AO2)
-
-
-@pytest.mark.parametrize("length", [1, 2, 3, 4])
-def test_ah_zero_matches_closure_search(length):
-    for word in all_words(AH2, length):
-        brute = any(
-            word_has_forbidden_pair(u) for u in rewrite_closure_oracle(word, AH2)
-        )
-        assert ah_zero_test(word, AH2) == brute, word
 
 
 # -- element normalization ----------------------------------------------------
@@ -169,35 +125,6 @@ def test_star_examples():
     au1 = au_star_star(1)
     u = WordElement.generator(au1, 1, 1)
     assert star_element(u) == WordElement.from_word(au1, (letter(au1, 1, 1, starred=True),))
-
-
-def test_star_involution_and_antimultiplicativity():
-    rng = random.Random(23)
-    for pres in (AO2, au_star_star(2)):
-        for _ in range(30):
-            x = _random_element(rng, pres)
-            y = _random_element(rng, pres)
-            assert star_element(star_element(x)) == x
-            assert star_element(x * y) == star_element(y) * star_element(x)
-            assert counit_element(star_element(x)) == counit_element(x).conjugate()
-
-
-def _random_element(rng, pres, max_len=3):
-    out = WordElement.zero(pres)
-    for _ in range(2):
-        length = rng.randint(0, max_len)
-        word = tuple(
-            letter(
-                pres,
-                rng.randint(1, pres.n),
-                rng.randint(1, pres.n),
-                starred=(not pres.orthogonal) and rng.random() < 0.5,
-            )
-            for _ in range(length)
-        )
-        coeff = GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
-        out = out + WordElement(pres, {word: coeff})
-    return out
 
 
 def test_counit_examples():
@@ -249,29 +176,6 @@ def test_coproduct_square_expansion():
     assert len(direct) == 4
 
 
-def _tensor_times(pres, t1):
-    """Expand one more coproduct on each leg, both association orders."""
-    left, right = {}, {}
-    for (w1, w2), c in t1.items():
-        for (a, b), c2 in coproduct_element(WordElement.from_word(pres, w1)).items():
-            key = (a, b, w2)
-            left[key] = left.get(key, GaussianRational(0)) + c * c2
-        for (b, c3), c2 in coproduct_element(WordElement.from_word(pres, w2)).items():
-            key = (w1, b, c3)
-            right[key] = right.get(key, GaussianRational(0)) + c * c2
-    prune = lambda d: {k: v for k, v in d.items() if v}
-    return prune(left), prune(right)
-
-
-def test_coassociativity_on_generators():
-    for pres in (AO2, ao_star(3)):
-        for i in range(1, pres.n + 1):
-            for j in range(1, pres.n + 1):
-                delta = coproduct_element(WordElement.generator(pres, i, j))
-                left, right = _tensor_times(pres, delta)
-                assert left == right
-
-
 def test_coproduct_degree_cap():
     # the cap bounds the splits made, a product of C(e + n - 1, n - 1) over
     # the symbols of each parity class: v11^2 v12 v13 v14 at the odd
@@ -289,7 +193,7 @@ def test_coproduct_cap_admits_repeated_letters():
     x = WordElement.from_word(AO2, tuple(letter(AO2, 1, 1) for _ in range(17)))
     delta = coproduct_element(x)
     assert len(delta) == 90
-    assert _counit_sides(AO2, delta) == (x, x)
+    assert _word_counit_sides(AO2, delta) == (x, x)
 
 
 def test_coproduct_cap_fires_before_expanding():
@@ -301,16 +205,6 @@ def test_coproduct_cap_fires_before_expanding():
         coproduct_element(WordElement.from_word(ao_star(4), word))
 
 
-def _counit_sides(pres, delta):
-    """(eps (x) id) Delta and (id (x) eps) Delta, as word elements."""
-    left = WordElement.zero(pres)
-    right = WordElement.zero(pres)
-    for (w1, w2), c in delta.items():
-        left = left + counit_element(WordElement.from_word(pres, w1)) * c * WordElement.from_word(pres, w2)
-        right = right + counit_element(WordElement.from_word(pres, w2)) * c * WordElement.from_word(pres, w1)
-    return left, right
-
-
 def test_coproduct_expands_up_to_the_term_cap():
     # degree 9 over n = 2 (512 terms) was refused by the former degree-8 cap
     for word in (
@@ -318,39 +212,18 @@ def test_coproduct_expands_up_to_the_term_cap():
         w(AO2, (1, 2), (2, 1), (1, 1), (2, 2), (2, 1), (1, 2), (2, 2), (1, 1), (1, 2)),
     ):
         x = WordElement.from_word(AO2, word)
-        assert _counit_sides(AO2, coproduct_element(x)) == (x, x)
+        assert _word_counit_sides(AO2, coproduct_element(x)) == (x, x)
     # degree 8 over n = 4 sits exactly at the cap
     word = w(ao_star(4), (1, 2), (3, 4), (2, 2), (4, 1), (1, 3), (2, 4), (3, 3), (4, 2))
     assert sum(1 for _ in coproduct_legs(word, 4)) == COPRODUCT_MAX_TERMS
 
 
-def _brute_coproduct(x):
-    """Reference: every choice of the n**L summation indices, each leg
-    normalized by building it as a word element."""
-    pres = x.presentation
-    out = {}
-    for word, coeff in x.terms.items():
-        for ks in itertools.product(range(1, pres.n + 1), repeat=len(word)):
-            left = WordElement.from_word(pres, [Letter(l.row, k, l.starred) for l, k in zip(word, ks)])
-            right = WordElement.from_word(pres, [Letter(k, l.col, l.starred) for l, k in zip(word, ks)])
-            for a in left.terms:
-                for b in right.terms:
-                    out[(a, b)] = out.get((a, b), GaussianRational(0)) + coeff
-    return {k: v for k, v in out.items() if v}
-
-
 def test_coproduct_matches_brute_force_expansion():
     for pres in (AO2, AH2, au_star_star(1)):
-        letters = [
-            letter(pres, r, c, starred)
-            for r in range(1, pres.n + 1)
-            for c in range(1, pres.n + 1)
-            for starred in ((False,) if pres.orthogonal else (False, True))
-        ]
         for length in range(6):
-            for word in itertools.product(letters, repeat=length):
+            for word in _all_words(pres, length):
                 x = WordElement.from_word(pres, word)
-                assert coproduct_element(x) == _brute_coproduct(x), (pres, word)
+                assert coproduct_element(x) == ref_word_coproduct(x), (pres, word)
 
 
 def test_coproduct_adds_splits_that_meet_on_one_pair():
@@ -359,15 +232,8 @@ def test_coproduct_adds_splits_that_meet_on_one_pair():
     word = w(AO2, (1, 1), (2, 2), (1, 2), (1, 1), (2, 1), (1, 2), (2, 2))
     x = WordElement.from_word(AO2, word)
     delta = coproduct_element(x)
-    assert delta == _brute_coproduct(x)
+    assert delta == ref_word_coproduct(x)
     assert max(c.re for c in delta.values()) > 1
-
-
-def test_counit_axiom_short_words():
-    for length in (0, 1, 2):
-        for word in all_words(AO2, length):
-            x = WordElement.from_word(AO2, word)
-            assert _counit_sides(AO2, coproduct_element(x)) == (x, x)
 
 
 # -- shared letters --------------------------------------------------------------
@@ -377,18 +243,13 @@ def _presentations_up_to_3():
     return [make(n) for make in (ao_star, ah_star, au_star_star) for n in (1, 2, 3)]
 
 
-def _every_letter(pres):
-    stars = (False,) if pres.orthogonal else (False, True)
-    return [letter(pres, r, c, s) for r in range(1, pres.n + 1) for c in range(1, pres.n + 1) for s in stars]
-
-
 def _shared(word):
     return all(_letter(*l) is l for l in word)
 
 
 def test_letter_returns_one_object_per_value():
     for pres in _presentations_up_to_3():
-        for made in _every_letter(pres):
+        for made in _all_letters(pres):
             assert letter(pres, *made) is made
     au = au_star_star(2)
     assert letter(au, 1, 2, True) is not letter(au, 1, 2)
@@ -416,7 +277,7 @@ def _old_antipode_letter(l, pres):
 
 def test_star_and_antipode_match_the_per_letter_definitions():
     for pres in _presentations_up_to_3():
-        letters = _every_letter(pres)
+        letters = _all_letters(pres)
         for word in [(l,) for l in letters] + [tuple(letters)]:
             x = WordElement.from_word(pres, word, 2 + I)
             assert star_element(x) == WordElement.from_word(
@@ -437,7 +298,7 @@ def fresh_letter_memos():
     """Empty the letter table, and the memos that hold its letters, after
     the test, so that later tests see one consistent shared table again."""
     yield
-    for memo in (_letter, _symbol_splits, _run_splits, _word_image):
+    for memo in (_letter, _symbol_splits, _word_image):
         memo.cache_clear()
 
 

@@ -1,14 +1,25 @@
 """Shared helpers for the test modules, and the brute-force references that
-only the tests read."""
+only the tests read: each reference is defined here once, and no test
+module imports another.  The references that ``verify`` also needs (random
+draws, counit sides, the witness value, every letter and word of a
+presentation) live in ``halfcomm.verify``, and the tests import them from
+there."""
 
 import itertools
-from fractions import Fraction
+from collections import Counter
 
-from halfcomm.crossed import CrossedElement, FunElement, FunMonomial
-from halfcomm.haar import _witness
-from halfcomm.scalars import ZERO, GaussianRational
+from halfcomm.crossed import CrossedElement, FunElement, FunMonomial, crossed_mul
+from halfcomm.scalars import GaussianRational, I, reduce_terms
 from halfcomm.verify import _random_fun
-from halfcomm.words import Letter, _check_coproduct_cap
+from halfcomm.words import Letter, WordElement, _check_coproduct_cap
+
+
+def u(n, i, j):
+    return FunElement.coordinate(n, i, j)
+
+
+def ub(n, i, j):
+    return FunElement.coordinate(n, i, j, bar=True)
 
 
 # References for the lean exact path: each result is rebuilt term by term
@@ -107,23 +118,48 @@ def coproduct_legs(symbols, n):
     return (tuple(zip(*picks)) or ((), ()) for picks in itertools.product(*choices))
 
 
-def witness_point(n):
-    """The witness point (g, g^-T) of ``haar.witness_refutes`` over n, as the
-    map from each coordinate symbol (i, j, bar) to its value: g_ij, or
-    (g^-1)_ji when bar is set, as Gaussian rationals."""
-    values, den = _witness(n)
-    return {sym: GaussianRational(Fraction(v, den) if sym[2] else v) for sym, v in values.items()}
+def ref_word_coproduct(x):
+    """Every one of the n**L terms of ``coproduct_legs``, legs normalized as words."""
+    pres = x.presentation
+
+    def pairs():
+        for word, coeff in x.terms.items():
+            for left, right in coproduct_legs(word, pres.n):
+                for a in WordElement.from_word(pres, left).terms:
+                    for b in WordElement.from_word(pres, right).terms:
+                        yield (a, b), coeff
+
+    return reduce_terms(pairs())
 
 
-def ref_value_at(f, point):
-    """f evaluated at a point given as ``witness_point`` gives it, a map
-    from each symbol (i, j, bar) to a Gaussian rational (for the witness,
-    g_ij and (g^-1)_ji), in Gaussian-rational arithmetic, one factor at a
-    time."""
-    total = ZERO
-    for mono, coeff in f.terms.items():
-        for sym, e in mono:
-            for _ in range(e):
-                coeff = coeff * point[sym]
-        total = total + coeff
-    return total
+def ref_crossed_coproduct(x):
+    """Every one of the n**degree terms of ``coproduct_legs``, legs counted into monomials."""
+
+    def pairs():
+        for parity, f in ((0, x.f0), (1, x.f1)):
+            for mono, coeff in f.terms.items():
+                for left, right in coproduct_legs(mono.symbols(), x.n):
+                    yield ((FunMonomial(Counter(left)), parity), (FunMonomial(Counter(right)), parity)), coeff
+
+    return reduce_terms(pairs())
+
+
+def embed_by_products(x):
+    """Reference image of ``embed_pi``: the iterated crossed product of the
+    generator images.
+
+    Unitary letters map to x_ij s +- i x_(n+i)j s over dimension 2n.
+    """
+    n = x.presentation.n
+    unitary = not x.presentation.orthogonal
+    dim = 2 * n if unitary else n
+    out = CrossedElement.zero(dim)
+    for word, coeff in x.terms.items():
+        elem = CrossedElement.one(dim)
+        for l in word:
+            image = CrossedElement.generator(dim, l.row, l.col)
+            if unitary:
+                image = image + (-I if l.starred else I) * CrossedElement.generator(dim, l.row + n, l.col)
+            elem = crossed_mul(elem, image)
+        out = out + coeff * elem
+    return out
