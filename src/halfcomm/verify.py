@@ -567,6 +567,22 @@ def _word_counit_sides(pres, delta):
     return left, right
 
 
+def _word_coassociativity_sides(pres, delta):
+    """(Delta (x) id) Delta and (id (x) Delta) Delta, as dicts of word triples,
+    of a word coproduct ``delta``."""
+    left = reduce_terms(
+        ((a, b, w2), c * c2)
+        for (w1, w2), c in delta.items()
+        for (a, b), c2 in coproduct_element(WordElement.from_word(pres, w1)).items()
+    )
+    right = reduce_terms(
+        ((w1, b, c3), c * c2)
+        for (w1, w2), c in delta.items()
+        for (b, c3), c2 in coproduct_element(WordElement.from_word(pres, w2)).items()
+    )
+    return left, right
+
+
 def _crossed_counit_sides(n, delta):
     """(eps (x) id) Delta and (id (x) eps) Delta, as crossed elements over n,
     of a crossed coproduct ``delta``."""
@@ -615,18 +631,7 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, p_max=PMAX_DEFAULT):
 
     def check_coassoc_words():
         for i, j in pairs:
-            g = WordElement.generator(pres, i, j)
-            delta = coproduct_element(g)
-            left = reduce_terms(
-                ((a, b, w2), c * c2)
-                for (w1, w2), c in delta.items()
-                for (a, b), c2 in coproduct_element(WordElement.from_word(pres, w1)).items()
-            )
-            right = reduce_terms(
-                ((w1, b, c3), c * c2)
-                for (w1, w2), c in delta.items()
-                for (b, c3), c2 in coproduct_element(WordElement.from_word(pres, w2)).items()
-            )
+            left, right = _word_coassociativity_sides(pres, coproduct_element(WordElement.generator(pres, i, j)))
             if left != right:
                 return False, f"coassociativity fails on generator ({i},{j})"
         return True, f"{len(pairs)} generators"

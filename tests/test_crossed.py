@@ -41,6 +41,7 @@ from tests_helpers import (
     lean_cases,
     ref_bar,
     ref_crossed_mul,
+    ref_crossed_coproduct,
     ref_crossed_star,
     ref_mul,
     ref_sum,
@@ -197,6 +198,13 @@ def test_crossed_coproduct_expands_below_the_term_cap():
     f = FunElement(2, {FunMonomial({(1, 1, False): 10}): 1})
     for x in (CrossedElement.even(f), CrossedElement.odd(f * ub(2, 2, 1))):
         assert _crossed_counit_sides(2, crossed_coproduct(x)) == (x, x)
+
+
+def test_crossed_coproduct_matches_brute_force_expansion():
+    rng = random.Random(29)
+    for _ in range(200):
+        x = _random_crossed(rng, rng.randint(1, 3), max_degree=3)
+        assert crossed_coproduct(x) == ref_crossed_coproduct(x)
 
 
 def test_crossed_counit():
@@ -430,6 +438,15 @@ def test_pun_generator():
     assert pun_generator(2, 1, 2, 1, 2).star() == pun_generator(2, 2, 1, 2, 1)
     with pytest.raises(IndexRangeError):
         pun_generator(2, 0, 1, 1, 1)
+
+
+def test_generator_half_commutation_all_triples():
+    for n in (2, 3):
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        for a, b, c in itertools.product(pairs, repeat=3):
+            lhs = crossed_mul(crossed_mul(g(n, *a), g(n, *b)), g(n, *c))
+            rhs = crossed_mul(crossed_mul(g(n, *c), g(n, *b)), g(n, *a))
+            assert lhs == rhs
 
 
 # -- the lean path: results built once, equal to constructor references ---------

@@ -19,6 +19,7 @@ from halfcomm.fusion import (
     un_dim,
 )
 from halfcomm.scalars import GaussianRational
+from halfcomm.verify import schur_tensor_oracle, _partitions_upto
 
 
 # -- Littlewood-Richardson engine ---------------------------------------------
@@ -49,6 +50,14 @@ def test_lr_validation():
         lr_tensor((0, 1), (1, 0), 2)  # not weakly decreasing
     with pytest.raises(ValueError):
         lr_tensor((1, 0, 0), (1, 0), 3)  # wrong length
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lr_against_schur_oracle(n):
+    parts = _partitions_upto(3, n)
+    for lam in parts:
+        for mu in parts:
+            assert lr_tensor(lam, mu, n) == schur_tensor_oracle(lam, mu, n), (lam, mu)
 
 
 def test_lr_shift_invariance():

@@ -252,3 +252,11 @@ def test_matrix_model_orthogonal_point_is_symmetric():
     m = matrix_model_eval(x, g)
     assert abs(m[0, 1] - m[1, 0]) < 1e-12
     assert abs(m[0, 0]) < 1e-12 and abs(m[1, 1]) < 1e-12
+
+
+def test_kn_relations_hold_numerically():
+    model = parse_model("kn:3")
+    rng = np.random.default_rng(12)
+    gs = sample_batch(model, rng, 500)
+    f = FunElement.coordinate(3, 1, 1) * FunElement.coordinate(3, 1, 2)
+    assert float(np.max(np.abs(evaluate_fun_batch(f, gs)))) < 1e-12

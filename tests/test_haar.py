@@ -224,6 +224,23 @@ def test_table_numerators_over_common_denominator(p, n):
     assert math.gcd(table.denominator, *table.numerators.values()) == 1
 
 
+def test_partitions_match_a_brute_force_enumeration():
+    # every multiset of positive parts summing to the total, in descending
+    # lexicographic order, so the skipped first parts hide no partition
+    for total in range(9):
+        for parts in range(total + 2):
+            every = sorted(
+                (tuple(sorted(c, reverse=True))
+                 for k in range(min(parts, total) + 1)
+                 for c in itertools.combinations_with_replacement(range(1, total + 1), k)
+                 if sum(c) == total),
+                reverse=True,
+            )
+            assert list(_partitions(total, parts)) == every, (total, parts)
+            for largest in range(1, total + 1):
+                assert list(_partitions(total, parts, largest)) == [lam for lam in every if lam[0] <= largest]
+
+
 def _filtered_monomial_integral(mono, n):
     """The integral as a sum over matching (sigma, tau) pairs filtered from all
     of S_p, one Weingarten lookup per pair; the reference for the

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,7 +7,7 @@ from halfcomm.crossed import _word_image
 from halfcomm.errors import ClosureSizeError, DegreeCapError, IndexRangeError, PresentationError
 from halfcomm.expressions import parse_expression
 from halfcomm.scalars import GaussianRational, I
-from halfcomm.verify import _all_letters, _all_words, _word_counit_sides
+from halfcomm.verify import _all_letters, _all_words, _word_coassociativity_sides, _word_counit_sides
 from halfcomm.words import (
     COPRODUCT_MAX_TERMS,
     LETTER_TABLE_CAP,
@@ -25,6 +26,7 @@ from halfcomm.words import (
     letter,
     rewrite_closure_oracle,
     star_element,
+    word_has_forbidden_pair,
 )
 from tests_helpers import coproduct_legs, ref_word_coproduct
 
@@ -67,6 +69,21 @@ def test_closure_size_guard():
         rewrite_closure_oracle(word, AO2, max_size=2)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
+def test_closure_matches_normal_form(n, length):
+    # reachability by rewrites is exactly equality of canonical forms
+    pres = ao_star(n)
+    words = list(_all_words(pres, length))
+    by_nf = {}
+    for word in words:
+        by_nf.setdefault(hc_normal_form(word), set()).add(word)
+    rng = random.Random(17 * n + length)
+    sample = words if len(words) <= 300 else rng.sample(words, 300)
+    for word in sample:
+        assert rewrite_closure_oracle(word, pres) == by_nf[hc_normal_form(word)]
+
+
 # -- the hyperoctahedral zero rule -------------------------------------------
 
 
@@ -79,6 +96,15 @@ def test_ah_zero_frozen_examples():
 def test_ah_zero_requires_presentation():
     with pytest.raises(PresentationError):
         ah_zero_test(w(AO2, (1, 1)), AO2)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+def test_ah_zero_matches_closure_search(length):
+    for word in _all_words(AH2, length):
+        brute = any(
+            word_has_forbidden_pair(u) for u in rewrite_closure_oracle(word, AH2)
+        )
+        assert ah_zero_test(word, AH2) == brute, word
 
 
 # -- element normalization ----------------------------------------------------
@@ -176,6 +202,15 @@ def test_coproduct_square_expansion():
     assert len(direct) == 4
 
 
+def test_coassociativity_on_generators():
+    for pres in (AO2, ao_star(3)):
+        for i in range(1, pres.n + 1):
+            for j in range(1, pres.n + 1):
+                delta = coproduct_element(WordElement.generator(pres, i, j))
+                left, right = _word_coassociativity_sides(pres, delta)
+                assert left == right
+
+
 def test_coproduct_degree_cap():
     # the cap bounds the splits made, a product of C(e + n - 1, n - 1) over
     # the symbols of each parity class: v11^2 v12 v13 v14 at the odd
@@ -234,6 +269,13 @@ def test_coproduct_adds_splits_that_meet_on_one_pair():
     delta = coproduct_element(x)
     assert delta == ref_word_coproduct(x)
     assert max(c.re for c in delta.values()) > 1
+
+
+def test_counit_axiom_short_words():
+    for length in (0, 1, 2):
+        for word in _all_words(AO2, length):
+            x = WordElement.from_word(AO2, word)
+            assert _word_counit_sides(AO2, coproduct_element(x)) == (x, x)
 
 
 # -- shared letters --------------------------------------------------------------
