@@ -18,7 +18,6 @@ import json
 import math
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -66,6 +65,7 @@ from .haar import (
 )
 from .scalars import GaussianRational, reduce_terms
 from .words import (
+    COPRODUCT_MAX_TERMS,
     WordElement,
     ah_star,
     ah_zero_test,
@@ -78,13 +78,13 @@ from .words import (
     letter,
     rewrite_closure_oracle,
     star_element,
-    word_has_forbidden_pair,
 )
 
 DEFAULT_SEED = 1234
 CLOSURE_MAX_SIZE = 20000  # words one rewrite closure may reach
-CLOSURE_MAX_STATES = 250_000  # closure states rewrite-oracle and ah-zero may walk, all words together
+CLOSURE_MAX_LETTERS = 250_000  # letters the closure walks of rewrite-oracle and ah-zero may handle, all words together
 HALF_COMM_MAX_TRIPLES = 50_000  # generator triples half-comm may multiply out
+HOPF_MAX_PRODUCTS = 500_000  # basis products hopf's coproduct-multiplicative check may form
 PUN_MAX_PRODUCTS = 1_000  # index tuples pun's biunitarity check may sum
 POINTWISE_SAMPLES = 48  # Haar unitaries pointwise_equal evaluates at
 POINTWISE_TOL = 1e-9
@@ -244,43 +244,45 @@ def _abc_cba(gens):
 # -- rewriting ---------------------------------------------------------------
 
 
-def _multinomial(counts):
-    """(sum of counts)! / prod(count!), as a product of binomials."""
-    out, total = 1, 0
-    for c in counts:
-        total += c
-        out *= math.comb(total, c)
-    return out
-
-
-def _closure_states(k, length):
-    """The states that the rewrite closures of all words of ``length`` over
-    k letters hold together, counted, not listed.  A closure is every
-    rearrangement of a word's odd positions and of its even ones, so the
-    words of length L hold S(ceil(L/2)) S(floor(L/2)) states, where S(a)
-    sums the squared arrangement count over the multisets of a letters.
-    The multisets whose multiplicities form the partition m of a each have
-    multinomial(m) arrangements, and there are C(k, len(m)) times the
-    arrangements of m's parts of them."""
-
-    def squares(a):
-        return sum(math.comb(k, len(m)) * _multinomial(Counter(m).values()) * _multinomial(m) ** 2
-                   for m in _partitions(a, k))
-
-    return squares((length + 1) // 2) * squares(length // 2)
+def _closures(pres, length):
+    """``(word, closure)`` for the first word of each rewrite class of the
+    words of ``length`` over ``pres``, in listing order.  A rewrite is its own
+    inverse, so every word of a closure has that closure: the words of the
+    closures already walked are skipped, and each word is visited once."""
+    walked = set()
+    for w in _all_words(pres, length):
+        if w not in walked:
+            closure = rewrite_closure_oracle(w, pres, CLOSURE_MAX_SIZE)
+            walked |= closure
+            yield w, closure
 
 
 def _closure_caps(suite, n, maxlen):
-    """Refuse more than ``CLOSURE_MAX_STATES`` closure states over the words
-    of lengths 1..maxlen, counted before any word is listed, and stop
-    counting once past the cap."""
+    """Refuse more than ``CLOSURE_MAX_LETTERS`` letters in the closure walks
+    of the words of lengths 1..maxlen, counted before any word is listed: each
+    of the n^(2L) words of length L is visited once and forms L - 2 rewrites
+    of L letters, counted as L^2.  Counting stops once past the cap."""
     count = 0
     for length in range(1, maxlen + 1):
-        count += _closure_states(n * n, length)
-        if count > CLOSURE_MAX_STATES:
+        count += n ** (2 * length) * length**2
+        if count > CLOSURE_MAX_LETTERS:
             least = "" if length == maxlen else "at least "
-            raise ValueError(f"{suite} over n={n} up to length {maxlen} walks {least}{count} closure states; "
-                             f"the cap is {CLOSURE_MAX_STATES}")
+            raise ValueError(f"{suite} over n={n} up to length {maxlen} walks {least}{count} closure letters; "
+                             f"the cap is {CLOSURE_MAX_LETTERS}")
+
+
+def _ah_relation_pairs(pres):
+    """The letter pairs (v_ij, v_ik) and (v_ji, v_ki), j != k, whose products
+    the defining relations of ah-star set to zero, listed from the relations
+    themselves."""
+    idx = range(1, pres.n + 1)
+    return {pair for i, j, k in itertools.product(idx, repeat=3) if j != k
+            for pair in ((letter(pres, i, j), letter(pres, i, k)), (letter(pres, j, i), letter(pres, k, i)))}
+
+
+def _holds_relation_pair(words, relations):
+    """Whether some word of ``words`` has two adjacent letters in ``relations``."""
+    return any(pair in relations for u in words for pair in zip(u, u[1:]))
 
 
 @_suite("rewrite-oracle", caps=functools.partial(_closure_caps, "rewrite-oracle"))
@@ -293,8 +295,7 @@ def suite_rewrite_oracle(n=2, maxlen=5):
             words = [tuple(w) for w in _all_words(pres, length)]
             for w in words:
                 by_nf.setdefault(hc_normal_form(w), set()).add(w)
-            for w in words:
-                cls = rewrite_closure_oracle(w, pres, CLOSURE_MAX_SIZE)
+            for w, cls in _closures(pres, length):
                 if cls != by_nf[hc_normal_form(w)]:
                     return False, f"closure mismatch at {w}"
             return True, f"{len(words)} words, {len(by_nf)} classes"
@@ -305,23 +306,20 @@ def suite_rewrite_oracle(n=2, maxlen=5):
 @_suite("ah-zero", caps=functools.partial(_closure_caps, "ah-zero"))
 def suite_ah_zero(n=2, maxlen=5):
     pres = ah_star(n)
+    relations = _ah_relation_pairs(pres)
     for length in range(1, maxlen + 1):
 
         def check():
-            count = 0
+            brute = {}  # word -> whether some word of its closure holds a vanishing pair
+            for _, closure in _closures(pres, length):
+                brute.update(dict.fromkeys(closure, _holds_relation_pair(closure, relations)))
             zeros = 0
             for w in _all_words(pres, length):
-                w = tuple(w)
                 fast = ah_zero_test(w, pres)
-                brute = any(
-                    word_has_forbidden_pair(u)
-                    for u in rewrite_closure_oracle(w, pres, CLOSURE_MAX_SIZE)
-                )
-                if fast != brute:
-                    return False, f"disagreement at {w}: rule={fast} closure={brute}"
-                count += 1
+                if fast != brute[w]:
+                    return False, f"disagreement at {w}: rule={fast} closure={brute[w]}"
                 zeros += fast
-            return True, f"{count} words, {zeros} vanish"
+            return True, f"{len(brute)} words, {zeros} vanish"
 
         yield f"zero-rule-len-{length}", "parity-class adjacency rule agrees with closure adjacency search", check
 
@@ -623,7 +621,14 @@ def _random_crossed(rng, n, max_degree):
     return CrossedElement(_random_fun(rng, n, max_degree), _random_fun(rng, n, max_degree))
 
 
-@_suite("hopf")
+def _hopf_caps(n, **_):
+    # coproduct-multiplicative multiplies the n^2-term coproducts of n^4
+    # generator pairs, n^8 basis products in all
+    if n**8 > HOPF_MAX_PRODUCTS:
+        raise ValueError(f"hopf over n={n} forms {n**8} basis products; the cap is {HOPF_MAX_PRODUCTS}")
+
+
+@_suite("hopf", caps=_hopf_caps)
 def suite_hopf(n=2, seed=DEFAULT_SEED, p_max=PMAX_DEFAULT):
     pres = ao_star(n)
     rng = random.Random(seed)
@@ -726,6 +731,30 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, p_max=PMAX_DEFAULT):
         return True, f"{HOPF_ELEMENTS} random pairs"
 
     yield "star-structure", "star is an involutive anti-homomorphism compatible with the counit", check_star
+
+    def check_embedding():
+        # the unitary presentation embeds over 2n, where the crossed antipode
+        # is not the image of the word antipode
+        count = 0
+        for pres_e in (pres, au_star_star(n)):
+            for length in range(3):
+                for w in _all_words(pres_e, length):
+                    x = WordElement.from_word(pres_e, w)
+                    image = embed_pi(x)
+                    if embed_pi(star_element(x)) != crossed_star(image):
+                        return False, f"pi does not intertwine the stars at {w} over {pres_e}"
+                    if counit_element(x) != crossed_counit(image):
+                        return False, f"pi does not intertwine the counits at {w} over {pres_e}"
+                    if pres_e.orthogonal and embed_pi(antipode_element(x)) != crossed_antipode(image):
+                        return False, f"pi does not intertwine the antipodes at {w} over {pres_e}"
+                    count += 1
+        return True, f"{count} words of length <= 2 over {pres} and {au_star_star(n)}"
+
+    yield (
+        "embedding-intertwines",
+        "pi intertwines the word and crossed star and counit, and the antipode over ao-star",
+        check_embedding,
+    )
 
 
 def _random_word_element(rng, pres, max_len=3, terms=2):
@@ -1069,7 +1098,15 @@ def coinvariant_by_coproduct(x):
     return at[0] == x and at[1].is_zero
 
 
-@_suite("sequence")
+def _sequence_caps(n, **_):
+    # coinvariants-are-even expands the coproducts of embedded words of up to
+    # four letters, n^4 terms each
+    if n**4 > COPRODUCT_MAX_TERMS:
+        raise ValueError(f"sequence over n={n} expands a degree-4 term into {n**4} coproduct terms; "
+                         f"the cap is {COPRODUCT_MAX_TERMS}")
+
+
+@_suite("sequence", caps=_sequence_caps)
 def suite_sequence(n=2, seed=DEFAULT_SEED):
     rng = random.Random(seed)
     pres = ao_star(n)
@@ -1372,9 +1409,10 @@ def run_verify(suite: str, **params) -> VerifyReport:
 def check_caps(suite: str, **params) -> None:
     """Raise the ``ValueError`` that ``run_verify(suite, **params)`` raises
     for parameters over a resource cap, without running any check: the
-    closure states of rewrite-oracle and ah-zero, the generator triples of
-    half-comm, the faithfulness pair count, the biunitarity products of pun,
-    and the draws of kn, predicates and u2n."""
+    closure letters of rewrite-oracle and ah-zero, the generator triples of
+    half-comm, the faithfulness pair count, the basis products of hopf, the
+    biunitarity products of pun, the coproduct terms of sequence, and the
+    draws of kn, predicates and u2n."""
     params = _accepted(suite, params)
     if suite in CAPS:
         CAPS[suite](**params)

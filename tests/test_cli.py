@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -372,12 +375,13 @@ def test_expression_products_are_capped_by_their_term_pairs(capsys):
 @pytest.mark.parametrize(
     "flags, suite, lifted",
     [
-        # ah-zero, first in the battery, counts 11,332,880 closure states at
-        # n = 4 (faithfulness would refuse too)
+        # ah-zero, first in the battery, counts at least 1,086,480 closure
+        # letters at n = 4 (faithfulness would refuse too)
         (("--n", "4"), "ah-zero", ()),
         # with the caps of the suites before it lifted, kn's 1,000 draws of
         # 1000 x 1000 matrices
-        (("--n", "1000"), "kn", ("CLOSURE_MAX_STATES", "FAITHFULNESS_MAX_PAIRS", "HALF_COMM_MAX_TRIPLES")),
+        (("--n", "1000"), "kn",
+         ("CLOSURE_MAX_LETTERS", "FAITHFULNESS_MAX_PAIRS", "HALF_COMM_MAX_TRIPLES", "HOPF_MAX_PRODUCTS")),
         # predicates' transpose-closure draws over un:3 as well
         (("--trials", "2000000"), "predicates", ()),
     ],
@@ -414,30 +418,42 @@ def test_normal_form_count_matches_the_listed_forms():
     assert [_normal_form_count(n, 3) for n in (2, 3, 4)] == [61, 496, 2449]
 
 
-def test_closure_state_count_matches_the_closures():
-    # the closure-state count of each length against the sizes of the
-    # closures of every word, over ao-star and ah-star
-    from halfcomm.verify import CLOSURE_MAX_SIZE, _all_words, _closure_states
-    from halfcomm.words import ah_star, ao_star, rewrite_closure_oracle
+def test_closure_walk_visits_each_word_once():
+    # the closures _closures yields hold the n^(2L) words of length L between
+    # them, each once, over ao-star and ah-star
+    from halfcomm.verify import _closures
+    from halfcomm.words import ah_star, ao_star
 
     for make in (ao_star, ah_star):
         for n, maxlen in ((1, 6), (2, 4)):
             pres = make(n)
             for length in range(1, maxlen + 1):
-                walked = sum(len(rewrite_closure_oracle(w, pres, CLOSURE_MAX_SIZE)) for w in _all_words(pres, length))
-                assert _closure_states(n * n, length) == walked, (pres, length)
-    totals = {(n, maxlen): sum(_closure_states(n * n, k) for k in range(1, maxlen + 1))
-              for n, maxlen in ((2, 5), (2, 6), (2, 7), (3, 5), (4, 5))}
-    assert totals == {(2, 5): 8084, (2, 6): 73620, (2, 7): 768916, (3, 5): 588069, (4, 5): 11332880}
+                closures = [closure for _, closure in _closures(pres, length)]
+                assert sum(map(len, closures)) == len(set().union(*closures)) == n ** (2 * length), (pres, length)
+
+
+@pytest.mark.parametrize("n, maxlen, total", [(2, 5, 30340), (2, 6, 177796), (2, 7, 980612), (3, 5, 1588095)])
+def test_closure_letter_count(monkeypatch, n, maxlen, total):
+    # sum over L <= maxlen of n^(2L) L^2, admitted at a cap of that total and
+    # refused, with the total named, one below it
+    from halfcomm import verify
+
+    monkeypatch.setattr(verify, "CLOSURE_MAX_LETTERS", total)
+    assert verify.check_caps("rewrite-oracle", n=n, maxlen=maxlen) is None
+    monkeypatch.setattr(verify, "CLOSURE_MAX_LETTERS", total - 1)
+    with pytest.raises(ValueError, match=f" walks {total} closure letters; the cap is {total - 1}$"):
+        verify.check_caps("rewrite-oracle", n=n, maxlen=maxlen)
 
 
 # suite, its cap constant, what the cap counts, that count at n = 2, and the
 # functions that do the counted work
 WORK_CAPS = [
-    ("rewrite-oracle", "CLOSURE_MAX_STATES", "closure states", 8084, ("hc_normal_form", "rewrite_closure_oracle")),
-    ("ah-zero", "CLOSURE_MAX_STATES", "closure states", 8084, ("ah_zero_test", "rewrite_closure_oracle")),
+    ("rewrite-oracle", "CLOSURE_MAX_LETTERS", "closure letters", 30340, ("hc_normal_form", "rewrite_closure_oracle")),
+    ("ah-zero", "CLOSURE_MAX_LETTERS", "closure letters", 30340, ("ah_zero_test", "rewrite_closure_oracle")),
     ("half-comm", "HALF_COMM_MAX_TRIPLES", "generator triples", 64, ("crossed_mul",)),
     ("pun", "PUN_MAX_PRODUCTS", "biunitarity products", 64, ("pun_generator",)),
+    ("hopf", "HOPF_MAX_PRODUCTS", "basis products", 256, ("crossed_coproduct", "coproduct_element")),
+    ("sequence", "COPRODUCT_MAX_TERMS", "coproduct terms", 16, ("crossed_coproduct", "coinvariant_test")),
 ]
 
 
@@ -460,18 +476,23 @@ def test_verify_work_caps_admit_their_count_and_refuse_one_less(capsys, monkeypa
 @pytest.mark.parametrize(
     "suite, admitted, refused, message",
     [
-        ("rewrite-oracle", {"maxlen": 6}, {"maxlen": 7}, "up to length 7 walks 768916 closure states"),
-        ("ah-zero", {"n": 2}, {"n": 3}, "over n=3 up to length 5 walks 588069 closure states"),
+        ("rewrite-oracle", {"maxlen": 6}, {"maxlen": 7}, "up to length 7 walks 980612 closure letters"),
+        ("ah-zero", {"n": 2}, {"n": 3}, "over n=3 up to length 5 walks 1588095 closure letters"),
         # a long --maxlen is refused once the count passes the cap
-        ("ah-zero", {"maxlen": 6}, {"maxlen": 10**9}, "up to length 1000000000 walks at least 768916 closure states"),
+        ("ah-zero", {"maxlen": 6}, {"maxlen": 10**9}, "up to length 1000000000 walks at least 980612 closure letters"),
+        ("rewrite-oracle", {"n": 1, "maxlen": 90}, {"n": 1, "maxlen": 91}, "over n=1 up to length 91 walks 255346"),
+        ("rewrite-oracle", {"n": 1, "maxlen": 90}, {"n": 1, "maxlen": 10**9}, "walks at least 255346 closure letters"),
         ("half-comm", {"n": 6}, {"n": 7}, "checks 117649 generator triples"),
         ("pun", {"n": 3}, {"n": 4}, "forms 4096 biunitarity products"),
+        ("hopf", {"n": 5}, {"n": 6}, "forms 1679616 basis products"),
+        ("sequence", {"n": 16}, {"n": 17}, "into 83521 coproduct terms"),
     ],
-    ids=("rewrite-oracle", "ah-zero", "ah-zero-long", "half-comm", "pun"),
+    ids=("rewrite-oracle", "ah-zero", "ah-zero-long", "n1", "n1-long", "half-comm", "pun", "hopf", "sequence"),
 )
 def test_verify_work_caps_as_shipped(suite, admitted, refused, message):
-    # 73,620 closure states, 46,656 triples and 729 products are admitted;
-    # counted, not run
+    # 177,796 and 247,065 closure letters, 46,656 triples, 729 biunitarity
+    # products, 390,625 basis products and 65,536 coproduct terms are
+    # admitted; counted, not run
     from halfcomm.verify import check_caps
 
     assert check_caps(suite, **admitted) is None
@@ -558,7 +579,7 @@ VERIFY_ALL_IDS = {
     ],
     "half-comm": ["abc-cba-n2", "self-adjoint-n2"],
     "hopf": ["antipode-convolution", "antipode-squared", "coassociativity-words", "coproduct-multiplicative",
-             "counit-crossed", "counit-words", "star-structure"],
+             "counit-crossed", "counit-words", "embedding-intertwines", "star-structure"],
     "kn": ["monomial-vanishing"],
     "moments": ["moment-n2-k1", "moment-n2-k2", "moment-n3-k1"],
     "predicates": ["doubly-non-real-kn2", "doubly-non-real-u2n2", "doubly-non-real-un2", "on-non-real",
@@ -576,7 +597,7 @@ def test_verify_all_checks_pass_with_timings(capsys):
     assert code == 0
     lines = [json.loads(l) for l in out.strip().splitlines()]
     expect = {(suite, check) for suite, checks in VERIFY_ALL_IDS.items() for check in checks}
-    assert len(expect) == 64
+    assert len(expect) == 65
     assert sorted((l["suite"], l["check"]) for l in lines) == sorted(expect)
     assert all(l["status"] == "pass" for l in lines)
     assert all(isinstance(l["elapsed_s"], float) and l["elapsed_s"] >= 0 for l in lines)
@@ -615,7 +636,7 @@ def test_verify_all_flags_reach_only_their_suites(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--maxlen", "6", "--trials", "3")
     assert code == 0
     lines = {(l["suite"], l["check"]): l for l in map(json.loads, out.strip().splitlines())}
-    assert len(lines) == 66 and all(l["status"] == "pass" for l in lines.values())
+    assert len(lines) == 67 and all(l["status"] == "pass" for l in lines.values())
     assert ("rewrite-oracle", "closure-len-6") in lines and ("ah-zero", "zero-rule-len-6") in lines
     assert lines[("faithfulness", "norm-decides-function-equality")]["detail"].startswith("61 normal forms;")
     assert lines[("hopf", "antipode-squared")]["detail"].startswith("25 random elements")
@@ -624,11 +645,26 @@ def test_verify_all_flags_reach_only_their_suites(capsys):
     assert lines[("predicates", "transpose-closure")]["detail"].startswith("3 samples per model")
 
 
+def test_verify_all_output_does_not_depend_on_the_hash_seed():
+    # seeded runs are bit-for-bit deterministic: two children under different
+    # PYTHONHASHSEEDs print the same lines once the timings are dropped
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        res = subprocess.run([sys.executable, "-m", "halfcomm", "verify", "--suite", "all"],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr[-2000:]
+        lines = [json.loads(line) for line in res.stdout.splitlines()]
+        outputs.append([{k: v for k, v in l.items() if k != "elapsed_s"} for l in lines])
+    assert len(outputs[0]) == 65 and outputs[0] == outputs[1]
+
+
 def test_verify_all_at_dimension_one(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--n", "1")
     assert code == 0
     lines = [json.loads(l) for l in out.strip().splitlines()]
-    assert len(lines) == 64 and all(l["status"] == "pass" for l in lines)
+    assert len(lines) == 65 and all(l["status"] == "pass" for l in lines)
     (orth,) = (l for l in lines if l["check"] == "orthogonality-in-image")
     assert "no pairs" in orth["detail"]
 
@@ -698,7 +734,7 @@ def test_verify_check_that_raises_fails_and_the_battery_goes_on(capsys):
             del SUITES[name]
     assert code == 1
     lines = [json.loads(l) for l in out.strip().splitlines()]
-    assert len({(l["suite"], l["check"]) for l in lines}) == len(lines) == 64 + 2 + 1
+    assert len({(l["suite"], l["check"]) for l in lines}) == len(lines) == 65 + 2 + 1
     failed = {(l["suite"], l["check"]): l["detail"] for l in lines if l["status"] == "fail"}
     assert failed == {
         ("aaa-raising", "raises"): "ArithmeticError: by construction",

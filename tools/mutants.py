@@ -55,6 +55,14 @@ MUTANTS = (
            "the crossed tensor rule keeps the left flag instead of the sum"),
     Mutant("src/halfcomm/haar.py", "q += e if sym[2] else 0", "q += 0 if sym[2] else e",
            "the witness point scales each term by its plain degree, not its barred one"),
+    Mutant("src/halfcomm/words.py", "_letter(col, row, starred != unitary)", "_letter(row, col, starred != unitary)",
+           "the word antipode no longer transposes the indices"),
+    Mutant("src/halfcomm/words.py", "terms = {word[::-1]: coeff.conjugate()", "terms = {word: coeff.conjugate()",
+           "the orthogonal word star no longer reverses the word"),
+    Mutant("src/halfcomm/words.py",
+           "return (a.row == b.row and a.col != b.col) or (a.col == b.col and a.row != b.row)",
+           "return a.row == b.row and a.col != b.col",
+           "the ah-star zero rule drops the column relations"),
 )
 
 
