@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 
 from .errors import DimensionMismatchError, IndexRangeError
 from .scalars import ZERO, GaussianRational, SparseSum, _reduced, reduce_terms
@@ -309,6 +308,16 @@ def crossed_counit(x: CrossedElement) -> GaussianRational:
     return x.f0.counit() + x.f1.counit()
 
 
+class _Monomials(dict):
+    """Leg -> its monomial, made at the first lookup; legs recur across the
+    terms of a coproduct."""
+
+    def __missing__(self, leg):
+        # a leg is sorted, so its symbols come in order
+        mono = self[leg] = _monomial([(sym, leg.count(sym)) for sym in dict.fromkeys(leg)])
+        return mono
+
+
 def crossed_coproduct(x: CrossedElement):
     """Coproduct as a dict {((mono, parity), (mono, parity)): coefficient}.
 
@@ -317,30 +326,35 @@ def crossed_coproduct(x: CrossedElement):
     exponent e splits by the compositions of e with multinomial weights.  The
     legs are monomials whose symbols are ``Letter``s, equal and hash-equal to
     the plain (row, col, bar) triples; both tensor legs inherit the parity of
-    the term they came from.
+    the term they came from.  The dict is filled in one pass: the terms of
+    one monomial have distinct keys, and legs share their term's degree and
+    parity, so a term can meet an earlier one only when an earlier monomial
+    of the same parity has its degree; zero sums are dropped at the end, and
+    keys keep the order of their first term.
     """
-
-    monos = {}  # leg -> its monomial; legs recur across the terms
-
-    def mono_of(leg):
-        m = monos.get(leg)
-        if m is None:
-            # a leg is sorted, so its counts come in symbol order
-            m = monos[leg] = _monomial(Counter(leg).items())
-        return m
-
-    def pairs():
-        for parity, f in ((0, x.f0), (1, x.f1)):
-            for mono, coeff in f.terms.items():
-                (splits,) = coproduct_splits((mono,), x.n)
-                scaled = {}  # coeff times each weight, computed once
-                for (left, right), weight in splits.items():
-                    c = scaled.get(weight)
-                    if c is None:
-                        c = scaled[weight] = coeff * weight
-                    yield ((mono_of(left), parity), (mono_of(right), parity)), c
-
-    return reduce_terms(pairs())
+    monos = _Monomials()
+    out = {}
+    classes = set()  # the (parity, degree) of the monomials expanded so far
+    cancelled = False
+    for parity, f in ((0, x.f0), (1, x.f1)):
+        for mono, coeff in f.terms.items():
+            (splits,) = coproduct_splits((mono,), x.n)
+            cls = (parity, mono.degree)
+            fresh = cls not in classes
+            classes.add(cls)
+            scaled = {}  # coeff times each weight, computed once
+            for (left, right), weight in splits.items():
+                c = scaled.get(weight)
+                if c is None:
+                    c = scaled[weight] = coeff * weight
+                key = ((monos[left], parity), (monos[right], parity))
+                if not fresh:
+                    prev = out.get(key)
+                    if prev is not None:
+                        c = prev + c
+                        cancelled = cancelled or not c
+                out[key] = c
+    return {key: c for key, c in out.items() if c} if cancelled else out
 
 
 def coinvariant_test(x: CrossedElement) -> bool:

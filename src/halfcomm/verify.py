@@ -1235,6 +1235,10 @@ def _partitions_upto(total, max_rows):
     return sorted(padded, reverse=True)
 
 
+def _shifted(lam, a):
+    return tuple(x - a for x in lam)
+
+
 FUSION_NAMES = ("un:2", "un:3", "su2", "torus:2")  # the fusion data the fusion suite checks
 
 
@@ -1251,14 +1255,23 @@ def suite_fusion(seed=DEFAULT_SEED):
     for n in (2, 3):
 
         def check_lr():
+            # each pair of partitions, then shifted by -a(1,...,1) and
+            # -b(1,...,1) down to weights whose first entries are 0, most of
+            # them with negative entries: the oracle multiplies the partitions
+            # once, its constituents shift by -(a + b), and the two are
+            # compared in their decreasing order
             parts = _partitions_upto(LR_SIZE_CAP, n)
             count = 0
             for lam in parts:
                 for mu in parts:
-                    if fus.lr_tensor(lam, mu, n) != schur_tensor_oracle(lam, mu, n):
-                        return False, f"mismatch at {lam} (x) {mu}"
-                    count += 1
-            return True, f"{count} pairs with |lam|,|mu| <= {LR_SIZE_CAP}"
+                    expected = list(schur_tensor_oracle(lam, mu, n).items())
+                    for a in range(lam[0] + 1):
+                        for b in range(mu[0] + 1):
+                            got = fus.lr_tensor(_shifted(lam, a), _shifted(mu, b), n)
+                            if list(got.items()) != [(_shifted(nu, a + b), m) for nu, m in expected]:
+                                return False, f"mismatch at {lam} (x) {mu} shifted by -{a}, -{b}"
+                            count += 1
+            return True, f"{count} pairs: |lam|,|mu| <= {LR_SIZE_CAP}, shifted by -a, -b, a <= lam_1, b <= mu_1"
 
         yield f"lr-vs-schur-n{n}", "tableau counting agrees with the Schur polynomial product oracle", check_lr
 

@@ -33,7 +33,7 @@ from .errors import (
     IndexRangeError,
     PresentationError,
 )
-from .scalars import ZERO, GaussianRational, SparseSum, reduce_terms
+from .scalars import ZERO, GaussianRational, SparseSum
 
 AO_STAR = "ao-star"
 AH_STAR = "ah-star"
@@ -109,6 +109,9 @@ def _letter(row, col, starred):
     return Letter(row, col, bool(starred))
 
 
+_SELF_ADJOINT = "orthogonal generators are self-adjoint; no starred letters"
+
+
 def letter(presentation: Presentation, row: int, col: int, starred: bool = False) -> Letter:
     """The letter v_ij (``u_ij``, or ``u*_ij`` when ``starred``) of
     ``presentation``, checked against its dimension and kind; equal calls
@@ -117,7 +120,7 @@ def letter(presentation: Presentation, row: int, col: int, starred: bool = False
     if not (1 <= row <= n and 1 <= col <= n):
         raise IndexRangeError(f"index ({row},{col}) outside 1..{n}")
     if starred and presentation.orthogonal:
-        raise PresentationError("orthogonal generators are self-adjoint; no starred letters")
+        raise PresentationError(_SELF_ADJOINT)
     return _letter(row, col, starred)
 
 
@@ -130,7 +133,22 @@ def hc_normal_form(word):
     Sorts the odd-position and even-position letters separately and
     interleaves them; a ``Letter`` orders like its ``key()``.
     """
-    return _interleave(sorted(word[0::2]), sorted(word[1::2]))
+    return _weaver((len(word) + 1) // 2, len(word) // 2)(sorted(word[0::2]) + sorted(word[1::2]))
+
+
+# length pairs whose weavers ``_weaver`` keeps: every word of up to 256 letters
+WEAVER_CACHE = 256
+
+
+@functools.lru_cache(maxsize=WEAVER_CACHE)
+def _weaver(odd, even):
+    """The callable that weaves a word from its ``odd`` odd-position letters
+    followed by its ``even`` even-position ones: one ``operator.itemgetter``
+    per length pair, or ``tuple`` for a word of fewer than two letters, where
+    an itemgetter would return a letter, not a word."""
+    if odd + even < 2:
+        return tuple
+    return operator.itemgetter(*[i // 2 + (i % 2) * odd for i in range(odd + even)])
 
 
 def _forbidden(a: Letter, b: Letter) -> bool:
@@ -152,7 +170,11 @@ def ah_zero_test(word, presentation: Presentation) -> bool:
     """
     if presentation.kind != AH_STAR:
         raise PresentationError(f"ah_zero_test needs an {AH_STAR} presentation, got {presentation}")
-    odd, even = word[0::2], word[1::2]
+    return _dead_classes(word[0::2], word[1::2])
+
+
+def _dead_classes(odd, even) -> bool:
+    # ``ah_zero_test`` on the word with these odd- and even-position letters
     return any(_forbidden(a, b) for a in odd for b in even)
 
 
@@ -205,9 +227,12 @@ class WordElement(SparseSum):
     def _normal_key(self, word):
         word = tuple(word)
         n = self.presentation.n
+        orthogonal = self.presentation.orthogonal
         for l in word:
             if not (1 <= l.row <= n and 1 <= l.col <= n):
                 raise IndexRangeError(f"letter index ({l.row},{l.col}) outside 1..{n}")
+            if l.starred and orthogonal:
+                raise PresentationError(_SELF_ADJOINT)
         if _dead_word(word, self.presentation):
             return None
         return hc_normal_form(word)
@@ -329,42 +354,44 @@ def coproduct_splits(classes, n):
     return [_class_splits(cls, n) for cls in classes]
 
 
-def _interleave(odd, even):
-    # the word with ``odd`` at its odd positions and ``even`` at its even ones,
-    # as hc_normal_form builds it from the two sorted classes
-    out = [None] * (len(odd) + len(even))
-    out[0::2] = odd
-    out[1::2] = even
-    return tuple(out)
-
-
 def coproduct_element(x: WordElement):
     """Coproduct as a dict {(left word, right word): coefficient}.
 
     The generator rule, stars preserved, expanded by ``coproduct_splits`` over
     the odd- and even-position letters of each word; both legs come out in
-    normal form, and terms whose legs die in the quotient are dropped.
+    normal form, and terms whose legs die in the quotient are dropped.  The
+    dict is filled in one pass: the terms of one word have distinct keys, and
+    legs are as long as their word, so a term can meet an earlier one only
+    when an earlier word has its length; zero sums are dropped at the end, and
+    keys keep the order of their first term.
     """
     pres = x.presentation
     ah = pres.kind == AH_STAR
-
-    def pairs():
-        for word, coeff in x.terms.items():
-            odd, even = coproduct_splits((Counter(word[0::2]).items(), Counter(word[1::2]).items()), pres.n)
-            scaled = {}  # coeff times each weight, computed once
-            for (lo, ro), wo in odd.items():
-                for (le, re), we in even.items():
-                    left = _interleave(lo, le)
-                    right = _interleave(ro, re)
-                    if ah and (_dead_word(left, pres) or _dead_word(right, pres)):
-                        continue
-                    weight = wo * we
-                    c = scaled.get(weight)
-                    if c is None:
-                        c = scaled[weight] = coeff * weight
-                    yield (left, right), c
-
-    return reduce_terms(pairs())
+    out = {}
+    lengths = set()  # the lengths of the words expanded so far
+    cancelled = False
+    for word, coeff in x.terms.items():
+        odd, even = coproduct_splits((Counter(word[0::2]).items(), Counter(word[1::2]).items()), pres.n)
+        weave = _weaver((len(word) + 1) // 2, len(word) // 2)
+        fresh = len(word) not in lengths
+        lengths.add(len(word))
+        scaled = {}  # coeff times each weight, computed once
+        for (lo, ro), wo in odd.items():
+            for (le, re), we in even.items():
+                if ah and (_dead_classes(lo, le) or _dead_classes(ro, re)):
+                    continue
+                weight = wo * we
+                c = scaled.get(weight)
+                if c is None:
+                    c = scaled[weight] = coeff * weight
+                key = (weave(lo + le), weave(ro + re))
+                if not fresh:
+                    prev = out.get(key)
+                    if prev is not None:
+                        c = prev + c
+                        cancelled = cancelled or not c
+                out[key] = c
+    return {key: c for key, c in out.items() if c} if cancelled else out
 
 
 def format_word(word, symbol: str = "v") -> str:

@@ -184,6 +184,18 @@ def test_fuse_zero_denominator_label(capsys):
     assert "parse error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("group, label, hint", [
+    ("un:2", "[1.5,0]", "weight labels look like [2,0,-1]"),
+    ("torus:2", "t[0.5,0]", "torus labels look like t[1,-1]"),
+    ("su2", "j=1/2/3", "spin labels look like j=3/2"),
+])
+def test_fuse_label_with_a_non_integer_entry_is_a_parse_error(capsys, group, label, hint):
+    code, out, err = run_cli(capsys, "fuse", "--group", group, label, label)
+    assert code == 2 and out == ""
+    lines = [line for line in err.splitlines() if not line.startswith("# config")]
+    assert lines == [f"parse error: {hint}, got {label!r}"]
+
+
 @pytest.mark.parametrize("group", ["un:abc", "torus:x"])
 @pytest.mark.parametrize("argv", [("fuse", "([0],e)", "([0],e)"), ("fusion-table",)])
 def test_fusion_group_with_a_non_integer_dimension_is_unknown(capsys, group, argv):

@@ -150,6 +150,30 @@ def test_crossed_coproduct_unit():
     assert crossed_coproduct(one) == {((FunMonomial(), 0), (FunMonomial(), 0)): GaussianRational(1)}
 
 
+def test_crossed_coproduct_merges_terms_of_two_monomials_in_first_order():
+    # the determinant u11 u22 - u12 u21 is group-like: of the 4 + 4 terms of
+    # its monomials' coproducts, the 2 pairs with legs u1k u2k (x) uk1 uk2
+    # cancel, and det (x) det keeps the others in the order they came; the
+    # odd copy merges nothing with the even one
+    mono = lambda *pairs: FunMonomial({(i, j, False): 1 for i, j in pairs})
+    m1, m2 = mono((1, 1), (2, 2)), mono((1, 2), (2, 1))
+    det = FunElement(2, {m1: 1, m2: -1})
+    assert list(det.terms) == [m1, m2]
+    for x, parities in ((CrossedElement.even(det), (0,)), (CrossedElement(det, det), (0, 1))):
+        expected = []
+        for parity in parities:
+            d1 = crossed_coproduct(_basis_elem(2, m1, parity))
+            d2 = crossed_coproduct(_basis_elem(2, m2, parity))
+            shared = d1.keys() & d2.keys()
+            assert len(d1) == len(d2) == 4 and len(shared) == 2
+            expected += [(key, c) for key, c in d1.items() if key not in shared]
+            expected += [(key, -c) for key, c in d2.items() if key not in shared]
+        assert list(crossed_coproduct(x).items()) == expected
+        signs = {((a, parity), (b, parity)): s * t for parity in parities
+                 for a, s in ((m1, 1), (m2, -1)) for b, t in ((m1, 1), (m2, -1))}
+        assert dict(expected) == signs
+
+
 def test_crossed_coproduct_coassociative():
     x = g(2, 1, 2)
     delta = crossed_coproduct(x)

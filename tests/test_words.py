@@ -51,6 +51,20 @@ def elem(pres, *pairs):
 # -- normal forms against the brute-force oracle -----------------------------
 
 
+def test_orthogonal_word_elements_refuse_starred_letters():
+    # letter() refuses a starred orthogonal letter, and so does a word element
+    # made from Letters directly, with letter()'s message; orthogonal
+    # generators are self-adjoint, so v*[1,1] v[1,2] is not a new word
+    with pytest.raises(PresentationError) as made:
+        letter(AO2, 1, 1, True)
+    for pres in (AO2, AH2, ao_star(3)):
+        with pytest.raises(PresentationError) as direct:
+            WordElement(pres, {(Letter(1, 1, True), Letter(1, 2, False)): 1})
+        assert str(direct.value) == str(made.value)
+    unitary = WordElement(au_star_star(2), {(Letter(1, 1, True), Letter(1, 2, False)): 1})
+    assert list(unitary.terms) == [(Letter(1, 1, True), Letter(1, 2, False))]
+
+
 def test_normal_form_frozen_examples():
     assert hc_normal_form(w(AO2, (2, 1), (1, 1), (1, 2))) == w(AO2, (1, 2), (1, 1), (2, 1))
     assert hc_normal_form(w(AO2, (1, 1))) == w(AO2, (1, 1))
@@ -203,6 +217,27 @@ def test_coproduct_square_expansion():
             expected[key] = GaussianRational(1)
     assert direct == expected
     assert len(direct) == 4
+
+
+def test_coproduct_merges_terms_of_two_words_in_first_order():
+    # Delta(v11 v11 v22) and Delta(v12 v11 v21) share the terms whose odd
+    # legs are v1k v2k (x) vk1 vk2: 2 values of k times the 2 splits of the
+    # even letter.  A difference drops them; other coefficients keep them,
+    # summed, where the first word put them, and the rest of the second
+    # word's terms follow in its order
+    first, second = w(AO2, (1, 1), (1, 1), (2, 2)), w(AO2, (1, 2), (1, 1), (2, 1))
+    d1 = coproduct_element(WordElement.from_word(AO2, first))
+    d2 = coproduct_element(WordElement.from_word(AO2, second))
+    shared = d1.keys() & d2.keys()
+    assert len(d1) == len(d2) == 8 and len(shared) == 4
+    for a, b in ((1, -1), (2, -1), (-1, 1)):
+        x = WordElement(AO2, {first: a, second: b})
+        assert list(x.terms) == [first, second]
+        merged = {key: a * c + b * d2.get(key, 0) for key, c in d1.items()}
+        merged.update((key, b * c) for key, c in d2.items() if key not in shared)
+        expected = [(key, c) for key, c in merged.items() if c]
+        assert list(coproduct_element(x).items()) == expected
+        assert len(expected) == (8 if a == -b else 12)
 
 
 def test_coassociativity_on_generators():

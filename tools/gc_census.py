@@ -7,12 +7,14 @@ in the same order) and runs it through ``perfbench``'s own loop
 (``perfbench.run.in_process_loop``): once untimed, to warm the caches, then
 K rounds with a ``gc.callbacks`` timer installed.  It prints, per
 generation, how many collections ran and the seconds they took, next to the
-rounds' own seconds.  Last, with the timed loop still alive (its first
-round's answers, latencies and per-round records, as a benchmark run holds
-them), it prints after ``gc.collect()`` how many objects the collector
-tracks (``gc.get_objects()``), by type, the ``TOP`` largest counts first,
-and every type of the library: the objects that every full collection
-walks.
+rounds' own seconds, and then, per operation kind, its operations in a
+round and their mean milliseconds per timed round, the largest first, with
+its share of a round: where a round's time goes.  Last, with the timed loop
+still alive (its first round's answers, latencies and per-round records, as
+a benchmark run holds them), it prints after ``gc.collect()`` how many
+objects the collector tracks (``gc.get_objects()``), by type, the ``TOP``
+largest counts first, and every type of the library: the objects that
+every full collection walks.
 """
 
 from __future__ import annotations
@@ -57,6 +59,16 @@ def timed_rounds(ops, rounds):
     return loop, per_gen
 
 
+def kind_times(loop):
+    """(kind, operations in a round, seconds in all rounds) per operation
+    kind, the largest time first."""
+    seconds = Counter()
+    for kind, latency in zip(loop.kinds, loop.latencies):
+        seconds[kind] += latency
+    counts, rounds = Counter(loop.kinds), len(loop.round_s)
+    return [(kind, counts[kind] // rounds, s) for kind, s in seconds.most_common()]
+
+
 def census():
     """Tracked objects by type name after a full collection."""
     gc.collect()
@@ -83,6 +95,9 @@ def main(argv=None) -> int:
     print(f"{'generation':<10} {'collections':>11} {'ms':>9} {'ms/round':>9}")
     for gen, (count, gen_s) in enumerate(per_gen):
         print(f"{gen:<10} {count:>11} {gen_s * 1e3:>9.2f} {gen_s * 1e3 / args.rounds:>9.2f}")
+    print(f"{'kind':<18} {'ops/round':>9} {'ms/round':>9} {'share':>6}")
+    for kind, count, kind_s in kind_times(loop):
+        print(f"{kind:<18} {count:>9} {kind_s * 1e3 / args.rounds:>9.2f} {kind_s / loop.seconds:>6.1%}")
     counts = census()  # the timed loop is still alive, as in a benchmark run
     print(f"# tracked objects after the rounds: {sum(counts.values()):,}")
     for name, count in counts.most_common(TOP):

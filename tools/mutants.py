@@ -63,6 +63,8 @@ MUTANTS = (
            "return (a.row == b.row and a.col != b.col) or (a.col == b.col and a.row != b.row)",
            "return a.row == b.row and a.col != b.col",
            "the ah-star zero rule drops the column relations"),
+    Mutant("src/halfcomm/fusion.py", "tuple(dshift - x for x in reversed(nu))", "tuple(x - dshift for x in nu)",
+           "Littlewood-Richardson on the dual pair returns the dual constituents"),
 )
 
 
