@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 
 from . import fusion as fus
@@ -160,7 +161,7 @@ def cmd_haar(args):
             )
         )
         return EXIT_OK
-    if model.kind != "un":
+    if not model.exact:
         raise ValueError("exact integration covers the full unitary group; use --mc")
     print(str(haar_state(value, p_max=args.degree_cap)))
     return EXIT_OK
@@ -287,10 +288,12 @@ def cmd_verify(args):
 
 
 def _count_at_least(low):
-    """An argparse type for an integer count of at least ``low``, so that a
-    smaller count ends in a usage error (exit 2) before any work starts."""
+    """An argparse type for an integer count ``-?[0-9]+`` of at least ``low``,
+    so that any other count ends in a usage error (exit 2) before any work."""
 
     def count(text):
+        if not re.fullmatch("-?[0-9]+", text):
+            raise ValueError(text)  # argparse: "invalid count value"
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
@@ -338,7 +341,7 @@ def build_parser():
     p.set_defaults(func=cmd_haar)
 
     p = sub.add_parser("fuse", parents=[as_json], help="tensor product of two (flagged) labels")
-    p.add_argument("--group", required=True, help="un:N | su2 | torus:N")
+    p.add_argument("--group", required=True, help="un:N | su2 (or sun:2) | torus:N")
     p.add_argument("x")
     p.add_argument("y")
     p.set_defaults(func=cmd_fuse)

@@ -31,10 +31,10 @@ _TOKEN_RE = re.compile(
   | (?P<lpar>\()
   | (?P<rpar>\))
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,  # digits and spaces are ASCII ones
 )
 
-_LETTER_RE = re.compile(r"([vu])(\*?)\[\s*(\d+)\s*,\s*(\d+)\s*\]")
+_LETTER_RE = re.compile(r"([vu])(\*?)\[\s*(\d+)\s*,\s*(\d+)\s*\]", re.ASCII)
 MAX_NESTING = 100  # parentheses an expression may nest, well inside the recursion limit
 # term pairs the products of one expression may form, summed over its products;
 # eight juxtaposed sums of the eight degree-1 letters of crossed:2 form 51,472
@@ -54,9 +54,12 @@ class CrossedContext:
 
 
 def parse_context(text: str):
-    """Context names: ao-star:N, ah-star:N, au-star-star:N, crossed:N."""
+    """Context names: ao-star:N, ah-star:N, au-star-star:N, crossed:N; N is
+    ASCII digits, signed so that a builder names the bound."""
     try:
         kind, raw_n = text.rsplit(":", 1)
+        if not re.fullmatch("-?[0-9]+", raw_n):
+            raise ValueError(raw_n)
         n = int(raw_n)
     except ValueError as exc:
         raise ParseError(f"bad context {text!r}; expected e.g. ao-star:2 or crossed:2") from exc

@@ -22,10 +22,12 @@ import abc
 import itertools
 import math
 import operator
+import re
 from fractions import Fraction
 
 from .crossed import CrossedElement
 from .errors import DegreeCapError, ParseError
+from .groups import parse_model
 from .haar import PMAX_DEFAULT, _partitions, haar_state
 from .scalars import GaussianRational
 
@@ -33,12 +35,13 @@ from .scalars import GaussianRational
 class FusionData(abc.ABC):
     """Fusion datum: labels, unit and fundamental, dimensions, tensor oracle,
     dual, sigma, grading.  Labels are integer vectors of length n, written
-    ``[2,0,-1]`` and graded by their sum, unless a subclass says otherwise;
-    sigma is the dual unless a subclass overrides it, and none of the
-    shipped ones does."""
+    ``[2,0,-1]`` (entries ``-?[0-9]+``) and graded by their sum, unless a
+    subclass says otherwise; sigma is the dual unless a subclass overrides
+    it, and none of the shipped ones does."""
 
     prefix = "["
     label_hint = "weight labels look like [2,0,-1]"
+    integer_graded = True  # the grade is additive in tensor products
 
     def __init__(self, n: int):
         if n < 1:
@@ -57,12 +60,11 @@ class FusionData(abc.ABC):
 
     def parse_label(self, text: str):
         text = text.strip()
-        if not (text.startswith(self.prefix) and text.endswith("]")):
+        framed = text.startswith(self.prefix) and text.endswith("]")
+        entries = text[len(self.prefix):-1].split(",")
+        if not (framed and all(re.fullmatch("-?[0-9]+", e) for e in entries)):
             raise ParseError(f"{self.label_hint}, got {text!r}")
-        try:
-            return tuple(int(p) for p in text[len(self.prefix):-1].split(","))
-        except ValueError:
-            raise ParseError(f"{self.label_hint}, got {text!r}") from None
+        return tuple(map(int, entries))
 
     def format_label(self, label) -> str:
         return self.prefix + ",".join(str(x) for x in label) + "]"
@@ -86,6 +88,10 @@ class FusionData(abc.ABC):
     def labels(self, grade_cap: int) -> list:
         """The labels whose entries have absolute sum at most ``grade_cap``."""
         return _l1_ball(self.n, grade_cap)
+
+    def random_label(self, rng):
+        """A label for the fusion suite's random checks: entries in [-3, 3]."""
+        return tuple(rng.randint(-3, 3) for _ in range(self.n))
 
     def _labels_by_size(self):
         """How many labels each step of the grade cap adds: the counts of the
@@ -315,6 +321,10 @@ class UnFusion(FusionData):
         for g in itertools.count():
             yield sum(1 for _ in _dominant_parts(self.n, g))
 
+    def random_label(self, rng):
+        # entries in [-2, 2], weakly decreasing
+        return tuple(sorted((rng.randint(-2, 2) for _ in range(self.n)), reverse=True))
+
     def dim(self, a):
         return un_dim(a, self.n)
 
@@ -347,26 +357,25 @@ class SU2Fusion(FusionData):
     fundamental = Fraction(1, 2)
     label_size = 1  # a spin is one number
     label_hint = "spin labels look like j=3/2"
+    integer_graded = False  # the grade is 2j mod 2
 
     def __init__(self):
         # spins carry no dimension n
         pass
 
     def validate_label(self, a):
-        j = Fraction(a)
-        if j < 0 or (2 * j).denominator != 1:
+        # an int or a Fraction: not a float, a bool or a string
+        if type(a) not in (int, Fraction) or a < 0 or (2 * a).denominator != 1:
             raise ValueError(f"spin {a} is not a nonnegative half-integer")
 
     def parse_label(self, text):
         text = text.strip()
-        if not text.startswith("j="):
+        if not re.fullmatch("j=-?[0-9]+(/[0-9]+)?", text):
             raise ParseError(f"{self.label_hint}, got {text!r}")
         try:
             return Fraction(text[2:])
         except ZeroDivisionError as exc:
             raise ParseError(f"spin label {text!r} divides by zero") from exc
-        except ValueError:
-            raise ParseError(f"{self.label_hint}, got {text!r}") from None
 
     def format_label(self, label):
         return f"j={label}"
@@ -378,8 +387,12 @@ class SU2Fusion(FusionData):
         yield 1
         yield from itertools.repeat(2)
 
+    def random_label(self, rng):
+        return Fraction(rng.randint(0, 6), 2)
+
     def dim(self, a):
-        return int(2 * Fraction(a)) + 1
+        self.validate_label(a)
+        return int(2 * a) + 1
 
     def _tensor(self, a, b):
         a, b = Fraction(a), Fraction(b)
@@ -427,18 +440,15 @@ class TorusFusion(FusionData):
 
 
 def fusion_instance(name: str) -> FusionData:
-    """The fusion datum named ``un:N``, ``torus:N`` or ``su2``."""
-    if name == "su2":
-        return SU2Fusion()
-    kind, _, raw_n = name.partition(":")
-    data = {"un": UnFusion, "torus": TorusFusion}.get(kind)
+    """The fusion datum named ``un:N``, ``torus:N`` or ``su2``: the group
+    model's (``GroupModel.fusion_data``), SU(2)'s also named ``sun:2``."""
     try:
-        n = int(raw_n)
+        data = parse_model("sun:2" if name == "su2" else name).fusion_data()
     except ValueError:
         data = None
     if data is None:
         raise ValueError(f"no fusion data for {name!r} (available: un:N, su2, torus:N)")
-    return data(n)
+    return data
 
 
 def crossed_tensor(data: FusionData, x, y) -> dict:

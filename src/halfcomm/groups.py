@@ -11,6 +11,7 @@ pushes Haar x Haar forward to Haar on the block group.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,24 @@ class GroupModel:
     def ambient_dim(self) -> int:
         return 2 * self.n if self.kind == KIND_U2N else self.n
 
+    @property
+    def real_entries(self) -> bool:
+        """Every element has real entries: the orthogonal group."""
+        return self.kind == KIND_ON
+
+    @property
+    def exact(self) -> bool:
+        """The Haar state integrates exactly (Weingarten calculus): U(n)."""
+        return self.kind == KIND_UN
+
+    def fusion_data(self):
+        """The fusion datum of U(n), a torus or SU(2); None for the others."""
+        from . import fusion  # fusion -> haar -> groups: imported when asked
+        if self.kind == KIND_SUN and self.n == 2:
+            return fusion.SU2Fusion()
+        data = {KIND_UN: fusion.UnFusion, KIND_TORUS: fusion.TorusFusion}.get(self.kind)
+        return None if data is None else data(self.n)
+
     def __str__(self):
         return f"{self.kind}:{self.n}"
 
@@ -67,6 +86,8 @@ class GroupModel:
 def parse_model(text: str) -> GroupModel:
     try:
         kind, n = text.split(":")
+        if not re.fullmatch("[0-9]+", n):
+            raise ValueError(n)
         return GroupModel(kind, int(n))
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad group model {text!r}; expected e.g. un:2, kn:3") from exc
@@ -86,8 +107,16 @@ def _haar_orthogonal(rng, count, n):
     return (q * np.sign(d)[:, None, :]).astype(complex)
 
 
+def check_draw(model: GroupModel, count: int) -> None:
+    """``check_draw_size`` of a draw of ``count`` samples over ``model``."""
+    d = model.ambient_dim
+    check_draw_size(count * d * d, f"a draw of {count} samples over {model}")
+
+
 def sample_batch(model: GroupModel, rng, count: int) -> np.ndarray:
-    """Stack of ``count`` Haar samples, shape (count, d, d) complex."""
+    """Stack of ``count`` Haar samples, shape (count, d, d) complex, drawn
+    once ``check_draw`` has passed the draw."""
+    check_draw(model, count)
     n = model.n
     if model.kind == KIND_UN:
         return _haar_unitary(rng, count, n)
@@ -177,7 +206,7 @@ def check_predicate(model: GroupModel, which: str, trials: int = 100) -> None:
         raise ValueError(f"unknown predicate {which!r}; choose from {PREDICATES}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if model.kind == KIND_ON and which in ("non_real", "doubly_non_real"):
+    if model.real_entries and which in ("non_real", "doubly_non_real"):
         return
     d = model.ambient_dim
     check_draw_size(d**4 if which == "doubly_non_real" else d * d, f"predicate {which} over {model}")
@@ -199,7 +228,7 @@ def predicate(
     real by construction).
     """
     check_predicate(model, which, trials)
-    if model.kind == KIND_ON and which in ("non_real", "doubly_non_real"):
+    if model.real_entries and which in ("non_real", "doubly_non_real"):
         return PredicateResult(False, None)
 
     rng = np.random.default_rng(rng_seed)

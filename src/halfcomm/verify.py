@@ -40,7 +40,7 @@ from .crossed import (
 from .errors import ClosureSizeError, DegreeCapError
 from .groups import (
     DEFAULT_TOL,
-    check_draw_size,
+    check_draw,
     contains,
     evaluate_fun_batch,
     matrix_model_eval,
@@ -351,23 +351,11 @@ def suite_half_comm(n=2):
     yield f"self-adjoint-n{n}", "generator images are self-adjoint", check_star
 
 
-def _check_draw(model, count):
-    """``check_draw_size`` of a draw of ``count`` samples over ``model``."""
-    d = model.ambient_dim
-    check_draw_size(count * d * d, f"a draw of {count} samples over {model}")
-
-
-def _draw(model, rng, count):
-    """``sample_batch``, once ``_check_draw`` has passed the draw."""
-    _check_draw(model, count)
-    return sample_batch(model, rng, count)
-
-
 @functools.lru_cache(maxsize=8)
 def _haar_points(n, seed):
     """The seeded batch of Haar unitaries over U(n) that ``pointwise_equal``
     evaluates at: drawn once per (n, seed) and shared read-only."""
-    gs = _draw(parse_model(f"un:{n}"), np.random.default_rng(seed), POINTWISE_SAMPLES)
+    gs = sample_batch(parse_model(f"un:{n}"), np.random.default_rng(seed), POINTWISE_SAMPLES)
     gs.flags.writeable = False
     return gs
 
@@ -848,7 +836,7 @@ def _predicates_caps(trials, **_):
     # the doubly-non-real checks draw one sample at a time; transpose-closure
     # draws ``trials`` over each shipped model, in this order
     for model in shipped_models():
-        _check_draw(model, trials)
+        check_draw(model, trials)
 
 
 @_suite("predicates", caps=_predicates_caps)
@@ -884,7 +872,7 @@ def suite_predicates(trials=1000, seed=DEFAULT_SEED):
     def check_transpose():
         rng = np.random.default_rng(seed)
         for model in shipped_models():
-            gs = _draw(model, rng, trials)
+            gs = sample_batch(model, rng, trials)
             if not contains(model, np.swapaxes(gs, -2, -1)).all():
                 return False, f"transpose escapes {model}"
         return True, f"{trials} samples per model, {len(shipped_models())} models"
@@ -893,7 +881,7 @@ def suite_predicates(trials=1000, seed=DEFAULT_SEED):
 
 
 def _kn_caps(n, **_):
-    _check_draw(parse_model(f"kn:{n}"), STRUCTURAL_DRAWS)
+    check_draw(parse_model(f"kn:{n}"), STRUCTURAL_DRAWS)
 
 
 @_suite("kn", caps=_kn_caps)
@@ -902,7 +890,7 @@ def suite_kn(n=3, seed=DEFAULT_SEED):
 
     def check_vanishing():
         rng = np.random.default_rng(seed)
-        gs = _draw(model, rng, STRUCTURAL_DRAWS)
+        gs = sample_batch(model, rng, STRUCTURAL_DRAWS)
         worst = 0.0
         count = 0
         for i in range(1, n + 1):
@@ -928,8 +916,8 @@ def suite_kn(n=3, seed=DEFAULT_SEED):
 
 def _u2n_caps(n, points, **_):
     model = parse_model(f"u2n:{n}")
-    _check_draw(model, STRUCTURAL_DRAWS)  # sampler-pattern
-    _check_draw(model, points)  # unitary-generators
+    check_draw(model, STRUCTURAL_DRAWS)  # sampler-pattern
+    check_draw(model, points)  # unitary-generators
 
 
 @_suite("u2n", caps=_u2n_caps)
@@ -938,7 +926,7 @@ def suite_u2n(n=1, points=100, seed=DEFAULT_SEED):
 
     def check_sampler():
         rng = np.random.default_rng(seed)
-        if not contains(model, _draw(model, rng, STRUCTURAL_DRAWS)).all():
+        if not contains(model, sample_batch(model, rng, STRUCTURAL_DRAWS)).all():
             return False, "sample escapes the block pattern"
         return True, f"{STRUCTURAL_DRAWS} samples, block pattern and unitarity within {DEFAULT_TOL}"
 
@@ -952,7 +940,7 @@ def suite_u2n(n=1, points=100, seed=DEFAULT_SEED):
 
     def check_unitarity():
         rng = np.random.default_rng(seed + 1)
-        gs = _draw(model, rng, points)
+        gs = sample_batch(model, rng, points)
         worst = 0.0
         for starred in (False, True):
             m = np.block(
@@ -1242,14 +1230,6 @@ def _shifted(lam, a):
 FUSION_NAMES = ("un:2", "un:3", "su2", "torus:2")  # the fusion data the fusion suite checks
 
 
-def _random_label(rng, name, data):
-    if name.startswith("un"):  # entries in [-2, 2], weakly decreasing
-        return tuple(sorted((rng.randint(-2, 2) for _ in range(data.n)), reverse=True))
-    if name == "su2":
-        return Fraction(rng.randint(0, 6), 2)
-    return tuple(rng.randint(-3, 3) for _ in range(data.n))
-
-
 @_suite("fusion")
 def suite_fusion(seed=DEFAULT_SEED):
     for n in (2, 3):
@@ -1281,7 +1261,7 @@ def suite_fusion(seed=DEFAULT_SEED):
 
         def check_assoc():
             for _ in range(FUSION_TRIPLES):
-                a, b, c = (_random_label(rng, name, data) for _ in range(3))
+                a, b, c = (data.random_label(rng) for _ in range(3))
                 left = {}
                 for l1, m1 in data.tensor(a, b).items():
                     for l2, m2 in data.tensor(l1, c).items():
@@ -1298,7 +1278,7 @@ def suite_fusion(seed=DEFAULT_SEED):
 
         def check_dim():
             for _ in range(FUSION_TRIPLES):
-                a, b = (_random_label(rng, name, data) for _ in range(2))
+                a, b = (data.random_label(rng) for _ in range(2))
                 dec = data.tensor(a, b)
                 if sum(m * data.dim(l) for l, m in dec.items()) != data.dim(a) * data.dim(b):
                     return False, f"dimension count fails at {a},{b}"
@@ -1308,9 +1288,9 @@ def suite_fusion(seed=DEFAULT_SEED):
 
         def check_frobenius():
             for _ in range(FUSION_TRIPLES):
-                a, b = (_random_label(rng, name, data) for _ in range(2))
+                a, b = (data.random_label(rng) for _ in range(2))
                 dec = data.tensor(a, b)
-                probes = list(dec) + [_random_label(rng, name, data)]
+                probes = list(dec) + [data.random_label(rng)]
                 for c in probes:
                     lhs = dec.get(c, 0)
                     rhs = 0
@@ -1324,7 +1304,7 @@ def suite_fusion(seed=DEFAULT_SEED):
 
         def check_duality():
             for _ in range(FUSION_TRIPLES):
-                a = _random_label(rng, name, data)
+                a = data.random_label(rng)
                 if data.tensor(a, data.dual(a)).get(data.unit, 0) != 1:
                     return False, f"unit multiplicity != 1 at {a}"
                 if data.dual(data.dual(a)) != a or data.sigma(data.sigma(a)) != a:
@@ -1338,10 +1318,9 @@ def suite_fusion(seed=DEFAULT_SEED):
     def check_graded():
         for name in FUSION_NAMES:
             data = fus.fusion_instance(name)
-            integer_graded = not name.startswith("su2")
             for _ in range(FUSION_TRIPLES):
-                a = _random_label(rng, name, data)
-                b = _random_label(rng, name, data)
+                a = data.random_label(rng)
+                b = data.random_label(rng)
                 xa = (a, data.grade(a) % 2)
                 xb = (b, data.grade(b) % 2)
                 out = fus.astar_tensor(data, xa, xb)
@@ -1350,7 +1329,7 @@ def suite_fusion(seed=DEFAULT_SEED):
                         return False, "parity is not the XOR of the inputs"
                     if data.grade(lbl) % 2 != parity:
                         return False, "output violates the parity invariant"
-                    if integer_graded:
+                    if data.integer_graded:
                         expect = (
                             data.grade(a) - data.grade(b)
                             if xa[1] == 1 and xb[1] == 1

@@ -9,6 +9,7 @@ import pytest
 
 from halfcomm import fusion as fus
 from halfcomm.cli import _MAX_TABLE_ENTRIES, _MAX_TABLE_PAIRS, MC_SAMPLES, _echo_config, _settle_flags, build_parser, main
+from halfcomm.groups import ALL_KINDS
 from halfcomm.verify import SUITES, run_verify, suite_params
 
 
@@ -194,6 +195,46 @@ def test_fuse_label_with_a_non_integer_entry_is_a_parse_error(capsys, group, lab
     assert code == 2 and out == ""
     lines = [line for line in err.splitlines() if not line.startswith("# config")]
     assert lines == [f"parse error: {hint}, got {label!r}"]
+
+
+def test_fuse_names_su2_also_by_its_group_model(capsys):
+    # sun:2 is SU(2) as a group model; its fusion datum is su2's, printed as su2
+    for argv in (("fuse", "(j=1/2,s)", "j=1"), ("fusion-table", "--grade-cap", "1")):
+        command, *rest = argv
+        (code, out, _), (code_model, out_model, _) = (run_cli(capsys, command, "--group", g, *rest) for g in ("su2", "sun:2"))
+        assert code == code_model == 0 and out == out_model != ""
+
+
+# the CLI reads an integer as ASCII digits, [0-9]+, with a sign only where the
+# grammar has one; int(), Fraction() and a Unicode \d also read other decimal
+# digits, "_", "+" and surrounding spaces
+@pytest.mark.parametrize("argv, refusal", [
+    (["normalize", "--context", "ao-star:2", "v[\u0661,1]"], "parse error: unexpected character '[' (at position 1)"),
+    (["normalize", "--context", "ao-star:2", "\u0663 v[1,1]"], "parse error: unexpected character '\u0663' (at position 0)"),
+    (["normalize", "--context", "ao-star:\u0662", "v[1,1]"],
+     "parse error: bad context 'ao-star:\u0662'; expected e.g. ao-star:2 or crossed:2"),
+    (["normalize", "--context", "ao-star:+2", "v[1,1]"], "parse error: bad context 'ao-star:+2'; expected e.g. ao-star:2 or crossed:2"),
+    (["predicates", "--model", "un:2_0"], "error: bad group model 'un:2_0'; expected e.g. un:2, kn:3"),
+    (["haar", "--group", "un: 2", "1"], "error: bad group model 'un: 2'; expected e.g. un:2, kn:3"),
+    (["fuse", "--group", "un:2_0", "[1,0]", "[1,0]"], "error: no fusion data for 'un:2_0' (available: un:N, su2, torus:N)"),
+    (["fuse", "--group", "un:2", "[1_0,0]", "[1,0]"], "parse error: weight labels look like [2,0,-1], got '[1_0,0]'"),
+    (["fuse", "--group", "un:2", "[1,0]", "[\u0661,0]"], "parse error: weight labels look like [2,0,-1], got '[\u0661,0]'"),
+    (["fuse", "--group", "un:2", "[+1,0]", "[1,0]"], "parse error: weight labels look like [2,0,-1], got '[+1,0]'"),
+    (["fuse", "--group", "torus:2", "t[1, 0]", "t[1,0]"], "parse error: torus labels look like t[1,-1], got 't[1, 0]'"),
+    (["fuse", "--group", "su2", "j=1_0/2", "j=1/2"], "parse error: spin labels look like j=3/2, got 'j=1_0/2'"),
+    (["fuse", "--group", "su2", "j=1/2", "j=1.5"], "parse error: spin labels look like j=3/2, got 'j=1.5'"),
+    (["predicates", "--model", "un:2", "--trials", "1_0"], "halfcomm predicates: error: argument --trials: invalid count value: '1_0'"),
+    (["predicates", "--model", "un:2", "--seed", "\u0663"], "halfcomm predicates: error: argument --seed: invalid count value: '\u0663'"),
+    (["verify", "--suite", "kn", "--n", "+3"], "halfcomm verify: error: argument --n: invalid count value: '+3'"),
+])
+def test_integers_are_read_in_ascii_digits_only(capsys, argv, refusal):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # a flag's value: argparse's usage error
+        code = exc.code
+    out, err = capsys.readouterr()
+    lines = [line for line in err.splitlines() if not line.startswith(("# config", "usage:", " "))]
+    assert code == 2 and out == "" and lines == [refusal]
 
 
 @pytest.mark.parametrize("group", ["un:abc", "torus:x"])
@@ -691,6 +732,8 @@ def test_verify_all_at_dimension_one(capsys):
          "use --method mc with a matching --group for ah-star:2"),
         (["equal", "--context", "ao-star:2", "--method", "mc", "v[1,1]", "0"], "--method mc needs --group"),
         (["haar", "--group", "kn:2", "u[1,1]"], "exact integration covers the full unitary group; use --mc"),
+        *((["haar", "--group", f"{kind}:2", "u[1,1]"], "exact integration covers the full unitary group; use --mc")
+          for kind in ALL_KINDS if kind not in ("un", "kn")),
     ],
 )
 def test_handler_usage_errors(capsys, argv, message):

@@ -370,6 +370,31 @@ def test_malformed_labels_name_the_label_syntax(text):
             assert str(exc.value) == expect.format(text)
 
 
+@pytest.mark.parametrize("name", ("on:2", "kn:2", "u2n:1", "sun:3", "un:0", "torus:0", "un:\u0662"))
+def test_fusion_instance_refuses_models_without_a_datum(name):
+    with pytest.raises(ValueError) as exc:
+        fusion_instance(name)
+    assert str(exc.value) == f"no fusion data for {name!r} (available: un:N, su2, torus:N)"
+
+
+def test_spins_are_ints_or_fractions():
+    # a bool, a float or a string is refused, as in weights and torus characters
+    with pytest.raises(ValueError, match="not a nonnegative half-integer"):
+        SU2Fusion().tensor(True, 0.5)
+    for bad in (1.5, True, "1", Fraction(1, 3), -1):
+        with pytest.raises(ValueError, match="not a nonnegative half-integer"):
+            SU2Fusion().dim(bad)
+    assert [SU2Fusion().dim(j) for j in (0, 1, Fraction(3, 2))] == [1, 3, 4]
+
+
+@pytest.mark.parametrize("data", (UnFusion(2), UnFusion(3), SU2Fusion(), TorusFusion(2)), ids=str)
+def test_random_labels_are_valid_labels(data):
+    rng = random.Random(5)
+    for _ in range(50):
+        data.validate_label(data.random_label(rng))
+    assert data.integer_graded == (not isinstance(data, SU2Fusion))
+
+
 @pytest.mark.parametrize("name", ("un:0", "su3", "torus:x", "un", ":", "un:"))
 def test_fusion_instance_rejects_unknown_names(name):
     with pytest.raises(ValueError):

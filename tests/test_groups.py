@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from halfcomm import groups
 from halfcomm.crossed import CrossedElement, FunElement, crossed_mul, crossed_star, embed_pi
 from halfcomm.errors import DimensionMismatchError
 from halfcomm.groups import (
@@ -36,6 +37,31 @@ def test_parse_model():
     assert parse_model("u2n:2").ambient_dim == 4
     with pytest.raises(ValueError):
         parse_model("bogus:1")
+
+
+def test_models_answer_for_themselves():
+    # real entries, an exact Haar state and a fusion datum, by model
+    facts = {}
+    for name in MODELS:
+        model = parse_model(name)
+        facts[name] = (model.real_entries, model.exact, str(model.fusion_data()))
+    assert facts == {
+        "un:2": (False, True, "un:2"), "un:3": (False, True, "un:3"), "un:4": (False, True, "un:4"),
+        "on:2": (True, False, "None"), "on:3": (True, False, "None"),
+        "sun:2": (False, False, "su2"), "sun:3": (False, False, "None"),
+        "torus:1": (False, False, "torus:1"), "torus:2": (False, False, "torus:2"),
+        "kn:2": (False, False, "None"), "kn:3": (False, False, "None"),
+        "u2n:1": (False, False, "None"), "u2n:2": (False, False, "None"),
+    }
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_sample_batch_refuses_a_draw_over_the_cap(name):
+    # 2^62 samples could never be allocated: without the check numpy refuses
+    # the shape with another message, so the test allocates nothing either way
+    count = 2**62
+    with pytest.raises(ValueError, match=f"^a draw of {count} samples over {name} holds [0-9]+ complex entries"):
+        sample_batch(parse_model(name), np.random.default_rng(0), count)
 
 
 def test_sampler_determinism():
@@ -143,6 +169,16 @@ def test_predicates_on_is_real():
     for which in ("non_real", "doubly_non_real"):
         res = predicate(parse_model("on:3"), which, trials=5, rng_seed=0)
         assert res.value is False and res.witness is None
+
+
+@pytest.mark.parametrize("which", ["non_real", "doubly_non_real"])
+def test_real_entries_predicates_draw_nothing(monkeypatch, which):
+    def no_draw(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(groups, "sample_batch", no_draw)
+    res = predicate(parse_model("on:2"), which, trials=5, rng_seed=0)
+    assert res.value is False and res.witness is None
 
 
 def test_predicates_witnesses():

@@ -65,6 +65,13 @@ MUTANTS = (
            "the ah-star zero rule drops the column relations"),
     Mutant("src/halfcomm/fusion.py", "tuple(dshift - x for x in reversed(nu))", "tuple(x - dshift for x in nu)",
            "Littlewood-Richardson on the dual pair returns the dual constituents"),
+    Mutant("src/halfcomm/groups.py", "small(b + c)", "small(b - c)",
+           "the block-group membership test asks for C = B instead of C = -B"),
+    Mutant("src/halfcomm/groups.py", "return g / root[:, None, None]", "return g",
+           "the special unitary sampler no longer scales its samples to determinant 1"),
+    Mutant("src/halfcomm/groups.py", "out[np.arange(count)[:, None], perms, np.arange(n)[None, :]] = phases",
+           "out[np.arange(count)[:, None], perms, np.arange(n)[None, :]] = 1",
+           "the monomial-matrix sampler drops its phases"),
 )
 
 
