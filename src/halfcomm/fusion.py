@@ -191,35 +191,44 @@ def un_dim(lam, n: int) -> int:
 
 def _lattice_strips(shape, size, prev):
     """Horizontal strips of ``size`` cells on the partition ``shape``, as
-    per-row cell counts, under the lattice bound set by ``prev``.
+    per-row cell counts in increasing lexicographic order, under the lattice
+    bound set by ``prev``.
 
     A strip adds at most ``shape[r-1] - shape[r]`` cells to row r (row 0 is
     unbounded), so no two of its cells share a column.  When ``prev`` counts
     the cells of the previous layer per row, the cells in rows <= r may not
-    outnumber its cells in rows < r; ``prev`` None puts no bound.
+    outnumber its cells in rows < r; ``prev`` None puts no bound.  So the
+    cells left after row r are at most ``shape[r] - shape[-1]``, the room in
+    the rows below it, and at least ``size`` less prev's cells in rows < r:
+    rows 0 to last-1 walk those bounds, and the last row takes the rest,
+    which always fits, under a lattice bound that no choice above moves.
     """
     last = len(shape) - 1
-    partial = [((), size, 0)]  # (counts so far, cells left, lattice slack)
-    for r, row in enumerate(shape):
-        # rows below r take at most shape[r] - shape[last] cells between them
-        floor = row - shape[last] if r < last else 0
-        grown = []
-        for counts, left, slack in partial:
-            hi = left if r == 0 else min(left, shape[r - 1] - row)
-            if prev is not None:
-                hi = min(hi, slack)
-                slack += prev[r]
-            for a in range(max(0, left - floor), hi + 1):
-                grown.append((counts + (a,), left - a, slack - a))
-        partial = grown
-    return [counts for counts, _left, _slack in partial]
+    if prev is not None and sum(prev[:last]) < size:
+        return []
+    if size == 1:  # a row with room, below the previous layer's first cell
+        # (which the test above puts in a row < last)
+        first = 0 if prev is None else 1 + next(r for r, c in enumerate(prev) if c)
+        rows = [r for r in range(last, first - 1, -1) if not r or shape[r - 1] > shape[r]]
+        return [(0,) * r + (1,) + (0,) * (last - r) for r in rows]
+    partial = [((), size)]  # (counts so far, cells left)
+    least = 0 if prev is None else size  # size less prev's cells in rows < r
+    for r in range(last):
+        cap = shape[r - 1] - shape[r] if r else size
+        most = shape[r] - shape[last]
+        partial = [(counts + (left - rest,), rest) for counts, left in partial
+                   for rest in range(min(left, most), max(left - cap, least, 0) - 1, -1)]
+        if prev is not None:
+            least -= prev[r]
+    return [counts + (left,) for counts, left in partial]
 
 
 def lr_tensor(lam, mu, n: int) -> dict:
     """Decomposition of the tensor product of two highest weights over U(n).
 
-    Weights may have negative entries; both are shifted by multiples of
-    (1,...,1) into partitions and the total shift is subtracted again.  The
+    Weights may have negative entries.  Each is shifted once by a multiple
+    of (1,...,1) to end in 0, so that full columns of height n factor out of
+    every constituent, and the total shift is added back at the end.  The
     Littlewood-Richardson tableaux are grown layer by layer: on lam, mu_1
     ones, then mu_2 twos, and so on, each layer a horizontal strip under the
     lattice bound (``_lattice_strips``); since the multiplicities are
@@ -228,43 +237,43 @@ def lr_tensor(lam, mu, n: int) -> dict:
     have the same futures, so they are counted together; each nu comes out
     once, with its multiplicity, in decreasing order.  Dualising every
     weight keeps the multiplicities, c^nu_(lam mu) = c^(nu*)_(lam* mu*), so
-    the tableaux are counted on the dual pair when it places fewer cells.
+    the tableaux are counted on the dual pair when it places fewer cells:
+    lam shifted has sum(lam) - n lam[-1] cells and its dual n lam[0] -
+    sum(lam), so the route is chosen before either pair is built.
     """
     return _lr_tensor(_validate_weight(lam, n), _validate_weight(mu, n))
 
 
 def _lr_tensor(lam, mu) -> dict:
-    """``lr_tensor`` on weights that are already valid: the tableaux are
-    counted on the pair or on its dual pair, whichever places fewer cells,
-    and the constituents of the dual pair are dualised back."""
-    lp, mp, shift = _partition_pair(lam, mu)
-    dl, dm, dshift = _partition_pair(_dual(lam), _dual(mu))
-    if sum(dm) < sum(mp):
-        out = {tuple(dshift - x for x in reversed(nu)): m for nu, m in _lr_count(dl, dm).items()}
+    """``lr_tensor`` on weights that are already valid: only the pair or the
+    dual pair, whichever places fewer cells, is built, and the constituents
+    of the dual pair are dualised back."""
+    n, sl, sm = len(lam), sum(lam), sum(mu)
+    cells, dual_cells = (sl - n * lam[-1], sm - n * mu[-1]), (n * lam[0] - sl, n * mu[0] - sm)
+    if min(dual_cells) < min(cells):  # lam* shifted to end in 0 is lam[0] - lam[n-1-i]
+        pair = tuple([lam[0] - x for x in reversed(lam)]), tuple([mu[0] - x for x in reversed(mu)])
+        dshift = lam[0] + mu[0]
+        out = {tuple([dshift - x for x in reversed(nu)]): m for nu, m in _lr_count(pair, dual_cells).items()}
     else:
-        out = {tuple(x - shift for x in nu): m for nu, m in _lr_count(lp, mp).items()}
+        out = _shifted(_lr_count((_ending_in_0(lam), _ending_in_0(mu)), cells), lam[-1] + mu[-1])
     return dict(sorted(out.items(), reverse=True))
 
 
-def _dual(lam):
-    return tuple(-x for x in reversed(lam))
+def _ending_in_0(a):
+    """The weight a shifted by a multiple of (1,...,1) to end in 0."""
+    return tuple([x - a[-1] for x in a]) if a[-1] else tuple(a)
 
 
-def _partition_pair(lam, mu):
-    """The weights lam and mu, each shifted by a multiple of (1,...,1) into a
-    partition, the one with fewer cells second, and the total shift."""
-    sl = max(0, -lam[-1])
-    sm = max(0, -mu[-1])
-    lp = tuple(x + sl for x in lam)
-    mp = tuple(x + sm for x in mu)
-    if sum(mp) > sum(lp):
-        lp, mp = mp, lp
-    return lp, mp, sl + sm
+def _shifted(out, shift):
+    """``out`` with each constituent shifted by shift * (1,...,1), in order."""
+    return {tuple([x + shift for x in nu]): m for nu, m in out.items()} if shift else out
 
 
-def _lr_count(lp, mp) -> dict:
-    """The Littlewood-Richardson multiplicities of the partitions lp (x) mp,
-    as {nu: multiplicity}, by growing the tableaux on lp layer by layer."""
+def _lr_count(pair, cells) -> dict:
+    """The Littlewood-Richardson multiplicities of a pair of partitions with
+    ``cells`` cells each, as {nu: multiplicity}, by growing the tableaux on
+    the larger one layer by layer."""
+    lp, mp = pair if cells[0] >= cells[1] else pair[::-1]
     states = {(lp, None): 1}  # (shape, last layer's rows) -> tableaux
     for size in mp:
         if size == 0:
@@ -272,7 +281,7 @@ def _lr_count(lp, mp) -> dict:
         grown = {}
         for (shape, prev), mult in states.items():
             for strip in _lattice_strips(shape, size, prev):
-                key = (tuple(s + a for s, a in zip(shape, strip)), strip)
+                key = (tuple(map(operator.add, shape, strip)), strip)
                 grown[key] = grown.get(key, 0) + mult
         states = grown
     out = {}
@@ -302,8 +311,8 @@ class UnFusion(FusionData):
         # Littlewood-Richardson results by shifted weight pair (see _tensor);
         # a dict per datum, not a functools memo, so that it goes with the
         # datum: the 8 graded tables of a symbolic benchmark round (un:3 and
-        # un:4 to grade 2) take 8.4 ms with it and 12 ms without (median of
-        # 15 passes, 2-vCPU VM)
+        # un:4 to grade 2) take 4.8 ms with it and 6.9 ms without (median of
+        # 41 passes, 2-vCPU VM)
         self._memo = {}
 
     def validate_label(self, a):
@@ -333,18 +342,15 @@ class UnFusion(FusionData):
         # (1,...,1) shifts every constituent alike: the memo is keyed by the
         # two weights shifted to end in 0, larger first, and the total shift
         # is added back on the way out, which keeps the decreasing order
-        sa, sb = a[-1], b[-1]
-        lam = tuple(x - sa for x in a)
-        mu = tuple(x - sb for x in b)
+        lam, mu = _ending_in_0(a), _ending_in_0(b)
         key = (lam, mu) if lam >= mu else (mu, lam)
         hit = self._memo.get(key)
         if hit is None:
             hit = self._memo[key] = _lr_tensor(*key)
-        shift = sa + sb
-        return {tuple(x + shift for x in nu): m for nu, m in hit.items()} if shift else hit
+        return _shifted(hit, a[-1] + b[-1])
 
     def dual(self, a):
-        return _dual(a)
+        return tuple([-x for x in reversed(a)])
 
     def __str__(self):
         return f"un:{self.n}"
@@ -405,10 +411,12 @@ class SU2Fusion(FusionData):
         return out
 
     def dual(self, a):
+        self.validate_label(a)
         return Fraction(a)
 
     def grade(self, a):
-        return int(2 * Fraction(a)) % 2
+        self.validate_label(a)
+        return int(2 * a) % 2
 
     def __str__(self):
         return "su2"
@@ -427,6 +435,7 @@ class TorusFusion(FusionData):
         _check_ints(a, "character")
 
     def dim(self, a):
+        self.validate_label(a)
         return 1
 
     def _tensor(self, a, b):
@@ -489,9 +498,11 @@ def _check_parity(data: FusionData, x):
 
 def astar_tensor(data: FusionData, x, y) -> dict:
     """Tensor product of graded labels; inputs and outputs must satisfy
-    grade = parity (mod 2).  The inputs are validated once, here; the
-    outputs are labels of the datum's own making, so only their parity is
-    checked."""
+    grade = parity (mod 2).  The inputs are validated here; the outputs are
+    labels of the datum's own making, so only their parity is checked.  A
+    datum whose ``grade`` checks its label, as SU(2)'s does, checks inputs
+    and outputs again there, and ``dual`` checks the right input once more
+    when the left one is odd."""
     _check_astar_label(data, x)
     _check_astar_label(data, y)
     out = _crossed_tensor(data, x, y)

@@ -54,6 +54,8 @@ class GroupModel:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown group kind {self.kind!r}")
+        if type(self.n) is not int:  # not a bool, a float or a numeric string
+            raise ValueError(f"dimension {self.n!r} is not an int")
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
 

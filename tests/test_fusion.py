@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from halfcomm import fusion
 from halfcomm.errors import DegreeCapError, ParseError
 from halfcomm.fusion import (
     SU2Fusion,
@@ -69,6 +70,66 @@ def test_lr_shift_invariance():
         base = lr_tensor(lam, mu, 3)
         shifted = lr_tensor(tuple(x + 1 for x in lam), mu, 3)
         assert shifted == {tuple(x + 1 for x in nu): m for nu, m in base.items()}
+
+
+def _strips_by_brute_force(shape, size, prev):
+    # every composition of size into len(shape) parts, in lexicographic
+    # order, kept when it adds at most shape[r-1] - shape[r] cells to each
+    # row r >= 1 and, under prev, puts no more cells in rows <= r than prev
+    # has in rows < r
+    n = len(shape)
+    return [
+        a for a in itertools.product(range(size + 1), repeat=n)
+        if sum(a) == size
+        and all(a[r] <= shape[r - 1] - shape[r] for r in range(1, n))
+        and (prev is None or all(sum(a[: r + 1]) <= sum(prev[:r]) for r in range(n)))
+    ]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+def test_strip_walk_matches_brute_force(rows):
+    # every partition in a 4 x 4 box, padded to ``rows`` rows, every size up
+    # to 4, with no lattice bound and under every previous layer of at most
+    # 2 cells a row: the one-cell path and the walk alike
+    shapes = [s for s in itertools.product(range(5), repeat=rows) if list(s) == sorted(s, reverse=True)]
+    for shape in shapes:
+        for size in range(5):
+            for prev in (None, *itertools.product(range(3), repeat=rows)):
+                assert fusion._lattice_strips(shape, size, prev) == _strips_by_brute_force(shape, size, prev), (
+                    shape, size, prev)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lr_with_full_columns_against_schur_oracle(n):
+    # partitions raised by one or two full columns of height n, which the
+    # single shift to weights ending in 0 factors out of every constituent
+    parts = _partitions_upto(2, n)
+    for lam in parts:
+        for mu in parts:
+            for a, b in ((1, 0), (0, 2), (1, 1)):
+                lam_a, mu_b = tuple(x + a for x in lam), tuple(x + b for x in mu)
+                expected = list(schur_tensor_oracle(lam_a, mu_b, n).items())
+                assert list(lr_tensor(lam_a, mu_b, n).items()) == expected, (lam_a, mu_b)
+
+
+def test_lr_takes_the_pair_with_fewer_cells_and_both_routes_agree_with_the_oracle(monkeypatch):
+    # partitions of at most 2 cells over U(5) and their duals: a pair of
+    # partitions is counted as it is, a pair of duals on the dual pair
+    n = 5
+    parts = _partitions_upto(2, n)
+    weights = sorted({*parts, *(tuple(-x for x in reversed(p)) for p in parts)}, reverse=True)
+    pairs, count = [], fusion._lr_count
+    monkeypatch.setattr(fusion, "_lr_count", lambda pair, cells: pairs.append(pair) or count(pair, cells))
+    routes = set()
+    for lam in weights:
+        for mu in weights:
+            assert list(lr_tensor(lam, mu, n).items()) == list(schur_tensor_oracle(lam, mu, n).items()), (lam, mu)
+            plain = tuple(x - lam[-1] for x in lam), tuple(x - mu[-1] for x in mu)
+            dual = tuple(lam[0] - x for x in reversed(lam)), tuple(mu[0] - x for x in reversed(mu))
+            route = "dual" if min(map(sum, dual)) < min(map(sum, plain)) else "plain"
+            assert pairs.pop() == (dual if route == "dual" else plain), (lam, mu)
+            routes.add(route)
+    assert routes == {"plain", "dual"}
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -385,6 +446,18 @@ def test_spins_are_ints_or_fractions():
         with pytest.raises(ValueError, match="not a nonnegative half-integer"):
             SU2Fusion().dim(bad)
     assert [SU2Fusion().dim(j) for j in (0, 1, Fraction(3, 2))] == [1, 3, 4]
+
+
+def test_dim_grade_and_dual_validate_their_label():
+    # as UnFusion.dim and SU2Fusion.dim do
+    for call in (lambda: TorusFusion(2).dim("x"), lambda: TorusFusion(2).dim((1, 0.5)),
+                 lambda: SU2Fusion().grade(1.5), lambda: SU2Fusion().grade(Fraction(1, 3)),
+                 lambda: SU2Fusion().dual(True), lambda: SU2Fusion().dual(-1)):
+        with pytest.raises(ValueError):
+            call()
+    assert TorusFusion(2).dim((1, -1)) == 1
+    assert [SU2Fusion().grade(j) for j in (0, Fraction(1, 2), 1)] == [0, 1, 0]
+    assert SU2Fusion().dual(Fraction(3, 2)) == Fraction(3, 2) and type(SU2Fusion().dual(1)) is Fraction
 
 
 @pytest.mark.parametrize("data", (UnFusion(2), UnFusion(3), SU2Fusion(), TorusFusion(2)), ids=str)

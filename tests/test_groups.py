@@ -55,6 +55,16 @@ def test_models_answer_for_themselves():
     }
 
 
+@pytest.mark.parametrize("n, message", [
+    (2.5, "dimension 2.5 is not an int"), (2.0, "dimension 2.0 is not an int"),
+    (True, "dimension True is not an int"), ("2", "dimension '2' is not an int"), (0, "dimension must be >= 1, got 0"),
+])
+def test_models_refuse_a_dimension_that_is_not_a_positive_int(n, message):
+    with pytest.raises(ValueError) as exc:
+        groups.GroupModel("un", n)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("name", MODELS)
 def test_sample_batch_refuses_a_draw_over_the_cap(name):
     # 2^62 samples could never be allocated: without the check numpy refuses

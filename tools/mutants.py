@@ -63,8 +63,12 @@ MUTANTS = (
            "return (a.row == b.row and a.col != b.col) or (a.col == b.col and a.row != b.row)",
            "return a.row == b.row and a.col != b.col",
            "the ah-star zero rule drops the column relations"),
-    Mutant("src/halfcomm/fusion.py", "tuple(dshift - x for x in reversed(nu))", "tuple(x - dshift for x in nu)",
+    Mutant("src/halfcomm/fusion.py", "tuple([dshift - x for x in reversed(nu)])", "tuple([x - dshift for x in nu])",
            "Littlewood-Richardson on the dual pair returns the dual constituents"),
+    Mutant("src/halfcomm/fusion.py", "least = 0 if prev is None else size", "least = 0",
+           "the strip walk drops the lattice bound on the rows above the last"),
+    Mutant("src/halfcomm/fusion.py", "lam[-1] + mu[-1]", "lam[-1] - mu[-1]",
+           "Littlewood-Richardson on the plain pair adds back the wrong shift"),
     Mutant("src/halfcomm/groups.py", "small(b + c)", "small(b - c)",
            "the block-group membership test asks for C = B instead of C = -B"),
     Mutant("src/halfcomm/groups.py", "return g / root[:, None, None]", "return g",
