@@ -44,6 +44,8 @@ class FusionData(abc.ABC):
     integer_graded = True  # the grade is additive in tensor products
 
     def __init__(self, n: int):
+        if type(n) is not int:  # not a bool, a float or a numeric string
+            raise ValueError(f"dimension {n!r} is not an int")
         if n < 1:
             raise ValueError("dimension must be >= 1")
         self.n = n

@@ -744,6 +744,31 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, p_max=PMAX_DEFAULT):
         check_embedding,
     )
 
+    def check_coproduct_intertwines():
+        # the crossed coproduct of an embedded word against the word
+        # coproduct with each leg embedded: the one check that sees which
+        # leg of the crossed coproduct is which
+        count = 0
+        for length in range(3):
+            for w in _all_words(pres, length):
+                x = WordElement.from_word(pres, w)
+                embedded = reduce_terms(
+                    ((kl, kr), c * cl * cr)
+                    for (w1, w2), c in coproduct_element(x).items()
+                    for kl, cl in _tensor_components(embed_pi(WordElement.from_word(pres, w1)))
+                    for kr, cr in _tensor_components(embed_pi(WordElement.from_word(pres, w2)))
+                )
+                if crossed_coproduct(embed_pi(x)) != embedded:
+                    return False, f"pi does not intertwine the coproducts at {w}"
+                count += 1
+        return True, f"{count} words of length <= 2 over {pres}"
+
+    yield (
+        "coproduct-intertwines",
+        "Delta(pi(w)) = (pi (x) pi) Delta(w) on the words of length <= 2 over ao-star",
+        check_coproduct_intertwines,
+    )
+
 
 def _random_word_element(rng, pres, max_len=3, terms=2):
     out = WordElement.zero(pres)

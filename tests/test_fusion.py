@@ -53,6 +53,17 @@ def test_lr_validation():
         lr_tensor((1, 0, 0), (1, 0), 3)  # wrong length
 
 
+@pytest.mark.parametrize("cls", [UnFusion, TorusFusion])
+@pytest.mark.parametrize("n, message", [
+    (2.5, "dimension 2.5 is not an int"), (2.0, "dimension 2.0 is not an int"),
+    (True, "dimension True is not an int"), ("2", "dimension '2' is not an int"), (0, "dimension must be >= 1"),
+])
+def test_fusion_data_refuse_a_dimension_that_is_not_a_positive_int(cls, n, message):
+    with pytest.raises(ValueError) as exc:
+        cls(n)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_lr_against_schur_oracle(n):
     parts = _partitions_upto(3, n)
@@ -97,6 +108,19 @@ def test_strip_walk_matches_brute_force(rows):
             for prev in (None, *itertools.product(range(3), repeat=rows)):
                 assert fusion._lattice_strips(shape, size, prev) == _strips_by_brute_force(shape, size, prev), (
                     shape, size, prev)
+
+
+def test_lr_reaches_the_lattice_bound_of_a_layer_of_several_cells(monkeypatch):
+    # mu = (2,2,0,0) grows a layer of two twos under the layer of two ones,
+    # so the lattice bound of a multi-cell layer decides the answer; the
+    # pairs of at most 3 cells over n <= 3 never reach it
+    calls, strips = [], fusion._lattice_strips
+    monkeypatch.setattr(fusion, "_lattice_strips",
+                        lambda shape, size, prev: calls.append((size, prev)) or strips(shape, size, prev))
+    for lam, mu in (((3, 2, 1, 0), (2, 2, 0, 0)), ((3, 2, 1, 0), (2, 2, 1, 0)),
+                    ((4, 2, 1, 0), (3, 2, 0, 0)), ((2, 2, 1, 0), (2, 2, 1, 0))):
+        assert list(lr_tensor(lam, mu, 4).items()) == list(schur_tensor_oracle(lam, mu, 4).items()), (lam, mu)
+    assert any(prev is not None and size >= 2 for size, prev in calls)
 
 
 @pytest.mark.parametrize("n", [2, 3])

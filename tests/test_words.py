@@ -1,8 +1,11 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
-from halfcomm.crossed import _word_image
+import halfcomm.words as words_module
+from halfcomm.crossed import _MONOMIAL_SPLITS, CrossedElement, FunElement, FunMonomial, _word_image, crossed_coproduct
 from halfcomm.errors import ClosureSizeError, DegreeCapError, IndexRangeError, PresentationError
 from halfcomm.expressions import parse_expression
 from halfcomm.scalars import GaussianRational, I
@@ -12,15 +15,19 @@ from halfcomm.verify import (
     _all_words,
     _closures,
     _holds_relation_pair,
+    _random_crossed,
+    _random_word_element,
     _word_coassociativity_sides,
     _word_counit_sides,
 )
 from halfcomm.words import (
+    _CLASS_SPLITS,
     COPRODUCT_MAX_TERMS,
     LETTER_TABLE_CAP,
     Letter,
+    SplitMemo,
+    _class_splits,
     _letter,
-    _symbol_splits,
     WordElement,
     ah_star,
     ah_zero_test,
@@ -378,8 +385,10 @@ def fresh_letter_memos():
     """Empty the letter table, and the memos that hold its letters, after
     the test, so that later tests see one consistent shared table again."""
     yield
-    for memo in (_letter, _symbol_splits, _word_image):
+    for memo in (_letter, _word_image):
         memo.cache_clear()
+    for memo in (_CLASS_SPLITS, _MONOMIAL_SPLITS):
+        memo.clear()
 
 
 def test_the_intern_table_is_bounded(fresh_letter_memos):
@@ -392,3 +401,98 @@ def test_the_intern_table_is_bounded(fresh_letter_memos):
     again = letter(pres, made[0].row, made[0].col)
     assert again == made[0] and again is not made[0]
     assert letter(pres, made[-1].row, made[-1].col) is made[-1]
+
+
+def _memo_inputs():
+    """Word and crossed elements whose coproducts meet repeated classes."""
+    rng = random.Random(33)
+    words = [_random_word_element(rng, pres, max_len=6, terms=3)
+             for pres in (AO2, AH2, au_star_star(2), ao_star(3)) for _ in range(10)]
+    crossed = [_random_crossed(rng, n, 3) for n in (1, 2, 3) for _ in range(10)]
+    return words, crossed
+
+
+def _coproduct_items(words, crossed):
+    return ([list(coproduct_element(x).items()) for x in words]
+            + [list(crossed_coproduct(x).items()) for x in crossed])
+
+
+def test_cleared_split_memos_give_the_warm_answers_in_order(fresh_letter_memos):
+    inputs = _memo_inputs()
+    _coproduct_items(*inputs)
+    warm = _coproduct_items(*inputs)
+    assert len(_CLASS_SPLITS) and len(_MONOMIAL_SPLITS)
+    for memo in (_CLASS_SPLITS, _MONOMIAL_SPLITS):
+        memo.clear()
+        assert not memo and memo.held == 0
+    assert _coproduct_items(*inputs) == warm
+
+
+def test_a_split_memo_holds_at_most_its_cap_of_splits(monkeypatch):
+    made = []
+
+    def expand(cls, n):
+        made.append((cls, n))
+        return _class_splits(cls, n)
+
+    monkeypatch.setattr(words_module, "SPLIT_MEMO_CAP", 5)
+    memo = SplitMemo(expand)
+    cube, single = (((1, 1, False), 3),), (((1, 1, False), 1),)
+    assert len(memo[cube, 2]) == 4 and memo.held == 4
+    # two more splits would pass the cap: answered, not stored
+    assert memo[single, 2] == memo[single, 2] == _class_splits(single, 2)
+    assert (single, 2) not in memo and made.count((single, 2)) == 2
+    assert len(memo[single, 1]) == 1 and memo.held == 5 and len(memo) == 2
+    assert memo[cube, 2] is memo[cube, 2] and made.count((cube, 2)) == 1
+    memo.clear()
+    assert not memo and memo.held == 0
+
+
+def test_split_memos_past_their_cap_give_the_same_answers(monkeypatch, fresh_letter_memos):
+    inputs = _memo_inputs()
+    for memo in (_CLASS_SPLITS, _MONOMIAL_SPLITS):
+        memo.clear()
+    expected = _coproduct_items(*inputs)
+    for memo in (_CLASS_SPLITS, _MONOMIAL_SPLITS):
+        assert memo.held > 40  # so the cap below turns classes away
+        memo.clear()
+    monkeypatch.setattr(words_module, "SPLIT_MEMO_CAP", 40)
+    assert _coproduct_items(*inputs) == expected
+    assert _coproduct_items(*inputs) == expected
+    for memo in (_CLASS_SPLITS, _MONOMIAL_SPLITS):
+        assert 0 < memo.held == sum(len(splits) for splits in memo.values()) <= 40
+
+
+def _interleave(odd, even):
+    word = [None] * (len(odd) + len(even))
+    word[0::2], word[1::2] = odd, even
+    return tuple(word)
+
+
+def test_the_coproduct_cap_holds_whether_or_not_the_memo_holds_the_classes(fresh_letter_memos):
+    # over n = 2 the odd class v11^4 v12^3 v21^3 v22^3 makes 5 * 4**3 = 320
+    # splits and the even class v11^3 v12^3 v21^3 v22^3 makes 4**4 = 256:
+    # 81,920 together, above the cap, while each fits beside twelve v11s
+    odd = w(AO2, *[(1, 1)] * 4, *[(1, 2)] * 3, *[(2, 1)] * 3, *[(2, 2)] * 3)
+    even = w(AO2, *[(1, 1)] * 3, *[(1, 2)] * 3, *[(2, 1)] * 3, *[(2, 2)] * 3)
+    word = WordElement.from_word(AO2, _interleave(odd, even))
+    message = "coproduct of a degree-25 term over n=2 expands to 81920 terms, above the cap of 65536"
+    _CLASS_SPLITS.clear()
+    with pytest.raises(DegreeCapError) as cold:
+        coproduct_element(word)
+    assert str(cold.value) == message and not _CLASS_SPLITS
+    v11 = w(AO2, (1, 1))
+    for helper in (_interleave(odd, v11 * 12), _interleave(v11 * 12, even)):
+        coproduct_element(WordElement.from_word(AO2, helper))
+    classes = [(tuple(Counter(cls).items()), 2) for cls in (odd, even)]
+    assert all(key in _CLASS_SPLITS for key in classes)
+    with pytest.raises(DegreeCapError) as warm:
+        coproduct_element(word)
+    assert str(warm.value) == message
+    # a crossed monomial past the cap is never stored, and raises again
+    mono = FunMonomial({(1, 2, False): 5, (3, 4, True): 4, (1, 1, False): 3, (2, 2, True): 2})
+    x = CrossedElement.even(FunElement(4, {mono: 1}))
+    for _ in range(2):
+        with pytest.raises(DegreeCapError, match="392000 terms"):
+            crossed_coproduct(x)
+        assert (mono, 4) not in _MONOMIAL_SPLITS

@@ -14,7 +14,9 @@ still alive (its first round's answers, latencies and per-round records, as
 a benchmark run holds them), it prints after ``gc.collect()`` how many
 objects the collector tracks (``gc.get_objects()``), by type, the ``TOP``
 largest counts first, and every type of the library: the objects that
-every full collection walks.
+every full collection walks.  It ends with the coproduct split memos
+(``words._CLASS_SPLITS``, ``crossed._MONOMIAL_SPLITS``): the classes each
+holds and their splits, against the cap ``words.SPLIT_MEMO_CAP``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ for path in (os.path.join(ROOT, "src"), ROOT):
     if path not in sys.path:
         sys.path.insert(0, path)
 
+from halfcomm import crossed, words  # noqa: E402
 from perfbench import workloads  # noqa: E402
 from perfbench.run import in_process_loop  # noqa: E402
 
@@ -106,6 +109,9 @@ def main(argv=None) -> int:
     for name, count in counts.most_common():
         if name.startswith("halfcomm."):
             print(f"{count:>9,}  {name}")
+    print(f"# split memos after the rounds (cap {words.SPLIT_MEMO_CAP:,} splits each): entries, splits")
+    for name, memo in (("words._CLASS_SPLITS", words._CLASS_SPLITS), ("crossed._MONOMIAL_SPLITS", crossed._MONOMIAL_SPLITS)):
+        print(f"{len(memo):>9,} {memo.held:>9,}  {name}")
     return 0
 
 

@@ -44,6 +44,9 @@ MUTANTS = (
     Mutant("src/halfcomm/crossed.py", "runs.append(((row, col, odd), end - first, q))",
            "runs.append(((row, col, not odd), end - first, q))",
            "the position parity of a word's runs is flipped in the embedding"),
+    Mutant("src/halfcomm/crossed.py", "key = ((left, parity), (right, parity))",
+           "key = ((right, parity), (left, parity))",
+           "the crossed coproduct swaps its two legs"),
     Mutant("src/halfcomm/haar.py", "(-1) ** sum(b - k < c < b for c in beta)",
            "(-1) ** sum(b - k < c <= b for c in beta)",
            "the Murnaghan-Nakayama sign counts the moved bead itself"),
