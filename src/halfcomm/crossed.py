@@ -30,7 +30,10 @@ class FunMonomial(tuple):
     """Commutative monomial in coordinate symbols: the tuple of its (symbol,
     exponent) pairs, sorted, with positive exponents, so it hashes and
     compares as that tuple does, in C.  The constructor sums the exponents of
-    a repeated symbol and rejects one that is negative or not an ``int``.
+    a repeated symbol and rejects one that is negative or not an ``int``, and
+    a symbol that is not ``(row, col, bar)`` with ``int`` indices and a
+    ``bool`` bar (a ``Letter`` is one), since ``(1, 2, 'x')`` or
+    ``(1.0, 2, False)`` would print like a symbol and hash like another.
     ``mul``, ``bar`` and ``transpose`` build their results with
     ``_monomial``, without validating again.  They keep indices in range: a
     product has only its factors' symbols, and bar and transpose permute
@@ -46,6 +49,9 @@ class FunMonomial(tuple):
         items = exps.items() if isinstance(exps, dict) else exps
         summed = {}
         for sym, e in items:
+            if not (isinstance(sym, tuple) and len(sym) == 3
+                    and type(sym[0]) is int and type(sym[1]) is int and type(sym[2]) is bool):
+                raise ValueError(f"symbol {sym!r} is not (row, col, bar) with int indices and a bool bar")
             if type(e) is not int:
                 raise ValueError(f"exponent {e!r} on {sym} is not an int")
             if e < 0:
@@ -134,7 +140,8 @@ class FunElement(SparseSum):
 
     The validating constructor rejects a key that is not a ``FunMonomial``
     with ``TypeError``: a plain tuple of its pairs equals and hashes like it.
-    Products, ``bar``, ``star`` and differences of reduced elements are built
+    Products (through ``SparseSum._from_products``, which is ``_like``
+    here), ``bar``, ``star`` and differences of reduced elements are built
     with ``_like``, not the validating constructor.  That is sound for two
     reasons.  A product of two monomials over n, and the bar of one, is a
     monomial over n (see ``FunMonomial``), so every key stays normal and in
@@ -147,7 +154,6 @@ class FunElement(SparseSum):
     SPACE = "n"
     MISMATCH = (DimensionMismatchError, "dimensions {} and {} differ")
     key_mul = staticmethod(FunMonomial.mul)
-    _from_products = SparseSum._like
 
     def __init__(self, n: int, terms=None):
         self.n = n

@@ -166,10 +166,15 @@ class SparseSum:
     ``terms`` maps normal keys to nonzero coefficients.  A subclass names the
     attribute holding its space in ``SPACE``, the error and message for mixed
     spaces in ``MISMATCH``, normalises one key in ``_normal_key`` (returning
-    None for a key that vanishes) and multiplies two keys in ``key_mul``,
-    whose products ``_from_products`` turns into an element; its
+    None for a key that vanishes) and multiplies two keys in ``key_mul``; its
     constructor takes the space and a dict or an iterable of ``(key, coeff)``
     pairs, which ``_reduce`` turns into ``terms``.
+
+    An element checks its keys once, when the constructor builds it from
+    outside input.  Closed operations on elements (sums, products, and a
+    subclass's own maps) only renormalise: sums go through ``_like``, and
+    merged key products through ``_from_products``, which a subclass
+    overrides when a product of normal keys need not be normal.
     """
 
     __slots__ = ()
@@ -216,11 +221,10 @@ class SparseSum:
         """An element of the same space over ``terms`` (see ``_over``)."""
         return self._over(self.space, terms)
 
-    def _from_products(self, terms):
-        """An element of the same space over merged key products.  A key
-        product need not be normal (a concatenated word), so by default it
-        goes back through the constructor."""
-        return type(self)(self.space, terms)
+    # the element over the merged results of a closed operation, whose
+    # coefficients are nonzero: by default a product of normal keys is
+    # normal, so the terms are taken as they are
+    _from_products = _like
 
     def _check(self, other):
         if self.space != other.space:

@@ -65,7 +65,9 @@ from .haar import (
 )
 from .scalars import GaussianRational, reduce_terms
 from .words import (
+    AH_STAR,
     COPRODUCT_MAX_TERMS,
+    Letter,
     WordElement,
     ah_star,
     ah_zero_test,
@@ -91,6 +93,9 @@ POINTWISE_TOL = 1e-9
 FAITHFULNESS_MAXLEN = 3  # word length up to which faithfulness compares normal forms
 FAITHFULNESS_MAX_PAIRS = 200_000  # pairs of normal forms faithfulness may compare
 HOPF_ELEMENTS = 25  # random elements per hopf involution check
+# the presentations of hopf's word-maps-closure check, each with the longest
+# word it lists: fixed, as the check's products grow as n^(4 * length)
+WORD_MAP_SIZES = ((ao_star(2), 2), (ah_star(2), 2), (au_star_star(1), 3))
 SEQUENCE_WORDS = 20  # random embedded words the coinvariance check tests
 STRUCTURAL_DRAWS = 1000  # samples the kn and u2n model checks draw
 KN_TOL = 1e-12  # largest |value| a vanishing kn monomial may take at a sample
@@ -720,6 +725,23 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, p_max=PMAX_DEFAULT):
 
     yield "star-structure", "star is an involutive anti-homomorphism compatible with the counit", check_star
 
+    def check_word_maps():
+        count = 0
+        for pres_w, maxlen in WORD_MAP_SIZES:
+            failed, compared = _word_map_mismatch(pres_w, maxlen)
+            if failed:
+                return False, f"{failed} differs from the rewrite-closure form"
+            count += compared
+        sizes = ", ".join(f"{p} (words of length <= {maxlen})" for p, maxlen in WORD_MAP_SIZES)
+        return True, f"{count} products, stars and antipodes over {sizes}"
+
+    yield (
+        "word-maps-closure",
+        "word products, star and antipode equal the least word of the rewrite closure, "
+        "and vanish when the closure holds an ah-star relation",
+        check_word_maps,
+    )
+
     def check_embedding():
         # the unitary presentation embeds over 2n, where the crossed antipode
         # is not the image of the word antipode
@@ -768,6 +790,71 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, p_max=PMAX_DEFAULT):
         "Delta(pi(w)) = (pi (x) pi) Delta(w) on the words of length <= 2 over ao-star",
         check_coproduct_intertwines,
     )
+
+
+def _closure_form(pres):
+    """The canonical form of a word over ``pres`` by brute force, memoised
+    per word: the least word of its rewrite closure, or None when some word
+    of the closure holds a pair that the ah-star relations set to zero."""
+    relations = _ah_relation_pairs(pres) if pres.kind == AH_STAR else set()
+
+    @functools.cache
+    def form(word):
+        closure = rewrite_closure_oracle(word, pres, CLOSURE_MAX_SIZE)
+        return None if _holds_relation_pair(closure, relations) else min(closure)
+
+    return form
+
+
+def _closure_terms(form, terms):
+    """``terms`` with each word put in ``form`` and dropped when it vanishes,
+    like words merged."""
+    return reduce_terms((form(w), c) for w, c in terms.items() if form(w) is not None)
+
+
+def _concatenations(x, y):
+    """The words of x * y before normalising, with their coefficients:
+    concatenations merged in the order first seen, zero sums dropped."""
+    return reduce_terms((w1 + w2, c1 * c2) for w1, c1 in x.terms.items() for w2, c2 in y.terms.items())
+
+
+def _reversed_words(x, transpose=False):
+    """The words of the star of x, or of its antipode when ``transpose``,
+    before normalising, with their coefficients: each word reversed, its
+    letters starred over a unitary presentation and transposed for the
+    antipode, and the coefficients conjugated for the star."""
+    unitary = not x.presentation.orthogonal
+    if transpose:
+        return {tuple(Letter(c, r, s != unitary) for r, c, s in reversed(w)): coeff for w, coeff in x.terms.items()}
+    return {tuple(Letter(r, c, s != unitary) for r, c, s in reversed(w)): coeff.conjugate()
+            for w, coeff in x.terms.items()}
+
+
+def _word_map_mismatch(pres, maxlen):
+    """Compare products, stars and antipodes of word elements over ``pres``
+    with ``_closure_form``: every product of two words of length <=
+    ``maxlen``, the square of the element holding all those words, and the
+    star and antipode of each word, each product and that element.  Returns
+    ``(what failed or None, maps compared)``."""
+    form = _closure_form(pres)
+    words = [tuple(w) for length in range(maxlen + 1) for w in _all_words(pres, length)]
+    elements = [WordElement.from_word(pres, w) for w in words]
+    # varied coefficients, so that its square merges terms with unequal ones
+    total = WordElement(pres, {w: GaussianRational(1 + k % 3, (-1) ** k) for k, w in enumerate(words)})
+    products = []
+    for x, y in itertools.chain(itertools.product(elements, repeat=2), [(total, total)]):
+        xy = x * y
+        if xy.terms != _closure_terms(form, _concatenations(x, y)):
+            return f"product {x} * {y} over {pres}", len(products)
+        products.append(xy)
+    count = len(products)
+    for x in elements + products + [total]:
+        if star_element(x).terms != _closure_terms(form, _reversed_words(x)):
+            return f"star of {x} over {pres}", count
+        if antipode_element(x).terms != _closure_terms(form, _reversed_words(x, transpose=True)):
+            return f"antipode of {x} over {pres}", count
+        count += 2
+    return None, count
 
 
 def _random_word_element(rng, pres, max_len=3, terms=2):

@@ -54,6 +54,8 @@ class Presentation:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise PresentationError(f"unknown presentation kind {self.kind!r}")
+        if type(self.n) is not int:  # not a bool, a float or a numeric string
+            raise PresentationError(f"dimension {self.n!r} is not an int")
         if self.n < 1:
             raise PresentationError(f"dimension must be >= 1, got {self.n}")
 
@@ -117,6 +119,10 @@ def letter(presentation: Presentation, row: int, col: int, starred: bool = False
     ``presentation``, checked against its dimension and kind; equal calls
     return the same shared object (see ``Letter``)."""
     n = presentation.n
+    # an index 1.0 or True would equal 1 as a memo key, and every later
+    # letter of that value would share its object
+    if type(row) is not int or type(col) is not int:
+        raise IndexRangeError(f"index ({row!r},{col!r}) is not a pair of ints")
     if not (1 <= row <= n and 1 <= col <= n):
         raise IndexRangeError(f"index ({row},{col}) outside 1..{n}")
     if starred and presentation.orthogonal:
@@ -213,6 +219,12 @@ class WordElement(SparseSum):
     Instances are always normalized: every word is in canonical form, words
     that vanish in the ah-star quotient are dropped, like terms are merged and
     zero coefficients removed.
+
+    An element checks its letters once, when the constructor builds it from
+    outside input: each letter's indices must be ints in 1..n, its star
+    flag a bool, and an orthogonal presentation has no starred letters.
+    Products, stars and antipodes of elements hold only letters that were
+    checked, so they go through ``_from_products``, which only renormalises.
     """
 
     __slots__ = ("presentation", "terms")
@@ -229,13 +241,38 @@ class WordElement(SparseSum):
         n = self.presentation.n
         orthogonal = self.presentation.orthogonal
         for l in word:
+            if type(l.row) is not int or type(l.col) is not int:
+                raise IndexRangeError(f"letter index ({l.row!r},{l.col!r}) is not a pair of ints")
             if not (1 <= l.row <= n and 1 <= l.col <= n):
                 raise IndexRangeError(f"letter index ({l.row},{l.col}) outside 1..{n}")
+            if type(l.starred) is not bool:  # 2 would print as a star, but not equal one
+                raise PresentationError(f"letter star flag {l.starred!r} is not a bool")
             if l.starred and orthogonal:
                 raise PresentationError(_SELF_ADJOINT)
         if _dead_word(word, self.presentation):
             return None
         return hc_normal_form(word)
+
+    def _from_products(self, terms):
+        """The element over ``terms``, merged results of a closed operation
+        on elements, whose letters were checked when their operands were
+        built: each word is put in normal form and dropped when it dies in the
+        ah-star quotient, and like words merge in the order first seen, as in
+        the constructor.  The coefficients of ``terms`` are nonzero, so only
+        a merge can cancel, and zero sums are dropped only after one."""
+        dies = self.presentation.kind == AH_STAR
+        acc = {}
+        cancelled = False
+        for word, c in terms.items():
+            if dies and _dead_classes(word[0::2], word[1::2]):
+                continue
+            key = hc_normal_form(word)
+            prev = acc.get(key)
+            if prev is not None:
+                c = prev + c
+                cancelled = cancelled or not c
+            acc[key] = c
+        return self._like({k: c for k, c in acc.items() if c} if cancelled else acc)
 
     @classmethod
     def one(cls, presentation):
@@ -255,26 +292,24 @@ class WordElement(SparseSum):
 
 def star_element(x: WordElement) -> WordElement:
     """Antilinear involution: reverse words, conjugate coefficients, star
-    letters (orthogonal letters are self-adjoint)."""
+    letters (orthogonal letters are self-adjoint); each distinct letter's
+    image is looked up once, as in ``antipode_element``."""
     if x.presentation.orthogonal:
         terms = {word[::-1]: coeff.conjugate() for word, coeff in x.terms.items()}
     else:
-        terms = {
-            tuple(_letter(row, col, not starred) for row, col, starred in reversed(word)): coeff.conjugate()
-            for word, coeff in x.terms.items()
-        }
-    return WordElement(x.presentation, terms)
+        image = {(row, col, starred): _letter(row, col, not starred) for row, col, starred in set().union(*x.terms)}
+        terms = {tuple(map(image.__getitem__, reversed(word))): coeff.conjugate() for word, coeff in x.terms.items()}
+    return x._from_products(terms)
 
 
 def antipode_element(x: WordElement) -> WordElement:
     """Antipode: anti-multiplicative, transposes indices (and stars unitary
-    letters), linear on coefficients."""
+    letters), linear on coefficients.  The image of each distinct letter of
+    ``x`` is looked up in ``_letter`` once, not once per occurrence."""
     unitary = not x.presentation.orthogonal
-    terms = {
-        tuple(_letter(col, row, starred != unitary) for row, col, starred in reversed(word)): coeff
-        for word, coeff in x.terms.items()
-    }
-    return WordElement(x.presentation, terms)
+    image = {(row, col, starred): _letter(col, row, starred != unitary) for row, col, starred in set().union(*x.terms)}
+    terms = {tuple(map(image.__getitem__, reversed(word))): coeff for word, coeff in x.terms.items()}
+    return x._from_products(terms)
 
 
 def counit_element(x: WordElement) -> GaussianRational:
@@ -350,26 +385,37 @@ class SplitMemo(dict):
     of one element, across elements and across fresh inputs.  The memo is
     bounded by the splits it holds, not by its entries: past
     ``SPLIT_MEMO_CAP`` splits in all, a new class is answered but not
-    stored.  ``clear`` empties it and its count.
+    stored.  ``sizes`` holds the ``_split_count`` of each class stored, so
+    that the cap is checked on a hit without counting again.  ``clear``
+    empties it, its sizes and its count.
     """
 
-    __slots__ = ("expand", "held")
+    __slots__ = ("expand", "held", "sizes")
 
     def __init__(self, expand):
         super().__init__()
         self.expand = expand
         self.held = 0  # the splits held over all entries
+        self.sizes = {}
 
     def __missing__(self, key):
         splits = self.expand(*key)
         if self.held + len(splits) <= SPLIT_MEMO_CAP:
             self[key] = splits
             self.held += len(splits)
+            self.sizes[key] = _split_count(*key)
         return splits
 
     def clear(self):
         super().clear()
         self.held = 0
+        self.sizes.clear()
+
+
+def _split_count(cls, n):
+    """The splits ``_class_splits`` makes of ``cls`` before equal pairs
+    merge: C(e + n - 1, n - 1) compositions per symbol of multiplicity e."""
+    return math.prod(math.comb(e + n - 1, n - 1) for _sym, e in cls)
 
 
 # The splits of the parity classes of words.  On the benchmark's
@@ -393,13 +439,36 @@ def coproduct_splits(classes, n, memo=_CLASS_SPLITS):
     term-by-term expansion, one per choice of the summation indices.  The
     splits made are the compositions of each symbol's multiplicity e into n
     parts, C(e + n - 1, n - 1) of them; raises ``DegreeCapError`` before
-    looking up or expanding anything when their product over all symbols
-    exceeds ``COPRODUCT_MAX_TERMS``, whether or not ``memo`` holds the
-    classes.
+    expanding anything when their product over all symbols exceeds
+    ``COPRODUCT_MAX_TERMS``, whether or not ``memo`` holds the classes.  A
+    class ``memo`` holds is counted from its ``sizes``.
     """
-    exps = [e for cls in classes for _sym, e in cls]
-    _check_coproduct_cap(sum(exps), n, math.prod(math.comb(e + n - 1, n - 1) for e in exps))
-    return [memo[cls, n] for cls in classes]
+    keys = [(cls, n) for cls in classes]
+    sizes = memo.sizes
+    terms = 1
+    for key in keys:
+        size = sizes.get(key)
+        terms *= _split_count(*key) if size is None else size
+    if terms > COPRODUCT_MAX_TERMS:
+        _check_coproduct_cap(sum(e for cls in classes for _sym, e in cls), n, terms)
+    return [memo[key] for key in keys]
+
+
+def _runs(letters):
+    """``tuple(Counter(letters).items())`` for sorted ``letters``, in one
+    pass: each letter with its multiplicity, in order."""
+    out = []
+    prev, k = None, 0
+    for l in letters:
+        if l == prev:
+            k += 1
+        else:
+            if k:
+                out.append((prev, k))
+            prev, k = l, 1
+    if k:
+        out.append((prev, k))
+    return tuple(out)
 
 
 def coproduct_element(x: WordElement):
@@ -419,7 +488,7 @@ def coproduct_element(x: WordElement):
     lengths = set()  # the lengths of the words expanded so far
     cancelled = False
     for word, coeff in x.terms.items():
-        odd, even = coproduct_splits((tuple(Counter(word[0::2]).items()), tuple(Counter(word[1::2]).items())), pres.n)
+        odd, even = coproduct_splits((_runs(word[0::2]), _runs(word[1::2])), pres.n)
         weave = _weaver((len(word) + 1) // 2, len(word) // 2)
         fresh = len(word) not in lengths
         lengths.add(len(word))

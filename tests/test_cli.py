@@ -632,7 +632,8 @@ VERIFY_ALL_IDS = {
     ],
     "half-comm": ["abc-cba-n2", "self-adjoint-n2"],
     "hopf": ["antipode-convolution", "antipode-squared", "coassociativity-words", "coproduct-intertwines",
-             "coproduct-multiplicative", "counit-crossed", "counit-words", "embedding-intertwines", "star-structure"],
+             "coproduct-multiplicative", "counit-crossed", "counit-words", "embedding-intertwines", "star-structure",
+             "word-maps-closure"],
     "kn": ["monomial-vanishing"],
     "moments": ["moment-n2-k1", "moment-n2-k2", "moment-n3-k1"],
     "predicates": ["doubly-non-real-kn2", "doubly-non-real-u2n2", "doubly-non-real-un2", "on-non-real",
@@ -650,7 +651,7 @@ def test_verify_all_checks_pass_with_timings(capsys):
     assert code == 0
     lines = [json.loads(l) for l in out.strip().splitlines()]
     expect = {(suite, check) for suite, checks in VERIFY_ALL_IDS.items() for check in checks}
-    assert len(expect) == 66
+    assert len(expect) == 67
     assert sorted((l["suite"], l["check"]) for l in lines) == sorted(expect)
     assert all(l["status"] == "pass" for l in lines)
     assert all(isinstance(l["elapsed_s"], float) and l["elapsed_s"] >= 0 for l in lines)
@@ -689,7 +690,7 @@ def test_verify_all_flags_reach_only_their_suites(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--maxlen", "6", "--trials", "3")
     assert code == 0
     lines = {(l["suite"], l["check"]): l for l in map(json.loads, out.strip().splitlines())}
-    assert len(lines) == 68 and all(l["status"] == "pass" for l in lines.values())
+    assert len(lines) == 69 and all(l["status"] == "pass" for l in lines.values())
     assert ("rewrite-oracle", "closure-len-6") in lines and ("ah-zero", "zero-rule-len-6") in lines
     assert lines[("faithfulness", "norm-decides-function-equality")]["detail"].startswith("61 normal forms;")
     assert lines[("hopf", "antipode-squared")]["detail"].startswith("25 random elements")
@@ -710,14 +711,14 @@ def test_verify_all_output_does_not_depend_on_the_hash_seed():
         assert res.returncode == 0, res.stderr[-2000:]
         lines = [json.loads(line) for line in res.stdout.splitlines()]
         outputs.append([{k: v for k, v in l.items() if k != "elapsed_s"} for l in lines])
-    assert len(outputs[0]) == 66 and outputs[0] == outputs[1]
+    assert len(outputs[0]) == 67 and outputs[0] == outputs[1]
 
 
 def test_verify_all_at_dimension_one(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--n", "1")
     assert code == 0
     lines = [json.loads(l) for l in out.strip().splitlines()]
-    assert len(lines) == 66 and all(l["status"] == "pass" for l in lines)
+    assert len(lines) == 67 and all(l["status"] == "pass" for l in lines)
     (orth,) = (l for l in lines if l["check"] == "orthogonality-in-image")
     assert "no pairs" in orth["detail"]
 
@@ -789,7 +790,7 @@ def test_verify_check_that_raises_fails_and_the_battery_goes_on(capsys):
             del SUITES[name]
     assert code == 1
     lines = [json.loads(l) for l in out.strip().splitlines()]
-    assert len({(l["suite"], l["check"]) for l in lines}) == len(lines) == 66 + 2 + 1
+    assert len({(l["suite"], l["check"]) for l in lines}) == len(lines) == 67 + 2 + 1
     failed = {(l["suite"], l["check"]): l["detail"] for l in lines if l["status"] == "fail"}
     assert failed == {
         ("aaa-raising", "raises"): "ArithmeticError: by construction",

@@ -18,7 +18,7 @@ from halfcomm.expressions import CrossedContext, parse_expression
 from halfcomm.fusion import lr_tensor
 from halfcomm.haar import _compose, _inverse, weingarten_table
 from halfcomm.scalars import GaussianRational
-from halfcomm.verify import schur_tensor_oracle
+from halfcomm.verify import _concatenations, _reversed_words, schur_tensor_oracle
 from halfcomm.words import (
     WordElement,
     ah_star,
@@ -119,6 +119,51 @@ def test_word_star_is_an_involutive_anti_homomorphism(pair):
     assert star_element(star_element(x)) == x
     assert star_element(x * y) == star_element(y) * star_element(x)
     assert counit_element(star_element(x)) == counit_element(x).conjugate()
+
+
+def assert_built_alike(got, pres, raw):
+    """``got`` equals the validating constructor over ``raw``, term for term
+    and in key order."""
+    assert list(got.terms.items()) == list(WordElement(pres, raw).terms.items())
+
+
+@SEEDED
+@given(
+    st.sampled_from((ao_star(2), ah_star(2), au_star_star(2))).flatmap(
+        lambda pres: st.tuples(*[
+            st.dictionaries(repeating_words(pres, 4), coefficients, max_size=3).map(
+                lambda terms, pres=pres: WordElement(pres, terms))
+            for _ in range(3)
+        ])
+    )
+)
+def test_products_star_and_antipode_match_the_validating_constructor(elements):
+    # (x - y)(x + y) cancels xy against yx where they half-commute (two
+    # words of even length always do), and over ah-star many products die
+    x, y, z = elements
+    pres = x.presentation
+    for left, right in ((x, y), (y, x), (x - y, x + y), (x, y + z), (x * y, z)):
+        product = left * right
+        assert_built_alike(product, pres, _concatenations(left, right))
+        for element in (left, product):
+            assert_built_alike(star_element(element), pres, _reversed_words(element))
+            assert_built_alike(antipode_element(element), pres, _reversed_words(element, transpose=True))
+
+
+def test_products_cancel_and_die_as_the_constructor_says():
+    # the property test above, on products known to cancel and to die
+    ao, ah = ao_star(2), ah_star(2)
+    # ab and ba share their letters at odd and at even positions
+    a = WordElement.from_word(ao, (letter(ao, 1, 1), letter(ao, 1, 2)))
+    b = WordElement.from_word(ao, (letter(ao, 2, 1), letter(ao, 2, 2)))
+    square = (a - b) * (a + b)
+    assert square == a * a - b * b and len(_concatenations(a - b, a + b)) == 4 and len(square.terms) == 2
+    assert_built_alike(square, ao, _concatenations(a - b, a + b))
+    # v11 v12 dies in ah-star; v11 v22 does not
+    u = WordElement.from_word(ah, (letter(ah, 1, 1),), 2)
+    v = WordElement(ah, {(letter(ah, 1, 2),): 1, (letter(ah, 2, 2),): -1})
+    assert u * v == WordElement.from_word(ah, (letter(ah, 1, 1), letter(ah, 2, 2)), -2)
+    assert_built_alike(u * v, ah, _concatenations(u, v))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

@@ -36,6 +36,7 @@ from halfcomm.words import (
     au_star_star,
     coproduct_element,
     counit_element,
+    format_word_element,
     hc_normal_form,
     letter,
     rewrite_closure_oracle,
@@ -389,6 +390,18 @@ def fresh_letter_memos():
         memo.cache_clear()
     for memo in (_CLASS_SPLITS, _MONOMIAL_SPLITS):
         memo.clear()
+
+
+def test_a_refused_index_leaves_the_intern_table_alone(fresh_letter_memos):
+    # 1.0 and True equal 1 as memo keys: had either reached the table, every
+    # later v_11 would be that letter, and print as v[1.0,1]
+    _letter.cache_clear()
+    for row, col in ((1.0, 1), (True, 1), (1, 1.0)):
+        with pytest.raises(IndexRangeError, match="is not a pair of ints"):
+            letter(AO2, row, col)
+    x = parse_expression("v[1,1] v[2,1]", AO2)
+    assert format_word_element(x) == "v[1,1] v[2,1]"
+    assert all(type(l.row) is int and type(l.col) is int for word in x.terms for l in word)
 
 
 def test_the_intern_table_is_bounded(fresh_letter_memos):

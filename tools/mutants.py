@@ -66,6 +66,10 @@ MUTANTS = (
            "return (a.row == b.row and a.col != b.col) or (a.col == b.col and a.row != b.row)",
            "return a.row == b.row and a.col != b.col",
            "the ah-star zero rule drops the column relations"),
+    Mutant("src/halfcomm/words.py", "if dies and _dead_classes(word[0::2], word[1::2]):", "if False:",
+           "word products, stars and antipodes skip the ah-star zero test"),
+    Mutant("src/halfcomm/words.py", "key = hc_normal_form(word)", "key = word",
+           "word products, stars and antipodes skip the normal form"),
     Mutant("src/halfcomm/fusion.py", "tuple([dshift - x for x in reversed(nu)])", "tuple([x - dshift for x in nu])",
            "Littlewood-Richardson on the dual pair returns the dual constituents"),
     Mutant("src/halfcomm/fusion.py", "least = 0 if prev is None else size", "least = 0",
