@@ -138,16 +138,17 @@ def format_monomial(mono: FunMonomial) -> str:
 class FunElement(SparseSum):
     """Polynomial in the coordinate symbols over dimension n; always reduced.
 
-    The validating constructor rejects a key that is not a ``FunMonomial``
-    with ``TypeError``: a plain tuple of its pairs equals and hashes like it.
-    Products (through ``SparseSum._from_products``, which is ``_like``
-    here), ``bar``, ``star`` and differences of reduced elements are built
-    with ``_like``, not the validating constructor.  That is sound for two
-    reasons.  A product of two monomials over n, and the bar of one, is a
-    monomial over n (see ``FunMonomial``), so every key stays normal and in
-    range.  And Q(i) has no zero divisors, so a product of two nonzero
-    coefficients is nonzero; only a sum of them can vanish, and
-    ``reduce_terms`` drops those.
+    The validating constructor rejects a dimension that is not an ``int``
+    with ``ValueError``, and a key that is not a ``FunMonomial`` with
+    ``TypeError``: a plain tuple of its pairs equals and hashes like it.
+    Products (merged by ``SparseSum._merge``, which is ``reduce_terms``
+    here), ``bar``, ``star``, the crossed antipode and differences of
+    reduced elements are built with ``_like``, not the validating
+    constructor.  That is sound for two reasons.  A product of two monomials
+    over n, and the bar or transpose of one, is a monomial over n (see
+    ``FunMonomial``), so every key stays normal and in range.  And Q(i) has
+    no zero divisors, so a product of two nonzero coefficients is nonzero;
+    only a sum of them can vanish, and ``reduce_terms`` drops those.
     """
 
     __slots__ = ("n", "terms")
@@ -156,10 +157,12 @@ class FunElement(SparseSum):
     key_mul = staticmethod(FunMonomial.mul)
 
     def __init__(self, n: int, terms=None):
+        if type(n) is not int:  # not a bool, a float or a numeric string
+            raise ValueError(f"dimension {n!r} is not an int")
         self.n = n
         self.terms = self._reduce(terms)
 
-    def _normal_key(self, mono):
+    def _check_key(self, mono):
         if type(mono) is not FunMonomial:
             raise TypeError(f"a term's key must be a FunMonomial, not {type(mono).__name__}")
         n = self.n
@@ -304,10 +307,11 @@ def crossed_star(x: CrossedElement) -> CrossedElement:
 
 def crossed_antipode(x: CrossedElement) -> CrossedElement:
     # On the even part S transposes and bars every symbol; on the odd part the
-    # extra flip cancels the bar, leaving the plain transpose.
-    f0 = FunElement(x.n, {m.transpose().bar(): c for m, c in x.f0.terms.items()})
-    f1 = FunElement(x.n, {m.transpose(): c for m, c in x.f1.terms.items()})
-    return CrossedElement(f0, f1)
+    # extra flip cancels the bar, leaving the plain transpose.  Both are
+    # bijections on monomials over n, so no two terms merge.
+    f0, f1 = x.f0, x.f1
+    return CrossedElement(f0._like({m.transpose().bar(): c for m, c in f0.terms.items()}),
+                          f1._like({m.transpose(): c for m, c in f1.terms.items()}))
 
 
 def crossed_counit(x: CrossedElement) -> GaussianRational:
@@ -346,34 +350,22 @@ def crossed_coproduct(x: CrossedElement):
     legs are monomials whose symbols are ``Letter``s, equal and hash-equal to
     the plain (row, col, bar) triples, made once per monomial and n in the
     ``_MONOMIAL_SPLITS`` memo; both tensor legs inherit the parity of the
-    term they came from.  The dict is filled in one pass: the terms of one
-    monomial have distinct keys, and legs share their term's degree and
-    parity, so a term can meet an earlier one only when an earlier monomial
-    of the same parity has its degree; zero sums are dropped at the end, and
-    keys keep the order of their first term.
+    term they came from.  Like terms merge by ``reduce_terms``, in the order
+    first seen.
     """
-    out = {}
-    classes = set()  # the (parity, degree) of the monomials expanded so far
-    cancelled = False
-    for parity, f in ((0, x.f0), (1, x.f1)):
-        for mono, coeff in f.terms.items():
-            (splits,) = coproduct_splits((mono,), x.n, _MONOMIAL_SPLITS)
-            cls = (parity, mono.degree)
-            fresh = cls not in classes
-            classes.add(cls)
-            scaled = {}  # coeff times each weight, computed once
-            for (left, right), weight in splits:
-                c = scaled.get(weight)
-                if c is None:
-                    c = scaled[weight] = coeff * weight
-                key = ((left, parity), (right, parity))
-                if not fresh:
-                    prev = out.get(key)
-                    if prev is not None:
-                        c = prev + c
-                        cancelled = cancelled or not c
-                out[key] = c
-    return {key: c for key, c in out.items() if c} if cancelled else out
+
+    def terms():
+        for parity, f in ((0, x.f0), (1, x.f1)):
+            for mono, coeff in f.terms.items():
+                (splits,) = coproduct_splits((mono,), x.n, _MONOMIAL_SPLITS)
+                scaled = {}  # coeff times each weight, computed once
+                for (left, right), weight in splits:
+                    c = scaled.get(weight)
+                    if c is None:
+                        c = scaled[weight] = coeff * weight
+                    yield ((left, parity), (right, parity)), c
+
+    return reduce_terms(terms())
 
 
 def coinvariant_test(x: CrossedElement) -> bool:

@@ -46,6 +46,8 @@ class CrossedContext:
     n: int
 
     def __post_init__(self):
+        if type(self.n) is not int:  # not a bool, a float or a numeric string
+            raise ValueError(f"dimension {self.n!r} is not an int")
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
 

@@ -152,12 +152,21 @@ I = GaussianRational(0, 1)
 
 
 def reduce_terms(pairs) -> dict:
-    """Merge ``(key, coeff)`` pairs with equal keys; drop keys whose sum is zero."""
+    """Merge ``(key, coeff)`` pairs with equal keys, in the order keys are
+    first seen, and drop keys whose sum is zero.
+
+    The coefficients must be nonzero, so only a merge can cancel: the result
+    is filtered only after one did.  Every caller meets this, since the
+    constructors drop zero coefficients and Q(i) has no zero divisors."""
     acc = {}
+    cancelled = False
     for key, c in pairs:
         prev = acc.get(key)
-        acc[key] = c if prev is None else prev + c
-    return {k: c for k, c in acc.items() if c}
+        if prev is not None:
+            c = prev + c
+            cancelled = cancelled or not c
+        acc[key] = c
+    return {k: c for k, c in acc.items() if c} if cancelled else acc
 
 
 class SparseSum:
@@ -165,16 +174,18 @@ class SparseSum:
 
     ``terms`` maps normal keys to nonzero coefficients.  A subclass names the
     attribute holding its space in ``SPACE``, the error and message for mixed
-    spaces in ``MISMATCH``, normalises one key in ``_normal_key`` (returning
-    None for a key that vanishes) and multiplies two keys in ``key_mul``; its
-    constructor takes the space and a dict or an iterable of ``(key, coeff)``
-    pairs, which ``_reduce`` turns into ``terms``.
+    spaces in ``MISMATCH``, validates one key in ``_check_key`` and
+    multiplies two keys in ``key_mul``; its constructor takes the space and a
+    dict or an iterable of ``(key, coeff)`` pairs, which ``_reduce`` turns
+    into ``terms``.
 
-    An element checks its keys once, when the constructor builds it from
-    outside input.  Closed operations on elements (sums, products, and a
-    subclass's own maps) only renormalise: sums go through ``_like``, and
-    merged key products through ``_from_products``, which a subclass
-    overrides when a product of normal keys need not be normal.
+    ``_merge`` turns ``(key, coeff)`` pairs with checked keys and nonzero
+    coefficients into terms: ``reduce_terms`` by default, and a subclass
+    whose key products need not be normal overrides it to normalise each
+    key first.  An element checks its keys once, when the constructor builds
+    it from outside input, and merges them with ``_merge``.  Closed
+    operations on elements only merge: sums through ``reduce_terms``, and
+    products and a subclass's own maps through ``_merge``.
     """
 
     __slots__ = ()
@@ -205,26 +216,23 @@ class SparseSum:
     def _reduce(self, terms) -> dict:
         if isinstance(terms, dict):
             terms = terms.items()
-        normal = self._normal_key
+        check = self._check_key
 
         def pairs():
             for key, coeff in terms or ():
                 c = GaussianRational.coerce(coeff)
                 if c:
-                    key = normal(key)
-                    if key is not None:
-                        yield key, c
+                    yield check(key), c
 
-        return reduce_terms(pairs())
+        return self._merge(pairs())
+
+    # the terms over pairs whose keys are checked and whose coefficients are
+    # nonzero: a product of normal keys is normal, so they only merge
+    _merge = staticmethod(reduce_terms)
 
     def _like(self, terms):
         """An element of the same space over ``terms`` (see ``_over``)."""
         return self._over(self.space, terms)
-
-    # the element over the merged results of a closed operation, whose
-    # coefficients are nonzero: by default a product of normal keys is
-    # normal, so the terms are taken as they are
-    _from_products = _like
 
     def _check(self, other):
         if self.space != other.space:
@@ -259,18 +267,10 @@ class SparseSum:
     def __mul__(self, other):
         if isinstance(other, type(self)):
             self._check(other)
-            # reduce_terms over the products, inlined: this loop is the
-            # innermost of every product and every norm
             key_mul = self.key_mul
             right = other.terms.items()
-            acc = {}
-            for k1, c1 in self.terms.items():
-                for k2, c2 in right:
-                    key = key_mul(k1, k2)
-                    c = c1 * c2
-                    prev = acc.get(key)
-                    acc[key] = c if prev is None else prev + c
-            return self._from_products({k: c for k, c in acc.items() if c})
+            return self._like(self._merge(
+                (key_mul(k1, k2), c1 * c2) for k1, c1 in self.terms.items() for k2, c2 in right))
         try:
             c = GaussianRational.coerce(other)
         except TypeError:

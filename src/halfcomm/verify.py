@@ -738,7 +738,7 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, p_max=PMAX_DEFAULT):
     yield (
         "word-maps-closure",
         "word products, star and antipode equal the least word of the rewrite closure, "
-        "and vanish when the closure holds an ah-star relation",
+        "vanish when the closure holds an ah-star relation, and hold no zero coefficient",
         check_word_maps,
     )
 
@@ -770,24 +770,31 @@ def suite_hopf(n=2, seed=DEFAULT_SEED, p_max=PMAX_DEFAULT):
         # the crossed coproduct of an embedded word against the word
         # coproduct with each leg embedded: the one check that sees which
         # leg of the crossed coproduct is which
-        count = 0
-        for length in range(3):
-            for w in _all_words(pres, length):
-                x = WordElement.from_word(pres, w)
-                embedded = reduce_terms(
-                    ((kl, kr), c * cl * cr)
-                    for (w1, w2), c in coproduct_element(x).items()
-                    for kl, cl in _tensor_components(embed_pi(WordElement.from_word(pres, w1)))
-                    for kr, cr in _tensor_components(embed_pi(WordElement.from_word(pres, w2)))
-                )
-                if crossed_coproduct(embed_pi(x)) != embedded:
-                    return False, f"pi does not intertwine the coproducts at {w}"
-                count += 1
-        return True, f"{count} words of length <= 2 over {pres}"
+        elements = [WordElement.from_word(pres, w) for length in range(3) for w in _all_words(pres, length)]
+        if n >= 2:
+            # v11 v11 v22 - v12 v11 v21, both of whose coproducts cancel terms
+            v11, v12, v21, v22 = (letter(pres, i, j) for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)))
+            elements.append(WordElement(pres, {(v11, v11, v22): 1, (v12, v11, v21): -1}))
+        for x in elements:
+            word_delta = coproduct_element(x)
+            embedded = reduce_terms(
+                ((kl, kr), c * cl * cr)
+                for (w1, w2), c in word_delta.items()
+                for kl, cl in _tensor_components(embed_pi(WordElement.from_word(pres, w1)))
+                for kr, cr in _tensor_components(embed_pi(WordElement.from_word(pres, w2)))
+            )
+            delta = crossed_coproduct(embed_pi(x))
+            if delta != embedded:
+                return False, f"pi does not intertwine the coproducts at {x}"
+            if not (all(delta.values()) and all(word_delta.values())):
+                return False, f"a coproduct of {x} holds a zero coefficient"
+        return True, (f"{len(elements)} elements over {pres}: its words of length <= 2, "
+                      "and for n >= 2 one whose coproducts cancel")
 
     yield (
         "coproduct-intertwines",
-        "Delta(pi(w)) = (pi (x) pi) Delta(w) on the words of length <= 2 over ao-star",
+        "Delta(pi(x)) = (pi (x) pi) Delta(x), neither holding a zero coefficient, "
+        "on the words of length <= 2 over ao-star and one element whose coproducts cancel",
         check_coproduct_intertwines,
     )
 
@@ -806,52 +813,58 @@ def _closure_form(pres):
     return form
 
 
-def _closure_terms(form, terms):
-    """``terms`` with each word put in ``form`` and dropped when it vanishes,
-    like words merged."""
-    return reduce_terms((form(w), c) for w, c in terms.items() if form(w) is not None)
+def _closure_terms(form, pairs):
+    """``(word, coeff)`` pairs with each word put in ``form`` and dropped when
+    it vanishes, like words merged."""
+    return reduce_terms((form(w), c) for w, c in pairs if form(w) is not None)
 
 
 def _concatenations(x, y):
-    """The words of x * y before normalising, with their coefficients:
-    concatenations merged in the order first seen, zero sums dropped."""
-    return reduce_terms((w1 + w2, c1 * c2) for w1, c1 in x.terms.items() for w2, c2 in y.terms.items())
+    """The words of x * y before normalising, with their coefficients: one
+    ``(word, coeff)`` pair per pair of terms, in the order of the product."""
+    return [(w1 + w2, c1 * c2) for w1, c1 in x.terms.items() for w2, c2 in y.terms.items()]
 
 
 def _reversed_words(x, transpose=False):
     """The words of the star of x, or of its antipode when ``transpose``,
-    before normalising, with their coefficients: each word reversed, its
+    before normalising, as ``(word, coeff)`` pairs: each word reversed, its
     letters starred over a unitary presentation and transposed for the
     antipode, and the coefficients conjugated for the star."""
     unitary = not x.presentation.orthogonal
     if transpose:
-        return {tuple(Letter(c, r, s != unitary) for r, c, s in reversed(w)): coeff for w, coeff in x.terms.items()}
-    return {tuple(Letter(r, c, s != unitary) for r, c, s in reversed(w)): coeff.conjugate()
-            for w, coeff in x.terms.items()}
+        return [(tuple(Letter(c, r, s != unitary) for r, c, s in reversed(w)), coeff) for w, coeff in x.terms.items()]
+    return [(tuple(Letter(r, c, s != unitary) for r, c, s in reversed(w)), coeff.conjugate())
+            for w, coeff in x.terms.items()]
 
 
 def _word_map_mismatch(pres, maxlen):
     """Compare products, stars and antipodes of word elements over ``pres``
     with ``_closure_form``: every product of two words of length <=
-    ``maxlen``, the square of the element holding all those words, and the
-    star and antipode of each word, each product and that element.  Returns
-    ``(what failed or None, maps compared)``."""
+    ``maxlen``, the square of the element holding all those words, the
+    product (a + cb)(bc - a) for every three letters a, b, c, where a(bc)
+    and (cb)a cancel, and the star and antipode of each word, each product
+    and that element.  A result that holds a zero coefficient fails too,
+    since the reference, merged by the same ``reduce_terms``, would hold it
+    as well.  Returns ``(what failed or None, maps compared)``."""
     form = _closure_form(pres)
     words = [tuple(w) for length in range(maxlen + 1) for w in _all_words(pres, length)]
     elements = [WordElement.from_word(pres, w) for w in words]
     # varied coefficients, so that its square merges terms with unequal ones
     total = WordElement(pres, {w: GaussianRational(1 + k % 3, (-1) ** k) for k, w in enumerate(words)})
+    cancelling = [(WordElement(pres, {a: 1, c + b: 1}), WordElement(pres, {b + c: 1, a: -1}))
+                  for a, b, c in itertools.product([w for w in words if len(w) == 1], repeat=3)]
     products = []
-    for x, y in itertools.chain(itertools.product(elements, repeat=2), [(total, total)]):
+    for x, y in itertools.chain(itertools.product(elements, repeat=2), [(total, total)], cancelling):
         xy = x * y
-        if xy.terms != _closure_terms(form, _concatenations(x, y)):
+        if xy.terms != _closure_terms(form, _concatenations(x, y)) or not all(xy.terms.values()):
             return f"product {x} * {y} over {pres}", len(products)
         products.append(xy)
     count = len(products)
     for x in elements + products + [total]:
-        if star_element(x).terms != _closure_terms(form, _reversed_words(x)):
+        star, antipode = star_element(x).terms, antipode_element(x).terms
+        if star != _closure_terms(form, _reversed_words(x)) or not all(star.values()):
             return f"star of {x} over {pres}", count
-        if antipode_element(x).terms != _closure_terms(form, _reversed_words(x, transpose=True)):
+        if antipode != _closure_terms(form, _reversed_words(x, transpose=True)) or not all(antipode.values()):
             return f"antipode of {x} over {pres}", count
         count += 2
     return None, count

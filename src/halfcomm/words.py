@@ -33,7 +33,7 @@ from .errors import (
     IndexRangeError,
     PresentationError,
 )
-from .scalars import ZERO, GaussianRational, SparseSum
+from .scalars import ZERO, GaussianRational, SparseSum, reduce_terms
 
 AO_STAR = "ao-star"
 AH_STAR = "ah-star"
@@ -209,10 +209,6 @@ def rewrite_closure_oracle(word, presentation: Presentation, max_size: int = 100
     return seen
 
 
-def _dead_word(word, presentation: Presentation) -> bool:
-    return presentation.kind == AH_STAR and ah_zero_test(word, presentation)
-
-
 class WordElement(SparseSum):
     """Linear combination of words with Gaussian-rational coefficients.
 
@@ -221,10 +217,11 @@ class WordElement(SparseSum):
     zero coefficients removed.
 
     An element checks its letters once, when the constructor builds it from
-    outside input: each letter's indices must be ints in 1..n, its star
-    flag a bool, and an orthogonal presentation has no starred letters.
-    Products, stars and antipodes of elements hold only letters that were
-    checked, so they go through ``_from_products``, which only renormalises.
+    outside input: each item of a word must be a ``Letter``, its indices
+    ints in 1..n and its star flag a bool, and an orthogonal presentation
+    has no starred letters.  Products, stars and antipodes of elements hold
+    only letters that were checked, so they go through ``_merge`` alone,
+    which only renormalises.
     """
 
     __slots__ = ("presentation", "terms")
@@ -236,11 +233,13 @@ class WordElement(SparseSum):
         self.presentation = presentation
         self.terms = self._reduce(terms)
 
-    def _normal_key(self, word):
+    def _check_key(self, word):
         word = tuple(word)
         n = self.presentation.n
         orthogonal = self.presentation.orthogonal
         for l in word:
+            if not isinstance(l, Letter):  # a plain tuple equals and hashes like one
+                raise TypeError(f"a word's item must be a Letter, not {l!r}")
             if type(l.row) is not int or type(l.col) is not int:
                 raise IndexRangeError(f"letter index ({l.row!r},{l.col!r}) is not a pair of ints")
             if not (1 <= l.row <= n and 1 <= l.col <= n):
@@ -249,30 +248,16 @@ class WordElement(SparseSum):
                 raise PresentationError(f"letter star flag {l.starred!r} is not a bool")
             if l.starred and orthogonal:
                 raise PresentationError(_SELF_ADJOINT)
-        if _dead_word(word, self.presentation):
-            return None
-        return hc_normal_form(word)
+        return word
 
-    def _from_products(self, terms):
-        """The element over ``terms``, merged results of a closed operation
-        on elements, whose letters were checked when their operands were
-        built: each word is put in normal form and dropped when it dies in the
-        ah-star quotient, and like words merge in the order first seen, as in
-        the constructor.  The coefficients of ``terms`` are nonzero, so only
-        a merge can cancel, and zero sums are dropped only after one."""
+    def _merge(self, pairs):
+        """The terms over ``pairs`` of checked words and nonzero
+        coefficients: each word is put in normal form and dropped when it
+        dies in the ah-star quotient, and like words merge in the order first
+        seen (``reduce_terms``)."""
         dies = self.presentation.kind == AH_STAR
-        acc = {}
-        cancelled = False
-        for word, c in terms.items():
-            if dies and _dead_classes(word[0::2], word[1::2]):
-                continue
-            key = hc_normal_form(word)
-            prev = acc.get(key)
-            if prev is not None:
-                c = prev + c
-                cancelled = cancelled or not c
-            acc[key] = c
-        return self._like({k: c for k, c in acc.items() if c} if cancelled else acc)
+        return reduce_terms((hc_normal_form(word), c) for word, c in pairs
+                            if not (dies and _dead_classes(word[0::2], word[1::2])))
 
     @classmethod
     def one(cls, presentation):
@@ -295,11 +280,10 @@ def star_element(x: WordElement) -> WordElement:
     letters (orthogonal letters are self-adjoint); each distinct letter's
     image is looked up once, as in ``antipode_element``."""
     if x.presentation.orthogonal:
-        terms = {word[::-1]: coeff.conjugate() for word, coeff in x.terms.items()}
-    else:
-        image = {(row, col, starred): _letter(row, col, not starred) for row, col, starred in set().union(*x.terms)}
-        terms = {tuple(map(image.__getitem__, reversed(word))): coeff.conjugate() for word, coeff in x.terms.items()}
-    return x._from_products(terms)
+        return x._like(x._merge((word[::-1], coeff.conjugate()) for word, coeff in x.terms.items()))
+    image = {(row, col, starred): _letter(row, col, not starred) for row, col, starred in set().union(*x.terms)}
+    return x._like(x._merge((tuple(map(image.__getitem__, reversed(word))), coeff.conjugate())
+                            for word, coeff in x.terms.items()))
 
 
 def antipode_element(x: WordElement) -> WordElement:
@@ -308,8 +292,8 @@ def antipode_element(x: WordElement) -> WordElement:
     ``x`` is looked up in ``_letter`` once, not once per occurrence."""
     unitary = not x.presentation.orthogonal
     image = {(row, col, starred): _letter(col, row, starred != unitary) for row, col, starred in set().union(*x.terms)}
-    terms = {tuple(map(image.__getitem__, reversed(word))): coeff for word, coeff in x.terms.items()}
-    return x._from_products(terms)
+    return x._like(x._merge((tuple(map(image.__getitem__, reversed(word))), coeff)
+                            for word, coeff in x.terms.items()))
 
 
 def counit_element(x: WordElement) -> GaussianRational:
@@ -480,7 +464,10 @@ def coproduct_element(x: WordElement):
     dict is filled in one pass: the terms of one word have distinct keys, and
     legs are as long as their word, so a term can meet an earlier one only
     when an earlier word has its length; zero sums are dropped at the end, and
-    keys keep the order of their first term.
+    keys keep the order of their first term.  It is not ``reduce_terms``,
+    which looks every key up: most elements of the benchmark's ``symbolic``
+    coproducts hold two words of different lengths, and there that took
+    1.35-1.9 times as long (in process, seeds 1-3, 2-vCPU VM).
     """
     pres = x.presentation
     ah = pres.kind == AH_STAR

@@ -8,7 +8,7 @@ import pytest
 
 from halfcomm.crossed import CrossedElement, FunElement, FunMonomial
 from halfcomm.errors import DimensionMismatchError, IndexRangeError, ParseError, PresentationError
-from halfcomm.expressions import parse_expression
+from halfcomm.expressions import CrossedContext, parse_expression
 from halfcomm.fusion import UnFusion, astar_tensor, crossed_tensor, moment_crosscheck
 from halfcomm.groups import evaluate_fun_batch
 from halfcomm.haar import weingarten_table
@@ -31,10 +31,17 @@ CASES = [
                  "letter index (1,True) is not a pair of ints", id="word-bool-index"),
     pytest.param(lambda: WordElement(au_star_star(1), {(Letter(1, 1, 2),): 1}), PresentationError,
                  "letter star flag 2 is not a bool", id="word-star-flag"),
+    pytest.param(lambda: WordElement(ao_star(2), {((1, 1, False),): 1}), TypeError,
+                 "a word's item must be a Letter, not (1, 1, False)", id="word-plain-tuple"),
     pytest.param(lambda: CrossedElement(FunElement.one(2), FunElement.one(3)), DimensionMismatchError,
                  "components over n=2 and n=3", id="crossed-dimensions"),
     pytest.param(lambda: FunElement.one(2) + FunElement.one(3), DimensionMismatchError, "dimensions 2 and 3 differ",
                  id="sum-dimensions"),
+    pytest.param(lambda: FunElement.one(2.5), ValueError, "dimension 2.5 is not an int", id="function-float-dimension"),
+    pytest.param(lambda: FunElement(True), ValueError, "dimension True is not an int", id="function-bool-dimension"),
+    pytest.param(lambda: CrossedContext(2.5), ValueError, "dimension 2.5 is not an int", id="crossed-float-dimension"),
+    pytest.param(lambda: CrossedContext(True), ValueError, "dimension True is not an int", id="crossed-bool-dimension"),
+    pytest.param(lambda: CrossedContext(0), ValueError, "dimension must be >= 1, got 0", id="crossed-dimension"),
     pytest.param(lambda: FunElement(2, {FunMonomial({(3, 1, False): 1}): 1}), IndexRangeError,
                  "symbol index (3,1) outside 1..2", id="function-key"),
     pytest.param(lambda: FunElement.coordinate(2, 1, 3), IndexRangeError, "coordinate index (1,3) outside 1..2",

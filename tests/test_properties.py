@@ -164,6 +164,14 @@ def test_products_cancel_and_die_as_the_constructor_says():
     v = WordElement(ah, {(letter(ah, 1, 2),): 1, (letter(ah, 2, 2),): -1})
     assert u * v == WordElement.from_word(ah, (letter(ah, 1, 1), letter(ah, 2, 2)), -2)
     assert_built_alike(u * v, ah, _concatenations(u, v))
+    # p(qr) and (pq)r cancel, and r(qp), of their class, comes later: a
+    # product merges its concatenations once, in its own order, as the
+    # constructor does, so the class keeps the place of p(qr)
+    p, q, r = (letter(ao, 1, 1),), (letter(ao, 1, 2),), (letter(ao, 2, 2),)
+    x = WordElement(ao, [(p, 1), (p + q, 1), (r, 1)])
+    y = WordElement(ao, [(q + r, 1), (r, -1), (q + p, 1)])
+    assert next(iter((x * y).terms.items())) == (p + q + r, 1)
+    assert_built_alike(x * y, ao, _concatenations(x, y))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

@@ -153,9 +153,13 @@ def test_equal_values_hash_equal(x, k, y):
 
 
 def test_reduce_terms_merges_and_drops_zero_sums():
-    pairs = [("a", ONE), ("b", I), ("a", ONE), ("b", -I), ("c", ZERO)]
+    # the coefficients are nonzero, as reduce_terms requires
+    pairs = [("a", ONE), ("b", I), ("a", ONE), ("b", -I)]
     assert reduce_terms(pairs) == {"a": GaussianRational(2)}
     assert reduce_terms([]) == {}
+    # keys keep the order they are first seen in, also after a cancelled one
+    pairs = [("c", ONE), ("b", I), ("a", ONE), ("b", -I), ("b", ONE), ("c", I)]
+    assert list(reduce_terms(pairs).items()) == [("c", GaussianRational(1, 1)), ("b", ONE), ("a", ONE)]
 
 
 def _word(*rows):
@@ -174,6 +178,8 @@ def test_sparse_sum_from_pairs(make, key, other):
     assert x.terms == {key: GaussianRational(1, 2)}
     assert x == make({key: GaussianRational(1, 2)})
     assert make([(key, 1), (key, -1)]).is_zero
+    # zero coefficients enter only here, and the constructor drops them
+    assert make([(key, 0), (other, ZERO)]).is_zero
 
 
 @pytest.mark.parametrize(

@@ -44,8 +44,8 @@ MUTANTS = (
     Mutant("src/halfcomm/crossed.py", "runs.append(((row, col, odd), end - first, q))",
            "runs.append(((row, col, not odd), end - first, q))",
            "the position parity of a word's runs is flipped in the embedding"),
-    Mutant("src/halfcomm/crossed.py", "key = ((left, parity), (right, parity))",
-           "key = ((right, parity), (left, parity))",
+    Mutant("src/halfcomm/crossed.py", "yield ((left, parity), (right, parity)), c",
+           "yield ((right, parity), (left, parity)), c",
            "the crossed coproduct swaps its two legs"),
     Mutant("src/halfcomm/haar.py", "(-1) ** sum(b - k < c < b for c in beta)",
            "(-1) ** sum(b - k < c <= b for c in beta)",
@@ -60,16 +60,18 @@ MUTANTS = (
            "the witness point scales each term by its plain degree, not its barred one"),
     Mutant("src/halfcomm/words.py", "_letter(col, row, starred != unitary)", "_letter(row, col, starred != unitary)",
            "the word antipode no longer transposes the indices"),
-    Mutant("src/halfcomm/words.py", "terms = {word[::-1]: coeff.conjugate()", "terms = {word: coeff.conjugate()",
+    Mutant("src/halfcomm/words.py", "x._merge((word[::-1], coeff.conjugate())", "x._merge((word, coeff.conjugate())",
            "the orthogonal word star no longer reverses the word"),
     Mutant("src/halfcomm/words.py",
            "return (a.row == b.row and a.col != b.col) or (a.col == b.col and a.row != b.row)",
            "return a.row == b.row and a.col != b.col",
            "the ah-star zero rule drops the column relations"),
-    Mutant("src/halfcomm/words.py", "if dies and _dead_classes(word[0::2], word[1::2]):", "if False:",
+    Mutant("src/halfcomm/words.py", "dies = self.presentation.kind == AH_STAR", "dies = False",
            "word products, stars and antipodes skip the ah-star zero test"),
-    Mutant("src/halfcomm/words.py", "key = hc_normal_form(word)", "key = word",
+    Mutant("src/halfcomm/words.py", "(hc_normal_form(word), c)", "(word, c)",
            "word products, stars and antipodes skip the normal form"),
+    Mutant("src/halfcomm/scalars.py", "return {k: c for k, c in acc.items() if c} if cancelled else acc", "return acc",
+           "the one merge rule keeps the keys whose sum cancelled to zero"),
     Mutant("src/halfcomm/fusion.py", "tuple([dshift - x for x in reversed(nu)])", "tuple([x - dshift for x in nu])",
            "Littlewood-Richardson on the dual pair returns the dual constituents"),
     Mutant("src/halfcomm/fusion.py", "least = 0 if prev is None else size", "least = 0",
