@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import DimensionMismatchError, IndexRangeError
+from .errors import DimensionMismatchError, IndexRangeError, check_count
 from .scalars import ZERO, GaussianRational, SparseSum, _reduced, reduce_terms
 from .words import AU_STAR_STAR, SplitMemo, WordElement, _class_splits, _term_strings, coproduct_splits
 
@@ -138,9 +138,10 @@ def format_monomial(mono: FunMonomial) -> str:
 class FunElement(SparseSum):
     """Polynomial in the coordinate symbols over dimension n; always reduced.
 
-    The validating constructor rejects a dimension that is not an ``int``
-    with ``ValueError``, and a key that is not a ``FunMonomial`` with
-    ``TypeError``: a plain tuple of its pairs equals and hashes like it.
+    The validating constructor rejects a dimension that is not a positive
+    ``int`` with ``ValueError`` (``check_count``), and a key that is not a
+    ``FunMonomial`` with ``TypeError``: a plain tuple of its pairs equals
+    and hashes like it.
     Products (merged by ``SparseSum._merge``, which is ``reduce_terms``
     here), ``bar``, ``star``, the crossed antipode and differences of
     reduced elements are built with ``_like``, not the validating
@@ -157,9 +158,7 @@ class FunElement(SparseSum):
     key_mul = staticmethod(FunMonomial.mul)
 
     def __init__(self, n: int, terms=None):
-        if type(n) is not int:  # not a bool, a float or a numeric string
-            raise ValueError(f"dimension {n!r} is not an int")
-        self.n = n
+        self.n = check_count(n)
         self.terms = self._reduce(terms)
 
     def _check_key(self, mono):
@@ -381,9 +380,6 @@ def coinvariant_test(x: CrossedElement) -> bool:
 
 def pun_generator(n: int, i: int, j: int, k: int, l: int) -> FunElement:
     """The even-part generator w_[ij,kl] = u_ik * ubar_jl."""
-    for idx in (i, j, k, l):
-        if not (1 <= idx <= n):
-            raise IndexRangeError(f"index {idx} outside 1..{n}")
     return FunElement.coordinate(n, i, k) * FunElement.coordinate(n, j, l, bar=True)
 
 

@@ -1,4 +1,9 @@
-"""Exception types shared by the halfcomm modules."""
+"""Exception types shared by the halfcomm modules, and ``check_count``, the
+one check of a count: a dimension, a degree, a moment order, a number of
+trials or samples, or a seed.  Other checks stay with their callers: of
+entries (``FunMonomial``, ``fusion._check_ints``), of coordinate indices
+(``FunElement.coordinate``'s message names them), of parsed letters (the
+``ParseError`` position is CLI output) and the CLI's argparse counts."""
 
 
 class PresentationError(ValueError):
@@ -29,3 +34,14 @@ class ParseError(ValueError):
             message = f"{message} (at position {position})"
         super().__init__(message)
         self.position = position
+
+
+def check_count(value, what="dimension", least=1, error=ValueError):
+    """``value``, once it is an ``int`` of at least ``least``; else ``error``
+    naming ``what`` and ``value``.  A bool, a float or a numeric string is
+    refused, since ``True`` and ``2.0`` compare and hash like ``1`` and ``2``."""
+    if type(value) is not int:
+        raise error(f"{what} {value!r} is not an int")
+    if value < least:
+        raise error(f"{what} must be >= {least}, got {value}")
+    return value

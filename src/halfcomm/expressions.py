@@ -15,14 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .crossed import CrossedElement, FunElement
-from .errors import ParseError
+from .errors import ParseError, check_count
 from .scalars import GaussianRational, I
 from .words import AU_STAR_STAR, Presentation, WordElement, ao_star, ah_star, au_star_star, letter
 
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<letter>[vu]\*?\[\s*\d+\s*,\s*\d+\s*\])
+  | (?P<letter>[vu]\*?\[\s*(?:\d+\s*(?:,\s*(?:\d+\s*\]?)?)?)?)  # a letter, or its longest prefix
   | (?P<number>\d+(?:\s*/\s*\d+)?)
   | (?P<name>[a-zA-Z]+)
   | (?P<plus>\+)
@@ -34,7 +34,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.ASCII,  # digits and spaces are ASCII ones
 )
 
-_LETTER_RE = re.compile(r"([vu])(\*?)\[\s*(\d+)\s*,\s*(\d+)\s*\]", re.ASCII)
 MAX_NESTING = 100  # parentheses an expression may nest, well inside the recursion limit
 # term pairs the products of one expression may form, summed over its products;
 # eight juxtaposed sums of the eight degree-1 letters of crossed:2 form 51,472
@@ -46,10 +45,7 @@ class CrossedContext:
     n: int
 
     def __post_init__(self):
-        if type(self.n) is not int:  # not a bool, a float or a numeric string
-            raise ValueError(f"dimension {self.n!r} is not an int")
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
+        check_count(self.n)
 
     def __str__(self):
         return f"crossed:{self.n}"
@@ -84,6 +80,10 @@ def _tokenize(text):
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", position=pos)
         kind = m.lastgroup
+        if kind == "letter" and not m.group().endswith("]"):
+            pos = m.end()  # blame the character that breaks the letter, or the end
+            what = f"character {text[pos]!r}" if pos < len(text) else "end of input"
+            raise ParseError(f"unexpected {what}", position=pos)
         if kind != "ws":
             tokens.append((kind, m.group(), pos))
         pos = m.end()
@@ -136,8 +136,8 @@ class _Parser:
         return self.one() * GaussianRational.coerce(c)
 
     def letter_value(self, text, pos):
-        m = _LETTER_RE.fullmatch(text)
-        name, star, row, col = m.group(1), bool(m.group(2)), int(m.group(3)), int(m.group(4))
+        name, star = text[0], text[1] == "*"
+        row, col = map(int, re.findall("[0-9]+", text))
         if self.crossed:
             if name == "v":
                 raise ParseError("v-generators belong to word contexts", position=pos)

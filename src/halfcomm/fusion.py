@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 
 from .crossed import CrossedElement
-from .errors import DegreeCapError, ParseError
+from .errors import DegreeCapError, ParseError, check_count
 from .groups import parse_model
 from .haar import PMAX_DEFAULT, _partitions, haar_state
 from .scalars import GaussianRational
@@ -44,11 +44,7 @@ class FusionData(abc.ABC):
     integer_graded = True  # the grade is additive in tensor products
 
     def __init__(self, n: int):
-        if type(n) is not int:  # not a bool, a float or a numeric string
-            raise ValueError(f"dimension {n!r} is not an int")
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
-        self.n = n
+        self.n = check_count(n)
 
     # built when read, so that a datum over a large n allocates nothing of
     # size n before its labels are checked or counted
@@ -531,8 +527,7 @@ def moment_crosscheck(n: int, k: int, p_max: int = PMAX_DEFAULT):
     2k-th power of the character of the fundamental.  The two engines are
     independent and must agree.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_count(k, "k")
     if 2 * k > 2 * p_max:
         raise DegreeCapError(f"k={k} exceeds the degree cap p_max={p_max}")
     data = UnFusion(n)

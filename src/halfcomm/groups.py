@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossed import CrossedElement, FunElement
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, check_count
 
 KIND_UN = "un"
 KIND_ON = "on"
@@ -54,10 +54,7 @@ class GroupModel:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown group kind {self.kind!r}")
-        if type(self.n) is not int:  # not a bool, a float or a numeric string
-            raise ValueError(f"dimension {self.n!r} is not an int")
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
+        check_count(self.n)
 
     @property
     def ambient_dim(self) -> int:
@@ -199,15 +196,14 @@ class PredicateResult:
 
 
 def check_predicate(model: GroupModel, which: str, trials: int = 100) -> None:
-    """Raise ``ValueError`` for an unknown predicate, fewer than one trial, or
-    a trial whose draw is over ``MAX_DRAW_ENTRIES``, drawing nothing: a trial
-    holds one d x d sample, and doubly_non_real also the d^2 x d^2 products
-    of its entries.  The orthogonal group's non-reality predicates draw
-    nothing."""
+    """Raise ``ValueError`` for an unknown predicate, a trial count that is
+    not a positive int (``check_count``), or a trial whose draw is over
+    ``MAX_DRAW_ENTRIES``, drawing nothing: a trial holds one d x d sample,
+    and doubly_non_real also the d^2 x d^2 products of its entries.  The
+    orthogonal group's non-reality predicates draw nothing."""
     if which not in PREDICATES:
         raise ValueError(f"unknown predicate {which!r}; choose from {PREDICATES}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_count(trials, "trials")
     if model.real_entries and which in ("non_real", "doubly_non_real"):
         return
     d = model.ambient_dim
@@ -230,6 +226,7 @@ def predicate(
     real by construction).
     """
     check_predicate(model, which, trials)
+    check_count(rng_seed, "seed", least=0)
     if model.real_entries and which in ("non_real", "doubly_non_real"):
         return PredicateResult(False, None)
 

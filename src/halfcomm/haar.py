@@ -49,7 +49,7 @@ from fractions import Fraction
 import numpy as np
 
 from .crossed import CrossedElement, FunElement, crossed_mul, crossed_star
-from .errors import DegreeCapError, DimensionMismatchError
+from .errors import DegreeCapError, DimensionMismatchError, check_count
 from .groups import GroupModel, check_draw_size, evaluate_fun_batch, sample_batch
 from .scalars import ZERO, GaussianRational, _reduced, reduce_terms
 
@@ -171,8 +171,8 @@ class WeingartenTable:
         return self.values[_cycle_type(perm)]
 
 
-# not a functools memo: perfbench's _reset_tables clears it, and p_max is checked
-# before every lookup; idempotent fills, so a torn value is impossible in CPython
+# not a functools memo: perfbench's _reset_tables clears it, and p, n and p_max
+# are checked before every lookup; idempotent fills, so a torn value is impossible in CPython
 _TABLE_CACHE: dict = {}
 
 
@@ -188,10 +188,8 @@ def weingarten_table(p: int, n: int, p_max: int = PMAX_DEFAULT) -> WeingartenTab
     are the pseudo-inverse of the singular Gram matrix; the integration
     formula is unchanged.
     """
-    if p < 1:
-        raise ValueError("degree must be >= 1")
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    check_count(p, "degree")
+    check_count(n)
     if p > p_max:
         raise DegreeCapError(f"degree {p} exceeds p_max={p_max}")
     key = (p, n)
@@ -546,8 +544,8 @@ def mc_integrals(xs, model: GroupModel, samples: int, seed: int) -> list[MCEstim
     seed; chunk sums are accumulated separately from the running totals so
     the reduction order is fixed.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
+    check_count(samples, "samples", least=2)
+    check_count(seed, "seed", least=0)
     fs = [x.f0 if isinstance(x, CrossedElement) else x for x in xs]
     for f in fs:
         if f.n != model.ambient_dim:

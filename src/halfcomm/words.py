@@ -27,12 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import (
-    ClosureSizeError,
-    DegreeCapError,
-    IndexRangeError,
-    PresentationError,
-)
+from .errors import ClosureSizeError, DegreeCapError, IndexRangeError, PresentationError, check_count
 from .scalars import ZERO, GaussianRational, SparseSum, reduce_terms
 
 AO_STAR = "ao-star"
@@ -54,14 +49,9 @@ class Presentation:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise PresentationError(f"unknown presentation kind {self.kind!r}")
-        if type(self.n) is not int:  # not a bool, a float or a numeric string
-            raise PresentationError(f"dimension {self.n!r} is not an int")
-        if self.n < 1:
-            raise PresentationError(f"dimension must be >= 1, got {self.n}")
-
-    @property
-    def orthogonal(self) -> bool:
-        return self.kind in (AO_STAR, AH_STAR)
+        check_count(self.n, error=PresentationError)
+        # an attribute, not a property: ``letter()`` reads it on every call
+        object.__setattr__(self, "orthogonal", self.kind in (AO_STAR, AH_STAR))
 
     def __str__(self):
         return f"{self.kind}:{self.n}"
@@ -108,25 +98,32 @@ def _letter(row, col, starred):
     time it is asked for; past ``LETTER_TABLE_CAP`` letters the least
     recently used one is dropped, and stays a valid value that is only no
     longer shared with letters made after it."""
-    return Letter(row, col, bool(starred))
+    return Letter(row, col, starred)
 
 
 _SELF_ADJOINT = "orthogonal generators are self-adjoint; no starred letters"
 
 
-def letter(presentation: Presentation, row: int, col: int, starred: bool = False) -> Letter:
-    """The letter v_ij (``u_ij``, or ``u*_ij`` when ``starred``) of
-    ``presentation``, checked against its dimension and kind; equal calls
-    return the same shared object (see ``Letter``)."""
-    n = presentation.n
+def _check_letter(n, orthogonal, row, col, starred):
+    """The one letter rule, of ``letter()`` and of ``WordElement``: int
+    indices in 1..n, a bool star flag, and no star on an orthogonal letter."""
     # an index 1.0 or True would equal 1 as a memo key, and every later
     # letter of that value would share its object
     if type(row) is not int or type(col) is not int:
-        raise IndexRangeError(f"index ({row!r},{col!r}) is not a pair of ints")
+        raise IndexRangeError(f"letter index ({row!r},{col!r}) is not a pair of ints")
     if not (1 <= row <= n and 1 <= col <= n):
-        raise IndexRangeError(f"index ({row},{col}) outside 1..{n}")
-    if starred and presentation.orthogonal:
+        raise IndexRangeError(f"letter index ({row},{col}) outside 1..{n}")
+    if type(starred) is not bool:  # 2 would print as a star, but not equal one
+        raise PresentationError(f"letter star flag {starred!r} is not a bool")
+    if starred and orthogonal:
         raise PresentationError(_SELF_ADJOINT)
+
+
+def letter(presentation: Presentation, row: int, col: int, starred: bool = False) -> Letter:
+    """The letter v_ij (``u_ij``, or ``u*_ij`` when ``starred``) of
+    ``presentation``, checked by ``_check_letter``; equal calls return the
+    same shared object (see ``Letter``)."""
+    _check_letter(presentation.n, presentation.orthogonal, row, col, starred)
     return _letter(row, col, starred)
 
 
@@ -217,11 +214,11 @@ class WordElement(SparseSum):
     zero coefficients removed.
 
     An element checks its letters once, when the constructor builds it from
-    outside input: each item of a word must be a ``Letter``, its indices
-    ints in 1..n and its star flag a bool, and an orthogonal presentation
-    has no starred letters.  Products, stars and antipodes of elements hold
-    only letters that were checked, so they go through ``_merge`` alone,
-    which only renormalises.
+    outside input: each item of a word must be a ``Letter`` that passes
+    ``letter()``'s own rule, ``_check_letter`` (int indices in 1..n, a bool
+    star flag, no star on an orthogonal letter).  Products, stars and
+    antipodes of elements hold only letters that were checked, so they go
+    through ``_merge`` alone, which only renormalises.
     """
 
     __slots__ = ("presentation", "terms")
@@ -240,14 +237,7 @@ class WordElement(SparseSum):
         for l in word:
             if not isinstance(l, Letter):  # a plain tuple equals and hashes like one
                 raise TypeError(f"a word's item must be a Letter, not {l!r}")
-            if type(l.row) is not int or type(l.col) is not int:
-                raise IndexRangeError(f"letter index ({l.row!r},{l.col!r}) is not a pair of ints")
-            if not (1 <= l.row <= n and 1 <= l.col <= n):
-                raise IndexRangeError(f"letter index ({l.row},{l.col}) outside 1..{n}")
-            if type(l.starred) is not bool:  # 2 would print as a star, but not equal one
-                raise PresentationError(f"letter star flag {l.starred!r} is not a bool")
-            if l.starred and orthogonal:
-                raise PresentationError(_SELF_ADJOINT)
+            _check_letter(n, orthogonal, l.row, l.col, l.starred)
         return word
 
     def _merge(self, pairs):

@@ -209,7 +209,7 @@ def test_fuse_names_su2_also_by_its_group_model(capsys):
 # grammar has one; int(), Fraction() and a Unicode \d also read other decimal
 # digits, "_", "+" and surrounding spaces
 @pytest.mark.parametrize("argv, refusal", [
-    (["normalize", "--context", "ao-star:2", "v[\u0661,1]"], "parse error: unexpected character '[' (at position 1)"),
+    (["normalize", "--context", "ao-star:2", "v[\u0661,1]"], "parse error: unexpected character '\u0661' (at position 2)"),
     (["normalize", "--context", "ao-star:2", "\u0663 v[1,1]"], "parse error: unexpected character '\u0663' (at position 0)"),
     (["normalize", "--context", "ao-star:\u0662", "v[1,1]"],
      "parse error: bad context 'ao-star:\u0662'; expected e.g. ao-star:2 or crossed:2"),
@@ -235,6 +235,26 @@ def test_integers_are_read_in_ascii_digits_only(capsys, argv, refusal):
     out, err = capsys.readouterr()
     lines = [line for line in err.splitlines() if not line.startswith(("# config", "usage:", " "))]
     assert code == 2 and out == "" and lines == [refusal]
+
+
+# text that starts like a letter, [vu]*?[, and breaks is blamed on the first
+# character the letter grammar refuses, or on the end of the input; text that
+# never started a letter keeps the tokenizer's blame
+@pytest.mark.parametrize("context, expr, refusal", [
+    ("ao-star:2", "v[x,1]", "unexpected character 'x' (at position 2)"),
+    ("ao-star:2", "v[1,x]", "unexpected character 'x' (at position 4)"),
+    ("au-star-star:2", "u*[1,y]", "unexpected character 'y' (at position 5)"),
+    ("crossed:2", "s u[1 1]", "unexpected character '1' (at position 6)"),
+    ("ao-star:2", "v[1,1", "unexpected end of input (at position 5)"),
+    ("ao-star:2", "v[ 1 , ", "unexpected end of input (at position 7)"),
+    ("ao-star:2", "vv[1,1]", "unexpected character '[' (at position 2)"),
+    ("ao-star:2", "v [1,1]", "unexpected character '[' (at position 2)"),
+    ("crossed:2", "s[1,1]", "unexpected character '[' (at position 1)"),
+])
+def test_a_broken_letter_is_blamed_on_the_character_that_breaks_it(capsys, context, expr, refusal):
+    code, out, err = run_cli(capsys, "normalize", "--context", context, expr)
+    lines = [line for line in err.splitlines() if not line.startswith("# config")]
+    assert code == 2 and out == "" and lines == [f"parse error: {refusal}"]
 
 
 @pytest.mark.parametrize("group", ["un:abc", "torus:x"])

@@ -56,7 +56,7 @@ def test_lr_validation():
 @pytest.mark.parametrize("cls", [UnFusion, TorusFusion])
 @pytest.mark.parametrize("n, message", [
     (2.5, "dimension 2.5 is not an int"), (2.0, "dimension 2.0 is not an int"),
-    (True, "dimension True is not an int"), ("2", "dimension '2' is not an int"), (0, "dimension must be >= 1"),
+    (True, "dimension True is not an int"), ("2", "dimension '2' is not an int"), (0, "dimension must be >= 1, got 0"),
 ])
 def test_fusion_data_refuse_a_dimension_that_is_not_a_positive_int(cls, n, message):
     with pytest.raises(ValueError) as exc:

@@ -10,8 +10,8 @@ from halfcomm.crossed import CrossedElement, FunElement, FunMonomial
 from halfcomm.errors import DimensionMismatchError, IndexRangeError, ParseError, PresentationError
 from halfcomm.expressions import CrossedContext, parse_expression
 from halfcomm.fusion import UnFusion, astar_tensor, crossed_tensor, moment_crosscheck
-from halfcomm.groups import evaluate_fun_batch
-from halfcomm.haar import weingarten_table
+from halfcomm.groups import check_predicate, evaluate_fun_batch, parse_model, predicate
+from halfcomm.haar import mc_integral, weingarten_table
 from halfcomm.words import Letter, Presentation, WordElement, ao_star, au_star_star, letter
 
 CASES = [
@@ -66,6 +66,38 @@ CASES = [
     pytest.param(lambda: weingarten_table(2, 0), ValueError, "dimension must be >= 1", id="weingarten-dimension"),
     pytest.param(lambda: evaluate_fun_batch(FunElement.one(2), np.zeros((4, 3, 3))), DimensionMismatchError,
                  "does not match symbols over n=2", id="batch-shape"),
+    # every count goes through errors.check_count: an exact int, at least its floor
+    pytest.param(lambda: FunElement.one(0), ValueError, "dimension must be >= 1, got 0", id="function-dimension"),
+    pytest.param(lambda: FunElement(-3), ValueError, "dimension must be >= 1, got -3", id="function-negative"),
+    pytest.param(lambda: CrossedElement.one(0), ValueError, "dimension must be >= 1, got 0",
+                 id="crossed-element-dimension"),
+    pytest.param(lambda: weingarten_table(2, 2.5), ValueError, "dimension 2.5 is not an int",
+                 id="weingarten-float-dimension"),
+    pytest.param(lambda: weingarten_table(2.5, 2), ValueError, "degree 2.5 is not an int", id="weingarten-float-degree"),
+    # True equals 1 as a cache key: the refusal must not depend on (2, 1) being built
+    pytest.param(lambda: (weingarten_table(2, 1), weingarten_table(2, True)), ValueError,
+                 "dimension True is not an int", id="weingarten-bool-dimension"),
+    pytest.param(lambda: moment_crosscheck(2, 1.5), ValueError, "k 1.5 is not an int", id="moment-float-order"),
+    pytest.param(lambda: moment_crosscheck(2, True), ValueError, "k True is not an int", id="moment-bool-order"),
+    pytest.param(lambda: check_predicate(parse_model("un:2"), "non_real", 2.5), ValueError, "trials 2.5 is not an int",
+                 id="predicate-float-trials"),
+    pytest.param(lambda: predicate(parse_model("un:2"), "non_real", trials=True), ValueError,
+                 "trials True is not an int", id="predicate-bool-trials"),
+    pytest.param(lambda: predicate(parse_model("un:2"), "non_real", rng_seed=-1), ValueError,
+                 "seed must be >= 0, got -1", id="predicate-negative-seed"),
+    pytest.param(lambda: predicate(parse_model("un:2"), "non_real", rng_seed=2.5), ValueError,
+                 "seed 2.5 is not an int", id="predicate-float-seed"),
+    pytest.param(lambda: mc_integral(FunElement.one(2), parse_model("un:2"), samples=2.5, seed=0), ValueError,
+                 "samples 2.5 is not an int", id="mc-float-samples"),
+    pytest.param(lambda: mc_integral(FunElement.one(2), parse_model("un:2"), samples=1, seed=0), ValueError,
+                 "samples must be >= 2, got 1", id="mc-samples"),
+    pytest.param(lambda: mc_integral(FunElement.one(2), parse_model("un:2"), samples=10, seed=2.5), ValueError,
+                 "seed 2.5 is not an int", id="mc-float-seed"),
+    pytest.param(lambda: mc_integral(FunElement.one(2), parse_model("un:2"), samples=10, seed=True), ValueError,
+                 "seed True is not an int", id="mc-bool-seed"),
+    # letter() and WordElement share one letter rule, with one message
+    pytest.param(lambda: letter(au_star_star(1), 1, 1, 2), PresentationError, "letter star flag 2 is not a bool",
+                 id="letter-star-flag"),
 ]
 
 
