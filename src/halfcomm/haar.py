@@ -190,7 +190,7 @@ def weingarten_table(p: int, n: int, p_max: int = PMAX_DEFAULT) -> WeingartenTab
     """
     check_count(p, "degree")
     check_count(n)
-    if p > p_max:
+    if p > check_count(p_max, "degree cap", least=0):
         raise DegreeCapError(f"degree {p} exceeds p_max={p_max}")
     key = (p, n)
     cached = _TABLE_CACHE.get(key)
@@ -354,6 +354,7 @@ def _coset_integral(plain, conj, table) -> Fraction:
 def haar_integral(f: FunElement, p_max: int = PMAX_DEFAULT) -> GaussianRational:
     """Exact Haar integral of a coordinate polynomial over U(n), n = f.n: the
     sum over its terms of the coefficient times the monomial's integral."""
+    check_count(p_max, "degree cap", least=0)
     total = ZERO
     for mono, coeff in f.terms.items():
         val = _integral(mono, f.n, p_max)
@@ -518,6 +519,7 @@ def norm_equal(x: CrossedElement, y: CrossedElement, p_max: int = PMAX_DEFAULT) 
     the cap bounds the integration it skips, and raises ``DegreeCapError``
     otherwise.
     """
+    check_count(p_max, "degree cap", least=0)
     d = x - y
     return not witness_refutes(d) and norm_squared(d, p_max=p_max) == 0
 

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -138,20 +142,24 @@ def test_lr_with_full_columns_against_schur_oracle(n):
 
 def test_lr_takes_the_pair_with_fewer_cells_and_both_routes_agree_with_the_oracle(monkeypatch):
     # partitions of at most 2 cells over U(5) and their duals: a pair of
-    # partitions is counted as it is, a pair of duals on the dual pair
+    # partitions is counted as it is, a pair of duals on the dual pair.  The
+    # memo is emptied before each product, so that each one runs, on the
+    # pair as the memo keys it: shifted to end in 0, larger first
     n = 5
     parts = _partitions_upto(2, n)
     weights = sorted({*parts, *(tuple(-x for x in reversed(p)) for p in parts)}, reverse=True)
     pairs, count = [], fusion._lr_count
     monkeypatch.setattr(fusion, "_lr_count", lambda pair, cells: pairs.append(pair) or count(pair, cells))
     routes = set()
-    for lam in weights:
-        for mu in weights:
-            assert list(lr_tensor(lam, mu, n).items()) == list(schur_tensor_oracle(lam, mu, n).items()), (lam, mu)
+    for a in weights:
+        for b in weights:
+            fusion._LR_PRODUCTS.clear()
+            assert list(lr_tensor(a, b, n).items()) == list(schur_tensor_oracle(a, b, n).items()), (a, b)
+            lam, mu = sorted((tuple(x - a[-1] for x in a), tuple(x - b[-1] for x in b)), reverse=True)
             plain = tuple(x - lam[-1] for x in lam), tuple(x - mu[-1] for x in mu)
             dual = tuple(lam[0] - x for x in reversed(lam)), tuple(mu[0] - x for x in reversed(mu))
             route = "dual" if min(map(sum, dual)) < min(map(sum, plain)) else "plain"
-            assert pairs.pop() == (dual if route == "dual" else plain), (lam, mu)
+            assert pairs.pop() == (dual if route == "dual" else plain), (a, b)
             routes.add(route)
     assert routes == {"plain", "dual"}
 
@@ -252,11 +260,10 @@ def test_astar_tensor_parity_enforced():
 def test_tensor_memo_is_keyed_up_to_order_and_shift(n, runs, monkeypatch):
     # the graded table up to grade 2 asks for 64 products; keyed by the two
     # weights shifted to end in 0, in a fixed order, they need 21 and 28
-    # Littlewood-Richardson runs, and each product, with its dict order, is
-    # the one a run on the product's own weights gives
-    from halfcomm import fusion
-
+    # Littlewood-Richardson runs on a cold memo, and each product, with its
+    # dict order, is the one a run on the product's own weights gives
     calls, run = [], fusion._lr_tensor
+    fusion._LR_PRODUCTS.clear()
     monkeypatch.setattr(fusion, "_lr_tensor", lambda lam, mu: calls.append((lam, mu)) or run(lam, mu))
     data = UnFusion(n)
     labels = [(w, data.grade(w) % 2) for w in data.labels(2)]
@@ -268,6 +275,107 @@ def test_tensor_memo_is_keyed_up_to_order_and_shift(n, runs, monkeypatch):
             assert list(astar_tensor(data, x, y).items()) == expected, (x, y)
     assert len(calls) == runs and len(set(calls)) == runs
     assert all(lam[-1] == mu[-1] == 0 and lam >= mu for lam, mu in calls)
+
+
+def _random_weight(rng, n):
+    return tuple(sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_memoised_products_equal_uncached_runs(n):
+    # seeded pairs, in both orders and under several shifts of each weight:
+    # the memo, filled from cold, answers each product as a run of
+    # _lr_tensor on the product's own weights does, dict order included,
+    # and holds one entry per pair up to order and shift
+    rng = random.Random(3700 + n)
+    fusion._LR_PRODUCTS.clear()
+    keys = set()
+    for _ in range(12):
+        lam, mu = _random_weight(rng, n), _random_weight(rng, n)
+        for s, t in ((0, 0), (1, 0), (0, -2), (3, -1), (-2, -2)):
+            a, b = tuple(x + s for x in lam), tuple(x + t for x in mu)
+            for x, y in ((a, b), (b, a)):
+                expected = list(fusion._lr_tensor(x, y).items())
+                assert list(lr_tensor(x, y, n).items()) == expected, (x, y)
+                assert list(UnFusion(n).tensor(x, y).items()) == expected, (x, y)
+        keys.add(tuple(sorted((tuple(x - lam[-1] for x in lam), tuple(x - mu[-1] for x in mu)), reverse=True)))
+    assert set(fusion._LR_PRODUCTS) == keys
+    assert fusion._LR_PRODUCTS.held == sum(map(len, fusion._LR_PRODUCTS.values()))
+
+
+def _answers(data):
+    # products whose weights end in 0, whose memo entry _lr_product returns
+    # unshifted, and products that shift it
+    yield lambda: lr_tensor((1, 0, 0), (1, 1, 0), 3)
+    yield lambda: lr_tensor((2, 1, 1), (1, 0, -1), 3)
+    yield lambda: data.tensor((1, 0, 0), (1, 1, 0))
+    yield lambda: data.tensor((2, 1, 1), (1, 0, -1))
+    yield lambda: crossed_tensor(data, ((1, 0, 0), 0), ((1, 1, 0), 0))
+    yield lambda: crossed_tensor(data, ((2, 1, 1), 1), ((1, 0, -1), 1))
+    yield lambda: astar_tensor(data, ((1, 0, 0), 1), ((1, 1, 0), 0))
+    yield lambda: astar_tensor(data, ((2, 1, 1), 0), ((1, 0, -1), 0))
+
+
+def test_changing_an_answer_leaves_later_answers_unchanged():
+    data = UnFusion(3)
+    for answer in _answers(data):
+        fusion._LR_PRODUCTS.clear()
+        first = answer()
+        expected = list(first.items())
+        first[next(iter(first))] += 5
+        first[(9, 9, 9)] = 1
+        assert list(answer().items()) == expected
+        answer().clear()
+        assert list(answer().items()) == expected
+
+
+def test_past_its_cap_the_memo_answers_without_storing(monkeypatch):
+    fusion._LR_PRODUCTS.clear()
+    two, three = ((1, 0, 0), (1, 0, 0)), ((1, 0, 0), (1, 1, 0))  # 2 and 2 constituents
+    monkeypatch.setattr(fusion, "LR_MEMO_CAP", 3)
+    assert lr_tensor(*two, 3) == {(2, 0, 0): 1, (1, 1, 0): 1}
+    assert fusion._LR_PRODUCTS.held == 2 and len(fusion._LR_PRODUCTS) == 1
+    # two more constituents would pass the cap: answered, not stored
+    for _ in range(2):
+        assert lr_tensor(*three, 3) == {(2, 1, 0): 1, (1, 1, 1): 1}
+        assert fusion._LR_PRODUCTS.held == 2 and set(fusion._LR_PRODUCTS) == {two}
+    fusion._LR_PRODUCTS.clear()
+    assert not fusion._LR_PRODUCTS and fusion._LR_PRODUCTS.held == 0
+    assert lr_tensor(*three, 3) == {(2, 1, 0): 1, (1, 1, 1): 1}
+    assert set(fusion._LR_PRODUCTS) == {((1, 1, 0), (1, 0, 0))}
+
+
+def test_threads_filling_the_memo_count_what_it_holds(monkeypatch):
+    # more threads than cores, switching often, each asking for the same
+    # products at once, and each run sleeping so that the others miss the
+    # same pair meanwhile: a pair stored twice, or a lost update of the
+    # count, would leave ``held`` off
+    pairs = [(_random_weight(rng, 4), _random_weight(rng, 4)) for rng in [random.Random(3701)] for _ in range(60)]
+    run = fusion._lr_tensor
+    expected = [run(lam, mu) for lam, mu in pairs]
+    monkeypatch.setattr(fusion, "_lr_tensor", lambda lam, mu: time.sleep(1e-4) or run(lam, mu))
+    fusion._LR_PRODUCTS.clear()
+    answers = []
+    workers = 2 * (os.cpu_count() or 1) + 2
+    start = threading.Barrier(workers)
+
+    def work():
+        start.wait(timeout=60)
+        answers.append([lr_tensor(lam, mu, 4) for lam, mu in pairs])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert answers == [expected] * len(threads)
+    assert fusion._LR_PRODUCTS.held == sum(map(len, fusion._LR_PRODUCTS.values()))
 
 
 # U(3) weights that are not labels, each with the flag its grade asks for,

@@ -9,9 +9,9 @@ import pytest
 from halfcomm.crossed import CrossedElement, FunElement, FunMonomial
 from halfcomm.errors import DimensionMismatchError, IndexRangeError, ParseError, PresentationError
 from halfcomm.expressions import CrossedContext, parse_expression
-from halfcomm.fusion import UnFusion, astar_tensor, crossed_tensor, moment_crosscheck
+from halfcomm.fusion import SU2Fusion, TorusFusion, UnFusion, astar_tensor, crossed_tensor, moment_crosscheck
 from halfcomm.groups import check_predicate, evaluate_fun_batch, parse_model, predicate
-from halfcomm.haar import mc_integral, weingarten_table
+from halfcomm.haar import haar_integral, haar_state, mc_integral, norm_equal, norm_squared, weingarten_table
 from halfcomm.words import Letter, Presentation, WordElement, ao_star, au_star_star, letter
 
 CASES = [
@@ -98,6 +98,38 @@ CASES = [
     # letter() and WordElement share one letter rule, with one message
     pytest.param(lambda: letter(au_star_star(1), 1, 1, 2), PresentationError, "letter star flag 2 is not a bool",
                  id="letter-star-flag"),
+]
+
+
+def _count_message(what, value):
+    return f"{what} {value!r} is not an int" if type(value) is not int else f"{what} must be >= 0, got {value}"
+
+
+# the grade cap of every datum: 2.5 reached range(), True listed the cap-1
+# labels and -1 listed none
+CASES += [
+    pytest.param(lambda data=data, cap=cap: data.labels(cap), ValueError, _count_message("grade cap", cap),
+                 id=f"labels-{data}-{cap!r}")
+    for data in (UnFusion(2), TorusFusion(2), SU2Fusion())
+    for cap in (2.5, True, -1)
+]
+
+# the degree cap of every exact entry point, checked before any work: the
+# constant and the pair the witness tells apart never reach a table
+_V11 = CrossedElement.generator(2, 1, 1)
+_P_MAX_CALLS = {
+    "weingarten-table": lambda p_max: weingarten_table(2, 2, p_max=p_max),
+    "haar-integral": lambda p_max: haar_integral(FunElement.one(2), p_max=p_max),
+    "haar-state": lambda p_max: haar_state(_V11 * _V11.star(), p_max=p_max),
+    "norm-squared": lambda p_max: norm_squared(_V11, p_max=p_max),
+    "norm-equal": lambda p_max: norm_equal(_V11, CrossedElement.zero(2), p_max=p_max),
+    "moment-crosscheck": lambda p_max: moment_crosscheck(2, 1, p_max=p_max),
+}
+CASES += [
+    pytest.param(lambda call=call, p_max=p_max: call(p_max), ValueError, _count_message("degree cap", p_max),
+                 id=f"{name}-p_max-{p_max!r}")
+    for name, call in _P_MAX_CALLS.items()
+    for p_max in ("x", 2.5, True, -1)
 ]
 
 

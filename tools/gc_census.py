@@ -14,9 +14,12 @@ still alive (its first round's answers, latencies and per-round records, as
 a benchmark run holds them), it prints after ``gc.collect()`` how many
 objects the collector tracks (``gc.get_objects()``), by type, the ``TOP``
 largest counts first, and every type of the library: the objects that
-every full collection walks.  It ends with the coproduct split memos
-(``words._CLASS_SPLITS``, ``crossed._MONOMIAL_SPLITS``): the classes each
-holds and their splits, against the cap ``words.SPLIT_MEMO_CAP``.
+every full collection walks.  It ends with the process-wide memos: the
+coproduct split memos (``words._CLASS_SPLITS``, ``crossed._MONOMIAL_SPLITS``),
+the classes each holds and their splits, against the cap
+``words.SPLIT_MEMO_CAP``, and the Littlewood-Richardson memo
+(``fusion._LR_PRODUCTS``), the products it holds and their constituents,
+against the cap ``fusion.LR_MEMO_CAP``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ for path in (os.path.join(ROOT, "src"), ROOT):
     if path not in sys.path:
         sys.path.insert(0, path)
 
-from halfcomm import crossed, words  # noqa: E402
+from halfcomm import crossed, fusion, words  # noqa: E402
 from perfbench import workloads  # noqa: E402
 from perfbench.run import in_process_loop  # noqa: E402
 
@@ -112,6 +115,9 @@ def main(argv=None) -> int:
     print(f"# split memos after the rounds (cap {words.SPLIT_MEMO_CAP:,} splits each): entries, splits")
     for name, memo in (("words._CLASS_SPLITS", words._CLASS_SPLITS), ("crossed._MONOMIAL_SPLITS", crossed._MONOMIAL_SPLITS)):
         print(f"{len(memo):>9,} {memo.held:>9,}  {name}")
+    print(f"# Littlewood-Richardson memo after the rounds (cap {fusion.LR_MEMO_CAP:,} constituents): "
+          "entries, constituents")
+    print(f"{len(fusion._LR_PRODUCTS):>9,} {fusion._LR_PRODUCTS.held:>9,}  fusion._LR_PRODUCTS")
     return 0
 
 

@@ -76,8 +76,10 @@ MUTANTS = (
            "Littlewood-Richardson on the dual pair returns the dual constituents"),
     Mutant("src/halfcomm/fusion.py", "least = 0 if prev is None else size", "least = 0",
            "the strip walk drops the lattice bound on the rows above the last"),
-    Mutant("src/halfcomm/fusion.py", "lam[-1] + mu[-1]", "lam[-1] - mu[-1]",
-           "Littlewood-Richardson on the plain pair adds back the wrong shift"),
+    Mutant("src/halfcomm/fusion.py", "return _shifted(hit, a[-1] + b[-1])", "return hit",
+           "a Littlewood-Richardson memo hit is returned without the shift back"),
+    Mutant("src/halfcomm/fusion.py", "lam, mu = _ending_in_0(a), _ending_in_0(b)", "lam, mu = tuple(a), tuple(b)",
+           "the Littlewood-Richardson memo is keyed on unshifted weights"),
     Mutant("src/halfcomm/groups.py", "small(b + c)", "small(b - c)",
            "the block-group membership test asks for C = B instead of C = -B"),
     Mutant("src/halfcomm/groups.py", "return g / root[:, None, None]", "return g",
