@@ -20,8 +20,8 @@ import functools
 import math
 
 from .errors import DimensionMismatchError, IndexRangeError, check_count
-from .scalars import ZERO, GaussianRational, SparseSum, _reduced, reduce_terms
-from .words import AU_STAR_STAR, SplitMemo, WordElement, _class_splits, _term_strings, coproduct_splits
+from .scalars import ZERO, BoundedMemo, GaussianRational, SparseSum, _reduced, reduce_terms
+from .words import AU_STAR_STAR, SPLIT_MEMO_CAP, WordElement, _class_splits, _term_strings, coproduct_splits
 
 # A symbol is (row, col, bar); bar=True marks the conjugate coordinate.
 
@@ -337,7 +337,7 @@ def _monomial_splits(mono, n) -> tuple:
 # lookups over 40 rounds (all of them from the 20th), then held 120
 # monomials of 816 splits, and rounds 20-40 took 0.23 times as long as
 # without it (median of 6 alternated processes, 2-vCPU VM).
-_MONOMIAL_SPLITS = SplitMemo(_monomial_splits)
+_MONOMIAL_SPLITS = BoundedMemo(_monomial_splits, SPLIT_MEMO_CAP)
 
 
 def crossed_coproduct(x: CrossedElement):

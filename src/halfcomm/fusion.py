@@ -23,14 +23,13 @@ import itertools
 import math
 import operator
 import re
-import threading
 from fractions import Fraction
 
 from .crossed import CrossedElement
 from .errors import DegreeCapError, ParseError, check_count
 from .groups import parse_model
 from .haar import PMAX_DEFAULT, _partitions, haar_state
-from .scalars import GaussianRational
+from .scalars import BoundedMemo, GaussianRational
 
 
 class FusionData(abc.ABC):
@@ -276,54 +275,19 @@ def _shifted(out, shift):
 # 7.8 MB (tracemalloc, Python 3.11)
 LR_MEMO_CAP = 65_536
 
-
-class LRMemo(dict):
-    """``(lam, mu)`` -> ``_lr_tensor(lam, mu)``, for weights ending in 0 with
-    ``lam >= mu``, computed the first time a pair is asked for.
-
-    Littlewood-Richardson is symmetric in its two weights, and shifting one
-    by (1,...,1) shifts every constituent alike, so ``_lr_product`` keys any
-    pair by the two weights shifted to end in 0, larger first, and adds the
-    total shift back on the way out.  The memo is bounded by the
-    constituents it holds, not by its entries: past ``LR_MEMO_CAP``
-    constituents in all, a new pair is answered but not stored.  A store
-    and its count are made under a lock, and a pair stored meanwhile by
-    another thread is kept, so the memo is filled idempotently and ``held``
-    counts exactly what it holds.  ``clear`` empties it and its count.
-
-    One memo serves the process (``_LR_PRODUCTS``), since a product depends
-    on its pair of weights alone and callers make a fresh datum per task.
-    On the benchmark's ``symbolic`` fusion operations (``lr-tensor``,
-    ``astar-tensor`` and ``fusion-table``) with a new seed every round,
-    rounds 20-40 of 40 took 0.54 times as long as with a memo per datum and
-    none in ``lr_tensor`` (170 against 312 ms, medians of 6 alternated
-    processes, 2-vCPU VM), and the memo then held 264 products of 1,359
-    constituents; a cold first round took 11.9 against 16.5 ms.
-    """
-
-    __slots__ = ("held", "_lock")
-
-    def __init__(self):
-        super().__init__()
-        self.held = 0  # the constituents held over all entries
-        self._lock = threading.Lock()
-
-    def __missing__(self, key):
-        out = _lr_tensor(*key)
-        with self._lock:
-            if key not in self and self.held + len(out) <= LR_MEMO_CAP:
-                self[key] = out
-                self.held += len(out)
-        return out
-
-    def clear(self):
-        with self._lock:
-            super().clear()
-            self.held = 0
-
-
-# the products of every U(n) datum and of ``lr_tensor``
-_LR_PRODUCTS = LRMemo()
+# The products of every U(n) datum and of ``lr_tensor``, keyed by the two
+# weights shifted to end in 0, larger first: Littlewood-Richardson is
+# symmetric in its two weights, and shifting one by (1,...,1) shifts every
+# constituent alike, so ``_lr_product`` adds the total shift back on the
+# way out.  One memo serves the process, since a product depends on its
+# pair of weights alone and callers make a fresh datum per task.  On the
+# benchmark's ``symbolic`` fusion operations (``lr-tensor``,
+# ``astar-tensor`` and ``fusion-table``) with a new seed every round,
+# rounds 20-40 of 40 took 0.54 times as long as with a memo per datum and
+# none in ``lr_tensor`` (170 against 312 ms, medians of 6 alternated
+# processes, 2-vCPU VM), and the memo then held 264 products of 1,359
+# constituents; a cold first round took 11.9 against 16.5 ms.
+_LR_PRODUCTS = BoundedMemo(_lr_tensor, LR_MEMO_CAP)
 
 
 def _lr_product(a, b) -> dict:
@@ -515,11 +479,18 @@ def crossed_tensor(data: FusionData, x, y) -> dict:
     twist hits the right factor whenever the left flag is odd.
     """
     (va, fa), (vb, fb) = x, y
-    if fa not in (0, 1) or fb not in (0, 1):
-        raise ValueError("flags must be 0 or 1")
+    _check_flag(fa)
+    _check_flag(fb)
     data.validate_label(va)
     data.validate_label(vb)
     return _crossed_tensor(data, x, y)
+
+
+def _check_flag(flag):
+    """Refuse a flag other than the int 0 or 1: ``1.0`` and ``True`` equal 1
+    but would key, and print, as other labels."""
+    if type(flag) is not int or flag not in (0, 1):
+        raise ValueError(f"flags must be 0 or 1, got {flag!r}")
 
 
 def _crossed_tensor(data: FusionData, x, y) -> dict:
@@ -533,8 +504,7 @@ def _crossed_tensor(data: FusionData, x, y) -> dict:
 def _check_astar_label(data: FusionData, x):
     label, flag = x
     data.validate_label(label)
-    if flag not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
+    _check_flag(flag)
     _check_parity(data, x)
 
 

@@ -1,9 +1,11 @@
 """Exact scalars: Gaussian rationals a + b*i with arbitrary-precision parts,
 and the sparse sums of basis keys with such coefficients that both algebras
-of the package (word elements and coordinate polynomials) are built on."""
+of the package (word elements and coordinate polynomials) are built on; and
+the bounded memo that serves the package's process-wide memos."""
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -167,6 +169,41 @@ def reduce_terms(pairs) -> dict:
             cancelled = cancelled or not c
         acc[key] = c
     return {k: c for k, c in acc.items() if c} if cancelled else acc
+
+
+class BoundedMemo(dict):
+    """``key`` -> ``compute(*key)``, computed the first time a key is asked
+    for; ``compute`` returns a sized result that callers do not change.
+
+    The memo is bounded by the items it holds over all its results, not by
+    its entries: past ``cap`` items in all, a new key is answered but not
+    stored.  A store and its count are made under a lock, and a key stored
+    meanwhile by another thread is kept, so the memo is filled idempotently
+    and ``held`` counts exactly what it holds.  ``clear`` empties it and its
+    count.
+    """
+
+    __slots__ = ("compute", "cap", "held", "_lock")
+
+    def __init__(self, compute, cap):
+        super().__init__()
+        self.compute = compute
+        self.cap = cap
+        self.held = 0  # the items held over all entries
+        self._lock = threading.Lock()
+
+    def __missing__(self, key):
+        out = self.compute(*key)
+        with self._lock:
+            if key not in self and self.held + len(out) <= self.cap:
+                self[key] = out
+                self.held += len(out)
+        return out
+
+    def clear(self):
+        with self._lock:
+            super().clear()
+            self.held = 0
 
 
 class SparseSum:

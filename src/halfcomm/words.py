@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ClosureSizeError, DegreeCapError, IndexRangeError, PresentationError, check_count
-from .scalars import ZERO, GaussianRational, SparseSum, reduce_terms
+from .scalars import ZERO, BoundedMemo, GaussianRational, SparseSum, reduce_terms
 
 AO_STAR = "ao-star"
 AH_STAR = "ah-star"
@@ -345,59 +345,30 @@ def _class_splits(counts, n):
     return tuple(out.items())
 
 
-# most splits one ``SplitMemo`` holds over all its classes: as many as one
+# most splits one split memo holds over all its classes: as many as one
 # coproduct may make.  Full of legs of eight letters, words' memo holds
 # about 9.5 MB and crossed's about 14 MB (tracemalloc, Python 3.11)
 SPLIT_MEMO_CAP = COPRODUCT_MAX_TERMS
 
 
-class SplitMemo(dict):
-    """``(class, n)`` -> the splits of that class of commuting symbols, made
-    by ``expand(class, n)`` the first time a class is asked for.
-
-    Classes are small multisets of letters, so they recur across the terms
-    of one element, across elements and across fresh inputs.  The memo is
-    bounded by the splits it holds, not by its entries: past
-    ``SPLIT_MEMO_CAP`` splits in all, a new class is answered but not
-    stored.  ``sizes`` holds the ``_split_count`` of each class stored, so
-    that the cap is checked on a hit without counting again.  ``clear``
-    empties it, its sizes and its count.
-    """
-
-    __slots__ = ("expand", "held", "sizes")
-
-    def __init__(self, expand):
-        super().__init__()
-        self.expand = expand
-        self.held = 0  # the splits held over all entries
-        self.sizes = {}
-
-    def __missing__(self, key):
-        splits = self.expand(*key)
-        if self.held + len(splits) <= SPLIT_MEMO_CAP:
-            self[key] = splits
-            self.held += len(splits)
-            self.sizes[key] = _split_count(*key)
-        return splits
-
-    def clear(self):
-        super().clear()
-        self.held = 0
-        self.sizes.clear()
-
-
+@functools.lru_cache(maxsize=SPLIT_MEMO_CAP)
 def _split_count(cls, n):
     """The splits ``_class_splits`` makes of ``cls`` before equal pairs
-    merge: C(e + n - 1, n - 1) compositions per symbol of multiplicity e."""
+    merge: C(e + n - 1, n - 1) compositions per symbol of multiplicity e.
+    Cached, so that the cap is checked on a memo hit without counting
+    again."""
     return math.prod(math.comb(e + n - 1, n - 1) for _sym, e in cls)
 
 
-# The splits of the parity classes of words.  On the benchmark's
-# ``symbolic`` word coproducts with a new seed every round, it answered 87%
-# of 3,868 lookups over 40 rounds (94% in the 40th), then held 502 classes
-# of 6,690 splits, and rounds 20-40 took 0.73 times as long as without it
-# (median of 6 alternated processes, 2-vCPU VM).
-_CLASS_SPLITS = SplitMemo(_class_splits)
+# The splits of the parity classes of words, made the first time a class
+# is asked for: classes are small multisets of letters, so they recur
+# across the terms of one element, across elements and across fresh
+# inputs.  On the benchmark's ``symbolic`` word coproducts with a new seed
+# every round, it answered 87% of 3,868 lookups over 40 rounds (94% in the
+# 40th), then held 502 classes of 6,690 splits, and rounds 20-40 took 0.73
+# times as long as without it (median of 6 alternated processes, 2-vCPU
+# VM).
+_CLASS_SPLITS = BoundedMemo(_class_splits, SPLIT_MEMO_CAP)
 
 
 def coproduct_splits(classes, n, memo=_CLASS_SPLITS):
@@ -414,15 +385,12 @@ def coproduct_splits(classes, n, memo=_CLASS_SPLITS):
     splits made are the compositions of each symbol's multiplicity e into n
     parts, C(e + n - 1, n - 1) of them; raises ``DegreeCapError`` before
     expanding anything when their product over all symbols exceeds
-    ``COPRODUCT_MAX_TERMS``, whether or not ``memo`` holds the classes.  A
-    class ``memo`` holds is counted from its ``sizes``.
+    ``COPRODUCT_MAX_TERMS``, whether or not ``memo`` holds the classes.
     """
     keys = [(cls, n) for cls in classes]
-    sizes = memo.sizes
     terms = 1
     for key in keys:
-        size = sizes.get(key)
-        terms *= _split_count(*key) if size is None else size
+        terms *= _split_count(*key)
     if terms > COPRODUCT_MAX_TERMS:
         _check_coproduct_cap(sum(e for cls in classes for _sym, e in cls), n, terms)
     return [memo[key] for key in keys]

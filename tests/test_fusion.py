@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from halfcomm import fusion
+from halfcomm.crossed import _MONOMIAL_SPLITS, FunMonomial
 from halfcomm.errors import DegreeCapError, ParseError
 from halfcomm.fusion import (
     SU2Fusion,
@@ -25,6 +26,7 @@ from halfcomm.fusion import (
 )
 from halfcomm.scalars import GaussianRational
 from halfcomm.verify import schur_tensor_oracle, _partitions_upto
+from halfcomm.words import _CLASS_SPLITS
 
 
 # -- Littlewood-Richardson engine ---------------------------------------------
@@ -264,7 +266,7 @@ def test_tensor_memo_is_keyed_up_to_order_and_shift(n, runs, monkeypatch):
     # dict order, is the one a run on the product's own weights gives
     calls, run = [], fusion._lr_tensor
     fusion._LR_PRODUCTS.clear()
-    monkeypatch.setattr(fusion, "_lr_tensor", lambda lam, mu: calls.append((lam, mu)) or run(lam, mu))
+    monkeypatch.setattr(fusion._LR_PRODUCTS, "compute", lambda lam, mu: calls.append((lam, mu)) or run(lam, mu))
     data = UnFusion(n)
     labels = [(w, data.grade(w) % 2) for w in data.labels(2)]
     assert len(labels) ** 2 == 64
@@ -332,7 +334,7 @@ def test_changing_an_answer_leaves_later_answers_unchanged():
 def test_past_its_cap_the_memo_answers_without_storing(monkeypatch):
     fusion._LR_PRODUCTS.clear()
     two, three = ((1, 0, 0), (1, 0, 0)), ((1, 0, 0), (1, 1, 0))  # 2 and 2 constituents
-    monkeypatch.setattr(fusion, "LR_MEMO_CAP", 3)
+    monkeypatch.setattr(fusion._LR_PRODUCTS, "cap", 3)
     assert lr_tensor(*two, 3) == {(2, 0, 0): 1, (1, 1, 0): 1}
     assert fusion._LR_PRODUCTS.held == 2 and len(fusion._LR_PRODUCTS) == 1
     # two more constituents would pass the cap: answered, not stored
@@ -345,23 +347,46 @@ def test_past_its_cap_the_memo_answers_without_storing(monkeypatch):
     assert set(fusion._LR_PRODUCTS) == {((1, 1, 0), (1, 0, 0))}
 
 
-def test_threads_filling_the_memo_count_what_it_holds(monkeypatch):
+def _lr_keys(rng):
+    # pairs of U(4) weights as the memo keys them: shifted to end in 0,
+    # larger first
+    return [tuple(sorted((fusion._ending_in_0(_random_weight(rng, 4)) for _ in range(2)), reverse=True))
+            for _ in range(60)]
+
+
+def _class_keys(rng):
+    # classes of commuting symbols over n = 2, by multiplicity
+    symbols = [(r, c, False) for r in (1, 2) for c in (1, 2)]
+    return [(tuple((sym, rng.randint(1, 3)) for sym in sorted(rng.sample(symbols, rng.randint(1, 4)))), 2)
+            for _ in range(60)]
+
+
+def _monomial_keys(rng):
+    return [(FunMonomial(cls), n) for cls, n in _class_keys(rng)]
+
+
+@pytest.mark.parametrize("memo, keys", [
+    (fusion._LR_PRODUCTS, _lr_keys),
+    (_CLASS_SPLITS, _class_keys),
+    (_MONOMIAL_SPLITS, _monomial_keys),
+], ids=["lr-products", "class-splits", "monomial-splits"])
+def test_threads_filling_the_memo_count_what_it_holds(memo, keys, monkeypatch):
     # more threads than cores, switching often, each asking for the same
-    # products at once, and each run sleeping so that the others miss the
-    # same pair meanwhile: a pair stored twice, or a lost update of the
-    # count, would leave ``held`` off
-    pairs = [(_random_weight(rng, 4), _random_weight(rng, 4)) for rng in [random.Random(3701)] for _ in range(60)]
-    run = fusion._lr_tensor
-    expected = [run(lam, mu) for lam, mu in pairs]
-    monkeypatch.setattr(fusion, "_lr_tensor", lambda lam, mu: time.sleep(1e-4) or run(lam, mu))
-    fusion._LR_PRODUCTS.clear()
+    # keys at once, and each run sleeping so that the others miss the same
+    # key meanwhile: a key stored twice, or a lost update of the count,
+    # would leave ``held`` off
+    keys = keys(random.Random(3701))
+    run = memo.compute
+    expected = [run(*key) for key in keys]
+    monkeypatch.setattr(memo, "compute", lambda *key: time.sleep(1e-4) or run(*key))
+    memo.clear()
     answers = []
     workers = 2 * (os.cpu_count() or 1) + 2
     start = threading.Barrier(workers)
 
     def work():
         start.wait(timeout=60)
-        answers.append([lr_tensor(lam, mu, 4) for lam, mu in pairs])
+        answers.append([memo[key] for key in keys])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -375,7 +400,7 @@ def test_threads_filling_the_memo_count_what_it_holds(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert answers == [expected] * len(threads)
-    assert fusion._LR_PRODUCTS.held == sum(map(len, fusion._LR_PRODUCTS.values()))
+    assert memo.held == sum(map(len, memo.values()))
 
 
 # U(3) weights that are not labels, each with the flag its grade asks for,

@@ -59,8 +59,13 @@ CASES = [
     pytest.param(lambda: parse_expression("v[1,1])", ao_star(2)), ParseError, "trailing input ')'", id="trailing-input"),
     pytest.param(lambda: crossed_tensor(UnFusion(2), ((1, 0), 2), ((1, 0), 0)), ValueError, "flags must be 0 or 1",
                  id="crossed-tensor-flag"),
-    pytest.param(lambda: astar_tensor(UnFusion(2), ((1, 0), 2), ((1, 0), 1)), ValueError, "parity must be 0 or 1",
+    pytest.param(lambda: astar_tensor(UnFusion(2), ((1, 0), 2), ((1, 0), 1)), ValueError, "flags must be 0 or 1",
                  id="astar-parity"),
+    # one flag rule: 1.0 and True equal 1, but would key and print as other labels
+    *[pytest.param(lambda flag=flag: crossed_tensor(UnFusion(2), ((1, 0), flag), ((0, 0), 0)), ValueError,
+                   f"flags must be 0 or 1, got {flag!r}", id=f"crossed-tensor-flag-{flag!r}") for flag in (1.0, True)],
+    *[pytest.param(lambda flag=flag: astar_tensor(UnFusion(2), ((1, 0), flag), ((1, 0), 1)), ValueError,
+                   f"flags must be 0 or 1, got {flag!r}", id=f"astar-parity-{flag!r}") for flag in (1.0, True)],
     pytest.param(lambda: moment_crosscheck(2, 0), ValueError, "k must be >= 1", id="moment-order"),
     pytest.param(lambda: weingarten_table(0, 2), ValueError, "degree must be >= 1", id="weingarten-degree"),
     pytest.param(lambda: weingarten_table(2, 0), ValueError, "dimension must be >= 1", id="weingarten-dimension"),

@@ -4,11 +4,10 @@ from collections import Counter
 
 import pytest
 
-import halfcomm.words as words_module
 from halfcomm.crossed import _MONOMIAL_SPLITS, CrossedElement, FunElement, FunMonomial, _word_image, crossed_coproduct
 from halfcomm.errors import ClosureSizeError, DegreeCapError, IndexRangeError, PresentationError
 from halfcomm.expressions import parse_expression
-from halfcomm.scalars import GaussianRational, I
+from halfcomm.scalars import BoundedMemo, GaussianRational, I
 from halfcomm.verify import (
     _ah_relation_pairs,
     _all_letters,
@@ -25,7 +24,6 @@ from halfcomm.words import (
     COPRODUCT_MAX_TERMS,
     LETTER_TABLE_CAP,
     Letter,
-    SplitMemo,
     _class_splits,
     _letter,
     WordElement,
@@ -441,15 +439,14 @@ def test_cleared_split_memos_give_the_warm_answers_in_order(fresh_letter_memos):
     assert _coproduct_items(*inputs) == warm
 
 
-def test_a_split_memo_holds_at_most_its_cap_of_splits(monkeypatch):
+def test_a_split_memo_holds_at_most_its_cap_of_splits():
     made = []
 
     def expand(cls, n):
         made.append((cls, n))
         return _class_splits(cls, n)
 
-    monkeypatch.setattr(words_module, "SPLIT_MEMO_CAP", 5)
-    memo = SplitMemo(expand)
+    memo = BoundedMemo(expand, 5)
     cube, single = (((1, 1, False), 3),), (((1, 1, False), 1),)
     assert len(memo[cube, 2]) == 4 and memo.held == 4
     # two more splits would pass the cap: answered, not stored
@@ -469,7 +466,7 @@ def test_split_memos_past_their_cap_give_the_same_answers(monkeypatch, fresh_let
     for memo in (_CLASS_SPLITS, _MONOMIAL_SPLITS):
         assert memo.held > 40  # so the cap below turns classes away
         memo.clear()
-    monkeypatch.setattr(words_module, "SPLIT_MEMO_CAP", 40)
+        monkeypatch.setattr(memo, "cap", 40)
     assert _coproduct_items(*inputs) == expected
     assert _coproduct_items(*inputs) == expected
     for memo in (_CLASS_SPLITS, _MONOMIAL_SPLITS):

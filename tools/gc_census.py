@@ -14,12 +14,12 @@ still alive (its first round's answers, latencies and per-round records, as
 a benchmark run holds them), it prints after ``gc.collect()`` how many
 objects the collector tracks (``gc.get_objects()``), by type, the ``TOP``
 largest counts first, and every type of the library: the objects that
-every full collection walks.  It ends with the process-wide memos: the
-coproduct split memos (``words._CLASS_SPLITS``, ``crossed._MONOMIAL_SPLITS``),
-the classes each holds and their splits, against the cap
-``words.SPLIT_MEMO_CAP``, and the Littlewood-Richardson memo
-(``fusion._LR_PRODUCTS``), the products it holds and their constituents,
-against the cap ``fusion.LR_MEMO_CAP``.
+every full collection walks.  It ends with the process-wide memos (each a
+``scalars.BoundedMemo``): the coproduct split memos
+(``words._CLASS_SPLITS``, ``crossed._MONOMIAL_SPLITS``), whose items are
+splits, and the Littlewood-Richardson memo (``fusion._LR_PRODUCTS``), whose
+items are constituents; for each, its entries, the items it holds
+(``held``) and its own ``cap``.
 """
 
 from __future__ import annotations
@@ -112,12 +112,10 @@ def main(argv=None) -> int:
     for name, count in counts.most_common():
         if name.startswith("halfcomm."):
             print(f"{count:>9,}  {name}")
-    print(f"# split memos after the rounds (cap {words.SPLIT_MEMO_CAP:,} splits each): entries, splits")
-    for name, memo in (("words._CLASS_SPLITS", words._CLASS_SPLITS), ("crossed._MONOMIAL_SPLITS", crossed._MONOMIAL_SPLITS)):
-        print(f"{len(memo):>9,} {memo.held:>9,}  {name}")
-    print(f"# Littlewood-Richardson memo after the rounds (cap {fusion.LR_MEMO_CAP:,} constituents): "
-          "entries, constituents")
-    print(f"{len(fusion._LR_PRODUCTS):>9,} {fusion._LR_PRODUCTS.held:>9,}  fusion._LR_PRODUCTS")
+    print("# process-wide memos after the rounds: entries, items held, cap")
+    for name, memo in (("words._CLASS_SPLITS", words._CLASS_SPLITS), ("crossed._MONOMIAL_SPLITS", crossed._MONOMIAL_SPLITS),
+                       ("fusion._LR_PRODUCTS", fusion._LR_PRODUCTS)):
+        print(f"{len(memo):>9,} {memo.held:>9,} {memo.cap:>9,}  {name}")
     return 0
 
 
