@@ -240,8 +240,11 @@ def cmd_fusion_table(args):
     table = _fusion_table(data, args.grade_cap)
     text = json.dumps(table, indent=None, separators=(",", ":")) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # a usage error, not a failed verification
+            raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)

@@ -1,19 +1,22 @@
 """Fusion semirings: tensor decomposition data and the parity-graded rules.
 
 Abstract fusion data for a compact group consists of labels with exact
-dimensions, a tensor oracle, duality, the twist sigma induced by entrywise
-conjugation, and an integer grading with grade(fundamental) = 1.  Shipped
-instances: the unitary group (Littlewood-Richardson on weakly decreasing
-integer weights), SU(2) (spins), and tori (characters).
+dimensions, a tensor oracle, duality, and an integer grading with
+grade(fundamental) = 1.  Shipped instances: the unitary group
+(Littlewood-Richardson on weakly decreasing integer weights), SU(2) (spins,
+through U(2) Littlewood-Richardson), and tori (characters).
 
 On top of that sit the crossed-product rules for labels carrying an extra
-flag, with the twist applied when an odd factor passes a tensorand:
+flag, with the twist sigma induced by entrywise conjugation applied when an
+odd factor passes a tensorand:
 
     V (x) Ws = (V (x) W)s,   Vs (x) W = (V (x) W^sigma)s,
     Vs (x) Ws = V (x) W^sigma
 
 and their restriction to flag = grade mod 2, which describes the simple
-comodules of the half-commutative algebra attached to the group.
+comodules of the half-commutative algebra attached to the group.  The
+conjugate of an irreducible is its dual, so sigma is the dual on every
+datum and the rules apply ``dual`` itself.
 """
 
 from __future__ import annotations
@@ -34,10 +37,9 @@ from .scalars import BoundedMemo, GaussianRational
 
 class FusionData(abc.ABC):
     """Fusion datum: labels, unit and fundamental, dimensions, tensor oracle,
-    dual, sigma, grading.  Labels are integer vectors of length n, written
+    dual, grading.  Labels are integer vectors of length n, written
     ``[2,0,-1]`` (entries ``-?[0-9]+``) and graded by their sum, unless a
-    subclass says otherwise; sigma is the dual unless a subclass overrides
-    it, and none of the shipped ones does."""
+    subclass says otherwise."""
 
     prefix = "["
     label_hint = "weight labels look like [2,0,-1]"
@@ -122,11 +124,6 @@ class FusionData(abc.ABC):
     @abc.abstractmethod
     def dual(self, a):
         ...
-
-    def sigma(self, a):
-        """The twist induced by entrywise conjugation; for every shipped
-        group it is the dual."""
-        return self.dual(a)
 
     def grade(self, a) -> int:
         return sum(a)
@@ -369,7 +366,7 @@ class UnFusion(FusionData):
 
 
 class SU2Fusion(FusionData):
-    """Spins j in (1/2) N with the Clebsch-Gordan ladder."""
+    """Spins j in (1/2) N; the spin j is the U(2) weight (2j, 0)."""
 
     unit = Fraction(0)
     fundamental = Fraction(1, 2)
@@ -413,14 +410,7 @@ class SU2Fusion(FusionData):
         return int(2 * a) + 1
 
     def _tensor(self, a, b):
-        a, b = Fraction(a), Fraction(b)
-        lo, hi = abs(a - b), a + b
-        out = {}
-        j = lo
-        while j <= hi:
-            out[j] = 1
-            j += 1
-        return out
+        return {Fraction(x - y, 2): m for (x, y), m in _lr_product((int(2 * a), 0), (int(2 * b), 0)).items()}
 
     def dual(self, a):
         self.validate_label(a)
@@ -496,7 +486,7 @@ def _check_flag(flag):
 def _crossed_tensor(data: FusionData, x, y) -> dict:
     """``crossed_tensor`` on flagged labels that are already valid."""
     (va, fa), (vb, fb) = x, y
-    right = data.sigma(vb) if fa == 1 else vb
+    right = data.dual(vb) if fa == 1 else vb
     flag = (fa + fb) % 2
     return {(lbl, flag): mult for lbl, mult in data._tensor(va, right).items()}
 
@@ -532,12 +522,11 @@ def astar_tensor(data: FusionData, x, y) -> dict:
 
 
 def astar_dual(data: FusionData, x):
-    """Conjugate of a graded label; odd labels pick up the sigma twist."""
+    """Conjugate of a graded label.  An odd label is its own conjugate:
+    (V s)* = s V* = V** s = V s, the twist undoing the dual."""
     _check_astar_label(data, x)
     label, flag = x
-    if flag == 0:
-        return (data.dual(label), 0)
-    return (data.sigma(data.dual(label)), 1)
+    return (label, 1) if flag else (data.dual(label), 0)
 
 
 def moment_crosscheck(n: int, k: int, p_max: int = PMAX_DEFAULT):

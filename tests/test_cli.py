@@ -296,6 +296,17 @@ def test_fusion_table_deterministic(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("where", ["missing-dir/x.json", "."])
+def test_fusion_table_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys, where):
+    # a path under a missing directory, and a path that is a directory
+    path = tmp_path / where
+    code, out, err = run_cli(capsys, "fusion-table", "--group", "un:2", "--out", str(path))
+    config, *lines = err.splitlines()
+    assert code == 2 and out == "" and config.startswith("# config")
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
 def test_fusion_table_torus(capsys):
     code, out, _ = run_cli(capsys, "fusion-table", "--group", "torus:1", "--grade-cap", "2")
     assert code == 0

@@ -197,13 +197,14 @@ def test_un_dim():
 
 def test_structure_maps_un():
     data = UnFusion(2)
-    dual, sigma, grade = data.dual((1, 0)), data.sigma((1, 0)), data.grade((1, 0))
-    assert dual == (0, -1) and sigma == (0, -1) and grade == 1
+    dual, grade = data.dual((1, 0)), data.grade((1, 0))
+    assert dual == (0, -1) and grade == 1
     assert data.grade((1, 1)) == 2
     assert data.dual((2, -1)) == (1, -2)
 
 
 def test_sigma_negates_integer_grade():
+    # the twist sigma of the crossed rules is the dual
     rng = random.Random(9)
     for data in (UnFusion(2), UnFusion(3), TorusFusion(2)):
         for _ in range(20):
@@ -211,21 +212,34 @@ def test_sigma_negates_integer_grade():
                 a = tuple(sorted((rng.randint(-3, 3) for _ in range(data.n)), reverse=True))
             else:
                 a = tuple(rng.randint(-3, 3) for _ in range(data.n))
-            assert data.grade(data.sigma(a)) == -data.grade(a)
+            assert data.grade(data.dual(a)) == -data.grade(a)
     s = SU2Fusion()
     for k in range(7):
         j = Fraction(k, 2)
-        assert s.grade(s.sigma(j)) == s.grade(j)
+        assert s.grade(s.dual(j)) == s.grade(j)
 
 
 def test_structure_maps_torus_su2():
     t = TorusFusion(1)
-    assert (t.dual((3,)), t.sigma((3,)), t.grade((3,))) == ((-3,), (-3,), 3)
+    assert (t.dual((3,)), t.grade((3,))) == ((-3,), 3)
     s = SU2Fusion()
     j = Fraction(3, 2)
-    assert (s.dual(j), s.sigma(j), s.grade(j)) == (j, j, 1)
+    assert (s.dual(j), s.grade(j)) == (j, 1)
     assert s.dim(j) == 4
     assert s.tensor(Fraction(1, 2), Fraction(1, 2)) == {Fraction(0): 1, Fraction(1): 1}
+
+
+def test_su2_products_follow_clebsch_gordan():
+    # the closed form a (x) b = |a-b| + (|a-b| + 1) + ... + (a+b), each spin
+    # once, on all 81 pairs of spins up to 4, against the U(2) route
+    s = SU2Fusion()
+    spins = [Fraction(k, 2) for k in range(9)]
+    for a, b in itertools.product(spins, repeat=2):
+        dec = s.tensor(a, b)
+        low = abs(a - b)
+        assert dec == {low + k: 1 for k in range(int(a + b - low) + 1)}, (a, b)
+        assert {type(j) for j in dec} == {Fraction}
+        assert sum(m * s.dim(j) for j, m in dec.items()) == s.dim(a) * s.dim(b)
 
 
 # -- crossed and graded tensor rules ---------------------------------------------
@@ -272,7 +286,7 @@ def test_tensor_memo_is_keyed_up_to_order_and_shift(n, runs, monkeypatch):
     assert len(labels) ** 2 == 64
     for x in labels:
         for y in labels:
-            right = data.sigma(y[0]) if x[1] else y[0]
+            right = data.dual(y[0]) if x[1] else y[0]
             expected = [((nu, (x[1] + y[1]) % 2), m) for nu, m in run(x[0], right).items()]
             assert list(astar_tensor(data, x, y).items()) == expected, (x, y)
     assert len(calls) == runs and len(set(calls)) == runs

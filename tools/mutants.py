@@ -39,8 +39,14 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    Mutant("src/halfcomm/fusion.py", "right = data.sigma(vb) if fa == 1 else vb", "right = vb",
+    Mutant("src/halfcomm/fusion.py", "right = data.dual(vb) if fa == 1 else vb", "right = vb",
            "the sigma twist is dropped from the crossed tensor rule"),
+    Mutant("src/halfcomm/fusion.py", "right = data.dual(vb) if fa == 1 else vb",
+           "right = data.dual(vb) if fa == 1 and fb == 1 else vb",
+           "the twist applies only when both factors are odd"),
+    Mutant("src/halfcomm/fusion.py", "return (label, 1) if flag else (data.dual(label), 0)",
+           "return (data.dual(label), flag)",
+           "the graded dual dualises odd labels"),
     Mutant("src/halfcomm/crossed.py", "runs.append(((row, col, odd), end - first, q))",
            "runs.append(((row, col, not odd), end - first, q))",
            "the position parity of a word's runs is flipped in the embedding"),
