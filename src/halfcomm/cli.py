@@ -2,7 +2,8 @@
 
 Subcommands: normalize, equal, haar, fuse, fusion-table, verify, predicates.
 Exit codes: 0 success (and all checks passed for verify), 1 verification
-failure, 2 usage or parse errors and inputs beyond a resource cap.
+failure, 2 usage or parse errors, inputs beyond a resource cap and output
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import re
 import sys
 
@@ -20,7 +22,7 @@ from .expressions import CrossedContext, parse_context, parse_expression
 from .groups import PREDICATES, check_predicate, parse_model, predicate
 from .haar import PMAX_DEFAULT, haar_state, mc_integral, norm_squared
 from .verify import DEFAULT_SEED, SUITES, check_caps, run_verify, suite_params
-from .words import AO_STAR, Presentation, format_word_element
+from .words import format_word_element
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -109,7 +111,7 @@ def cmd_equal(args):
             raise ValueError("--method nf applies to word contexts")
         result = {"equal": x == y, "method": "nf", "exact": True}
     elif method == "exact":
-        if isinstance(context, Presentation) and context.kind != AO_STAR:
+        if not parse_model(context.group).exact:
             raise ValueError(
                 f"--method exact decides equality for the full unitary group; "
                 f"use --method mc with a matching --group for {context}"
@@ -331,7 +333,8 @@ def build_parser():
 
     p = sub.add_parser("equal", parents=[seed, samples, degree_cap, as_json], help="equality of two expressions")
     p.add_argument("--context", required=True)
-    p.add_argument("--method", choices=("nf", "exact", "mc"), default="exact")
+    p.add_argument("--method", choices=("nf", "exact", "mc"), default="exact",
+                   help="nf compares half-commutation normal forms only: its false is not a decision in the algebra")
     p.add_argument("--group", help="group model for --method mc, e.g. kn:2")
     p.add_argument("expr1")
     p.add_argument("expr2")
@@ -377,7 +380,9 @@ def main(argv=None) -> int:
     try:
         _settle_flags(args)
         _echo_config(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a failed write shows here, not at shutdown
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -386,6 +391,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (DegreeCapError, ClosureSizeError) as exc:
         print(f"error: resource cap: {exc} (the exact degree cap is set by --degree-cap)", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # fusion-table --out reports its own path: this is stdout
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        if sys.stdout is sys.__stdout__:  # what stays buffered goes nowhere, so the flush at exit cannot fail
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         return EXIT_USAGE
 
 

@@ -46,6 +46,7 @@ class CrossedContext:
 
     def __post_init__(self):
         check_count(self.n)
+        object.__setattr__(self, "group", f"un:{self.n}")  # the crossed product lives over U(n)
 
     def __str__(self):
         return f"crossed:{self.n}"

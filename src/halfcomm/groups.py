@@ -7,26 +7,21 @@ block pattern [[A, B], [-B, A]].  The last one is sampled through its
 isomorphism with U(n) x U(n): P = A + iB and Q = A - iB are independent Haar
 unitaries, so drawing (P, Q) and assembling A = (P+Q)/2, B = (P-Q)/(2i)
 pushes Haar x Haar forward to Haar on the block group.
+
+Each kind is one entry of ``_KINDS``, which everything below looks up.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .crossed import CrossedElement, FunElement
 from .errors import DimensionMismatchError, check_count
-
-KIND_UN = "un"
-KIND_ON = "on"
-KIND_SUN = "sun"
-KIND_TORUS = "torus"
-KIND_KN = "kn"
-KIND_U2N = "u2n"
-
-ALL_KINDS = (KIND_UN, KIND_ON, KIND_SUN, KIND_TORUS, KIND_KN, KIND_U2N)
 
 DEFAULT_TOL = 1e-8  # membership: unitarity and shape pattern
 WITNESS_TOL = 1e-6  # smallest imaginary part a non-reality witness shows
@@ -46,37 +41,115 @@ def check_draw_size(entries: int, what: str) -> None:
         raise ValueError(f"{what} holds {entries} complex entries; the cap is {MAX_DRAW_ENTRIES}")
 
 
+def _haar_unitary(rng, count, n):
+    z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def _haar_orthogonal(rng, count, n):
+    z = rng.standard_normal((count, n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return (q * np.sign(d)[:, None, :]).astype(complex)
+
+
+def _haar_special_unitary(rng, count, n):
+    g = _haar_unitary(rng, count, n)
+    root = np.exp(np.log(np.linalg.det(g)) / n)  # principal branch
+    return g / root[:, None, None]
+
+
+def _haar_monomial(rng, count, n, permute=True):
+    """Uniform phases placed by a uniform permutation; without ``permute``,
+    on the diagonal: the torus."""
+    rows = np.argsort(rng.random((count, n)), axis=1) if permute else np.arange(n)
+    phases = np.exp(2j * np.pi * rng.random((count, n)))
+    out = np.zeros((count, n, n), dtype=complex)
+    out[np.arange(count)[:, None], rows, np.arange(n)[None, :]] = phases
+    return out
+
+
+def _haar_block(rng, count, n):
+    p, q = _haar_unitary(rng, count, n), _haar_unitary(rng, count, n)
+    a, b = (p + q) / 2, (p - q) / 2j
+    return np.block([[a, b], [-b, a]])
+
+
+def _small(a):
+    return np.max(np.abs(a), axis=(-2, -1), initial=0.0) < DEFAULT_TOL
+
+
+def _det_one(g, n):
+    with np.errstate(invalid="ignore"):  # a non-finite matrix just fails
+        return np.abs(np.linalg.det(g) - 1.0) < DEFAULT_TOL
+
+
+def _monomial(g, n):
+    mask = np.abs(g) > 0.5
+    ok = np.all(mask.sum(axis=-2) == 1, axis=-1) & np.all(mask.sum(axis=-1) == 1, axis=-1)
+    return ok & _small(np.where(mask, np.abs(g) - 1.0, 0)) & _small(np.where(mask, 0, g))
+
+
+def _block(g, n):
+    a, b = g[..., :n, :n], g[..., :n, n:]
+    c, d = g[..., n:, :n], g[..., n:, n:]
+    return _small(a - d) & _small(b + c)
+
+
+class _Kind(NamedTuple):
+    """Everything one group kind decides, for each ``n``."""
+
+    sample: Callable  # the Haar sampler: (rng, count, n) -> stack (count, d, d) complex
+    shape: Callable = lambda g, n: True  # what membership asks of a unitary stack g beyond unitarity
+    blocks: int = 1  # the ambient dimension is blocks * n
+    real_entries: bool = False
+    exact: bool = False  # the Haar state integrates exactly (Weingarten)
+    fusion: Callable = lambda fusion, n: None  # the fusion datum, from the fusion module
+
+
+_KINDS = {
+    "un": _Kind(_haar_unitary, exact=True, fusion=lambda fusion, n: fusion.UnFusion(n)),
+    "on": _Kind(_haar_orthogonal, lambda g, n: _small(g.imag), real_entries=True),
+    "sun": _Kind(_haar_special_unitary, _det_one, fusion=lambda fusion, n: fusion.SU2Fusion() if n == 2 else None),
+    "torus": _Kind(partial(_haar_monomial, permute=False), lambda g, n: _small(np.where(np.eye(n) == 1, 0, g)),
+                   fusion=lambda fusion, n: fusion.TorusFusion(n)),
+    "kn": _Kind(_haar_monomial, _monomial),
+    "u2n": _Kind(_haar_block, _block, blocks=2),
+}
+
+ALL_KINDS = tuple(_KINDS)
+
+
 @dataclass(frozen=True)
 class GroupModel:
     kind: str
     n: int
 
     def __post_init__(self):
-        if self.kind not in ALL_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown group kind {self.kind!r}")
         check_count(self.n)
 
     @property
     def ambient_dim(self) -> int:
-        return 2 * self.n if self.kind == KIND_U2N else self.n
+        return _KINDS[self.kind].blocks * self.n
 
     @property
     def real_entries(self) -> bool:
         """Every element has real entries: the orthogonal group."""
-        return self.kind == KIND_ON
+        return _KINDS[self.kind].real_entries
 
     @property
     def exact(self) -> bool:
         """The Haar state integrates exactly (Weingarten calculus): U(n)."""
-        return self.kind == KIND_UN
+        return _KINDS[self.kind].exact
 
     def fusion_data(self):
         """The fusion datum of U(n), a torus or SU(2); None for the others."""
         from . import fusion  # fusion -> haar -> groups: imported when asked
-        if self.kind == KIND_SUN and self.n == 2:
-            return fusion.SU2Fusion()
-        data = {KIND_UN: fusion.UnFusion, KIND_TORUS: fusion.TorusFusion}.get(self.kind)
-        return None if data is None else data(self.n)
+        return _KINDS[self.kind].fusion(fusion, self.n)
 
     def __str__(self):
         return f"{self.kind}:{self.n}"
@@ -92,20 +165,6 @@ def parse_model(text: str) -> GroupModel:
         raise ValueError(f"bad group model {text!r}; expected e.g. un:2, kn:3") from exc
 
 
-def _haar_unitary(rng, count, n):
-    z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
-
-
-def _haar_orthogonal(rng, count, n):
-    z = rng.standard_normal((count, n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return (q * np.sign(d)[:, None, :]).astype(complex)
-
-
 def check_draw(model: GroupModel, count: int) -> None:
     """``check_draw_size`` of a draw of ``count`` samples over ``model``."""
     d = model.ambient_dim
@@ -116,37 +175,7 @@ def sample_batch(model: GroupModel, rng, count: int) -> np.ndarray:
     """Stack of ``count`` Haar samples, shape (count, d, d) complex, drawn
     once ``check_draw`` has passed the draw."""
     check_draw(model, count)
-    n = model.n
-    if model.kind == KIND_UN:
-        return _haar_unitary(rng, count, n)
-    if model.kind == KIND_ON:
-        return _haar_orthogonal(rng, count, n)
-    if model.kind == KIND_SUN:
-        g = _haar_unitary(rng, count, n)
-        det = np.linalg.det(g)
-        root = np.exp(np.log(det) / n)  # principal branch
-        return g / root[:, None, None]
-    if model.kind == KIND_TORUS:
-        phases = np.exp(2j * np.pi * rng.random((count, n)))
-        out = np.zeros((count, n, n), dtype=complex)
-        idx = np.arange(n)
-        out[:, idx, idx] = phases
-        return out
-    if model.kind == KIND_KN:
-        perms = np.argsort(rng.random((count, n)), axis=1)
-        phases = np.exp(2j * np.pi * rng.random((count, n)))
-        out = np.zeros((count, n, n), dtype=complex)
-        out[np.arange(count)[:, None], perms, np.arange(n)[None, :]] = phases
-        return out
-    if model.kind == KIND_U2N:
-        p = _haar_unitary(rng, count, n)
-        q = _haar_unitary(rng, count, n)
-        a = (p + q) / 2
-        b = (p - q) / 2j
-        top = np.concatenate([a, b], axis=2)
-        bottom = np.concatenate([-b, a], axis=2)
-        return np.concatenate([top, bottom], axis=1)
-    raise AssertionError(model.kind)
+    return _KINDS[model.kind].sample(rng, count, model.n)
 
 
 def contains(model: GroupModel, g: np.ndarray) -> bool | np.ndarray:
@@ -159,30 +188,8 @@ def contains(model: GroupModel, g: np.ndarray) -> bool | np.ndarray:
     g = np.asarray(g, dtype=complex)
     if g.shape[-2:] != (d, d):
         raise DimensionMismatchError(f"expected a {d}x{d} matrix or a stack of them, got {g.shape}")
-
-    def small(a):
-        return np.max(np.abs(a), axis=(-2, -1), initial=0.0) < DEFAULT_TOL
-
-    eye = np.eye(d)
-    ok = small(g @ np.swapaxes(g.conj(), -2, -1) - eye)
-    if model.kind == KIND_ON:
-        ok &= small(g.imag)
-    elif model.kind == KIND_SUN:
-        with np.errstate(invalid="ignore"):  # a non-finite matrix just fails
-            ok &= np.abs(np.linalg.det(g) - 1.0) < DEFAULT_TOL
-    elif model.kind == KIND_TORUS:
-        ok &= small(np.where(eye == 1, 0, g))
-    elif model.kind == KIND_KN:
-        mask = np.abs(g) > 0.5
-        ok &= np.all(mask.sum(axis=-2) == 1, axis=-1) & np.all(mask.sum(axis=-1) == 1, axis=-1)
-        ok &= small(np.where(mask, np.abs(g) - 1.0, 0)) & small(np.where(mask, 0, g))
-    elif model.kind == KIND_U2N:
-        n = model.n
-        a, b = g[..., :n, :n], g[..., :n, n:]
-        c, dd = g[..., n:, :n], g[..., n:, n:]
-        ok &= small(a - dd) & small(b + c)
-    elif model.kind != KIND_UN:
-        raise AssertionError(model.kind)
+    ok = _small(g @ np.swapaxes(g.conj(), -2, -1) - np.eye(d))
+    ok &= _KINDS[model.kind].shape(g, model.n)
     return bool(ok) if g.ndim == 2 else ok
 
 
@@ -231,42 +238,19 @@ def predicate(
         return PredicateResult(False, None)
 
     rng = np.random.default_rng(rng_seed)
-    d = model.ambient_dim
     for t in range(trials):
         g = sample_batch(model, rng, 1)[0]
         if which == "self_transpose":
             if not contains(model, g.T):
                 return PredicateResult(False, {"sample_index": t, "matrix": g})
-        elif which == "non_real":
-            im = np.abs(g.imag)
-            if im.max() > WITNESS_TOL:
-                i, j = np.unravel_index(int(np.argmax(im)), im.shape)
-                return PredicateResult(
-                    True,
-                    {
-                        "sample_index": t,
-                        "indices": (int(i) + 1, int(j) + 1),
-                        "value": complex(g[i, j]),
-                        "matrix": g,
-                    },
-                )
-        else:  # doubly_non_real
-            flat = g.reshape(d * d)
-            prods = flat[:, None] * flat.conj()[None, :]
-            im = np.abs(prods.imag)
-            if im.max() > WITNESS_TOL:
-                a, b = np.unravel_index(int(np.argmax(im)), im.shape)
-                i, j = divmod(int(a), d)
-                k, l = divmod(int(b), d)
-                return PredicateResult(
-                    True,
-                    {
-                        "sample_index": t,
-                        "indices": (i + 1, j + 1, k + 1, l + 1),
-                        "value": complex(prods[a, b]),
-                        "matrix": g,
-                    },
-                )
+            continue
+        # the entries g_ij, or the products g_ij conj(g_kl) indexed (i, j, k, l)
+        values = g if which == "non_real" else np.multiply.outer(g, g.conj())
+        im = np.abs(values.imag)
+        if im.max() > WITNESS_TOL:
+            at = np.unravel_index(int(np.argmax(im)), im.shape)
+            return PredicateResult(True, {"sample_index": t, "indices": tuple(int(i) + 1 for i in at),
+                                          "value": complex(values[at]), "matrix": g})
     return PredicateResult(which == "self_transpose", None)
 
 

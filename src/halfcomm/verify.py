@@ -986,6 +986,8 @@ def suite_predicates(trials=1000, seed=DEFAULT_SEED):
             val = g[i - 1, j - 1] * np.conj(g[k - 1, l - 1])
             if abs(val.imag) <= 1e-9:
                 return False, "witness does not certify"
+            if abs(res.witness["value"] - val) > 1e-12:
+                return False, f"witness value {res.witness['value']} is not the product {val} at its indices"
             return True, f"witness indices {res.witness['indices']}"
 
         yield (

@@ -34,7 +34,8 @@ AO_STAR = "ao-star"
 AH_STAR = "ah-star"
 AU_STAR_STAR = "au-star-star"
 
-_KINDS = (AO_STAR, AH_STAR, AU_STAR_STAR)
+# the group model G of each presentation, whose algebra is A_*(G)
+_GROUPS = {AO_STAR: "un", AH_STAR: "kn", AU_STAR_STAR: "u2n"}
 
 # most terms a coproduct may make: 4**8, as many as a degree-8 word of
 # distinct letters over n = 4 makes
@@ -47,11 +48,12 @@ class Presentation:
     n: int
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _GROUPS:
             raise PresentationError(f"unknown presentation kind {self.kind!r}")
         check_count(self.n, error=PresentationError)
         # an attribute, not a property: ``letter()`` reads it on every call
         object.__setattr__(self, "orthogonal", self.kind in (AO_STAR, AH_STAR))
+        object.__setattr__(self, "group", f"{_GROUPS[self.kind]}:{self.n}")  # its model's name, e.g. un:2
 
     def __str__(self):
         return f"{self.kind}:{self.n}"

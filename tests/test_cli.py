@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import subprocess
@@ -305,6 +307,14 @@ def test_fusion_table_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys, w
     assert code == 2 and out == "" and config.startswith("# config")
     assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {path}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+def test_fusion_table_to_a_full_device_names_the_path(capsys):
+    # the write fails when the file closes, with no file name on the error
+    code, out, err = run_cli(capsys, "fusion-table", "--group", "un:2", "--out", "/dev/full")
+    assert code == 2 and out == ""
+    assert err.splitlines()[1:] == [f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}"]
 
 
 def test_fusion_table_torus(capsys):
@@ -762,6 +772,9 @@ def test_verify_all_at_dimension_one(capsys):
         (["equal", "--context", "ah-star:2", "v[1,1]", "v[1,1]"],
          "--method exact decides equality for the full unitary group; "
          "use --method mc with a matching --group for ah-star:2"),
+        (["equal", "--context", "au-star-star:1", "u[1,1]", "u[1,1]"],
+         "--method exact decides equality for the full unitary group; "
+         "use --method mc with a matching --group for au-star-star:1"),
         (["equal", "--context", "ao-star:2", "--method", "mc", "v[1,1]", "0"], "--method mc needs --group"),
         (["haar", "--group", "kn:2", "u[1,1]"], "exact integration covers the full unitary group; use --mc"),
         *((["haar", "--group", f"{kind}:2", "u[1,1]"], "exact integration covers the full unitary group; use --mc")
@@ -773,6 +786,44 @@ def test_handler_usage_errors(capsys, argv, message):
     assert code == 2 and out == ""
     assert err.splitlines()[0].startswith("# config ")
     assert err.splitlines()[1:] == [f"error: {message}"]
+
+
+WRITES = [
+    ["normalize", "--context", "ao-star:2", "v[1,1]"],
+    ["fuse", "--group", "un:2", "[1,0]", "[1,0]"],
+    ["fusion-table", "--group", "un:2"],
+    ["predicates", "--model", "un:2", "--trials", "5"],
+]
+NO_SPACE = f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}"
+
+
+class _FullStdout(io.TextIOBase):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", WRITES, ids=lambda argv: argv[0])
+def test_a_failed_write_to_stdout_is_a_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code = main(argv)
+    config, *lines = capsys.readouterr().err.splitlines()
+    assert code == 2 and config.startswith("# config") and lines == [NO_SPACE]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+@pytest.mark.parametrize("argv", WRITES[::2], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_child_writing_to_a_full_device_exits_2(argv, unbuffered):
+    # buffered, the write fails at the flush; the interpreter's own flush at
+    # exit must not fail again (it would print "Exception ignored" and exit 120)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=src, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    with open("/dev/full", "w") as full:
+        res = subprocess.run([sys.executable, "-m", "halfcomm", *argv], stdout=full, stderr=subprocess.PIPE,
+                             env=env, text=True, timeout=120)
+    config, *lines = res.stderr.splitlines()
+    assert res.returncode == 2 and config.startswith("# config") and lines == [NO_SPACE]
 
 
 def test_verify_unknown_suite(capsys):

@@ -19,6 +19,11 @@ def test_parse_context():
         parse_context("ao-star")
 
 
+def test_every_context_names_its_group_model():
+    names = ("ao-star:3", "ah-star:3", "au-star-star:3", "crossed:3")
+    assert [parse_context(t).group for t in names] == ["un:3", "kn:3", "u2n:3", "un:3"]
+
+
 def test_parse_simple_word():
     pres = ao_star(2)
     x = parse_expression("v[1,2] v[1,1] v[2,1]", pres)

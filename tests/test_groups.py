@@ -191,6 +191,20 @@ def test_real_entries_predicates_draw_nothing(monkeypatch, which):
     assert res.value is False and res.witness is None
 
 
+@pytest.mark.parametrize("which, indices, value", [
+    ("non_real", (2, 2), 1j),
+    # g11 conj(g22) and g22 conj(g11) tie; the first in (i, j, k, l) order wins
+    ("doubly_non_real", (1, 1, 2, 2), -1j),
+])
+def test_witness_on_a_planted_sample(monkeypatch, which, indices, value):
+    planted = np.diag([1, 1j]).astype(complex)
+    monkeypatch.setattr(groups, "sample_batch", lambda model, rng, count: planted[None])
+    res = predicate(parse_model("un:2"), which, trials=3, rng_seed=0)
+    assert res.value and res.witness["sample_index"] == 0
+    assert res.witness["indices"] == indices and res.witness["value"] == value
+    assert (res.witness["matrix"] == planted).all()
+
+
 def test_predicates_witnesses():
     for name in ("un:2", "kn:2", "u2n:2", "torus:2"):
         res = predicate(parse_model(name), "doubly_non_real", trials=50, rng_seed=1)

@@ -86,13 +86,15 @@ MUTANTS = (
            "a Littlewood-Richardson memo hit is returned without the shift back"),
     Mutant("src/halfcomm/fusion.py", "lam, mu = _ending_in_0(a), _ending_in_0(b)", "lam, mu = tuple(a), tuple(b)",
            "the Littlewood-Richardson memo is keyed on unshifted weights"),
-    Mutant("src/halfcomm/groups.py", "small(b + c)", "small(b - c)",
+    Mutant("src/halfcomm/groups.py", "_small(b + c)", "_small(b - c)",
            "the block-group membership test asks for C = B instead of C = -B"),
     Mutant("src/halfcomm/groups.py", "return g / root[:, None, None]", "return g",
            "the special unitary sampler no longer scales its samples to determinant 1"),
-    Mutant("src/halfcomm/groups.py", "out[np.arange(count)[:, None], perms, np.arange(n)[None, :]] = phases",
-           "out[np.arange(count)[:, None], perms, np.arange(n)[None, :]] = 1",
+    Mutant("src/halfcomm/groups.py", "out[np.arange(count)[:, None], rows, np.arange(n)[None, :]] = phases",
+           "out[np.arange(count)[:, None], rows, np.arange(n)[None, :]] = 1",
            "the monomial-matrix sampler drops its phases"),
+    Mutant("src/halfcomm/groups.py", "np.multiply.outer(g, g.conj())", "np.multiply.outer(g, g)",
+           "the doubly-non-real search drops the conjugate of the second entry"),
 )
 
 
